@@ -203,19 +203,15 @@ class ChevalleyAlgebra:
                     put(ib, ig, [(self.root_index(s), n_any(beta, gamma))])
 
         self.table = table
-        n = sum(len(v) for v in table.values())
-        self._bk_i = np.empty(n, dtype=np.int64)
-        self._bk_j = np.empty(n, dtype=np.int64)
-        self._bk_k = np.empty(n, dtype=np.int64)
-        self._bk_v = np.empty(n, dtype=np.float64)
-        t = 0
-        for (i, j), terms in table.items():
-            for k, c in terms:
-                self._bk_i[t] = i
-                self._bk_j[t] = j
-                self._bk_k[t] = k
-                self._bk_v[t] = float(c)
-                t += 1
+        # flattened table sorted by left index; the terms with left index i
+        # are _bk_*[_bk_rows[i]]
+        flat = sorted((i, j, k, c) for (i, j), terms in table.items() for k, c in terms)
+        self._bk_i, self._bk_j, self._bk_k = (
+            np.array([t[n] for t in flat], dtype=np.int64) for n in range(3)
+        )
+        self._bk_v = np.array([float(t[3]) for t in flat])
+        off = np.searchsorted(self._bk_i, np.arange(self.dim + 1))
+        self._bk_rows = [np.arange(off[i], off[i + 1]) for i in range(self.dim)]
 
     def _build_killing(self) -> None:
         rs = self.rs
@@ -250,13 +246,23 @@ class ChevalleyAlgebra:
 
     # ---- operations ------------------------------------------------------
     def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Bilinear bracket of coefficient vectors (supports leading axes)."""
+        """Bilinear bracket of coefficient vectors (supports leading axes).
+
+        Only table terms whose left slot is in the support of X and whose
+        right slot is in the support of Y are formed, so memory and time
+        scale with the supports rather than with the whole table.
+        """
         if X.shape[-1] != self.dim or Y.shape[-1] != self.dim:
             raise ValueError("dimension mismatch")
         out_shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (self.dim,)
         Z = np.zeros(out_shape, dtype=complex)
-        contrib = X[..., self._bk_i] * Y[..., self._bk_j] * self._bk_v
-        np.add.at(Z, (..., self._bk_k), contrib)
+        left = np.flatnonzero(X.reshape(-1, self.dim).any(axis=0)).tolist()
+        if not left:
+            return Z
+        terms = np.concatenate([self._bk_rows[i] for i in left])
+        terms = terms[Y.reshape(-1, self.dim).any(axis=0)[self._bk_j[terms]]]
+        i, j = self._bk_i[terms], self._bk_j[terms]
+        np.add.at(Z, (..., self._bk_k[terms]), X[..., i] * Y[..., j] * self._bk_v[terms])
         return Z
 
     def ad_sparse(self, idx: int):

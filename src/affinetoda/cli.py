@@ -263,6 +263,11 @@ def _reload_run(path: str):
     ex, ey = conf["extent"].lower().split("x")
     grid = DomainGrid.make(conf["topology"], nx, ny, (float(ex), float(ey)))
     omega = read_field_binary(path, grid)
+    if omega.l != rs.rank:
+        raise RuntimeError(
+            f"{path}: stored field has {omega.l} components, but type {conf['type']} "
+            f"has rank {rs.rank}"
+        )
     q = QDifferential.parse(conf["q"], coxeter_number(rs))
     return manifest, conf, grid, omega, q
 

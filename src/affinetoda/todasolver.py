@@ -11,6 +11,14 @@ coordinate Jacobian by the Gram matrix of the coroots under the
 invariant-form pairing makes the Newton system symmetric positive
 definite (the equations are the gradient of a convex energy), so each
 step is solved with preconditioned conjugate gradients.
+
+The preconditioner freezes the pointwise block at its spatial mean B, so
+that it is the constant-coefficient operator -(1/2) Lap (x) G + I (x) B.
+The five-point Laplacian is diagonal in the discrete Fourier basis (rfft2
+on tori, DST-I on the interior of rectangles), and a generalized
+eigenbasis of the pair (B, G) diagonalizes the l x l block of every mode
+at once, so one application costs two transforms and a division.  The
+CG iteration count per Newton step then no longer grows with the grid.
 """
 from __future__ import annotations
 
@@ -21,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .chevalley import ChevalleyAlgebra, PrincipalSL2
 from .grids import DomainGrid, HFieldGrid, QDifferential, constant_field, random_trig_field
@@ -71,6 +78,7 @@ class Solution:
     residual_history: List[float]
     iterations: int
     converged: bool
+    cg_iterations: List[int] = field(default_factory=list)  # one entry per Newton step
 
     @property
     def final_residual(self) -> float:
@@ -88,14 +96,12 @@ class _TodaData:
     def __init__(self, rs: RootSystem):
         l = rs.rank
         self.rs = rs
-        self.l = l
         self.P = np.array(
             [[rs.cartan_matrix[a][i] for a in range(l)] for i in range(l)], dtype=float
         )  # P[i, a] = alpha_i(h_a)
         self.r = np.array([float(c) for c in x_coefficients(rs)])
         self.delta_marks = np.array(rs.highest_root, dtype=float)
         self.delta_co = np.array(rs.coroot(rs.highest_root), dtype=float)
-        self.deltaP = self.delta_marks @ self.P  # delta(h_a)
         # invariant-form Gram matrix of the coroots: 4 (a_i, a_j) / (|a_i|^2 |a_j|^2)
         G = np.zeros((l, l))
         for i in range(l):
@@ -105,10 +111,6 @@ class _TodaData:
                     / (rs.half_norm(rs.simple_root(i)) * rs.half_norm(rs.simple_root(j)))
                 )
         self.G = G
-        self.inv_half_norm = np.array(
-            [1.0 / float(rs.half_norm(rs.simple_root(i))) for i in range(l)]
-        )
-        self.inv_half_norm_delta = 1.0 / float(rs.half_norm(rs.highest_root))
 
     def exponentials(self, vals: np.ndarray, q2: np.ndarray):
         av = vals @ self.P.T
@@ -160,7 +162,10 @@ def constant_solution(rs: RootSystem, q_sq: float) -> Tuple[np.ndarray, float]:
     marks = np.array(aff.marks[1:], dtype=float)
     comarks = np.array(aff.comarks[1:], dtype=float)
     h = float(sum(aff.marks))
-    assert aff.marks[0] == 1 and aff.comarks[0] == 1
+    if aff.marks[0] != 1 or aff.comarks[0] != 1:
+        raise RuntimeError(
+            f"affine node 0 must have mark and comark 1, got {aff.marks[0]} and {aff.comarks[0]}"
+        )
     log_s = (np.log(q_sq) - float(marks @ np.log(comarks / data.r))) / h
     targets = 0.5 * np.log(comarks * np.exp(log_s) / data.r)  # alpha_i(Omega)
     om = np.linalg.solve(data.P, targets)
@@ -194,16 +199,61 @@ def _initial_field(cfg: SolverConfig, rs: RootSystem, q2: np.ndarray) -> HFieldG
     raise ValueError(f"unknown init kind {kind!r}")
 
 
+def _mean_field_preconditioner(
+    data: _TodaData, grid: DomainGrid, vals: np.ndarray, q2: np.ndarray
+):
+    """Inverse of -(1/2) Lap (x) G + I (x) B as a function on grid fields.
+
+    B is the symmetrized spatial mean of the pointwise block of G J.  With
+    V from the generalized eigenproblem B V = G V diag(mu), V^T G V = I,
+    the block of Fourier mode k inverts as V diag(1 / (lam_k / 2 + mu)) V^T,
+    where lam_k is the mode's eigenvalue of the five-point -Lap.  Boundary
+    slots of a rectangle pass through unchanged.
+    """
+    from scipy.fft import dstn, idstn, irfft2, rfft2  # scipy imports are slow: defer them
+    from scipy.linalg import eigh
+
+    interior = grid.interior_mask()
+    expo, exp0 = data.exponentials(vals[interior], q2[interior])
+    dP = data.delta_marks @ data.P  # delta(h_a)
+    B = data.G @ (
+        2 * expo.mean(axis=0)[:, None] * data.P
+        + 2 * exp0.mean() * np.outer(data.delta_co, dP)
+    )
+    mu, V = eigh(0.5 * (B + B.T), data.G)
+
+    if grid.periodic:
+        tx = np.pi * np.arange(grid.nx) / grid.nx
+        ty = np.pi * np.arange(grid.ny // 2 + 1) / grid.ny
+    else:  # DST-I modes j = 1..n-2 of the interior, zero on the ring
+        tx = np.pi * np.arange(1, grid.nx - 1) / (2 * (grid.nx - 1))
+        ty = np.pi * np.arange(1, grid.ny - 1) / (2 * (grid.ny - 1))
+    lam = (4 / grid.dx**2) * np.sin(tx)[:, None] ** 2 + (4 / grid.dy**2) * np.sin(ty)[None, :] ** 2
+    inv_symbol = 1.0 / (0.5 * lam[..., None] + mu)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        if grid.periodic:
+            spec = rfft2(r @ V, axes=(0, 1)) * inv_symbol
+            return irfft2(spec, s=(grid.nx, grid.ny), axes=(0, 1)) @ V.T
+        z = r.copy()
+        spec = dstn(r[1:-1, 1:-1] @ V, type=1, axes=(0, 1)) * inv_symbol
+        z[1:-1, 1:-1] = idstn(spec, type=1, axes=(0, 1)) @ V.T
+        return z
+
+    return apply
+
+
 def _newton_step(
     data: _TodaData, grid: DomainGrid, vals: np.ndarray, q2: np.ndarray, R: np.ndarray
-) -> np.ndarray:
-    """Solve the symmetrized Newton system G J s = -G R by diagonal-
-    preconditioned CG; boundary slots pass through untouched."""
-    l = data.l
+) -> Tuple[np.ndarray, int]:
+    """Solve the symmetrized Newton system G J s = -G R by CG with the
+    spectral mean-field preconditioner; boundary slots pass through
+    untouched.  Returns the step and the number of CG iterations."""
+    from scipy.sparse.linalg import LinearOperator, cg
+
     shape = vals.shape
     G = data.G
     interior = grid.interior_mask()
-    expo, exp0 = data.exponentials(vals, q2)
 
     def apply_H(flat: np.ndarray) -> np.ndarray:
         s = flat.reshape(shape)
@@ -213,28 +263,26 @@ def _newton_step(
             Hs[~interior] = s[~interior]
         return Hs.ravel()
 
-    # diagonal of the symmetric operator for Jacobi preconditioning
-    diag = np.empty(shape)
-    lap_diag = 1.0 / grid.dx**2 + 1.0 / grid.dy**2
-    for a in range(l):
-        point = (
-            4 * expo * (data.P[:, a] ** 2) * data.inv_half_norm
-        ).sum(axis=-1) + 4 * exp0 * data.deltaP[a] ** 2 * data.inv_half_norm_delta
-        diag[..., a] = lap_diag * G[a, a] + point
-    if not grid.periodic:
-        diag[~interior] = 1.0
-    inv_diag = 1.0 / diag
-
+    precond = _mean_field_preconditioner(data, grid, vals, q2)
     rhs = -(R @ G)
     if not grid.periodic:
         rhs[~interior] = 0.0
     n = rhs.size
     H = LinearOperator((n, n), matvec=apply_H)
-    M = LinearOperator((n, n), matvec=lambda x: (x.reshape(shape) * inv_diag).ravel())
-    sol, info = cg(H, rhs.ravel(), rtol=1e-12, atol=0.0, maxiter=40 * max(grid.nx, grid.ny), M=M)
+    M = LinearOperator((n, n), matvec=lambda x: precond(x.reshape(shape)).ravel())
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    sol, info = cg(
+        H, rhs.ravel(), rtol=1e-12, atol=0.0, maxiter=40 * max(grid.nx, grid.ny), M=M,
+        callback=count,
+    )
     if info != 0:
         raise RuntimeError(f"inner CG did not converge (info={info})")
-    return sol.reshape(shape)
+    return sol.reshape(shape), iters
 
 
 def solve(cfg: SolverConfig, alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> Solution:
@@ -254,6 +302,7 @@ def solve(cfg: SolverConfig, alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> Soluti
     vals = omega.values.copy()
 
     history: List[float] = []
+    cg_iterations: List[int] = []
     best = np.inf
     stall = 0
     converged = False
@@ -274,7 +323,8 @@ def solve(cfg: SolverConfig, alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> Soluti
             stall += 1
             if stall >= 6:
                 break  # diverged / stagnated
-        s = _newton_step(data, grid, vals, q2, R)
+        s, cg_its = _newton_step(data, grid, vals, q2, R)
+        cg_iterations.append(cg_its)
         norm2 = float((R * R).sum())
         t = cfg.damping
         while t > 1e-12:
@@ -298,6 +348,7 @@ def solve(cfg: SolverConfig, alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> Soluti
         residual_history=history,
         iterations=it,
         converged=converged,
+        cg_iterations=cg_iterations,
     )
 
 
@@ -319,8 +370,9 @@ def uniqueness_probe(
 ) -> float:
     """Max pairwise distance between converged runs from perturbed starts.
 
-    Non-converged runs are excluded.  TODA_THREADS (>= 1) caps how many
-    solves run concurrently.
+    Non-converged runs are excluded; fewer than two converged runs raise
+    RuntimeError, since there is then nothing to compare.  TODA_THREADS
+    (>= 1) caps how many solves run concurrently.
     """
     if len(seeds) < 2:
         raise ValueError("need at least two seeds")
@@ -339,10 +391,14 @@ def uniqueness_probe(
             sols = list(pool.map(lambda c: solve(c, alg, sl2), configs))
     else:
         sols = [solve(c, alg, sl2) for c in configs]
-    for seed, s in zip(seeds, sols):
-        if not s.converged:
-            warnings.warn(f"seed {seed} did not converge; excluded from the probe")
+    failed = [seed for seed, s in zip(seeds, sols) if not s.converged]
     fields = [s.omega.values for s in sols if s.converged]
+    if len(fields) < 2:
+        raise RuntimeError(
+            f"only {len(fields)} of {len(seeds)} runs converged (not converged: seeds {failed})"
+        )
+    for seed in failed:
+        warnings.warn(f"seed {seed} did not converge; excluded from the probe")
     worst = 0.0
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):

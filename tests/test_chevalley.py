@@ -46,6 +46,62 @@ def test_bracket_basics(name, algebra, rng):
     assert np.max(np.abs(alg.bracket(X, Y) + alg.bracket(Y, X))) < 1e-12
 
 
+_AD_CACHE = {}
+
+
+def reference_bracket(alg, X, Y):
+    """[X, Y] = sum_a X_a ad(e_a) Y, from the sparse integer ad matrices."""
+    if alg not in _AD_CACHE:
+        _AD_CACHE[alg] = [alg.ad_sparse(a) for a in range(alg.dim)]
+    shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (alg.dim,)
+    Xb = np.broadcast_to(X, shape).reshape(-1, alg.dim)
+    Yb = np.broadcast_to(Y, shape).reshape(-1, alg.dim)
+    Z = np.zeros(Xb.shape, dtype=complex)
+    for a, ad in enumerate(_AD_CACHE[alg]):
+        Z += Xb[:, a : a + 1] * (ad @ Yb.T).T
+    return Z.reshape(shape)
+
+
+def _random(rng, shape, support=None):
+    out = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if support is not None:
+        mask = np.zeros(shape[-1], dtype=bool)
+        mask[support] = True
+        out[..., ~mask] = 0
+    return out
+
+
+def _assert_close(got, ref):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "D4", "E6", "E8"])
+def test_bracket_matches_dense_reference(name, algebra, rng):
+    rs, alg, _, _ = algebra(name)
+    d, l = alg.dim, alg.rank
+    # dense random inputs on a small grid
+    X, Y = _random(rng, (3, 2, d)), _random(rng, (3, 2, d))
+    _assert_close(alg.bracket(X, Y), reference_bracket(alg, X, Y))
+    # connection-shaped: Cartan plus the phase -1 / +1 slots
+    lowered = [alg.root_index(tuple(-c for c in rs.simple_root(i))) for i in range(l)]
+    raised = [alg.root_index(rs.simple_root(i)) for i in range(l)]
+    X = _random(rng, (4, 4, d), list(range(l)) + lowered + [alg.highest_root_index])
+    Y = _random(rng, (4, 4, d), list(range(l)) + raised + [alg.lowest_root_index])
+    _assert_close(alg.bracket(X, Y), reference_bracket(alg, X, Y))
+    # 1-D against a grid, both ways, and broadcasting leading axes
+    v, G = _random(rng, (d,)), _random(rng, (3, 4, d))
+    _assert_close(alg.bracket(v, G), reference_bracket(alg, v, G))
+    _assert_close(alg.bracket(G, v), reference_bracket(alg, G, v))
+    A, B = _random(rng, (3, 1, d)), _random(rng, (1, 4, d))
+    _assert_close(alg.bracket(A, B), reference_bracket(alg, A, B))
+    # 1-D with 1-D, sparse and zero supports
+    e, f = _random(rng, (d,), raised), alg.basis_vector(lowered[0])
+    _assert_close(alg.bracket(e, f), reference_bracket(alg, e, f))
+    assert not np.any(alg.bracket(np.zeros(d), G))
+    assert not np.any(alg.bracket(G, np.zeros((3, 4, d))))
+
+
 def test_bracket_a2_cartan_action(algebra):
     rs, alg, _, _ = algebra("A2")
     h1 = alg.basis_vector(0)

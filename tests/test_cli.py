@@ -119,6 +119,19 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert json.loads(out)["pass"] is False
 
 
+def test_verify_rejects_rank_mismatch(tmp_path, capsys):
+    out_path = str(tmp_path / "omega.bin")
+    code, _, _ = run_cli(capsys, "toda", "solve", "--type", "A3", "--grid", "16x16", "--out", out_path)
+    assert code == 0
+    manifest_path = out_path + ".manifest.json"
+    manifest = json.load(open(manifest_path))
+    manifest["config"]["type"] = "A2"
+    json.dump(manifest, open(manifest_path, "w"))
+    code, _, err = run_cli(capsys, "toda", "verify", out_path)
+    assert code == 1
+    assert "3 components" in err and "rank 2" in err
+
+
 def test_conn_check_a2(capsys):
     code, out, _ = run_cli(capsys, "conn", "check", "--type", "A2", "--grid", "32", "--q", "const:1.0")
     assert code == 0

@@ -10,6 +10,7 @@ from affinetoda.todasolver import (
     InitSpec,
     SolverConfig,
     _TodaData,
+    _mean_field_preconditioner,
     constant_solution,
     jacobian_apply,
     residual,
@@ -66,6 +67,20 @@ class TestConstantSolution:
         with pytest.raises(ValueError):
             constant_solution(rs, 0.0)
 
+    def test_bad_affine_node_raises_typed_error(self, algebra, monkeypatch):
+        import affinetoda.todasolver as ts
+
+        rs, _, _, _ = algebra("A2")
+        real = ts.affine_cartan(rs)
+
+        class Skewed:
+            marks = (2,) + tuple(real.marks[1:])
+            comarks = real.comarks
+
+        monkeypatch.setattr(ts, "affine_cartan", lambda _rs: Skewed)
+        with pytest.raises(RuntimeError, match="mark and comark 1"):
+            constant_solution(rs, 1.0)
+
 
 class TestJacobian:
     @pytest.mark.parametrize("name", ["A1", "A2"])
@@ -88,6 +103,28 @@ class TestJacobian:
             ) / (2 * eps)
             rel = np.abs(jv - fd).max() / max(1.0, np.abs(jv).max())
             assert rel < 1e-6
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("topology", ["torus", "rectangle"])
+    @pytest.mark.parametrize("name", ["A2", "G2"])
+    def test_exact_inverse_for_constant_coefficients(self, name, topology, algebra, rng):
+        """At a constant field with constant q the pointwise block is its own
+        mean, so the preconditioner inverts the symmetrized Newton operator
+        on fields that vanish on the rectangle boundary."""
+        cfg, rs, alg, sl2 = make_config(name, algebra, n=16, topology=topology)
+        data = _TodaData(rs)
+        grid = cfg.grid
+        q2 = np.abs(cfg.q.sample(grid)) ** 2
+        om0, _ = constant_solution(rs, 0.7)
+        vals = constant_field(grid, om0).values
+        s = rng.standard_normal(vals.shape)
+        interior = grid.interior_mask()
+        s[~interior] = 0.0  # CG keeps rectangle boundary slots at zero
+        Hs = jacobian_apply(data, grid, vals, q2, s) @ data.G
+        Hs[~interior] = s[~interior]
+        back = _mean_field_preconditioner(data, grid, vals, q2)(Hs)
+        assert np.abs(back - s).max() < 1e-10 * np.abs(s).max()
 
 
 class TestSolve:
@@ -173,6 +210,37 @@ class TestSolve:
         assert cfg.grid.max_norm(np.abs(F).max(axis=-1)) <= 10 * cfg.tol
 
 
+class TestNewtonCG:
+    def test_cg_iterations_mesh_independent(self, algebra):
+        worst = []
+        for n in (64, 128):
+            cfg, rs, alg, sl2 = make_config(
+                "A2", algebra, n=n, init=InitSpec("perturbed", seed=1, amplitude=0.2)
+            )
+            sol = solve(cfg, alg, sl2)
+            assert sol.converged
+            assert len(sol.cg_iterations) == sol.iterations  # one count per Newton step
+            worst.append(max(sol.cg_iterations))
+        assert abs(worst[0] - worst[1]) <= 3
+
+    def test_e8_torus_converges(self, algebra):
+        cfg, rs, alg, sl2 = make_config("E8", algebra, init=InitSpec("perturbed", seed=17, amplitude=0.1))
+        sol = solve(cfg, alg, sl2)
+        assert sol.converged
+        assert sol.final_residual <= cfg.tol
+
+    def test_a2_polynomial_q_rectangle_converges(self, algebra):
+        rs, alg, sl2, _ = algebra("A2")
+        cfg = SolverConfig(
+            lie_type=rs.type,
+            grid=DomainGrid.make("rectangle", 64, 64),
+            q=QDifferential.parse("poly:1,0.5+0.2j,0.3", coxeter_number(rs)),
+        )
+        sol = solve(cfg, alg, sl2)
+        assert sol.converged
+        assert sol.final_residual <= cfg.tol
+
+
 class TestSigmaDefect:
     def test_b2_trivial_symmetry(self, algebra):
         cfg, rs, alg, sl2 = make_config("B2", algebra, init=InitSpec("perturbed", seed=1, amplitude=0.08))
@@ -201,6 +269,13 @@ class TestUniqueness:
     def test_identical_seeds(self, algebra):
         cfg, rs, alg, sl2 = make_config("A1", algebra, init=InitSpec("perturbed", amplitude=0.1))
         assert uniqueness_probe(cfg, [3, 3], alg, sl2) == 0.0
+
+    def test_too_few_converged_runs_raise(self, algebra):
+        cfg, rs, alg, sl2 = make_config(
+            "A1", algebra, max_iter=1, init=InitSpec("perturbed", amplitude=0.1)
+        )
+        with pytest.raises(RuntimeError, match=r"seeds \[11, 12, 13\]"):
+            uniqueness_probe(cfg, [11, 12, 13], alg, sl2)
 
     def test_needs_two_seeds(self, algebra):
         cfg, rs, alg, sl2 = make_config("A1", algebra)
