@@ -3,14 +3,11 @@
 from .chevalley import (
     ChevalleyAlgebra,
     CoxeterElement,
-    Involution,
     PrincipalSL2,
     build_chevalley,
     build_principal_sl2,
     coxeter_element,
-    involution,
     is_cyclic_g1,
-    kostant_section_eval,
     lambda_hat,
     normalize_cyclic,
     rho_hat,
@@ -23,7 +20,6 @@ from .connection import (
     chart_transition,
     curvature,
     gauge_transform,
-    higgs_residual,
 )
 from .grids import DomainGrid, HFieldGrid, QDifferential
 from .restriction import RestrictedSystem, classify_affine, restrict, restricted_toda_residual

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rootdata import RootSystem, coxeter_number, exponents, x_coefficients
+from .rootdata import RootSystem, affine_cartan, coxeter_number, exponents, x_coefficients
 
 Root = Tuple[int, ...]
 
@@ -37,7 +37,7 @@ def _add(a: Root, b: Root) -> Root:
 
 
 class ChevalleyAlgebra:
-    """Structure constants, Killing form and index bookkeeping for one type."""
+    """Structure constants, Killing form, root characters and index bookkeeping for one type."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -49,32 +49,22 @@ class ChevalleyAlgebra:
         self.positive_roots = rs.positive_roots
 
         # basis index: 0..l-1 coroots, l..l+R-1 positive, l+R..l+2R-1 negative
-        self._root_of_index: List[Optional[Root]] = [None] * self.dim
         self._index_of_root: Dict[Root, int] = {}
         for k, root in enumerate(rs.positive_roots):
             self._index_of_root[root] = l + k
             self._index_of_root[_neg(root)] = l + R + k
-            self._root_of_index[l + k] = root
-            self._root_of_index[l + R + k] = _neg(root)
-
-        self.heights = np.zeros(self.dim, dtype=np.int64)
-        for k, root in enumerate(rs.positive_roots):
-            h = rs.height(root)
-            self.heights[l + k] = h
-            self.heights[l + R + k] = -h
+        pos = np.array(rs.positive_roots, dtype=np.int64).reshape(R, l)
+        roots = np.concatenate([np.zeros((l, l), dtype=np.int64), pos, -pos])
+        self.heights = roots.sum(axis=1)
+        # characters[d, a] = beta(h_a) for the root beta of slot d; zero rows on the Cartan
+        self.characters = roots @ rs.simple_characters
 
         self._build_structure_table()
         self._build_killing()
 
     # ---- index helpers -------------------------------------------------
-    def h_index(self, i: int) -> int:
-        return i
-
     def root_index(self, root: Root) -> int:
         return self._index_of_root[root]
-
-    def root_of_index(self, idx: int) -> Optional[Root]:
-        return self._root_of_index[idx]
 
     @property
     def highest_root_index(self) -> int:
@@ -147,10 +137,9 @@ class ChevalleyAlgebra:
                     n_neg = Fraction(np_lookup(a, db)) * (2 * half_norm[db]) / (2 * half_norm[eta])
                     total += n_neg * np_lookup(xi, db)
                 val = total * gg / (bb * n_pos[(a, b)])
-                assert val.denominator == 1, "non-integer structure constant"
-                ival = int(val)
-                assert abs(ival) == p_string(eta, xi) + 1 and ival != 0
-                n_pos[(xi, eta)] = ival
+                if val.denominator != 1 or abs(val) != p_string(eta, xi) + 1:
+                    raise RuntimeError(f"{rs.type}: structure constant N{xi, eta} = {val}")
+                n_pos[(xi, eta)] = int(val)
 
         def n_any(u: Root, v: Root) -> int:
             u_pos = sum(u) > 0
@@ -167,7 +156,8 @@ class ChevalleyAlgebra:
                 val = Fraction(-np_lookup(b, c)) * (2 * half_norm[c]) / (2 * half_norm[u])
             else:
                 val = Fraction(np_lookup(_neg(c), u)) * (2 * half_norm[c]) / (2 * half_norm[b])
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise RuntimeError(f"{rs.type}: structure constant N{u, v} = {val}")
             return int(val)
 
         table: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
@@ -181,7 +171,7 @@ class ChevalleyAlgebra:
         for beta in list(pos) + [_neg(r) for r in pos]:
             jb = self.root_index(beta)
             for i in range(l):
-                c = rs.pairing(beta, i) if sum(beta) > 0 else -rs.pairing(_neg(beta), i)
+                c = int(self.characters[jb, i])
                 put(i, jb, [(jb, c)])
                 put(jb, i, [(jb, -c)])
 
@@ -282,16 +272,13 @@ class ChevalleyAlgebra:
             (np.array(vals, dtype=np.int64), (rows, cols)), shape=(self.dim, self.dim)
         )
 
-    def killing_form(self, X: np.ndarray, Y: np.ndarray) -> complex:
-        return complex(X @ (self.killing @ Y))
-
 
 def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(rs)
 
 
 # ---------------------------------------------------------------------------
-# principal sl2, Coxeter phases, involutions
+# principal sl2, Coxeter phases, sigma and rho_hat
 # ---------------------------------------------------------------------------
 
 
@@ -377,7 +364,12 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> PrincipalSL2:
 
 
 def _build_sigma(alg, grades, ms, hw, et) -> np.ndarray:
-    """sigma from the lowering towers (ad_et)^k e_i, blockwise per grade."""
+    """sigma from the lowering towers (ad_et)^k e_i, blockwise per grade.
+
+    The result is a signed permutation of the Chevalley basis.  The float
+    block solves leave roundoff on it, so it is rounded to that exact
+    matrix; an entry that moves by more than 1e-9 is an error.
+    """
     l = alg.rank
     towers: List[List[np.ndarray]] = []
     for i in range(l):
@@ -402,7 +394,11 @@ def _build_sigma(alg, grades, ms, hw, et) -> np.ndarray:
             raise RuntimeError("tower vectors do not span the grade block")
         D = np.diag(signs)
         S[np.ix_(idxs, idxs)] = B @ D @ np.linalg.inv(B)
-    return S
+    exact = np.rint(S)
+    moved = float(np.abs(S - exact).max())
+    if moved > 1e-9:
+        raise RuntimeError(f"{alg.rs.type}: sigma is {moved:.1e} away from a signed permutation")
+    return exact
 
 
 @dataclass(frozen=True)
@@ -421,7 +417,8 @@ class CoxeterElement:
 
 def coxeter_element(alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> CoxeterElement:
     h = sl2.top_exponent + 1
-    assert h == coxeter_number(alg.rs)
+    if h != coxeter_number(alg.rs):
+        raise RuntimeError(f"{alg.rs.type}: top exponent {h - 1} does not match the Coxeter number")
     return CoxeterElement(phases=np.mod(alg.heights, h), h=h)
 
 
@@ -443,26 +440,6 @@ def rho_hat(alg: ChevalleyAlgebra, X: np.ndarray) -> np.ndarray:
 def lambda_hat(alg: ChevalleyAlgebra, sl2: PrincipalSL2, X: np.ndarray) -> np.ndarray:
     """Split-form anti-involution sigma o rho_hat."""
     return sigma(alg, sl2, rho_hat(alg, X))
-
-
-@dataclass(frozen=True)
-class Involution:
-    kind: str  # sigma | rho_hat | lambda_hat
-    antilinear: bool
-    _fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return self._fn(X)
-
-
-def involution(alg: ChevalleyAlgebra, sl2: PrincipalSL2, kind: str) -> Involution:
-    if kind == "sigma":
-        return Involution("sigma", False, lambda X: sigma(alg, sl2, X))
-    if kind == "rho_hat":
-        return Involution("rho_hat", True, lambda X: rho_hat(alg, X))
-    if kind == "lambda_hat":
-        return Involution("lambda_hat", True, lambda X: lambda_hat(alg, sl2, X))
-    raise ValueError(f"unknown involution kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -488,23 +465,6 @@ def is_cyclic_g1(alg: ChevalleyAlgebra, cox: CoxeterElement, X: np.ndarray) -> b
     return bool(np.all(X[slots] != 0))
 
 
-def kostant_section_eval(
-    alg: ChevalleyAlgebra, sl2: PrincipalSL2, coeffs: Sequence[complex]
-) -> Tuple[np.ndarray, Tuple[complex, ...]]:
-    """Point etilde + sum coeffs_i e_i of the slice and its invariant values.
-
-    On this slice the normalized generating invariants evaluate to the
-    coefficients themselves, so the value tuple is just the input echoed
-    back; the point is the canonical representative realizing it.
-    """
-    if len(coeffs) != alg.rank:
-        raise ValueError("need one coefficient per highest weight vector")
-    f = sl2.etilde.astype(complex).copy()
-    for c, v in zip(coeffs, sl2.hw_vectors):
-        f = f + c * v
-    return f, tuple(complex(c) for c in coeffs)
-
-
 def cyclic_reference(alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> np.ndarray:
     """Reference cyclic element: sqrt(r_i) on the simple slots, 1 on -delta."""
     X = np.zeros(alg.dim, dtype=complex)
@@ -524,46 +484,23 @@ def normalize_cyclic(
     weighted by the marks, which fixes log(lam); the Cartan part then comes
     out of an l x l linear solve.
     """
-    from .rootdata import affine_cartan
-
     if not is_cyclic_g1(alg, cox, X):
         raise ValueError("element is not cyclic")
-    rs = alg.rs
     l = alg.rank
     slots = _phase_one_slots(alg)
     ref = cyclic_reference(alg, sl2)
-    b = np.array([np.log(ref[s] / X[s]) for s in slots])  # principal branch
-    marks = affine_cartan(rs).marks  # node 0 first
-    weights = np.array([marks[i + 1] for i in range(l)] + [marks[0]], dtype=float)
+    b = np.log(ref[slots] / X[slots])  # principal branch
+    marks = affine_cartan(alg.rs).marks  # node 0 first
+    weights = np.array(marks[1:] + marks[:1], dtype=float)
     log_lam = -complex(weights @ b) / weights.sum()
-    # alpha_i(xi) = b_i + log lam; xi = sum_a xi_a h_a
-    P = np.array(
-        [[rs.cartan_matrix[a][i] for a in range(l)] for i in range(l)], dtype=float
-    )
-    xi = np.linalg.solve(P, b[:l] + log_lam)
+    # beta(xi) = b_beta + log lam on the simple slots; xi = sum_a xi_a h_a
+    C = alg.characters[slots]
+    xi = np.linalg.solve(C[:l], b[:l] + log_lam)
     lam = np.exp(log_lam)
     # consistency on the lowest-root slot (up to the exp branch)
-    neg_delta = [-c for c in rs.highest_root]
-    char = sum(xi[a] * sum(neg_delta[j] * rs.cartan_matrix[a][j] for j in range(l)) for a in range(l))
-    assert abs(np.exp(char) * X[slots[-1]] - lam * ref[slots[-1]]) < 1e-9 * max(
-        1.0, abs(lam)
-    ), "torus normalization is inconsistent"
+    if abs(np.exp(C[l] @ xi) * X[slots[-1]] - lam * ref[slots[-1]]) >= 1e-9 * max(1.0, abs(lam)):
+        raise RuntimeError("torus normalization is inconsistent")
     return xi, complex(lam)
-
-
-def torus_action(alg: ChevalleyAlgebra, xi: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Ad of exp(xi) for Cartan xi: scales each root slot by exp(beta(xi))."""
-    rs = alg.rs
-    l = alg.rank
-    out = X.astype(complex).copy()
-    for idx in range(l, alg.dim):
-        beta = alg.root_of_index(idx)
-        char = sum(
-            xi[a] * sum(beta[j] * rs.cartan_matrix[a][j] for j in range(l))
-            for a in range(l)
-        )
-        out[idx] = X[idx] * np.exp(char)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -38,15 +38,19 @@ def _json_out(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _build(name: str):
-    from .chevalley import build_chevalley, build_principal_sl2, coxeter_element
+def _root_system(name: str):
     from .rootdata import LieType, build_root_system
 
-    rs = build_root_system(LieType.parse(name))
+    return build_root_system(LieType.parse(name))
+
+
+def _build(rs):
+    """Chevalley algebra, principal sl2 and Coxeter element of a root system."""
+    from .chevalley import build_chevalley, build_principal_sl2, coxeter_element
+
     alg = build_chevalley(rs)
     sl2 = build_principal_sl2(alg)
-    cox = coxeter_element(alg, sl2)
-    return rs, alg, sl2, cox
+    return alg, sl2, coxeter_element(alg, sl2)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +61,7 @@ def _build(name: str):
 def cmd_lie_info(args) -> int:
     from .rootdata import affine_cartan, coxeter_number, exponents, x_coefficients
 
-    rs, _, _, _ = _build(args.type)
+    rs = _root_system(args.type)
     aff = affine_cartan(rs)
     _json_out(
         {
@@ -77,7 +81,8 @@ def cmd_lie_check(args) -> int:
     from .chevalley import rho_hat, verify_structure
     from .rootdata import exponents
 
-    rs, alg, sl2, cox = _build(args.type)
+    rs = _root_system(args.type)
+    alg, sl2, cox = _build(rs)
     exact = verify_structure(alg)
     S = sl2.sigma_mat
     checks: Dict[str, Dict] = {}
@@ -115,7 +120,7 @@ def cmd_lie_restrict(args) -> int:
     from .restriction import restrict
     from .rootdata import diagram_automorphism
 
-    rs, _, _, _ = _build(args.type)
+    rs = _root_system(args.type)
     rest = restrict(rs, diagram_automorphism(rs))
     _json_out(
         {
@@ -156,7 +161,7 @@ def _load_config_file(path: str) -> Dict[str, str]:
 
 def _solver_setup(args):
     from .grids import DomainGrid, QDifferential
-    from .rootdata import LieType, build_root_system, coxeter_number
+    from .rootdata import coxeter_number
     from .todasolver import InitSpec, SolverConfig
 
     opts = {
@@ -193,14 +198,13 @@ def _solver_setup(args):
     if opts["type"] is None:
         raise ValueError("a Lie type is required (--type or config file)")
 
-    lt = LieType.parse(str(opts["type"]))
-    rs = build_root_system(lt)
+    rs = _root_system(str(opts["type"]))
     nx, ny = _parse_grid(str(opts["grid"]))
     ex, ey = str(opts["extent"]).lower().split("x")
     grid = DomainGrid.make(str(opts["topology"]), nx, ny, (float(ex), float(ey)))
     q = QDifferential.parse(str(opts["q"]), coxeter_number(rs))
     cfg = SolverConfig(
-        lie_type=lt,
+        lie_type=rs.type,
         grid=grid,
         q=q,
         tol=float(opts["tol"]),
@@ -208,7 +212,7 @@ def _solver_setup(args):
         damping=float(opts["damping"]),
         init=InitSpec.parse(str(opts["init"])),
     )
-    return cfg, opts
+    return cfg, opts, rs
 
 
 def _summarize(cfg, sol, alg, sl2) -> Dict[str, float]:
@@ -220,7 +224,7 @@ def _summarize(cfg, sol, alg, sl2) -> Dict[str, float]:
     return {
         "iterations": sol.iterations,
         "residual": sol.final_residual,
-        "sigma_defect": sigma_symmetry_defect(sol, alg, sl2),
+        "sigma_defect": sigma_symmetry_defect(sol.omega, sl2),
         "curvature_norm": cfg.grid.max_norm(np.abs(F).max(axis=-1)),
         "converged": bool(sol.converged),
     }
@@ -231,8 +235,8 @@ def cmd_toda_solve(args) -> int:
     from .todasolver import solve, thread_cap
 
     thread_cap()  # validate the env var early
-    cfg, opts = _solver_setup(args)
-    _, alg, sl2, _ = _build(str(opts["type"]))
+    cfg, opts, rs = _solver_setup(args)
+    alg, sl2, _ = _build(rs)
     sol = solve(cfg, alg, sl2)
     summary = _summarize(cfg, sol, alg, sl2)
     out = args.out or "omega.bin"
@@ -252,13 +256,12 @@ def cmd_toda_solve(args) -> int:
 
 def _reload_run(path: str):
     from .grids import DomainGrid, QDifferential, read_field_binary
-    from .rootdata import LieType, build_root_system, coxeter_number
+    from .rootdata import coxeter_number
 
     with open(path + ".manifest.json") as fh:
         manifest = json.load(fh)
     conf = manifest["config"]
-    lt = LieType.parse(conf["type"])
-    rs = build_root_system(lt)
+    rs = _root_system(conf["type"])
     nx, ny = _parse_grid(conf["grid"])
     ex, ey = conf["extent"].lower().split("x")
     grid = DomainGrid.make(conf["topology"], nx, ny, (float(ex), float(ey)))
@@ -269,23 +272,21 @@ def _reload_run(path: str):
             f"has rank {rs.rank}"
         )
     q = QDifferential.parse(conf["q"], coxeter_number(rs))
-    return manifest, conf, grid, omega, q
+    return manifest, conf, rs, grid, omega, q
 
 
 def cmd_toda_verify(args) -> int:
-    from .connection import build_toda_connection, curvature, higgs_residual
-    from .todasolver import Solution, sigma_symmetry_defect
+    from .connection import build_toda_connection, curvature
+    from .todasolver import _TodaData, residual, sigma_symmetry_defect
 
-    manifest, conf, grid, omega, q = _reload_run(args.field)
-    _, alg, sl2, _ = _build(conf["type"])
-    R = higgs_residual(omega, q, alg, sl2, check_bracket=False)
+    manifest, conf, rs, grid, omega, q = _reload_run(args.field)
+    alg, sl2, _ = _build(rs)
+    R = residual(_TodaData(rs), grid, omega.values, np.abs(q.sample(grid)) ** 2)
     res = grid.max_norm(np.abs(R).max(axis=-1))
     conn = build_toda_connection(omega, q, alg, sl2, "toda")
     F = curvature(conn, alg)
     curv = grid.max_norm(np.abs(F).max(axis=-1))
-    sigma_defect = sigma_symmetry_defect(
-        Solution(omega=omega, residual_history=[res], iterations=0, converged=True), alg, sl2
-    )
+    sigma_defect = sigma_symmetry_defect(omega, sl2)
     reported = manifest["summary"]
     drift = {
         "residual": abs(res - reported["residual"]),
@@ -323,7 +324,8 @@ def cmd_conn_check(args) -> int:
     from .grids import DomainGrid, QDifferential, constant_field, random_trig_field
     from .rootdata import coxeter_number, diagram_automorphism
 
-    rs, alg, sl2, _ = _build(args.type)
+    rs = _root_system(args.type)
+    alg, sl2, _ = _build(rs)
     n = int(args.grid)
     grid = DomainGrid.make("torus", n, n)
     nu = diagram_automorphism(rs)
@@ -365,16 +367,15 @@ def cmd_conn_check(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
-    from .connection import higgs_residual, simple_character_matrix
+    from .todasolver import _TodaData, residual
 
-    manifest, conf, grid, omega, q = _reload_run(args.field)
-    _, alg, sl2, _ = _build(conf["type"])
-    P = simple_character_matrix(alg)
-    av = omega.values @ P.T
-    R = higgs_residual(omega, q, alg, sl2, check_bracket=False)
+    _, _, rs, grid, omega, q = _reload_run(args.field)
+    data = _TodaData(rs)
+    av = omega.values @ data.P.T
+    R = residual(data, grid, omega.values, np.abs(q.sample(grid)) ** 2)
     rnorm = np.abs(R).max(axis=-1)
     out = args.out or (args.field + ".csv")
-    l = alg.rank
+    l = rs.rank
     with open(out, "w") as fh:
         fh.write(
             "ix,iy,x,y," + ",".join(f"alpha{i+1}" for i in range(l)) + ",residual_norm\n"

@@ -1,4 +1,4 @@
-"""Flat Toda connections, discrete curvature and the elliptic residual.
+"""Flat Toda connections, discrete curvature and their cross-checks.
 
 Sign conventions fixed here (and relied on by the solver and CLI):
 
@@ -8,7 +8,8 @@ Sign conventions fixed here (and relied on by the solver and CLI):
 * curvature is stored as the coefficient of dz ^ dzbar,
   F = d_z(A_zbar + Psi) - d_zbar(A_z + Phi) + [A_z + Phi, A_zbar + Psi];
 * with these signs the curvature of the Toda-gauge connection equals
-  minus the elliptic residual of ``higgs_residual`` in the continuum.
+  minus the solver's elliptic residual ``todasolver.residual`` in the
+  continuum, and [Phi, Phi*] is minus its pointwise term exactly.
 
 Ad of exp(s * Omega) for Cartan Omega acts diagonally on root slots by the
 character exp(s * beta(Omega)) and is never computed through a series.
@@ -23,40 +24,12 @@ import numpy as np
 from .chevalley import ChevalleyAlgebra, PrincipalSL2, rho_hat
 from .grids import DomainGrid, HFieldGrid, QDifferential
 from .rootdata import coxeter_number
-
-
-def root_character_matrix(alg: ChevalleyAlgebra) -> np.ndarray:
-    """(dim, l) matrix of beta(h_a) per basis slot; zero rows on the Cartan."""
-    cached = getattr(alg, "_root_char_matrix", None)
-    if cached is not None:
-        return cached
-    rs = alg.rs
-    l = alg.rank
-    RC = np.zeros((alg.dim, l))
-    for idx in range(l, alg.dim):
-        beta = alg.root_of_index(idx)
-        for a in range(l):
-            RC[idx, a] = sum(beta[j] * rs.cartan_matrix[a][j] for j in range(l))
-    alg._root_char_matrix = RC
-    return RC
-
-
-def simple_character_matrix(alg: ChevalleyAlgebra) -> np.ndarray:
-    """(l, l) matrix P with P[i][a] = alpha_i(h_a)."""
-    cached = getattr(alg, "_simple_char_matrix", None)
-    if cached is not None:
-        return cached
-    rs = alg.rs
-    l = alg.rank
-    P = np.array([[rs.cartan_matrix[a][i] for a in range(l)] for i in range(l)], dtype=float)
-    alg._simple_char_matrix = P
-    return P
+from .todasolver import _TodaData, residual
 
 
 def char_scale(alg: ChevalleyAlgebra, values: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Ad of exp(H) for Cartan-valued H: root slots scale by exp(beta(H))."""
-    RC = root_character_matrix(alg)
-    chars = np.einsum("...a,da->...d", np.asarray(H, dtype=complex), RC)
+    chars = np.einsum("...a,da->...d", np.asarray(H, dtype=complex), alg.characters)
     return values * np.exp(chars)
 
 
@@ -126,15 +99,14 @@ def build_toda_connection(
     eplus[..., alg.lowest_root_index] = consts[0] * np.conj(qv)
 
     om_z = grid.d_dz(vals.astype(complex))
-    om_zbar = grid.d_dzbar(vals.astype(complex))
     if gauge == "toda":
         A_z = embed_cartan(alg, -om_z)
-        A_zbar = embed_cartan(alg, om_zbar)
+        A_zbar = embed_cartan(alg, grid.d_dzbar(vals.astype(complex)))
         phi = char_scale(alg, eminus, -vals)
         psi = char_scale(alg, eplus, +vals)
     else:
         A_z = embed_cartan(alg, -2 * om_z)
-        A_zbar = np.zeros_like(embed_cartan(alg, om_zbar))
+        A_zbar = np.zeros_like(A_z)
         phi = eminus
         psi = char_scale(alg, eplus, 2 * vals)
     return ConnectionData(
@@ -192,79 +164,15 @@ def gauge_transform(conn: ConnectionData, H: HFieldGrid, alg: ChevalleyAlgebra) 
     )
 
 
-def higgs_residual(
-    omega: HFieldGrid,
-    q: QDifferential,
-    alg: ChevalleyAlgebra,
-    sl2: PrincipalSL2,
-    check_bracket: bool = True,
-) -> np.ndarray:
-    """Elliptic residual of the coupled equations as an h-valued grid.
-
-    R = -2 Omega_{z zbar} + sum_i r_i e^{2 alpha_i(Omega)} h_i
-        + |q|^2 e^{-2 delta(Omega)} h_{-delta},
-    returned in coroot coordinates, shape (nx, ny, l).  When
-    ``check_bracket`` is set the commutator of the field with its adjoint
-    is also formed explicitly and compared against the closed form; a
-    mismatch beyond 1e-12 signals broken structure constants.
-    """
-    grid = omega.grid
-    rs = alg.rs
-    l = alg.rank
-    vals = omega.values
-    P = simple_character_matrix(alg)
-    av = vals @ P.T
-    delta_co = np.array(rs.coroot(rs.highest_root), dtype=float)
-    marks = np.array(rs.highest_root, dtype=float)
-    dv = av @ marks
-    r = np.array([float(c) for c in sl2.r])
-    qv = q.sample(grid)
-    q2 = np.abs(qv) ** 2
-    expo = r * np.exp(2 * av)
-    exp0 = q2 * np.exp(-2 * dv)
-    pointwise = expo - exp0[..., None] * delta_co
-    if check_bracket:
-        closed = -pointwise  # the commutator [Phi, Phi*] in closed form
-        phi = np.zeros((grid.nx, grid.ny, alg.dim), dtype=complex)
-        for i in range(l):
-            phi[..., alg.root_index(tuple(-c for c in rs.simple_root(i)))] = r[i] ** 0.5
-        phi[..., alg.highest_root_index] = qv
-        phi_star = -char_scale(alg, rho_hat(alg, phi), 2 * vals)
-        comm = alg.bracket(phi, phi_star)
-        defect = np.abs(comm - embed_cartan(alg, closed)).max()
-        scale = max(1.0, float(np.abs(closed).max()))
-        if defect > 1e-12 * scale:
-            raise RuntimeError(
-                f"commutator mismatch {defect:.3e}: structure constants are broken"
-            )
-    lap = grid.laplacian(vals)
-    R = -0.5 * lap + pointwise
-    if not grid.periodic:
-        R[~grid.interior_mask()] = 0.0
-    return R
-
-
 def commutator_defect(
     omega: HFieldGrid, q: QDifferential, alg: ChevalleyAlgebra, sl2: PrincipalSL2
 ) -> float:
-    """Max deviation between the explicit bracket [Phi, Phi*] and its closed form."""
-    grid = omega.grid
-    rs = alg.rs
-    vals = omega.values
-    P = simple_character_matrix(alg)
-    av = vals @ P.T
-    dv = av @ np.array(rs.highest_root, dtype=float)
-    r = np.array([float(c) for c in sl2.r])
-    qv = q.sample(grid)
-    closed = -(r * np.exp(2 * av)) + (np.abs(qv) ** 2 * np.exp(-2 * dv))[..., None] * np.array(
-        rs.coroot(rs.highest_root), dtype=float
-    )
-    phi = np.zeros((grid.nx, grid.ny, alg.dim), dtype=complex)
-    for i in range(alg.rank):
-        phi[..., alg.root_index(tuple(-c for c in rs.simple_root(i)))] = r[i] ** 0.5
-    phi[..., alg.highest_root_index] = qv
-    phi_star = -char_scale(alg, rho_hat(alg, phi), 2 * vals)
-    comm = alg.bracket(phi, phi_star)
+    """Max deviation between the explicit bracket [Phi, Phi*] and its closed
+    form, minus the pointwise term of the Toda residual, in the Higgs gauge."""
+    conn = build_toda_connection(omega, q, alg, sl2, gauge="higgs")
+    comm = alg.bracket(conn.phi, conjugate_star(conn, alg))
+    q2 = np.abs(q.sample(omega.grid)) ** 2
+    closed = -_TodaData(alg.rs).pointwise_residual(omega.values, q2)
     return float(np.abs(comm - embed_cartan(alg, closed)).max())
 
 
@@ -302,8 +210,8 @@ def equivalence_defect(
     """
     conn = build_toda_connection(omega, q, alg, sl2, gauge="toda")
     F = curvature(conn, alg)
-    R = higgs_residual(omega, q, alg, sl2, check_bracket=False)
     grid = omega.grid
+    R = residual(_TodaData(alg.rs), grid, omega.values, np.abs(q.sample(grid)) ** 2)
     mismatch = F + embed_cartan(alg, R)
     return (
         grid.max_norm(np.abs(F).max(axis=-1)),

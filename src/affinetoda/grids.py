@@ -7,7 +7,6 @@ ring there.
 """
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
@@ -223,7 +222,7 @@ def random_trig_field(
 
 
 # ---------------------------------------------------------------------------
-# I/O: raw binary and CSV
+# I/O: raw binary
 # ---------------------------------------------------------------------------
 
 
@@ -251,29 +250,4 @@ def read_field_binary(path: str, grid: Optional[DomainGrid] = None) -> HFieldGri
         grid = DomainGrid.make("torus", nx, ny)
     if (grid.nx, grid.ny) != (nx, ny):
         raise ValueError("grid does not match stored field")
-    return HFieldGrid(grid, values)
-
-
-def write_field_csv(path: str, hfield: HFieldGrid) -> None:
-    """Node-major CSV; header names the coroot coordinates h1..hl."""
-    l = hfield.l
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["ix", "iy"] + [f"h{a+1}" for a in range(l)])
-        for ix in range(hfield.grid.nx):
-            for iy in range(hfield.grid.ny):
-                w.writerow(
-                    [ix, iy] + [f"{v:.17g}" for v in hfield.values[ix, iy]]
-                )
-
-
-def read_field_csv(path: str, grid: DomainGrid) -> HFieldGrid:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    l = len(header) - 2
-    values = np.zeros((grid.nx, grid.ny, l))
-    for row in rows[1:]:
-        ix, iy = int(row[0]), int(row[1])
-        values[ix, iy] = [float(v) for v in row[2:]]
     return HFieldGrid(grid, values)

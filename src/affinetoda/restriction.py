@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .rootdata import (
     DiagramAutomorphism,
     LieType,
     RootSystem,
-    _integer_null_vector,
     affine_cartan,
     build_root_system,
     x_coefficients,
@@ -86,7 +85,8 @@ def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
             orbits.append([i])
 
     delta = tuple(Fraction(c) for c in rs.highest_root)
-    assert project(rs, nu, delta) == delta  # the symmetry fixes the highest root
+    if project(rs, nu, delta) != delta:
+        raise RuntimeError(f"{rs.type}: the symmetry does not fix the highest root")
     nodes: List[Vec] = [tuple(-c for c in delta)] + projections
 
     k = len(nodes)
@@ -96,7 +96,8 @@ def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
         hn = rs.dot(nodes[i], nodes[i]) / 2
         for j in range(k):
             val = rs.dot(nodes[i], nodes[j]) / hn
-            assert val.denominator == 1, "projected pairing is not integral"
+            if val.denominator != 1:
+                raise RuntimeError(f"{rs.type}: projected pairing {val} is not integral")
             row.append(int(val))
         gcm_rows.append(tuple(row))
     gcm = tuple(gcm_rows)
@@ -112,16 +113,13 @@ def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
         lhs = [Fraction(0)] * l
         for i in orbit:
             lhs[i] += r[i]
-        ratio: Optional[Fraction] = None
-        for a in range(l):
-            if dual[a] == 0:
-                assert lhs[a] == 0
-                continue
-            q = lhs[a] / dual[a]
-            assert ratio is None or q == ratio, "orbit sum is not proportional to the dual vector"
-            ratio = q
+        ratios = {lhs[a] / dual[a] for a in range(l) if dual[a]}
+        if len(ratios) != 1 or any(lhs[a] for a in range(l) if not dual[a]):
+            raise RuntimeError(
+                f"{rs.type}: orbit {orbit} sum is not proportional to the dual vector"
+            )
         coroots.append(dual)
-        weights.append(ratio)
+        weights.append(ratios.pop())
 
     rest = RestrictedSystem(
         base=rs,
@@ -225,8 +223,8 @@ def classify_affine(rest: RestrictedSystem) -> str:
     """
     base = rest.base.type
     if rest.nu.is_identity:
-        expected = affine_cartan(rest.base).gcm
-        assert rest.gcm == expected
+        if rest.gcm != affine_cartan(rest.base).gcm:
+            raise RuntimeError(f"{base}: trivial folding changed the affine matrix")
         return f"{base.family}{base.rank}(1)"
     for label, gcm in affine_catalog():
         if gcm_permutation_equivalent(rest.gcm, gcm):
@@ -258,16 +256,13 @@ def restricted_toda_residual(
     if symmetry_defect(rest, omega) > 1e-12:
         raise ValueError("field is not fixed by the diagram symmetry")
     rs = rest.base
-    l = rs.rank
     grid = omega.grid
     vals = omega.values
-    A = rs.cartan_matrix
+    P = rs.simple_characters
 
     def functional(vec: Vec) -> np.ndarray:
-        # beta(h_a) row vector
-        return np.array(
-            [float(sum(Fraction(vec[j]) * A[a][j] for j in range(l))) for a in range(l)]
-        )
+        # beta(h_a) row vector; the projected coordinates are halves, exact in floats
+        return np.array([float(c) for c in vec]) @ P
 
     lap = grid.laplacian(vals)
     R = -0.5 * lap
@@ -284,12 +279,3 @@ def restricted_toda_residual(
     if not grid.periodic:
         R[~grid.interior_mask()] = 0.0
     return R
-
-
-def restricted_null_vectors(rest: RestrictedSystem) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Integer marks and comarks of the projected matrix (affine check)."""
-    gcm = rest.gcm
-    n = len(gcm)
-    marks = _integer_null_vector(gcm)
-    comarks = _integer_null_vector([[gcm[j][i] for j in range(n)] for i in range(n)])
-    return marks, comarks

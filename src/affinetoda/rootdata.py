@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 Root = Tuple[int, ...]
 
 _RANK_BOUNDS = {
@@ -122,7 +124,8 @@ def _cartan_and_norms(lt: LieType) -> Tuple[List[List[int]], List[Fraction]]:
     # d_i * M[i][j] must be a symmetric matrix (it equals (alpha_i, alpha_j))
     for i in range(l):
         for j in range(l):
-            assert d[i] * M[i][j] == d[j] * M[j][i]
+            if d[i] * M[i][j] != d[j] * M[j][i]:
+                raise RuntimeError(f"{lt}: Cartan matrix is not symmetrized by the root norms")
     return M, d
 
 
@@ -165,16 +168,24 @@ class RootSystem:
         """beta(h_i) for the i-th simple coroot."""
         return sum(beta[j] * self.cartan_matrix[i][j] for j in range(self.rank))
 
+    @property
+    def simple_characters(self) -> np.ndarray:
+        """Integer (l, l) matrix P with P[i, a] = alpha_i(h_a).
+
+        It is the transpose of the Cartan matrix, so beta(h_a) = (beta @ P)[a]
+        for any beta in simple-root coordinates.
+        """
+        return np.array(self.cartan_matrix, dtype=np.int64).T
+
     def dot(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         """Inner product of two h* vectors given in simple-root coordinates."""
         l = self.rank
         total = Fraction(0)
         for i in range(l):
-            if not u[i]:
-                continue
-            for j in range(l):
-                if v[j]:
-                    total += u[i] * self.norms[i] * self.cartan_matrix[i][j] * v[j]
+            if u[i]:
+                # the inner sum stays an int for integer v
+                row = self.cartan_matrix[i]
+                total += u[i] * self.norms[i] * sum(row[j] * v[j] for j in range(l) if v[j])
         return total
 
     def half_norm(self, root: Root) -> Fraction:
@@ -187,7 +198,8 @@ class RootSystem:
         out = []
         for i in range(self.rank):
             c = root[i] * self.norms[i] / d_b
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise RuntimeError(f"coroot of {root} is not integral")
             out.append(int(c))
         return tuple(out)
 
@@ -237,8 +249,10 @@ def build_root_system(lt: LieType) -> RootSystem:
         positive_roots=positive,
         _index=index,
     )
-    assert len(layers[-1]) == 1, "highest root is not unique"
-    assert 2 * len(positive) + l == lt.dim
+    if len(layers[-1]) != 1:
+        raise RuntimeError(f"{lt}: highest root is not unique")
+    if 2 * len(positive) + l != lt.dim:
+        raise RuntimeError(f"{lt}: {len(positive)} positive roots do not give dimension {lt.dim}")
     return rs
 
 
@@ -335,12 +349,12 @@ def affine_cartan(rs: RootSystem) -> AffineCartanData:
 
     def entry(i: int, j: int) -> int:
         # alpha_j(h_i) with index 0 denoting (-delta, h_{-delta})
-        a_j = [Fraction(-c) for c in delta] if j == 0 else None
         if i == 0:
             if j == 0:
                 return 2
             num = -rs.dot(rs.simple_root(j - 1), delta) / dd
-            assert num.denominator == 1
+            if num.denominator != 1:
+                raise RuntimeError(f"{rs.type}: affine Cartan entry ({i}, {j}) is not integral")
             return int(num)
         if j == 0:
             return -rs.pairing(delta, i - 1)
@@ -349,12 +363,10 @@ def affine_cartan(rs: RootSystem) -> AffineCartanData:
     gcm = tuple(tuple(entry(i, j) for j in range(l + 1)) for i in range(l + 1))
     marks = _integer_null_vector(gcm)
     comarks = _integer_null_vector([[gcm[j][i] for j in range(l + 1)] for i in range(l + 1)])
-    assert all(
-        sum(gcm[i][j] * marks[j] for j in range(l + 1)) == 0 for i in range(l + 1)
-    )
-    assert all(
-        sum(comarks[i] * gcm[i][j] for i in range(l + 1)) == 0 for j in range(l + 1)
-    )
+    if any(sum(gcm[i][j] * marks[j] for j in range(l + 1)) for i in range(l + 1)) or any(
+        sum(comarks[i] * gcm[i][j] for i in range(l + 1)) for j in range(l + 1)
+    ):
+        raise RuntimeError(f"{rs.type}: marks or comarks are not null vectors")
     label = f"{rs.type.family}{rs.type.rank}(1)"
     return AffineCartanData(gcm=gcm, marks=marks, comarks=comarks, kac_label=label)
 
@@ -400,6 +412,8 @@ def diagram_automorphism(rs: RootSystem) -> DiagramAutomorphism:
     A = rs.cartan_matrix
     for i in range(l):
         for j in range(l):
-            assert A[nu.perm[i]][nu.perm[j]] == A[i][j], "graph symmetry check failed"
-    assert nu.apply_root(rs.highest_root) == rs.highest_root
+            if A[nu.perm[i]][nu.perm[j]] != A[i][j]:
+                raise RuntimeError(f"{rs.type}: graph symmetry check failed")
+    if nu.apply_root(rs.highest_root) != rs.highest_root:
+        raise RuntimeError(f"{rs.type}: graph symmetry moves the highest root")
     return nu

@@ -6,11 +6,15 @@ The discrete residual is
     R(Omega) = -(1/2) Lap Omega + sum_i r_i e^{2 alpha_i(Omega)} h_i
                + |q|^2 e^{-2 delta(Omega)} h_{-delta}
 
-with the five-point Laplacian (Omega_{z zbar} = Lap/4).  Multiplying the
-coordinate Jacobian by the Gram matrix of the coroots under the
-invariant-form pairing makes the Newton system symmetric positive
-definite (the equations are the gradient of a convex energy), so each
-step is solved with preconditioned conjugate gradients.
+with the five-point Laplacian (Omega_{z zbar} = Lap/4).  ``residual`` and
+``_TodaData.pointwise_residual`` are the only implementation of it:
+``toda verify``, ``export-plot`` and the connection layer's cross-checks
+call them, so a verify recomputes exactly what the solve reported.
+
+Multiplying the coordinate Jacobian by the Gram matrix of the coroots
+under the invariant-form pairing makes the Newton system symmetric
+positive definite (the equations are the gradient of a convex energy), so
+each step is solved with preconditioned conjugate gradients.
 
 The preconditioner freezes the pointwise block at its spatial mean B, so
 that it is the constant-coefficient operator -(1/2) Lap (x) G + I (x) B.
@@ -94,23 +98,16 @@ class _TodaData:
     """Per-type float data for the residual and its Jacobian."""
 
     def __init__(self, rs: RootSystem):
-        l = rs.rank
         self.rs = rs
-        self.P = np.array(
-            [[rs.cartan_matrix[a][i] for a in range(l)] for i in range(l)], dtype=float
-        )  # P[i, a] = alpha_i(h_a)
+        self.P = rs.simple_characters.astype(float)  # P[i, a] = alpha_i(h_a)
         self.r = np.array([float(c) for c in x_coefficients(rs)])
         self.delta_marks = np.array(rs.highest_root, dtype=float)
         self.delta_co = np.array(rs.coroot(rs.highest_root), dtype=float)
-        # invariant-form Gram matrix of the coroots: 4 (a_i, a_j) / (|a_i|^2 |a_j|^2)
-        G = np.zeros((l, l))
-        for i in range(l):
-            for j in range(l):
-                G[i, j] = float(
-                    rs.dot(rs.simple_root(i), rs.simple_root(j))
-                    / (rs.half_norm(rs.simple_root(i)) * rs.half_norm(rs.simple_root(j)))
-                )
-        self.G = G
+        # invariant-form Gram matrix of the coroots: 4 (a_i, a_j) / (|a_i|^2 |a_j|^2),
+        # which is A[i][j] / d_j since (a_i, a_j) = d_i A[i][j]
+        self.G = np.array(
+            [[float(a / d) for a, d in zip(row, rs.norms)] for row in rs.cartan_matrix]
+        )
 
     def exponentials(self, vals: np.ndarray, q2: np.ndarray):
         av = vals @ self.P.T
@@ -123,6 +120,7 @@ class _TodaData:
 
 
 def residual(data: _TodaData, grid: DomainGrid, vals: np.ndarray, q2: np.ndarray) -> np.ndarray:
+    """R(Omega) on the grid, zero on the boundary ring of a rectangle."""
     R = -0.5 * grid.laplacian(vals) + data.pointwise_residual(vals, q2)
     if not grid.periodic:
         R[~grid.interior_mask()] = 0.0
@@ -352,13 +350,13 @@ def solve(cfg: SolverConfig, alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> Soluti
     )
 
 
-def sigma_symmetry_defect(sol: Solution, alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> float:
-    """Max-node norm of sigma(Omega) - Omega for the solved field."""
-    l = alg.rank
+def sigma_symmetry_defect(omega: HFieldGrid, sl2: PrincipalSL2) -> float:
+    """Max-node norm of sigma(Omega) - Omega for a Cartan-valued field."""
+    l = omega.l
     S = sl2.sigma_mat[:l, :l]  # sigma preserves the Cartan block
-    vals = sol.omega.values
+    vals = omega.values
     defect = vals @ S.T - vals
-    return sol.omega.grid.max_norm(np.abs(defect).max(axis=-1))
+    return omega.grid.max_norm(np.abs(defect).max(axis=-1))
 
 
 def uniqueness_probe(

@@ -1,20 +1,19 @@
-"""Chevalley layer: brackets, principal sl2, Coxeter phases, involutions."""
+"""Chevalley layer: brackets, characters, principal sl2, Coxeter phases, involutions."""
 import numpy as np
 import pytest
 
 from affinetoda.chevalley import (
     cyclic_reference,
-    involution,
     is_cyclic_g1,
-    kostant_section_eval,
     lambda_hat,
     normalize_cyclic,
     rho_hat,
     sigma,
-    torus_action,
     verify_structure,
 )
+from affinetoda.connection import char_scale
 from affinetoda.rootdata import diagram_automorphism
+from conftest import ALL_TYPES
 
 SMALL = ["A1", "A2", "B2", "G2", "A3", "D4"]
 MEDIUM = SMALL + ["C3", "F4", "D5", "E6"]
@@ -100,6 +99,19 @@ def test_bracket_matches_dense_reference(name, algebra, rng):
     _assert_close(alg.bracket(e, f), reference_bracket(alg, e, f))
     assert not np.any(alg.bracket(np.zeros(d), G))
     assert not np.any(alg.bracket(G, np.zeros((3, 4, d))))
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_character_table_is_exact_pairing(name, algebra):
+    """The table behind char_scale against the exact root pairings."""
+    rs, alg, _, _ = algebra(name)
+    expect = np.zeros((alg.dim, rs.rank), dtype=np.int64)
+    for root in rs.positive_roots:
+        for sign in (1, -1):
+            beta = tuple(sign * c for c in root)
+            expect[alg.root_index(beta)] = [rs.pairing(beta, a) for a in range(rs.rank)]
+    assert alg.characters.dtype == np.int64
+    assert np.array_equal(alg.characters, expect)
 
 
 def test_bracket_a2_cartan_action(algebra):
@@ -194,6 +206,17 @@ def test_sigma_defining_properties(name, algebra):
     assert np.max(np.abs(S @ S - np.eye(alg.dim))) < 1e-10
 
 
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_sigma_is_exact_signed_permutation(name, algebra):
+    _, alg, sl2, _ = algebra(name)
+    S = sl2.sigma_mat
+    assert set(np.unique(S)) <= {-1.0, 0.0, 1.0}
+    assert np.array_equal(np.count_nonzero(S, axis=1), np.ones(alg.dim))
+    assert np.array_equal(np.count_nonzero(S, axis=0), np.ones(alg.dim))
+    X = np.linspace(-1, 1, alg.dim) + 1j * np.linspace(1, 2, alg.dim)
+    assert np.array_equal(S @ rho_hat(alg, X), rho_hat(alg, S @ X))
+
+
 @pytest.mark.parametrize("name", MEDIUM)
 def test_sigma_is_automorphism(name, algebra, rng):
     _, alg, sl2, _ = algebra(name)
@@ -249,11 +272,11 @@ def test_hermitian_form_positive(name, algebra):
     # H(u,v) = -k(u, rho(v)); diagonal entries must be positive
     for i in range(alg.rank):
         h = alg.basis_vector(i)
-        val = -alg.killing_form(h, rho_hat(alg, h))
+        val = -(h @ alg.killing @ rho_hat(alg, h))
         assert val.real > 0 and abs(val.imag) < 1e-12
     for root in rs.positive_roots:
         ep = alg.basis_vector(alg.root_index(root))
-        val = -alg.killing_form(ep, rho_hat(alg, ep))
+        val = -(ep @ alg.killing @ rho_hat(alg, ep))
         assert val.real > 0
 
 
@@ -265,16 +288,6 @@ def test_hermitian_form_positive_definite(name, algebra):
         G[:, j] = -(alg.killing @ rho_hat(alg, alg.basis_vector(j)))
     assert np.max(np.abs(G - G.conj().T)) < 1e-12
     assert np.linalg.eigvalsh(G).min() > 0
-
-
-def test_involution_wrapper(algebra):
-    _, alg, sl2, _ = algebra("A2")
-    X = np.arange(alg.dim) + 0.0j
-    assert np.allclose(involution(alg, sl2, "sigma")(X), sigma(alg, sl2, X))
-    assert np.allclose(involution(alg, sl2, "rho_hat")(X), rho_hat(alg, X))
-    assert np.allclose(involution(alg, sl2, "lambda_hat")(X), lambda_hat(alg, sl2, X))
-    with pytest.raises(ValueError):
-        involution(alg, sl2, "nope")
 
 
 class TestCyclic:
@@ -307,28 +320,6 @@ class TestCyclic:
             is_cyclic_g1(alg, cox, X)
 
 
-class TestKostantSection:
-    def test_all_zero(self, algebra):
-        _, alg, sl2, _ = algebra("A2")
-        f, p = kostant_section_eval(alg, sl2, [0.0, 0.0])
-        assert np.max(np.abs(f - sl2.etilde)) == 0
-        assert p == (0j, 0j)
-
-    def test_top_only(self, algebra):
-        _, alg, sl2, _ = algebra("A2")
-        q = 2.5 + 1j
-        f, p = kostant_section_eval(alg, sl2, [0.0, q])
-        expect = sl2.etilde + q * alg.basis_vector(alg.highest_root_index)
-        assert np.max(np.abs(f - expect)) < 1e-14
-        assert p == (0j, q)
-
-    def test_identity_on_section(self, algebra):
-        _, alg, sl2, _ = algebra("G2")
-        f, p = kostant_section_eval(alg, sl2, [1.0, 1.0])
-        assert p == (1 + 0j, 1 + 0j)
-        assert np.max(np.abs(f - sl2.etilde - sl2.hw_vectors[0] - sl2.hw_vectors[1])) < 1e-14
-
-
 class TestNormalizeCyclic:
     def test_reference_fixed(self, algebra):
         _, alg, sl2, cox = algebra("A2")
@@ -353,8 +344,8 @@ class TestNormalizeCyclic:
         for s in slots:
             X[s] = rng.standard_normal() + 1j * rng.standard_normal()
         xi, lam = normalize_cyclic(alg, cox, sl2, X)
-        # independent check by direct exponential action
-        got = torus_action(alg, xi, X)
+        # the character table is checked against exact pairings above
+        got = char_scale(alg, X, xi)
         ref = lam * cyclic_reference(alg, sl2)
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, abs(lam))
 

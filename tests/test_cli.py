@@ -52,6 +52,25 @@ def test_lie_restrict_e6(capsys):
     assert json.loads(out)["label"] == "F4(1)"
 
 
+def test_lie_check_e6_sigma_commutes_exactly(capsys):
+    code, out, _ = run_cli(capsys, "lie", "check", "E6")
+    assert code == 0
+    assert json.loads(out)["checks"]["sigma_rho_commute"]["residual"] == 0.0
+
+
+def test_lie_info_and_restrict_need_only_root_data(capsys, monkeypatch):
+    import affinetoda.chevalley
+
+    def refuse(rs):
+        raise AssertionError("the Chevalley algebra should not be built")
+
+    monkeypatch.setattr(affinetoda.chevalley, "build_chevalley", refuse)
+    code, out, _ = run_cli(capsys, "lie", "info", "E8")
+    assert code == 0 and json.loads(out)["coxeter_number"] == 30
+    code, out, _ = run_cli(capsys, "lie", "restrict", "E8")
+    assert code == 0 and json.loads(out)["label"] == "E8(1)"
+
+
 def test_unknown_type_exits_2(capsys):
     code, _, err = run_cli(capsys, "lie", "info", "Z9")
     assert code == 2
@@ -81,8 +100,8 @@ def test_toda_solve_verify_round_trip(tmp_path, capsys):
     assert code2 == 0
     verify = json.loads(out2)
     assert verify["pass"] is True
-    # recomputed residual is bit-identical to the reported one
-    assert verify["drift"]["residual"] == 0.0
+    # recomputed values are bit-identical to the reported ones
+    assert verify["drift"] == {"residual": 0.0, "curvature_norm": 0.0, "sigma_defect": 0.0}
     assert verify["residual"] == summary["residual"]
 
 

@@ -4,17 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from affinetoda.connection import higgs_residual
 from affinetoda.grids import DomainGrid, HFieldGrid, QDifferential, random_trig_field
 from affinetoda.restriction import (
     gcm_permutation_equivalent,
     project,
     restrict,
-    restricted_null_vectors,
     restricted_toda_residual,
     symmetry_defect,
 )
-from affinetoda.rootdata import coxeter_number, diagram_automorphism
+from affinetoda.rootdata import _integer_null_vector, coxeter_number, diagram_automorphism
+from conftest import elliptic_residual
 
 TABLE = [
     ("A2", "A2(2)"),
@@ -71,8 +70,9 @@ def test_delta_is_fixed_and_projection_idempotent(algebra):
 def test_projected_matrix_is_affine(name, algebra):
     rs, _, _, _ = algebra(name)
     rest = restrict(rs, diagram_automorphism(rs))
-    marks, comarks = restricted_null_vectors(rest)
     n = len(rest.gcm)
+    marks = _integer_null_vector(rest.gcm)
+    comarks = _integer_null_vector([[rest.gcm[j][i] for j in range(n)] for i in range(n)])
     assert all(sum(rest.gcm[i][j] * marks[j] for j in range(n)) == 0 for i in range(n))
     assert all(sum(comarks[i] * rest.gcm[i][j] for i in range(n)) == 0 for j in range(n))
 
@@ -109,23 +109,23 @@ class TestFoldedResidual:
 
     @pytest.mark.parametrize("name", ["A2", "A3", "A4", "D5", "E6"])
     def test_matches_unfolded_residual(self, name, algebra):
-        rs, alg, sl2, _ = algebra(name)
+        rs, _, _, _ = algebra(name)
         nu = diagram_automorphism(rs)
         rest = restrict(rs, nu)
         omega = self.make_symmetric_field(rs, nu)
         q = QDifferential.constant(0.7 + 0.4j, coxeter_number(rs))
         folded = restricted_toda_residual(omega, q, rest)
-        full = higgs_residual(omega, q, alg, sl2, check_bracket=False)
+        full = elliptic_residual(omega, q, rs)
         assert np.abs(folded - full).max() < 1e-12
 
     def test_trivial_symmetry_identical(self, algebra):
-        rs, alg, sl2, _ = algebra("B2")
+        rs, _, _, _ = algebra("B2")
         nu = diagram_automorphism(rs)
         rest = restrict(rs, nu)
         omega = self.make_symmetric_field(rs, nu)
         q = QDifferential.constant(1.0, coxeter_number(rs))
         folded = restricted_toda_residual(omega, q, rest)
-        full = higgs_residual(omega, q, alg, sl2, check_bracket=False)
+        full = elliptic_residual(omega, q, rs)
         assert np.abs(folded - full).max() < 1e-13
 
     def test_constant_oracle_is_flat(self, algebra):

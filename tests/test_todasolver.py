@@ -246,18 +246,18 @@ class TestSigmaDefect:
         cfg, rs, alg, sl2 = make_config("B2", algebra, init=InitSpec("perturbed", seed=1, amplitude=0.08))
         sol = solve(cfg, alg, sl2)
         assert sol.converged
-        assert sigma_symmetry_defect(sol, alg, sl2) < 1e-12
+        assert sigma_symmetry_defect(sol.omega, sl2) < 1e-12
 
     def test_a2_constant_oracle(self, algebra):
         cfg, rs, alg, sl2 = make_config("A2", algebra, init=InitSpec("oracle"))
         sol = solve(cfg, alg, sl2)
-        assert sigma_symmetry_defect(sol, alg, sl2) < 1e-10
+        assert sigma_symmetry_defect(sol.omega, sl2) < 1e-10
 
     def test_a3_perturbed(self, algebra):
         cfg, rs, alg, sl2 = make_config("A3", algebra, init=InitSpec("perturbed", seed=5, amplitude=0.1))
         sol = solve(cfg, alg, sl2)
         assert sol.converged
-        assert sigma_symmetry_defect(sol, alg, sl2) < 1e-8
+        assert sigma_symmetry_defect(sol.omega, sl2) < 1e-8
 
 
 class TestUniqueness:
