@@ -46,7 +46,6 @@ class ChevalleyAlgebra:
         self.rank = l
         self.num_positive = R
         self.dim = l + 2 * R
-        self.positive_roots = rs.positive_roots
 
         # basis index: 0..l-1 coroots, l..l+R-1 positive, l+R..l+2R-1 negative
         self._index_of_root: Dict[Root, int] = {}

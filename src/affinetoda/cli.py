@@ -45,12 +45,11 @@ def _root_system(name: str):
 
 
 def _build(rs):
-    """Chevalley algebra, principal sl2 and Coxeter element of a root system."""
-    from .chevalley import build_chevalley, build_principal_sl2, coxeter_element
+    """Chevalley algebra and principal sl2 of a root system."""
+    from .chevalley import build_chevalley, build_principal_sl2
 
     alg = build_chevalley(rs)
-    sl2 = build_principal_sl2(alg)
-    return alg, sl2, coxeter_element(alg, sl2)
+    return alg, build_principal_sl2(alg)
 
 
 # ---------------------------------------------------------------------------
@@ -78,11 +77,12 @@ def cmd_lie_info(args) -> int:
 
 
 def cmd_lie_check(args) -> int:
-    from .chevalley import rho_hat, verify_structure
+    from .chevalley import coxeter_element, rho_hat, verify_structure
     from .rootdata import exponents
 
     rs = _root_system(args.type)
-    alg, sl2, cox = _build(rs)
+    alg, sl2 = _build(rs)
+    cox = coxeter_element(alg, sl2)
     exact = verify_structure(alg)
     S = sl2.sigma_mat
     checks: Dict[str, Dict] = {}
@@ -90,11 +90,11 @@ def cmd_lie_check(args) -> int:
     def record(key: str, residual: float, tol: float) -> None:
         checks[key] = {"residual": residual, "pass": bool(residual <= tol)}
 
-    checks["jacobi_exact"] = {"residual": 0.0 if exact["jacobi_exact"] else 1.0, "pass": exact["jacobi_exact"]}
-    checks["killing_ad_invariant"] = {
-        "residual": 0.0 if exact["killing_ad_invariant"] else 1.0,
-        "pass": exact["killing_ad_invariant"],
-    }
+    def record_exact(key: str, ok: bool) -> None:
+        record(key, 0.0 if ok else 1.0, 0.0)
+
+    record_exact("jacobi_exact", exact["jacobi_exact"])
+    record_exact("killing_ad_invariant", exact["killing_ad_invariant"])
     record("sl2_bracket", float(np.abs(alg.bracket(sl2.e, sl2.etilde) - sl2.x).max()), 1e-12)
     record("sigma_squared", float(np.abs(S @ S - np.eye(alg.dim)).max()), 1e-12)
     X = np.linspace(-1, 1, alg.dim) + 1j * np.linspace(1, 2, alg.dim)
@@ -104,13 +104,12 @@ def cmd_lie_check(args) -> int:
         1e-12,
     )
     record("rho_squared", float(np.abs(rho_hat(alg, rho_hat(alg, X)) - X).max()), 1e-12)
-    dims_ok = (
+    record_exact(
+        "coxeter_eigenspaces",
         len(cox.eigenspace_indices(0)) == alg.rank
-        and len(cox.eigenspace_indices(1)) == alg.rank + 1
+        and len(cox.eigenspace_indices(1)) == alg.rank + 1,
     )
-    checks["coxeter_eigenspaces"] = {"residual": 0.0 if dims_ok else 1.0, "pass": dims_ok}
-    dim_ok = sum(2 * m + 1 for m in exponents(rs)) == alg.dim
-    checks["exponent_dimension"] = {"residual": 0.0 if dim_ok else 1.0, "pass": dim_ok}
+    record_exact("exponent_dimension", sum(2 * m + 1 for m in exponents(rs)) == alg.dim)
     ok = all(c["pass"] for c in checks.values())
     _json_out({"type": str(rs.type), "pass": ok, "checks": checks})
     return 0 if ok else 1
@@ -159,11 +158,9 @@ def _load_config_file(path: str) -> Dict[str, str]:
     return out
 
 
-def _solver_setup(args):
-    from .grids import DomainGrid, QDifferential
-    from .rootdata import coxeter_number
-    from .todasolver import InitSpec, SolverConfig
-
+def _solver_options(args) -> Dict[str, str]:
+    """The run's options as strings: flags win over the --config file, which
+    wins over the defaults.  The manifest records them as its ``config``."""
     opts = {
         "type": args.type,
         "grid": args.grid,
@@ -197,36 +194,42 @@ def _solver_setup(args):
             opts[key] = val
     if opts["type"] is None:
         raise ValueError("a Lie type is required (--type or config file)")
+    return opts
 
-    rs = _root_system(str(opts["type"]))
-    nx, ny = _parse_grid(str(opts["grid"]))
-    ex, ey = str(opts["extent"]).lower().split("x")
-    grid = DomainGrid.make(str(opts["topology"]), nx, ny, (float(ex), float(ey)))
-    q = QDifferential.parse(str(opts["q"]), coxeter_number(rs))
+
+def _solver_setup(opts: Dict[str, str]):
+    """The solver's per-type data and config from a run's options: the
+    resolved flags of ``toda solve``, or the ``config`` of its manifest."""
+    from .grids import DomainGrid, QDifferential
+    from .rootdata import coxeter_number
+    from .todasolver import InitSpec, SolverConfig, _TodaData
+
+    data = _TodaData(_root_system(opts["type"]))
+    nx, ny = _parse_grid(opts["grid"])
+    ex, ey = opts["extent"].lower().split("x")
     cfg = SolverConfig(
-        lie_type=rs.type,
-        grid=grid,
-        q=q,
+        grid=DomainGrid.make(opts["topology"], nx, ny, (float(ex), float(ey))),
+        q=QDifferential.parse(opts["q"], coxeter_number(data.rs)),
         tol=float(opts["tol"]),
         max_iter=int(opts["max_iter"]),
         damping=float(opts["damping"]),
-        init=InitSpec.parse(str(opts["init"])),
+        init=InitSpec.parse(opts["init"]),
     )
-    return cfg, opts, rs
+    return data, cfg
 
 
-def _summarize(cfg, sol, alg, sl2) -> Dict[str, float]:
-    from .connection import build_toda_connection, curvature
+def _summary(omega, q, alg, data, sl2) -> Dict[str, float]:
+    """Residual, curvature norm and sigma defect of a field: the numbers
+    ``toda solve`` reports and ``toda verify`` recomputes."""
+    from .connection import build_toda_connection, curvature, equivalence_defect
     from .todasolver import sigma_symmetry_defect
 
-    conn = build_toda_connection(sol.omega, cfg.q, alg, sl2, "toda")
-    F = curvature(conn, alg)
+    F = curvature(build_toda_connection(omega, q, alg, data, "toda"), alg)
+    curv, res, _ = equivalence_defect(omega, q, alg, data, F)
     return {
-        "iterations": sol.iterations,
-        "residual": sol.final_residual,
-        "sigma_defect": sigma_symmetry_defect(sol.omega, sl2),
-        "curvature_norm": cfg.grid.max_norm(np.abs(F).max(axis=-1)),
-        "converged": bool(sol.converged),
+        "residual": res,
+        "curvature_norm": curv,
+        "sigma_defect": sigma_symmetry_defect(omega, sl2.sigma_mat),
     }
 
 
@@ -235,15 +238,20 @@ def cmd_toda_solve(args) -> int:
     from .todasolver import solve, thread_cap
 
     thread_cap()  # validate the env var early
-    cfg, opts, rs = _solver_setup(args)
-    alg, sl2, _ = _build(rs)
-    sol = solve(cfg, alg, sl2)
-    summary = _summarize(cfg, sol, alg, sl2)
+    opts = _solver_options(args)
+    data, cfg = _solver_setup(opts)
+    alg, sl2 = _build(data.rs)
+    sol = solve(cfg, data)
+    summary = {
+        "iterations": sol.iterations,
+        **_summary(sol.omega, cfg.q, alg, data, sl2),
+        "converged": bool(sol.converged),
+    }
     out = args.out or "omega.bin"
     write_field_binary(out, sol.omega)
     manifest = {
         "command": "toda solve",
-        "config": {k: str(v) for k, v in opts.items()},
+        "config": opts,
         "conventions": CONVENTIONS,
         "outputs": {"omega": os.path.basename(out)},
         "summary": summary,
@@ -255,54 +263,30 @@ def cmd_toda_solve(args) -> int:
 
 
 def _reload_run(path: str):
-    from .grids import DomainGrid, QDifferential, read_field_binary
-    from .rootdata import coxeter_number
+    """Manifest, solver data, config and stored field of a ``toda solve`` run."""
+    from .grids import read_field_binary
 
     with open(path + ".manifest.json") as fh:
         manifest = json.load(fh)
     conf = manifest["config"]
-    rs = _root_system(conf["type"])
-    nx, ny = _parse_grid(conf["grid"])
-    ex, ey = conf["extent"].lower().split("x")
-    grid = DomainGrid.make(conf["topology"], nx, ny, (float(ex), float(ey)))
-    omega = read_field_binary(path, grid)
-    if omega.l != rs.rank:
+    data, cfg = _solver_setup(conf)
+    omega = read_field_binary(path, cfg.grid)
+    if omega.l != data.rs.rank:
         raise RuntimeError(
             f"{path}: stored field has {omega.l} components, but type {conf['type']} "
-            f"has rank {rs.rank}"
+            f"has rank {data.rs.rank}"
         )
-    q = QDifferential.parse(conf["q"], coxeter_number(rs))
-    return manifest, conf, rs, grid, omega, q
+    return manifest, data, cfg, omega
 
 
 def cmd_toda_verify(args) -> int:
-    from .connection import build_toda_connection, curvature
-    from .todasolver import _TodaData, residual, sigma_symmetry_defect
-
-    manifest, conf, rs, grid, omega, q = _reload_run(args.field)
-    alg, sl2, _ = _build(rs)
-    R = residual(_TodaData(rs), grid, omega.values, np.abs(q.sample(grid)) ** 2)
-    res = grid.max_norm(np.abs(R).max(axis=-1))
-    conn = build_toda_connection(omega, q, alg, sl2, "toda")
-    F = curvature(conn, alg)
-    curv = grid.max_norm(np.abs(F).max(axis=-1))
-    sigma_defect = sigma_symmetry_defect(omega, sl2)
+    manifest, data, cfg, omega = _reload_run(args.field)
+    alg, sl2 = _build(data.rs)
+    now = _summary(omega, cfg.q, alg, data, sl2)
     reported = manifest["summary"]
-    drift = {
-        "residual": abs(res - reported["residual"]),
-        "curvature_norm": abs(curv - reported["curvature_norm"]),
-        "sigma_defect": abs(sigma_defect - reported["sigma_defect"]),
-    }
-    ok = all(v <= 1e-12 for v in drift.values()) and res <= float(conf["tol"])
-    _json_out(
-        {
-            "residual": res,
-            "curvature_norm": curv,
-            "sigma_defect": sigma_defect,
-            "drift": drift,
-            "pass": ok,
-        }
-    )
+    drift = {key: abs(val - reported[key]) for key, val in now.items()}
+    ok = all(v <= 1e-12 for v in drift.values()) and now["residual"] <= cfg.tol
+    _json_out({**now, "drift": drift, "pass": ok})
     return 0 if ok else 1
 
 
@@ -312,6 +296,7 @@ def cmd_toda_verify(args) -> int:
 
 
 def cmd_conn_check(args) -> int:
+    from .chevalley import build_chevalley
     from .connection import (
         build_toda_connection,
         char_scale,
@@ -323,27 +308,30 @@ def cmd_conn_check(args) -> int:
     )
     from .grids import DomainGrid, QDifferential, constant_field, random_trig_field
     from .rootdata import coxeter_number, diagram_automorphism
+    from .todasolver import _TodaData
 
     rs = _root_system(args.type)
-    alg, sl2, _ = _build(rs)
+    alg = build_chevalley(rs)
+    data = _TodaData(rs)
     n = int(args.grid)
     grid = DomainGrid.make("torus", n, n)
     nu = diagram_automorphism(rs)
     omega = random_trig_field(rs.rank, seed=7, amplitude=0.15).symmetrized(nu.perm).sample(grid)
     q = QDifferential.parse(args.q, coxeter_number(rs))
 
-    conn = build_toda_connection(omega, q, alg, sl2, "toda")
+    conn = build_toda_connection(omega, q, alg, data, "toda")
+    F = curvature(conn, alg)
     star_defect = float(np.abs(conn.psi - conjugate_star(conn, alg)).max())
-    comm_defect = commutator_defect(omega, q, alg, sl2)
-    fnorm, rnorm, mismatch = equivalence_defect(omega, q, alg, sl2)
+    comm_defect = commutator_defect(omega, q, alg, data)
+    fnorm, rnorm, mismatch = equivalence_defect(omega, q, alg, data, F)
     # same continuum field at half resolution: mismatch must shrink ~4x
     grid2 = DomainGrid.make("torus", n // 2, n // 2)
     omega2 = random_trig_field(rs.rank, seed=7, amplitude=0.15).symmetrized(nu.perm).sample(grid2)
-    _, _, mismatch2 = equivalence_defect(omega2, q, alg, sl2)
+    F_half = curvature(build_toda_connection(omega2, q, alg, data, "toda"), alg)
+    _, _, mismatch2 = equivalence_defect(omega2, q, alg, data, F_half)
     ratio = mismatch2 / mismatch
     rng = np.random.default_rng(13)
     cov = 0.0
-    F = curvature(conn, alg)
     for _ in range(3):
         H = constant_field(grid, rng.standard_normal(rs.rank) * 0.4)
         F2 = curvature(gauge_transform(conn, H, alg), alg)
@@ -367,15 +355,15 @@ def cmd_conn_check(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
-    from .todasolver import _TodaData, residual
+    from .todasolver import residual
 
-    _, _, rs, grid, omega, q = _reload_run(args.field)
-    data = _TodaData(rs)
+    _, data, cfg, omega = _reload_run(args.field)
+    grid = cfg.grid
     av = omega.values @ data.P.T
-    R = residual(data, grid, omega.values, np.abs(q.sample(grid)) ** 2)
+    R = residual(data, grid, omega.values, np.abs(cfg.q.sample(grid)) ** 2)
     rnorm = np.abs(R).max(axis=-1)
     out = args.out or (args.field + ".csv")
-    l = rs.rank
+    l = data.rs.rank
     with open(out, "w") as fh:
         fh.write(
             "ix,iy,x,y," + ",".join(f"alpha{i+1}" for i in range(l)) + ",residual_norm\n"

@@ -21,7 +21,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .chevalley import ChevalleyAlgebra, PrincipalSL2, rho_hat
+from .chevalley import ChevalleyAlgebra, rho_hat
 from .grids import DomainGrid, HFieldGrid, QDifferential
 from .rootdata import coxeter_number
 from .todasolver import _TodaData, residual
@@ -46,24 +46,17 @@ class ConnectionData:
     gauge: str  # "toda" | "higgs" | "custom"
     grid: DomainGrid
     omega: HFieldGrid
-    q: QDifferential
     A_z: np.ndarray  # (nx, ny, dim) complex
     A_zbar: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    constants: Tuple[float, ...]  # c_0..c_l = d_0..d_l
-
-
-def reality_constants(sl2: PrincipalSL2) -> Tuple[float, ...]:
-    """c_0 = 1 and c_i = sqrt(r_i) for the real form of the equations."""
-    return (1.0,) + tuple(float(ri) ** 0.5 for ri in sl2.r)
 
 
 def build_toda_connection(
     omega: HFieldGrid,
     q: QDifferential,
     alg: ChevalleyAlgebra,
-    sl2: PrincipalSL2,
+    data: _TodaData,
     gauge: str = "toda",
 ) -> ConnectionData:
     """Flat connection generated by a Cartan field and a top differential.
@@ -73,7 +66,8 @@ def build_toda_connection(
     Higgs gauge: A_z = -2 Omega_z, A_zbar = 0,
                  Phi = E-, Psi = Ad_{exp(2 Omega)} E+,
     where E- carries sqrt(r_i) on the lowered simple slots and q on the
-    raised highest-root slot, and E+ is its mirror with qbar.
+    raised highest-root slot, and E+ is its mirror with qbar; the r_i are
+    the solver's reality constants ``data.r``.
     """
     if gauge not in ("toda", "higgs"):
         raise ValueError(f"unknown gauge {gauge!r}")
@@ -84,7 +78,7 @@ def build_toda_connection(
     if not np.all(np.isfinite(vals)):
         raise ValueError("field contains non-finite values")
     l = alg.rank
-    consts = reality_constants(sl2)
+    sqrt_r = np.sqrt(data.r)
     qv = q.sample(grid)
 
     eminus = np.zeros((grid.nx, grid.ny, alg.dim), dtype=complex)
@@ -93,10 +87,10 @@ def build_toda_connection(
     for i in range(l):
         lo = alg.root_index(tuple(-c for c in rs.simple_root(i)))
         hi = alg.root_index(rs.simple_root(i))
-        eminus[..., lo] = consts[i + 1]
-        eplus[..., hi] = consts[i + 1]
-    eminus[..., alg.highest_root_index] = consts[0] * qv
-    eplus[..., alg.lowest_root_index] = consts[0] * np.conj(qv)
+        eminus[..., lo] = sqrt_r[i]
+        eplus[..., hi] = sqrt_r[i]
+    eminus[..., alg.highest_root_index] = qv
+    eplus[..., alg.lowest_root_index] = np.conj(qv)
 
     om_z = grid.d_dz(vals.astype(complex))
     if gauge == "toda":
@@ -110,8 +104,7 @@ def build_toda_connection(
         phi = eminus
         psi = char_scale(alg, eplus, 2 * vals)
     return ConnectionData(
-        gauge=gauge, grid=grid, omega=omega, q=q,
-        A_z=A_z, A_zbar=A_zbar, phi=phi, psi=psi, constants=consts,
+        gauge=gauge, grid=grid, omega=omega, A_z=A_z, A_zbar=A_zbar, phi=phi, psi=psi
     )
 
 
@@ -159,20 +152,19 @@ def gauge_transform(conn: ConnectionData, H: HFieldGrid, alg: ChevalleyAlgebra) 
     else:
         gauge = "custom"
     return ConnectionData(
-        gauge=gauge, grid=grid, omega=conn.omega, q=conn.q,
-        A_z=A_z, A_zbar=A_zbar, phi=phi, psi=psi, constants=conn.constants,
+        gauge=gauge, grid=grid, omega=conn.omega, A_z=A_z, A_zbar=A_zbar, phi=phi, psi=psi
     )
 
 
 def commutator_defect(
-    omega: HFieldGrid, q: QDifferential, alg: ChevalleyAlgebra, sl2: PrincipalSL2
+    omega: HFieldGrid, q: QDifferential, alg: ChevalleyAlgebra, data: _TodaData
 ) -> float:
     """Max deviation between the explicit bracket [Phi, Phi*] and its closed
     form, minus the pointwise term of the Toda residual, in the Higgs gauge."""
-    conn = build_toda_connection(omega, q, alg, sl2, gauge="higgs")
+    conn = build_toda_connection(omega, q, alg, data, gauge="higgs")
     comm = alg.bracket(conn.phi, conjugate_star(conn, alg))
     q2 = np.abs(q.sample(omega.grid)) ** 2
-    closed = -_TodaData(alg.rs).pointwise_residual(omega.values, q2)
+    closed = -data.pointwise_residual(omega.values, q2)
     return float(np.abs(comm - embed_cartan(alg, closed)).max())
 
 
@@ -200,18 +192,17 @@ def chart_transition(
 
 
 def equivalence_defect(
-    omega: HFieldGrid, q: QDifferential, alg: ChevalleyAlgebra, sl2: PrincipalSL2
+    omega: HFieldGrid, q: QDifferential, alg: ChevalleyAlgebra, data: _TodaData, F: np.ndarray
 ) -> Tuple[float, float, float]:
-    """(curvature norm, residual norm, mismatch norm) in the Toda gauge.
+    """(curvature norm, residual norm, mismatch norm) for the curvature F of
+    the Toda-gauge connection of omega.
 
     The mismatch F + R measures the discretization gap between the
     zero-curvature and elliptic forms of the same equations; it shrinks at
     second order under grid refinement.
     """
-    conn = build_toda_connection(omega, q, alg, sl2, gauge="toda")
-    F = curvature(conn, alg)
     grid = omega.grid
-    R = residual(_TodaData(alg.rs), grid, omega.values, np.abs(q.sample(grid)) ** 2)
+    R = residual(data, grid, omega.values, np.abs(q.sample(grid)) ** 2)
     mismatch = F + embed_cartan(alg, R)
     return (
         grid.max_norm(np.abs(F).max(axis=-1)),

@@ -115,9 +115,6 @@ class HFieldGrid:
     def l(self) -> int:
         return self.values.shape[2]
 
-    def copy(self) -> "HFieldGrid":
-        return HFieldGrid(self.grid, self.values.copy())
-
 
 def constant_field(grid: DomainGrid, vec: Sequence[float]) -> HFieldGrid:
     vals = np.broadcast_to(np.asarray(vec, dtype=float), (grid.nx, grid.ny, len(vec))).copy()
@@ -152,9 +149,6 @@ class QDifferential:
         for c in reversed(self.coeffs):  # Horner
             out = out * z + c
         return out
-
-    def scaled(self, factor: complex) -> "QDifferential":
-        return QDifferential(self.kind, tuple(c * factor for c in self.coeffs), self.degree)
 
     @staticmethod
     def parse(text: str, degree: int) -> "QDifferential":

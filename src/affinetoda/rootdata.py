@@ -20,7 +20,7 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Sequence, Tuple
@@ -137,7 +137,6 @@ class RootSystem:
     cartan_matrix: Tuple[Tuple[int, ...], ...]
     norms: Tuple[Fraction, ...]  # d_i = (alpha_i, alpha_i) / 2
     positive_roots: Tuple[Root, ...]  # ordered by (height, lex)
-    _index: Dict[Root, int] = field(repr=False, default_factory=dict)
 
     @property
     def rank(self) -> int:
@@ -153,12 +152,6 @@ class RootSystem:
 
     def simple_root(self, i: int) -> Root:
         return tuple(1 if j == i else 0 for j in range(self.rank))
-
-    def index(self, root: Root) -> int:
-        return self._index[root]
-
-    def is_root(self, v: Root) -> bool:
-        return v in self._index or tuple(-c for c in v) in self._index
 
     @staticmethod
     def height(root: Root) -> int:
@@ -241,13 +234,11 @@ def build_root_system(lt: LieType) -> RootSystem:
         known.update(layer)
 
     positive = tuple(r for layer in layers for r in layer)
-    index = {r: k for k, r in enumerate(positive)}
     rs = RootSystem(
         type=lt,
         cartan_matrix=tuple(tuple(row) for row in M),
         norms=tuple(d),
         positive_roots=positive,
-        _index=index,
     )
     if len(layers[-1]) != 1:
         raise RuntimeError(f"{lt}: highest root is not unique")

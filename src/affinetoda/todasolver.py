@@ -9,7 +9,8 @@ The discrete residual is
 with the five-point Laplacian (Omega_{z zbar} = Lap/4).  ``residual`` and
 ``_TodaData.pointwise_residual`` are the only implementation of it:
 ``toda verify``, ``export-plot`` and the connection layer's cross-checks
-call them, so a verify recomputes exactly what the solve reported.
+call them, so a verify recomputes exactly what the solve reported.  Every
+entry point takes the one per-type ``_TodaData`` its caller built.
 
 Multiplying the coordinate Jacobian by the Gram matrix of the coroots
 under the invariant-form pairing makes the Newton system symmetric
@@ -29,12 +30,11 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chevalley import ChevalleyAlgebra, PrincipalSL2
 from .grids import DomainGrid, HFieldGrid, QDifferential, constant_field, random_trig_field
 from .rootdata import RootSystem, affine_cartan, x_coefficients
 
@@ -61,7 +61,6 @@ class InitSpec:
 
 @dataclass
 class SolverConfig:
-    lie_type: "object"  # LieType
     grid: DomainGrid
     q: QDifferential
     tol: float = 1e-10
@@ -145,7 +144,7 @@ def jacobian_apply(
 # ---------------------------------------------------------------------------
 
 
-def constant_solution(rs: RootSystem, q_sq: float) -> Tuple[np.ndarray, float]:
+def constant_solution(data: _TodaData, q_sq: float) -> Tuple[np.ndarray, float]:
     """The spatially constant solution for constant |q|^2 > 0.
 
     Writing s = |q|^2 exp(-2 delta(Omega)), the h_i components decouple to
@@ -155,8 +154,7 @@ def constant_solution(rs: RootSystem, q_sq: float) -> Tuple[np.ndarray, float]:
     """
     if q_sq <= 0:
         raise ValueError("constant solution needs |q|^2 > 0")
-    data = _TodaData(rs)
-    aff = affine_cartan(rs)
+    aff = affine_cartan(data.rs)
     marks = np.array(aff.marks[1:], dtype=float)
     comarks = np.array(aff.comarks[1:], dtype=float)
     h = float(sum(aff.marks))
@@ -176,17 +174,17 @@ def constant_solution(rs: RootSystem, q_sq: float) -> Tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _initial_field(cfg: SolverConfig, rs: RootSystem, q2: np.ndarray) -> HFieldGrid:
-    l = rs.rank
+def _initial_field(cfg: SolverConfig, data: _TodaData, q2: np.ndarray) -> HFieldGrid:
+    l = data.rs.rank
     grid = cfg.grid
     kind = cfg.init.kind
     if kind == "zero":
         return constant_field(grid, [0.0] * l)
     if kind == "oracle":
-        om0, _ = constant_solution(rs, float(np.mean(q2)))
+        om0, _ = constant_solution(data, float(np.mean(q2)))
         return constant_field(grid, om0)
     if kind == "perturbed":
-        om0, _ = constant_solution(rs, float(np.mean(q2)))
+        om0, _ = constant_solution(data, float(np.mean(q2)))
         base = constant_field(grid, om0)
         bump = random_trig_field(l, seed=cfg.init.seed, amplitude=cfg.init.amplitude)
         return HFieldGrid(grid, base.values + bump.sample(grid).values)
@@ -283,20 +281,16 @@ def _newton_step(
     return sol.reshape(shape), iters
 
 
-def solve(cfg: SolverConfig, alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> Solution:
+def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
     """Damped Newton iteration with Armijo backtracking on |R|^2.
 
     Deterministic for a fixed config (seeded perturbations, fixed-order
     reductions).  Divergence (no residual progress over a patience window)
     yields a non-converged Solution; NaN raises.
     """
-    rs = alg.rs
-    if rs.type != cfg.lie_type:
-        raise ValueError("algebra type does not match config")
-    data = _TodaData(rs)
     grid = cfg.grid
     q2 = np.abs(cfg.q.sample(grid)) ** 2
-    omega = _initial_field(cfg, rs, q2)
+    omega = _initial_field(cfg, data, q2)
     vals = omega.values.copy()
 
     history: List[float] = []
@@ -350,10 +344,11 @@ def solve(cfg: SolverConfig, alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> Soluti
     )
 
 
-def sigma_symmetry_defect(omega: HFieldGrid, sl2: PrincipalSL2) -> float:
-    """Max-node norm of sigma(Omega) - Omega for a Cartan-valued field."""
+def sigma_symmetry_defect(omega: HFieldGrid, sigma_mat: np.ndarray) -> float:
+    """Max-node norm of sigma(Omega) - Omega for a Cartan-valued field, with
+    sigma given by its matrix in the Chevalley basis (``PrincipalSL2.sigma_mat``)."""
     l = omega.l
-    S = sl2.sigma_mat[:l, :l]  # sigma preserves the Cartan block
+    S = sigma_mat[:l, :l]  # sigma preserves the Cartan block
     vals = omega.values
     defect = vals @ S.T - vals
     return omega.grid.max_norm(np.abs(defect).max(axis=-1))
@@ -362,8 +357,7 @@ def sigma_symmetry_defect(omega: HFieldGrid, sl2: PrincipalSL2) -> float:
 def uniqueness_probe(
     cfg: SolverConfig,
     seeds: Sequence[int],
-    alg: ChevalleyAlgebra,
-    sl2: PrincipalSL2,
+    data: _TodaData,
     amplitude: Optional[float] = None,
 ) -> float:
     """Max pairwise distance between converged runs from perturbed starts.
@@ -376,19 +370,14 @@ def uniqueness_probe(
         raise ValueError("need at least two seeds")
     amp = cfg.init.amplitude if amplitude is None else amplitude
     configs = [
-        SolverConfig(
-            lie_type=cfg.lie_type, grid=cfg.grid, q=cfg.q, tol=cfg.tol,
-            max_iter=cfg.max_iter, damping=cfg.damping,
-            init=InitSpec("perturbed", seed=s, amplitude=amp),
-        )
-        for s in seeds
+        replace(cfg, init=InitSpec("perturbed", seed=s, amplitude=amp)) for s in seeds
     ]
     workers = thread_cap()
     if workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(lambda c: solve(c, alg, sl2), configs))
+            sols = list(pool.map(lambda c: solve(c, data), configs))
     else:
-        sols = [solve(c, alg, sl2) for c in configs]
+        sols = [solve(c, data) for c in configs]
     failed = [seed for seed, s in zip(seeds, sols) if not s.converged]
     fields = [s.omega.values for s in sols if s.converged]
     if len(fields) < 2:

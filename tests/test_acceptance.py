@@ -91,6 +91,7 @@ def test_criterion_2_commutator_identity():
     worst = 0.0
     for name in ["A1", "A2", "B2", "G2"]:
         rs, alg, sl2, _ = get_algebra(name)
+        data = _TodaData(rs)
         grid = DomainGrid.make("torus", 10, 10)
         h = coxeter_number(rs)
         for _ in range(100):
@@ -99,12 +100,13 @@ def test_criterion_2_commutator_identity():
             q = QDifferential.constant(
                 rng.standard_normal() + 1j * rng.standard_normal(), h
             )
-            worst = max(worst, commutator_defect(omega, q, alg, sl2))
+            worst = max(worst, commutator_defect(omega, q, alg, data))
     report(2, "commutator-identity", worst < 1e-12, f"(max defect {worst:.2e})")
 
 
 def test_criterion_3_higgs_toda_equivalence():
     rs, alg, sl2, _ = get_algebra("A2")
+    data = _TodaData(rs)
     nu = diagram_automorphism(rs)
     field = random_trig_field(2, seed=23, amplitude=0.2).symmetrized(nu.perm)
     q = QDifferential.constant(1.0, 3)
@@ -112,7 +114,8 @@ def test_criterion_3_higgs_toda_equivalence():
     for n in (32, 64, 128):
         grid = DomainGrid.make("torus", n, n)
         omega = field.sample(grid)
-        fnorm, rnorm, mism = equivalence_defect(omega, q, alg, sl2)
+        F = curvature(build_toda_connection(omega, q, alg, data, "toda"), alg)
+        fnorm, rnorm, mism = equivalence_defect(omega, q, alg, data, F)
         assert abs(fnorm - rnorm) <= mism + 1e-12
         mismatches[n] = mism
     r1 = mismatches[32] / mismatches[64]
@@ -128,8 +131,9 @@ def test_criterion_3_higgs_toda_equivalence():
 
 def test_criterion_4_constant_oracles():
     rs1, _, _, _ = get_algebra("A1")
-    om_half, res_half = constant_solution(rs1, 0.5)
-    om_one, res_one = constant_solution(rs1, 1.0)
+    data1 = _TodaData(rs1)
+    om_half, res_half = constant_solution(data1, 0.5)
+    om_one, res_one = constant_solution(data1, 1.0)
     u = 2 * om_one[0]  # alpha(Omega) for A1
     ok = (
         abs(u - 0.25 * math.log(2)) < 1e-10
@@ -140,7 +144,7 @@ def test_criterion_4_constant_oracles():
     details = [f"A1 u={u:.9f}"]
     for name in ["A2", "G2"]:
         rs, _, _, _ = get_algebra(name)
-        _, res = constant_solution(rs, 1.0)
+        _, res = constant_solution(_TodaData(rs), 1.0)
         ok = ok and res < 1e-13
         details.append(f"{name} residual {res:.1e}")
     report(4, "constant-solution-oracle", ok, "(" + ", ".join(details) + ")")
@@ -152,16 +156,16 @@ def test_criterion_5_solver_convergence():
     for name in ["A1", "A2"]:
         rs, alg, sl2, _ = get_algebra(name)
         grid = DomainGrid.make("torus", 64, 64)
+        data = _TodaData(rs)
         cfg = SolverConfig(
-            lie_type=rs.type,
             grid=grid,
             q=QDifferential.constant(1.0, coxeter_number(rs)),
             init=InitSpec("perturbed", seed=17, amplitude=0.1),
         )
         t0 = time.monotonic()
-        sol = solve(cfg, alg, sl2)
+        sol = solve(cfg, data)
         dt = time.monotonic() - t0
-        om0, _ = constant_solution(rs, 1.0)
+        om0, _ = constant_solution(data, 1.0)
         dist = float(np.abs(sol.omega.values - om0).max())
         ok = ok and sol.converged and dist < 1e-8 and dt < 30.0
         details.append(f"{name}: |Omega-Omega0|={dist:.1e} in {dt:.1f}s")
@@ -174,13 +178,13 @@ def test_criterion_6_uniqueness_probe():
     for name in ["A1", "A2"]:
         rs, alg, sl2, _ = get_algebra(name)
         grid = DomainGrid.make("torus", 32, 32)
+        data = _TodaData(rs)
         cfg = SolverConfig(
-            lie_type=rs.type,
             grid=grid,
             q=QDifferential.constant(1.0, coxeter_number(rs)),
             init=InitSpec("perturbed", amplitude=0.1),
         )
-        worst = uniqueness_probe(cfg, [101, 202, 303, 404], alg, sl2)
+        worst = uniqueness_probe(cfg, [101, 202, 303, 404], data)
         ok = ok and worst < 1e-7
         details.append(f"{name}: max pairwise {worst:.1e}")
     report(6, "uniqueness-probe", ok, "(" + "; ".join(details) + ")")
@@ -192,14 +196,14 @@ def test_criterion_7_sigma_symmetry():
     for name in ["A2", "A3"]:
         rs, alg, sl2, _ = get_algebra(name)
         grid = DomainGrid.make("torus", 32, 32)
+        data = _TodaData(rs)
         cfg = SolverConfig(
-            lie_type=rs.type,
             grid=grid,
             q=QDifferential.constant(1.0, coxeter_number(rs)),
             init=InitSpec("perturbed", seed=31, amplitude=0.1),
         )
-        sol = solve(cfg, alg, sl2)
-        defect = sigma_symmetry_defect(sol.omega, sl2)
+        sol = solve(cfg, data)
+        defect = sigma_symmetry_defect(sol.omega, sl2.sigma_mat)
         ok = ok and sol.converged and defect < 1e-8
         details.append(f"{name}: defect {defect:.1e}")
     report(7, "sigma-symmetry", ok, "(" + "; ".join(details) + ")")
@@ -238,7 +242,7 @@ def test_criterion_9_jacobian_check():
         grid = DomainGrid.make("torus", 16, 16)
         data = _TodaData(rs)
         q2 = np.ones((16, 16))
-        om0, _ = constant_solution(rs, 1.0)
+        om0, _ = constant_solution(data, 1.0)
         vals = constant_field(grid, om0).values + 0.1 * rng.standard_normal(
             (16, 16, rs.rank)
         )
@@ -262,7 +266,7 @@ def test_criterion_10_gauge_covariance():
     grid = DomainGrid.make("torus", 32, 32)
     omega = random_trig_field(2, seed=3, amplitude=0.15).symmetrized(nu.perm).sample(grid)
     q = QDifferential.constant(1.0, 3)
-    conn = build_toda_connection(omega, q, alg, sl2, "toda")
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
     F = curvature(conn, alg)
     worst = 0.0
     for _ in range(10):

@@ -1,8 +1,11 @@
 """CLI: grammar, JSON schemas, solve/verify round trips, exit codes."""
+import collections
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 from affinetoda.cli import main
 
@@ -82,13 +85,20 @@ def test_unknown_subcommand_exits_2(capsys):
     assert code == 2
 
 
-def test_toda_solve_verify_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--type", "A1", "--grid", "32x32", "--q", "const:1.0"),
+        (
+            "--type", "A2", "--grid", "24x16", "--topology", "rectangle", "--extent", "2x1",
+            "--q", "poly:1,0.5+0.2j,0.3", "--init", "perturbed:3:0.1",
+        ),
+    ],
+    ids=["a1-torus", "a2-rectangle-poly"],
+)
+def test_toda_solve_verify_round_trip(flags, tmp_path, capsys):
     out_path = str(tmp_path / "omega.bin")
-    code, out, _ = run_cli(
-        capsys,
-        "toda", "solve", "--type", "A1", "--grid", "32x32", "--q", "const:1.0",
-        "--tol", "1e-10", "--out", out_path,
-    )
+    code, out, _ = run_cli(capsys, "toda", "solve", *flags, "--tol", "1e-10", "--out", out_path)
     assert code == 0
     summary = json.loads(out)
     assert summary["converged"] is True
@@ -102,7 +112,59 @@ def test_toda_solve_verify_round_trip(tmp_path, capsys):
     assert verify["pass"] is True
     # recomputed values are bit-identical to the reported ones
     assert verify["drift"] == {"residual": 0.0, "curvature_norm": 0.0, "sigma_defect": 0.0}
-    assert verify["residual"] == summary["residual"]
+    for key in ("residual", "curvature_norm", "sigma_defect"):
+        assert verify[key] == summary[key]
+
+    code3, out3, _ = run_cli(capsys, "export-plot", out_path)
+    assert code3 == 0
+    nx, ny = (int(n) for n in flags[flags.index("--grid") + 1].split("x"))
+    assert json.loads(out3)["nodes"] == nx * ny
+
+
+def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch):
+    """Counted in process: every toda/conn command builds the solver's
+    per-type data once, and the algebra and sl2 at most once; only lie check
+    builds the Coxeter element."""
+    import affinetoda.chevalley as chevalley
+    import affinetoda.todasolver as todasolver
+
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("build_chevalley", "build_principal_sl2", "coxeter_element"):
+        monkeypatch.setattr(chevalley, name, counting(name, getattr(chevalley, name)))
+    monkeypatch.setattr(
+        todasolver._TodaData, "__init__", counting("_TodaData", todasolver._TodaData.__init__)
+    )
+    out_path = str(tmp_path / "omega.bin")
+    commands = {
+        "solve oracle": ("toda", "solve", "--type", "A2", "--grid", "16x16", "--out", out_path),
+        "solve perturbed": (
+            "toda", "solve", "--type", "A2", "--grid", "16x16", "--init", "perturbed:1:0.1",
+            "--out", out_path,
+        ),
+        "verify": ("toda", "verify", out_path),
+        "export-plot": ("export-plot", out_path),
+        "conn check": ("conn", "check", "--type", "A2", "--grid", "16"),
+    }
+    for label, argv in commands.items():
+        counts.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0, label
+        assert counts["_TodaData"] == 1, (label, counts)
+        assert counts["build_chevalley"] <= 1, (label, counts)
+        assert counts["build_principal_sl2"] <= 1, (label, counts)
+        assert counts["coxeter_element"] == 0, (label, counts)
+    counts.clear()
+    code, _, _ = run_cli(capsys, "lie", "check", "A2")
+    assert code == 0
+    assert counts == {"build_chevalley": 1, "build_principal_sl2": 1, "coxeter_element": 1}
 
 
 def test_toda_solve_config_file(tmp_path, capsys):

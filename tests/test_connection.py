@@ -23,6 +23,7 @@ from affinetoda.grids import (
     write_field_binary,
 )
 from affinetoda.rootdata import coxeter_number, diagram_automorphism
+from affinetoda.todasolver import _TodaData
 from conftest import elliptic_residual
 
 
@@ -40,7 +41,7 @@ def test_zero_field_zero_q_connection(algebra):
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
     q = QDifferential.constant(0.0, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, sl2, "toda")
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
     assert np.abs(conn.A_z).max() == 0 and np.abs(conn.A_zbar).max() == 0
     for i in range(rs.rank):
         lo = alg.root_index(tuple(-c for c in rs.simple_root(i)))
@@ -54,7 +55,7 @@ def test_a1_higgs_gauge_layout(algebra):
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0])
     q = QDifferential.constant(1.0, 2)
-    conn = build_toda_connection(omega, q, alg, sl2, "higgs")
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "higgs")
     lo = alg.root_index((-1,))
     hi = alg.root_index((1,))
     assert np.allclose(conn.phi[..., lo], 0.5 ** 0.5)
@@ -68,7 +69,7 @@ def test_psi_is_phi_star(name, gauge, algebra):
     rs, alg, sl2, _ = algebra(name)
     grid, omega = make_omega(name, algebra)
     q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, sl2, gauge)
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), gauge)
     star = conjugate_star(conn, alg)
     assert np.abs(conn.psi - star).max() < 1e-12
 
@@ -78,7 +79,7 @@ def test_curvature_zero_field_a2(algebra):
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
     q = QDifferential.constant(0.0, 3)
-    conn = build_toda_connection(omega, q, alg, sl2, "toda")
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
     F = curvature(conn, alg)
     # [E-, E+] = - sum_i r_i h_i = -x
     expect = -embed_cartan(alg, np.broadcast_to(
@@ -91,10 +92,10 @@ def test_curvature_of_constant_oracle_vanishes(algebra):
 
     rs, alg, sl2, _ = algebra("A2")
     grid = DomainGrid.make("torus", 16, 16)
-    om0, _ = constant_solution(rs, 1.0)
+    om0, _ = constant_solution(_TodaData(rs), 1.0)
     omega = constant_field(grid, om0)
     q = QDifferential.constant(1.0, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, sl2, "toda")
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
     F = curvature(conn, alg)
     assert np.abs(F).max() < 1e-10
 
@@ -103,7 +104,7 @@ def test_gauge_transform_identity(algebra):
     rs, alg, sl2, _ = algebra("A2")
     grid, omega = make_omega("A2", algebra)
     q = QDifferential.constant(1.0, 3)
-    conn = build_toda_connection(omega, q, alg, sl2, "toda")
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
     H = constant_field(grid, [0.0, 0.0])
     out = gauge_transform(conn, H, alg)
     assert out.gauge == "toda"
@@ -115,8 +116,8 @@ def test_gauge_transform_omega_reaches_higgs(algebra):
     rs, alg, sl2, _ = algebra("A2")
     grid, omega = make_omega("A2", algebra)
     q = QDifferential.constant(1.0, 3)
-    toda = build_toda_connection(omega, q, alg, sl2, "toda")
-    higgs = build_toda_connection(omega, q, alg, sl2, "higgs")
+    toda = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    higgs = build_toda_connection(omega, q, alg, _TodaData(rs), "higgs")
     moved = gauge_transform(toda, omega, alg)
     assert moved.gauge == "higgs"
     assert np.abs(moved.A_zbar).max() < 1e-14
@@ -128,7 +129,7 @@ def test_gauge_transform_constant_character_scaling(algebra):
     rs, alg, sl2, _ = algebra("B2")
     grid, omega = make_omega("B2", algebra)
     q = QDifferential.constant(1.0, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, sl2, "toda")
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
     hvec = np.array([0.23, -0.41])
     out = gauge_transform(conn, constant_field(grid, hvec), alg)
     P = np.array([[rs.cartan_matrix[a][i] for a in range(2)] for i in range(2)])
@@ -143,7 +144,7 @@ def test_gauge_covariance_constant_h(name, algebra, rng):
     rs, alg, sl2, _ = algebra(name)
     grid, omega = make_omega(name, algebra)
     q = QDifferential.constant(1.0, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, sl2, "toda")
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
     F = curvature(conn, alg)
     for _ in range(3):
         hvec = rng.standard_normal(rs.rank) * 0.5
@@ -165,7 +166,7 @@ def test_gauge_covariance_varying_h_second_order(algebra):
         grid = DomainGrid.make("torus", n, n)
         omega = omf.sample(grid)
         H = hf.sample(grid)
-        conn = build_toda_connection(omega, q, alg, sl2, "toda")
+        conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
         F2 = curvature(gauge_transform(conn, H, alg), alg)
         expect = char_scale(alg, curvature(conn, alg), H.values)
         defects.append(np.abs(F2 - expect).max())
@@ -204,7 +205,7 @@ class TestHiggsResidual:
             q = QDifferential.constant(
                 rng.standard_normal() + 1j * rng.standard_normal(), coxeter_number(rs)
             )
-            assert commutator_defect(omega, q, alg, sl2) < 1e-12
+            assert commutator_defect(omega, q, alg, _TodaData(rs)) < 1e-12
 
 
 class TestEquivalence:
@@ -215,10 +216,12 @@ class TestEquivalence:
         nu = diagram_automorphism(rs)
         field = field.symmetrized(nu.perm)
         mism = []
+        data = _TodaData(rs)
         for n in (16, 32, 64):
             grid = DomainGrid.make("torus", n, n)
             omega = field.sample(grid)
-            fn, rn, mn = equivalence_defect(omega, q, alg, sl2)
+            F = curvature(build_toda_connection(omega, q, alg, data, "toda"), alg)
+            fn, rn, mn = equivalence_defect(omega, q, alg, data, F)
             assert abs(fn - rn) <= mn + 1e-12
             mism.append(mn)
         assert 2.8 < mism[0] / mism[1] < 5.5
@@ -265,8 +268,8 @@ class TestChartTransition:
         qi = QDifferential.polynomial(
             [0.9 * 0.5 ** h, (0.4 - 0.2j) * 0.5 ** (h + 1)], h
         )  # q_i(w) = q_j(w/2) * (1/2)^h
-        conn_j = build_toda_connection(omega_j, qj, alg, sl2, "higgs")
-        conn_i = build_toda_connection(omega_i, qi, alg, sl2, "higgs")
+        conn_j = build_toda_connection(omega_j, qj, alg, _TodaData(rs), "higgs")
+        conn_i = build_toda_connection(omega_i, qi, alg, _TodaData(rs), "higgs")
         moved = chart_transition(conn_j.phi, 0.5, alg, form_degree=1)
         assert np.abs(moved - conn_i.phi).max() < 1e-12
 
@@ -293,6 +296,6 @@ def test_bad_gauge_and_degree(algebra):
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
     with pytest.raises(ValueError):
-        build_toda_connection(omega, QDifferential.constant(1.0, 3), alg, sl2, "weird")
+        build_toda_connection(omega, QDifferential.constant(1.0, 3), alg, _TodaData(rs), "weird")
     with pytest.raises(ValueError):
-        build_toda_connection(omega, QDifferential.constant(1.0, 7), alg, sl2, "toda")
+        build_toda_connection(omega, QDifferential.constant(1.0, 7), alg, _TodaData(rs), "toda")

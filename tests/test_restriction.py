@@ -130,11 +130,11 @@ class TestFoldedResidual:
 
     def test_constant_oracle_is_flat(self, algebra):
         from affinetoda.grids import constant_field
-        from affinetoda.todasolver import constant_solution
+        from affinetoda.todasolver import _TodaData, constant_solution
 
         rs, alg, sl2, _ = algebra("A2")
         rest = restrict(rs, diagram_automorphism(rs))
-        om0, _ = constant_solution(rs, 1.0)
+        om0, _ = constant_solution(_TodaData(rs), 1.0)
         grid = DomainGrid.make("torus", 8, 8)
         omega = constant_field(grid, om0)
         q = QDifferential.constant(1.0, coxeter_number(rs))

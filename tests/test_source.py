@@ -16,3 +16,19 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_solver_imports_neither_algebra_nor_connection():
+    """The solver reads only its per-type ``_TodaData``; it never needs the
+    Chevalley algebra, the principal sl2 or the connection layer."""
+    found = []
+    for node in ast.walk(ast.parse((SRC / "todasolver.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name.rsplit(".", 1)[-1] in ("chevalley", "connection") for name in names):
+            found.append(f"todasolver.py:{node.lineno}")
+    assert found == []
