@@ -11,7 +11,6 @@ from .chevalley import (
     lambda_hat,
     normalize_cyclic,
     rho_hat,
-    sigma,
     verify_structure,
 )
 from .connection import (
@@ -33,7 +32,6 @@ from .rootdata import (
     coxeter_number,
     diagram_automorphism,
     exponents,
-    x_coefficients,
 )
 from .todasolver import (
     InitSpec,

@@ -9,31 +9,26 @@ forced from those by the Jacobi identity and the invariant-form relation
 
     N_{x,y} / (z,z) = N_{y,z} / (x,x) = N_{z,x} / (y,y)    (x+y+z = 0).
 
-All table entries are exact integers; numerics on top use float copies.
+The constants are kept once, as an exact int64 table of terms (i, j, k, c)
+meaning [b_i, b_j] has coefficient c on b_k; the bracket, ``ad`` and the
+Killing form are read from it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rootdata import RootSystem, affine_cartan, coxeter_number, exponents, x_coefficients
+from .rootdata import RootSystem, affine_cartan, coxeter_number, exponents
 
 Root = Tuple[int, ...]
 
 
 def _neg(r: Root) -> Root:
     return tuple(-c for c in r)
-
-
-def _sub(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _add(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 class ChevalleyAlgebra:
@@ -58,8 +53,7 @@ class ChevalleyAlgebra:
         # characters[d, a] = beta(h_a) for the root beta of slot d; zero rows on the Cartan
         self.characters = roots @ rs.simple_characters
 
-        self._build_structure_table()
-        self._build_killing()
+        self._build_structure_table(roots[l:])
 
     # ---- index helpers -------------------------------------------------
     def root_index(self, root: Root) -> int:
@@ -84,154 +78,129 @@ class ChevalleyAlgebra:
         return v
 
     # ---- structure constants -------------------------------------------
-    def _build_structure_table(self) -> None:
+    def _build_structure_table(self, roots: np.ndarray) -> None:
+        """The table terms (_bk_i, _bk_j, _bk_k, _bk_v), sorted by (i, j, k).
+
+        ``roots`` holds the 2R roots of the root slots in simple-root
+        coordinates.  Root sums are found by encoding each root as one
+        integer and searching the sorted codes.  Only the positive pairs are
+        walked in Python: the extraspecial pair of each positive root gets
+        +(p+1), and the other pairs follow from the Jacobi identity in
+        integer arithmetic on scaled squared norms.  The negative and mixed
+        pairs follow from N_{-a,-b} = -N_{a,b}, N_{u,v} = -N_{v,u} and the
+        norm-ratio relation of the module docstring.
+        """
         rs = self.rs
-        l = self.rank
-        pos = list(rs.positive_roots)
-        pos_set = set(pos)
-        all_set = pos_set | {_neg(r) for r in pos}
-        order = {r: k for k, r in enumerate(pos)}
-        half_norm: Dict[Root, Fraction] = {}
-        for r in pos:
-            half_norm[r] = rs.half_norm(r)
-            half_norm[_neg(r)] = half_norm[r]
+        l, R = self.rank, self.num_positive
+        # nn[u] = s (beta_u, beta_u) with s the least scale making every s d_i an integer
+        s = lcm(*(d.denominator for d in rs.norms))
+        sd = np.array([int(s * d) for d in rs.norms], dtype=np.int64)
+        nn = ((roots @ (sd[:, None] * np.array(rs.cartan_matrix))) * roots).sum(axis=1)
 
-        def p_string(beta: Root, alpha: Root) -> int:
-            k = 0
-            while _sub(beta, tuple(c * (k + 1) for c in alpha)) in all_set:
-                k += 1
-            return k
+        # linear codes: unique for coefficient vectors with |c_i| <= 4 max|root|,
+        # enough for the sums u + v and the string steps v - k u (k <= 3)
+        base = 8 * int(np.abs(roots).max(initial=1)) + 1
+        codes = roots @ base ** np.arange(l, dtype=np.int64)
+        order = np.argsort(codes)
+        sorted_codes = codes[order]
 
-        n_pos: Dict[Tuple[Root, Root], int] = {}
+        def slot(query: np.ndarray) -> np.ndarray:
+            """Root slot (0..2R-1) of the root with each code, or -1."""
+            n = np.searchsorted(sorted_codes, query).clip(max=2 * R - 1)
+            return np.where(sorted_codes[n] == query, order[n], -1)
 
-        def np_lookup(a: Root, b: Root) -> int:
-            if (a, b) in n_pos:
-                return n_pos[(a, b)]
-            return -n_pos[(b, a)]
+        pair_sum = slot(codes[:, None] + codes[None, :])  # (2R, 2R) root slot of u + v
 
-        for gamma in pos:
-            if rs.height(gamma) < 2:
-                continue
-            decs = []
-            for xi in pos:
-                if order[xi] > order.get(_sub(gamma, xi), 10**9):
-                    continue
-                eta = _sub(gamma, xi)
-                if eta in pos_set and order[xi] <= order[eta]:
-                    decs.append((xi, eta))
-            decs.sort(key=lambda p: order[p[0]])
-            a, b = decs[0]  # extraspecial pair for gamma
-            n_pos[(a, b)] = p_string(b, a) + 1
-            gg = 2 * half_norm[gamma]
-            bb = 2 * half_norm[b]
-            for xi, eta in decs[1:]:
-                # Jacobi on (e_{-a}, e_xi, e_eta) pushed down to known pairs
-                total = Fraction(0)
-                da = _sub(xi, a)
-                if da in pos_set:
-                    n_neg = Fraction(np_lookup(a, da)) * (2 * half_norm[da]) / (2 * half_norm[xi])
-                    total += n_neg * np_lookup(da, eta)
-                db = _sub(eta, a)
-                if db in pos_set:
-                    n_neg = Fraction(np_lookup(a, db)) * (2 * half_norm[db]) / (2 * half_norm[eta])
-                    total += n_neg * np_lookup(xi, db)
-                val = total * gg / (bb * n_pos[(a, b)])
-                if val.denominator != 1 or abs(val) != p_string(eta, xi) + 1:
-                    raise RuntimeError(f"{rs.type}: structure constant N{xi, eta} = {val}")
-                n_pos[(xi, eta)] = int(val)
+        # positive pairs x < y with x + y = g a root, grouped by g in root order
+        x, y = np.nonzero(np.triu(pair_sum[:R, :R] >= 0, 1))
+        g = pair_sum[x, y]
+        by_g = np.lexsort((x, g))
+        x, y, g = x[by_g], y[by_g], g[by_g]
+        # p = length of the x-string below y
+        p = np.zeros(len(x), dtype=np.int64)
+        below = np.ones(len(x), dtype=bool)
+        for k in (1, 2, 3):
+            below &= slot(codes[y] - k * codes[x]) >= 0
+            p += below
+        # the extraspecial pair (a, b) of each g, and the positive x - a and y - a
+        extraspecial = np.diff(g, prepend=-1) != 0
+        group = np.cumsum(extraspecial) - 1
+        a, b = x[extraspecial][group], y[extraspecial][group]
+        da, db = slot(codes[x] - codes[a]), slot(codes[y] - codes[a])
+        da[da >= R] = -1
+        db[db >= R] = -1
 
-        def n_any(u: Root, v: Root) -> int:
-            u_pos = sum(u) > 0
-            v_pos = sum(v) > 0
-            if u_pos and v_pos:
-                return np_lookup(u, v)
-            if not u_pos and not v_pos:
-                return -n_any(_neg(u), _neg(v))
-            if not u_pos:
-                return -n_any(v, u)
-            b = _neg(v)  # u positive, b positive, u - b a root
-            c = _sub(u, b)
-            if c in pos_set:
-                val = Fraction(-np_lookup(b, c)) * (2 * half_norm[c]) / (2 * half_norm[u])
+        N = np.zeros((R, R), dtype=np.int64)
+        nn_l = nn.tolist()
+        for xi, eta, gi, ai, bi, dai, dbi, pi, es in zip(
+            *(v.tolist() for v in (x, y, g, a, b, da, db, p, extraspecial))
+        ):
+            if es:
+                val = pi + 1
             else:
-                val = Fraction(np_lookup(_neg(c), u)) * (2 * half_norm[c]) / (2 * half_norm[b])
-            if val.denominator != 1:
-                raise RuntimeError(f"{rs.type}: structure constant N{u, v} = {val}")
-            return int(val)
+                # Jacobi on (e_{-a}, e_xi, e_eta), scaled by nn[xi] nn[eta]
+                num = 0
+                if dai >= 0:
+                    num += int(N[ai, dai] * N[dai, eta]) * nn_l[dai] * nn_l[eta]
+                if dbi >= 0:
+                    num += int(N[ai, dbi] * N[xi, dbi]) * nn_l[dbi] * nn_l[xi]
+                val, rem = divmod(
+                    num * nn_l[gi], nn_l[xi] * nn_l[eta] * nn_l[bi] * int(N[ai, bi])
+                )
+                if rem or abs(val) != pi + 1:
+                    pair = (rs.positive_roots[xi], rs.positive_roots[eta])
+                    raise RuntimeError(f"{rs.type}: structure constant N{pair} is not +-{pi + 1}")
+            N[xi, eta], N[eta, xi] = val, -val
 
-        table: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
+        # mixed pairs: u positive, v = -w negative, c = u - w a root
+        u, w = np.nonzero(pair_sum[:R, R:] >= 0)
+        c = pair_sum[u, R + w]
+        c_pos = c < R
+        cn = np.where(c_pos, c, c - R)
+        num = np.where(c_pos, -N[w, cn], N[cn, u]) * nn[cn]
+        den = np.where(c_pos, nn[u], nn[w])
+        if np.any(num % den):
+            raise RuntimeError(f"{rs.type}: a mixed structure constant is not an integer")
+        M = np.zeros((R, R), dtype=np.int64)
+        M[u, w] = num // den
+        N_all = np.block([[N, M], [-M.T, -N]])
 
-        def put(i: int, j: int, terms: List[Tuple[int, int]]) -> None:
-            terms = [(k, c) for k, c in terms if c != 0]
-            if terms:
-                table[(i, j)] = tuple(terms)
-
-        # [h_i, e_beta] = beta(h_i) e_beta
-        for beta in list(pos) + [_neg(r) for r in pos]:
-            jb = self.root_index(beta)
-            for i in range(l):
-                c = int(self.characters[jb, i])
-                put(i, jb, [(jb, c)])
-                put(jb, i, [(jb, -c)])
-
-        # [e_beta, e_gamma]
-        roots_all = list(pos) + [_neg(r) for r in pos]
-        for beta in roots_all:
-            ib = self.root_index(beta)
-            for gamma in roots_all:
-                ig = self.root_index(gamma)
-                s = _add(beta, gamma)
-                if all(c == 0 for c in s):
-                    if sum(beta) > 0:
-                        co = rs.coroot(beta)
-                        put(ib, ig, [(i, co[i]) for i in range(l)])
-                    else:
-                        co = rs.coroot(_neg(beta))
-                        put(ib, ig, [(i, -co[i]) for i in range(l)])
-                elif s in all_set:
-                    put(ib, ig, [(self.root_index(s), n_any(beta, gamma))])
-
-        self.table = table
-        # flattened table sorted by left index; the terms with left index i
-        # are _bk_*[_bk_rows[i]]
-        flat = sorted((i, j, k, c) for (i, j), terms in table.items() for k, c in terms)
-        self._bk_i, self._bk_j, self._bk_k = (
-            np.array([t[n] for t in flat], dtype=np.int64) for n in range(3)
+        # [h_i, e_d] = beta_d(h_i) e_d; [e_u, e_v] = N e_{u+v}; [e_a, e_-a] = h_a
+        chars = self.characters[l:]
+        d, i = np.nonzero(chars)
+        u, v = np.nonzero(pair_sum >= 0)
+        pa, ci = np.nonzero(roots[:R])
+        co, rem = np.divmod(2 * roots[pa, ci] * sd[ci], nn[pa])
+        if np.any(rem):
+            raise RuntimeError(f"{rs.type}: a coroot is not integral")
+        ia, ja, ka, va = (
+            np.concatenate(parts)
+            for parts in zip(
+                (i, l + d, l + d, chars[d, i]),
+                (l + d, i, l + d, -chars[d, i]),
+                (l + u, l + v, l + pair_sum[u, v], N_all[u, v]),
+                (l + pa, l + R + pa, ci, co),
+                (l + R + pa, l + pa, ci, -co),
+            )
         )
-        self._bk_v = np.array([float(t[3]) for t in flat])
-        off = np.searchsorted(self._bk_i, np.arange(self.dim + 1))
-        self._bk_rows = [np.arange(off[i], off[i + 1]) for i in range(self.dim)]
+        srt = np.lexsort((ka, ja, ia))
+        self._bk_i, self._bk_j, self._bk_k, self._bk_v = (t[srt] for t in (ia, ja, ka, va))
 
-    def _build_killing(self) -> None:
-        rs = self.rs
-        l = self.rank
-        R = self.num_positive
-        K = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for a in range(l):
-            for b in range(l):
-                s = 0
-                for root in rs.positive_roots:
-                    s += rs.pairing(root, a) * rs.pairing(root, b)
-                K[a, b] = 2 * s
-        for k in range(R):
-            ip, im = l + k, l + R + k
-            K[ip, im] = K[im, ip] = self._trace_ad_ad(ip, im)
-        self.killing = K
+    @cached_property
+    def killing(self) -> np.ndarray:
+        """Killing form kappa(b_a, b_b) = tr(ad_a ad_b), exact int64.
 
-    def _trace_ad_ad(self, i: int, j: int) -> int:
-        tr = 0
-        for u in range(self.dim):
-            inner = self.table.get((j, u))
-            if not inner:
-                continue
-            for w, cw in inner:
-                outer = self.table.get((i, w))
-                if not outer:
-                    continue
-                for z, cz in outer:
-                    if z == u:
-                        tr += cw * cz
-        return tr
+        With A[a, (u, w)] = c_{a,u,w} = ad_a[w, u] and B[b, (u, w)] = c_{b,w,u},
+        the trace form is the one sparse product A B^T.  Computed on first
+        use: only the exact checks read it.
+        """
+        from scipy.sparse import csr_matrix
+
+        n = self.dim
+        i, j, k, c = self._bk_i, self._bk_j, self._bk_k, self._bk_v
+        A = csr_matrix((c, (i, j * n + k)), shape=(n, n * n))
+        B = csr_matrix((c, (i, k * n + j)), shape=(n, n * n))
+        return (A @ B.T).toarray()
 
     # ---- operations ------------------------------------------------------
     def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -245,31 +214,28 @@ class ChevalleyAlgebra:
             raise ValueError("dimension mismatch")
         out_shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (self.dim,)
         Z = np.zeros(out_shape, dtype=complex)
-        left = np.flatnonzero(X.reshape(-1, self.dim).any(axis=0)).tolist()
-        if not left:
-            return Z
-        terms = np.concatenate([self._bk_rows[i] for i in left])
-        terms = terms[Y.reshape(-1, self.dim).any(axis=0)[self._bk_j[terms]]]
+        x_supp = X.reshape(-1, self.dim).any(axis=0)
+        y_supp = Y.reshape(-1, self.dim).any(axis=0)
+        terms = np.flatnonzero(x_supp[self._bk_i] & y_supp[self._bk_j])
         i, j = self._bk_i[terms], self._bk_j[terms]
         np.add.at(Z, (..., self._bk_k[terms]), X[..., i] * Y[..., j] * self._bk_v[terms])
         return Z
 
-    def ad_sparse(self, idx: int):
-        """ad of the idx-th basis vector as a scipy CSR matrix (exact ints)."""
-        from scipy.sparse import csr_matrix
+    def ad(self, X: np.ndarray) -> np.ndarray:
+        """ad_X as a dense (dim, dim) matrix, ad(X) @ Y = [X, Y], of X's dtype
+        (exact integers for an integer X).
 
-        rows, cols, vals = [], [], []
-        for u in range(self.dim):
-            terms = self.table.get((idx, u))
-            if not terms:
-                continue
-            for k, c in terms:
-                rows.append(k)
-                cols.append(u)
-                vals.append(c)
-        return csr_matrix(
-            (np.array(vals, dtype=np.int64), (rows, cols)), shape=(self.dim, self.dim)
+        Dense rather than scipy.sparse: dim <= 248, and importing
+        scipy.sparse would cost every command that builds an sl2.
+        """
+        if X.shape != (self.dim,):
+            raise ValueError("dimension mismatch")
+        terms = np.flatnonzero(X[self._bk_i])
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(X, self._bk_v))
+        np.add.at(
+            out, (self._bk_k[terms], self._bk_j[terms]), X[self._bk_i[terms]] * self._bk_v[terms]
         )
+        return out
 
 
 def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
@@ -286,7 +252,6 @@ class PrincipalSL2:
     x: np.ndarray
     e: np.ndarray
     etilde: np.ndarray
-    r: Tuple[Fraction, ...]
     exponents: Tuple[int, ...]
     hw_vectors: List[np.ndarray]  # highest weight vectors, hw_vectors[0] = e
     sigma_mat: np.ndarray  # the split-form automorphism in the Chevalley basis
@@ -314,7 +279,7 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> PrincipalSL2:
     """
     rs = alg.rs
     l = alg.rank
-    r = x_coefficients(rs)
+    r = rs.x_coefficients
     ms = tuple(exponents(rs))
     x = alg.cartan_element([float(c) for c in r])
     e = np.zeros(alg.dim, dtype=complex)
@@ -325,7 +290,7 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> PrincipalSL2:
         et[alg.root_index(_neg(rs.simple_root(i)))] = sq
 
     grades = _grade_indices(alg)
-    ad_e = np.real(np.stack([alg.bracket(e, alg.basis_vector(j)) for j in range(alg.dim)], axis=1))
+    ad_e = np.real(alg.ad(e))
 
     hw: List[Optional[np.ndarray]] = [None] * l
     order_slots = sorted(range(l), key=lambda i: ms[i])
@@ -357,7 +322,7 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> PrincipalSL2:
 
     sigma = _build_sigma(alg, grades, ms, [np.asarray(v) for v in hw], et)
     return PrincipalSL2(
-        x=x, e=e, etilde=et, r=tuple(r), exponents=ms, hw_vectors=[np.asarray(v) for v in hw],
+        x=x, e=e, etilde=et, exponents=ms, hw_vectors=[np.asarray(v) for v in hw],
         sigma_mat=sigma,
     )
 
@@ -370,11 +335,12 @@ def _build_sigma(alg, grades, ms, hw, et) -> np.ndarray:
     matrix; an entry that moves by more than 1e-9 is an error.
     """
     l = alg.rank
+    ad_et = alg.ad(et)
     towers: List[List[np.ndarray]] = []
     for i in range(l):
         tower = [hw[i]]
         for _ in range(2 * ms[i]):
-            nxt = alg.bracket(et, tower[-1])
+            nxt = ad_et @ tower[-1]
             nxt = nxt / np.max(np.abs(nxt))
             tower.append(nxt)
         towers.append(tower)
@@ -421,10 +387,6 @@ def coxeter_element(alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> CoxeterElement:
     return CoxeterElement(phases=np.mod(alg.heights, h), h=h)
 
 
-def sigma(alg: ChevalleyAlgebra, sl2: PrincipalSL2, X: np.ndarray) -> np.ndarray:
-    return sl2.sigma_mat @ X
-
-
 def rho_hat(alg: ChevalleyAlgebra, X: np.ndarray) -> np.ndarray:
     """Compact anti-involution: h -> -h, e_beta -> -e_{-beta}, antilinear."""
     l, R = alg.rank, alg.num_positive
@@ -438,7 +400,7 @@ def rho_hat(alg: ChevalleyAlgebra, X: np.ndarray) -> np.ndarray:
 
 def lambda_hat(alg: ChevalleyAlgebra, sl2: PrincipalSL2, X: np.ndarray) -> np.ndarray:
     """Split-form anti-involution sigma o rho_hat."""
-    return sigma(alg, sl2, rho_hat(alg, X))
+    return sl2.sigma_mat @ rho_hat(alg, X)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +416,7 @@ def _phase_one_slots(alg: ChevalleyAlgebra) -> List[int]:
     return slots
 
 
-def is_cyclic_g1(alg: ChevalleyAlgebra, cox: CoxeterElement, X: np.ndarray) -> bool:
+def is_cyclic_g1(alg: ChevalleyAlgebra, X: np.ndarray) -> bool:
     """Cyclic test on the phase-1 eigenspace: all l+1 coefficients nonzero."""
     slots = _phase_one_slots(alg)
     mask = np.zeros(alg.dim, dtype=bool)
@@ -464,30 +426,28 @@ def is_cyclic_g1(alg: ChevalleyAlgebra, cox: CoxeterElement, X: np.ndarray) -> b
     return bool(np.all(X[slots] != 0))
 
 
-def cyclic_reference(alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> np.ndarray:
+def cyclic_reference(alg: ChevalleyAlgebra) -> np.ndarray:
     """Reference cyclic element: sqrt(r_i) on the simple slots, 1 on -delta."""
     X = np.zeros(alg.dim, dtype=complex)
     slots = _phase_one_slots(alg)
     for i in range(alg.rank):
-        X[slots[i]] = float(sl2.r[i]) ** 0.5
+        X[slots[i]] = float(alg.rs.x_coefficients[i]) ** 0.5
     X[slots[-1]] = 1.0
     return X
 
 
-def normalize_cyclic(
-    alg: ChevalleyAlgebra, cox: CoxeterElement, sl2: PrincipalSL2, X: np.ndarray
-) -> Tuple[np.ndarray, complex]:
+def normalize_cyclic(alg: ChevalleyAlgebra, X: np.ndarray) -> Tuple[np.ndarray, complex]:
     """Torus parameters (xi, lam) with Ad_{exp xi} X = lam * reference.
 
     The l+1 root characters on the phase-1 space satisfy one relation
     weighted by the marks, which fixes log(lam); the Cartan part then comes
     out of an l x l linear solve.
     """
-    if not is_cyclic_g1(alg, cox, X):
+    if not is_cyclic_g1(alg, X):
         raise ValueError("element is not cyclic")
     l = alg.rank
     slots = _phase_one_slots(alg)
-    ref = cyclic_reference(alg, sl2)
+    ref = cyclic_reference(alg)
     b = np.log(ref[slots] / X[slots])  # principal branch
     marks = affine_cartan(alg.rs).marks  # node 0 first
     weights = np.array(marks[1:] + marks[:1], dtype=float)
@@ -516,22 +476,18 @@ def verify_structure(alg: ChevalleyAlgebra) -> Dict[str, bool]:
     from scipy.sparse import csr_matrix, identity, kron
 
     dim = alg.dim
-    rows, cols, vals = [], [], []
-    for (u, v), terms in alg.table.items():
-        for k, c in terms:
-            rows.append(u * dim + v)
-            cols.append(k)
-            vals.append(c)
+    # cmat[u * dim + v, k] = c_{u,v,k}
     cmat = csr_matrix(
-        (np.array(vals, dtype=np.int64), (rows, cols)), shape=(dim * dim, dim)
+        (alg._bk_v, (alg._bk_i * dim + alg._bk_j, alg._bk_k)), shape=(dim * dim, dim)
     )
     eye = identity(dim, dtype=np.int64, format="csr")
     K = csr_matrix(alg.killing)
+    basis = np.eye(dim, dtype=np.int64)
 
     jacobi_ok = True
     killing_ok = True
     for a in range(dim):
-        ad_a = alg.ad_sparse(a)
+        ad_a = csr_matrix(alg.ad(basis[a]))
         ad_at = ad_a.T.tocsr()
         lhs = cmat @ ad_at
         rhs = kron(ad_at, eye, format="csr") @ cmat + kron(eye, ad_at, format="csr") @ cmat

@@ -58,7 +58,7 @@ def _build(rs):
 
 
 def cmd_lie_info(args) -> int:
-    from .rootdata import affine_cartan, coxeter_number, exponents, x_coefficients
+    from .rootdata import affine_cartan, coxeter_number, exponents
 
     rs = _root_system(args.type)
     aff = affine_cartan(rs)
@@ -67,7 +67,7 @@ def cmd_lie_info(args) -> int:
             "type": str(rs.type),
             "exponents": exponents(rs),
             "coxeter_number": coxeter_number(rs),
-            "x_coefficients": [str(c) for c in x_coefficients(rs)],
+            "x_coefficients": [str(c) for c in rs.x_coefficients],
             "marks": list(aff.marks),
             "comarks": list(aff.comarks),
             "positive_root_count": rs.num_positive,

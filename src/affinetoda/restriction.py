@@ -28,7 +28,6 @@ from .rootdata import (
     RootSystem,
     affine_cartan,
     build_root_system,
-    x_coefficients,
 )
 
 Vec = Tuple[Fraction, ...]
@@ -105,7 +104,7 @@ def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
     # constants making the folded pointwise terms match the unfolded ones
     # on symmetry-fixed fields: sum over an orbit of r_i h_i must be a
     # rational multiple of the dual vector of the projection
-    r = x_coefficients(rs)
+    r = rs.x_coefficients
     coroots: List[Vec] = []
     weights: List[Fraction] = []
     for beta, orbit in zip(projections, orbits):

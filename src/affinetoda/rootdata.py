@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
@@ -196,6 +197,22 @@ class RootSystem:
             out.append(int(c))
         return tuple(out)
 
+    @cached_property
+    def x_coefficients(self) -> Tuple[Fraction, ...]:
+        """Coefficients r_i of the grading element x = (1/2) sum of all positive coroots.
+
+        x satisfies alpha_i(x) = 1 for every simple root, which the caller may
+        verify via ``pairing``; the r_i are the reality constants used by the
+        Toda layer.  Computed once per root system.
+        """
+        l = self.rank
+        acc = [Fraction(0)] * l
+        for root in self.positive_roots:
+            co = self.coroot(root)
+            for i in range(l):
+                acc[i] += co[i]
+        return tuple(c / 2 for c in acc)
+
 
 def build_root_system(lt: LieType) -> RootSystem:
     """Close the simple roots under root-string addition.
@@ -263,22 +280,6 @@ def exponents(rs: RootSystem) -> List[int]:
 
 def coxeter_number(rs: RootSystem) -> int:
     return rs.height(rs.highest_root) + 1
-
-
-def x_coefficients(rs: RootSystem) -> Tuple[Fraction, ...]:
-    """Coefficients r_i of the grading element x = (1/2) sum of all positive coroots.
-
-    x satisfies alpha_i(x) = 1 for every simple root, which the caller may
-    verify via ``rs.pairing``; the r_i are the reality constants used by the
-    Toda layer.
-    """
-    l = rs.rank
-    acc = [Fraction(0)] * l
-    for root in rs.positive_roots:
-        co = rs.coroot(root)
-        for i in range(l):
-            acc[i] += co[i]
-    return tuple(c / 2 for c in acc)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grids import DomainGrid, HFieldGrid, QDifferential, constant_field, random_trig_field
-from .rootdata import RootSystem, affine_cartan, x_coefficients
+from .rootdata import RootSystem, affine_cartan
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class _TodaData:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.P = rs.simple_characters.astype(float)  # P[i, a] = alpha_i(h_a)
-        self.r = np.array([float(c) for c in x_coefficients(rs)])
+        self.r = np.array([float(c) for c in rs.x_coefficients])
         self.delta_marks = np.array(rs.highest_root, dtype=float)
         self.delta_co = np.array(rs.coroot(rs.highest_root), dtype=float)
         # invariant-form Gram matrix of the coroots: 4 (a_i, a_j) / (|a_i|^2 |a_j|^2),

@@ -27,7 +27,6 @@ from affinetoda.rootdata import (
     coxeter_number,
     diagram_automorphism,
     exponents,
-    x_coefficients,
 )
 from affinetoda.todasolver import (
     InitSpec,
@@ -59,7 +58,7 @@ def test_criterion_1_structure_suite():
         checks = verify_structure(alg)
         assert checks["jacobi_exact"], name
         assert checks["killing_ad_invariant"], name
-        r = x_coefficients(rs)
+        r = rs.x_coefficients
         for i in range(rs.rank):
             assert sum(r[j] * rs.cartan_matrix[j][i] for j in range(rs.rank)) == 1, name
         assert sum(2 * m + 1 for m in exponents(rs)) == rs.type.dim, name

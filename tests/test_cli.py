@@ -1,5 +1,6 @@
 """CLI: grammar, JSON schemas, solve/verify round trips, exit codes."""
 import collections
+import functools
 import json
 import os
 import subprocess
@@ -123,9 +124,10 @@ def test_toda_solve_verify_round_trip(flags, tmp_path, capsys):
 
 def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch):
     """Counted in process: every toda/conn command builds the solver's
-    per-type data once, and the algebra and sl2 at most once; only lie check
-    builds the Coxeter element."""
+    per-type data and the reality constants r_i once, and the algebra and sl2
+    at most once; only lie check builds the Coxeter element."""
     import affinetoda.chevalley as chevalley
+    import affinetoda.rootdata as rootdata
     import affinetoda.todasolver as todasolver
 
     counts = collections.Counter()
@@ -142,6 +144,11 @@ def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch)
     monkeypatch.setattr(
         todasolver._TodaData, "__init__", counting("_TodaData", todasolver._TodaData.__init__)
     )
+    r_i = functools.cached_property(
+        counting("x_coefficients", rootdata.RootSystem.x_coefficients.func)
+    )
+    r_i.__set_name__(rootdata.RootSystem, "x_coefficients")
+    monkeypatch.setattr(rootdata.RootSystem, "x_coefficients", r_i)
     out_path = str(tmp_path / "omega.bin")
     commands = {
         "solve oracle": ("toda", "solve", "--type", "A2", "--grid", "16x16", "--out", out_path),
@@ -158,13 +165,16 @@ def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch)
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0, label
         assert counts["_TodaData"] == 1, (label, counts)
+        assert counts["x_coefficients"] == 1, (label, counts)
         assert counts["build_chevalley"] <= 1, (label, counts)
         assert counts["build_principal_sl2"] <= 1, (label, counts)
         assert counts["coxeter_element"] == 0, (label, counts)
     counts.clear()
     code, _, _ = run_cli(capsys, "lie", "check", "A2")
     assert code == 0
-    assert counts == {"build_chevalley": 1, "build_principal_sl2": 1, "coxeter_element": 1}
+    assert counts == {
+        "build_chevalley": 1, "build_principal_sl2": 1, "coxeter_element": 1, "x_coefficients": 1
+    }
 
 
 def test_toda_solve_config_file(tmp_path, capsys):

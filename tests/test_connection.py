@@ -37,7 +37,7 @@ def make_omega(name, algebra, seed=3, amplitude=0.15, n=16, topology="torus"):
 
 
 def test_zero_field_zero_q_connection(algebra):
-    rs, alg, sl2, _ = algebra("A2")
+    rs, alg, _, _ = algebra("A2")
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
     q = QDifferential.constant(0.0, coxeter_number(rs))
@@ -45,7 +45,7 @@ def test_zero_field_zero_q_connection(algebra):
     assert np.abs(conn.A_z).max() == 0 and np.abs(conn.A_zbar).max() == 0
     for i in range(rs.rank):
         lo = alg.root_index(tuple(-c for c in rs.simple_root(i)))
-        expect = float(sl2.r[i]) ** 0.5
+        expect = float(rs.x_coefficients[i]) ** 0.5
         assert np.allclose(conn.phi[..., lo], expect)
     assert np.abs(conn.phi[..., alg.highest_root_index]).max() == 0
 
@@ -75,7 +75,7 @@ def test_psi_is_phi_star(name, gauge, algebra):
 
 
 def test_curvature_zero_field_a2(algebra):
-    rs, alg, sl2, _ = algebra("A2")
+    rs, alg, _, _ = algebra("A2")
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
     q = QDifferential.constant(0.0, 3)
@@ -83,7 +83,7 @@ def test_curvature_zero_field_a2(algebra):
     F = curvature(conn, alg)
     # [E-, E+] = - sum_i r_i h_i = -x
     expect = -embed_cartan(alg, np.broadcast_to(
-        np.array([float(c) for c in sl2.r]), (8, 8, 2)))
+        np.array([float(c) for c in rs.x_coefficients]), (8, 8, 2)))
     assert np.abs(F - expect).max() < 1e-13
 
 
@@ -260,9 +260,7 @@ class TestChartTransition:
         omega_j = field.sample(grid_j)
         # same physical nodes; the target-chart field adds log|g_ij| x
         fx = np.log(2.0)
-        from affinetoda.rootdata import x_coefficients
-
-        xc = np.array([float(c) for c in x_coefficients(rs)])
+        xc = np.array([float(c) for c in rs.x_coefficients])
         omega_i = HFieldGrid(grid_i, omega_j.values + fx * xc)
         qj = QDifferential.polynomial([0.9, 0.4 - 0.2j], h)
         qi = QDifferential.polynomial(

@@ -15,7 +15,6 @@ from affinetoda.rootdata import (
     coxeter_number,
     diagram_automorphism,
     exponents,
-    x_coefficients,
 )
 
 ALL_TYPES = (
@@ -86,7 +85,7 @@ def test_a1_trivial():
     assert rs.highest_root == (1,)
     assert exponents(rs) == [1]
     assert coxeter_number(rs) == 2
-    assert x_coefficients(rs) == (Fraction(1, 2),)
+    assert rs.x_coefficients == (Fraction(1, 2),)
 
 
 def test_a2_closure_and_data():
@@ -96,7 +95,7 @@ def test_a2_closure_and_data():
     assert exponents(rs) == [1, 2]
     assert coxeter_number(rs) == 3
     # x = (h1 + h2 + (h1+h2)) / 2 = h1 + h2
-    assert x_coefficients(rs) == (Fraction(1), Fraction(1))
+    assert rs.x_coefficients == (Fraction(1), Fraction(1))
 
 
 def test_g2_closure_and_data():
@@ -127,7 +126,7 @@ def test_exponent_identities(name):
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_grading_element_pairs_to_one(name):
     rs = build_root_system(LieType.parse(name))
-    r = x_coefficients(rs)
+    r = rs.x_coefficients
     for i in range(rs.rank):
         # alpha_i(x) = sum_j r_j alpha_i(h_j)
         val = sum(r[j] * rs.cartan_matrix[j][i] for j in range(rs.rank))

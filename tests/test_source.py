@@ -32,3 +32,19 @@ def test_solver_imports_neither_algebra_nor_connection():
         if any(name.rsplit(".", 1)[-1] in ("chevalley", "connection") for name in names):
             found.append(f"todasolver.py:{node.lineno}")
     assert found == []
+
+
+def test_only_chevalley_reads_the_structure_table():
+    """The table's format is known to ``chevalley`` alone: every other module,
+    tests included, goes through ``bracket``, ``ad`` and ``killing``."""
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "chevalley.py"]
+    tests = pathlib.Path(__file__)
+    paths += [p for p in sorted(tests.parent.glob("*.py")) if p != tests]
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_bk_"))
+        or (isinstance(node, ast.Constant) and str(node.value).startswith("_bk_"))
+    ]
+    assert found == []
