@@ -50,6 +50,8 @@ class ChevalleyAlgebra:
         pos = np.array(rs.positive_roots, dtype=np.int64).reshape(R, l)
         roots = np.concatenate([np.zeros((l, l), dtype=np.int64), pos, -pos])
         self.heights = roots.sum(axis=1)
+        # negation[d] = slot of -beta for the root beta of slot d; identity on the Cartan
+        self.negation = np.concatenate([np.arange(l), np.arange(R) + l + R, np.arange(R) + l])
         # characters[d, a] = beta(h_a) for the root beta of slot d; zero rows on the Cartan
         self.characters = roots @ rs.simple_characters
 
@@ -203,22 +205,40 @@ class ChevalleyAlgebra:
         return (A @ B.T).toarray()
 
     # ---- operations ------------------------------------------------------
-    def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def _slot_positions(self, slots: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """The basis slots (all ``dim`` of them when ``slots`` is None) and
+        pos[b], the position of basis slot b among them or -1."""
+        full = np.arange(self.dim) if slots is None else np.asarray(slots)
+        pos = np.full(self.dim, -1)
+        pos[full] = np.arange(len(full))
+        return full, pos
+
+    def bracket(self, X: np.ndarray, Y: np.ndarray, slots: Optional[np.ndarray] = None) -> np.ndarray:
         """Bilinear bracket of coefficient vectors (supports leading axes).
 
-        Only table terms whose left slot is in the support of X and whose
-        right slot is in the support of Y are formed, so memory and time
-        scale with the supports rather than with the whole table.
+        X, Y and the result hold coefficients over the basis slots
+        ``slots``, or over all ``dim`` slots when it is None.  Only table
+        terms whose left slot is in the support of X and whose right slot is
+        in the support of Y are formed, in table order, so memory and time
+        scale with the supports rather than with the whole table.  A formed
+        term whose output slot is not in ``slots`` raises RuntimeError: the
+        closure of the support under the bracket is checked, not assumed.
         """
-        if X.shape[-1] != self.dim or Y.shape[-1] != self.dim:
+        full, pos = self._slot_positions(slots)
+        n = len(full)
+        if X.shape[-1] != n or Y.shape[-1] != n:
             raise ValueError("dimension mismatch")
-        out_shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (self.dim,)
+        out_shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (n,)
         Z = np.zeros(out_shape, dtype=complex)
-        x_supp = X.reshape(-1, self.dim).any(axis=0)
-        y_supp = Y.reshape(-1, self.dim).any(axis=0)
+        x_supp = np.zeros(self.dim, dtype=bool)
+        y_supp = np.zeros(self.dim, dtype=bool)
+        x_supp[full] = X.reshape(-1, n).any(axis=0)
+        y_supp[full] = Y.reshape(-1, n).any(axis=0)
         terms = np.flatnonzero(x_supp[self._bk_i] & y_supp[self._bk_j])
-        i, j = self._bk_i[terms], self._bk_j[terms]
-        np.add.at(Z, (..., self._bk_k[terms]), X[..., i] * Y[..., j] * self._bk_v[terms])
+        i, j, k = (pos[t[terms]] for t in (self._bk_i, self._bk_j, self._bk_k))
+        if np.any(k < 0):
+            raise RuntimeError("the bracket leaves the given slots")
+        np.add.at(Z, (..., k), X[..., i] * Y[..., j] * self._bk_v[terms])
         return Z
 
     def ad(self, X: np.ndarray) -> np.ndarray:
@@ -387,15 +407,17 @@ def coxeter_element(alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> CoxeterElement:
     return CoxeterElement(phases=np.mod(alg.heights, h), h=h)
 
 
-def rho_hat(alg: ChevalleyAlgebra, X: np.ndarray) -> np.ndarray:
-    """Compact anti-involution: h -> -h, e_beta -> -e_{-beta}, antilinear."""
-    l, R = alg.rank, alg.num_positive
-    out = np.empty_like(X, dtype=complex)
-    Xc = np.conj(X)
-    out[..., :l] = -Xc[..., :l]
-    out[..., l : l + R] = -Xc[..., l + R : l + 2 * R]
-    out[..., l + R : l + 2 * R] = -Xc[..., l : l + R]
-    return out
+def rho_hat(alg: ChevalleyAlgebra, X: np.ndarray, slots: Optional[np.ndarray] = None) -> np.ndarray:
+    """Compact anti-involution: h -> -h, e_beta -> -e_{-beta}, antilinear.
+
+    X holds coefficients over ``slots`` (all ``dim`` slots when None), which
+    must be closed under beta -> -beta.
+    """
+    full, pos = alg._slot_positions(slots)
+    perm = pos[alg.negation[full]]
+    if np.any(perm < 0):
+        raise ValueError("slots are not closed under beta -> -beta")
+    return -np.conj(np.asarray(X, dtype=complex)[..., perm])
 
 
 def lambda_hat(alg: ChevalleyAlgebra, sl2: PrincipalSL2, X: np.ndarray) -> np.ndarray:

@@ -44,14 +44,6 @@ def _root_system(name: str):
     return build_root_system(LieType.parse(name))
 
 
-def _build(rs):
-    """Chevalley algebra and principal sl2 of a root system."""
-    from .chevalley import build_chevalley, build_principal_sl2
-
-    alg = build_chevalley(rs)
-    return alg, build_principal_sl2(alg)
-
-
 # ---------------------------------------------------------------------------
 # lie group
 # ---------------------------------------------------------------------------
@@ -77,11 +69,18 @@ def cmd_lie_info(args) -> int:
 
 
 def cmd_lie_check(args) -> int:
-    from .chevalley import coxeter_element, rho_hat, verify_structure
+    from .chevalley import (
+        build_chevalley,
+        build_principal_sl2,
+        coxeter_element,
+        rho_hat,
+        verify_structure,
+    )
     from .rootdata import exponents
 
     rs = _root_system(args.type)
-    alg, sl2 = _build(rs)
+    alg = build_chevalley(rs)
+    sl2 = build_principal_sl2(alg)
     cox = coxeter_element(alg, sl2)
     exact = verify_structure(alg)
     S = sl2.sigma_mat
@@ -218,33 +217,35 @@ def _solver_setup(opts: Dict[str, str]):
     return data, cfg
 
 
-def _summary(omega, q, alg, data, sl2) -> Dict[str, float]:
+def _summary(omega, q, alg, data) -> Dict[str, float]:
     """Residual, curvature norm and sigma defect of a field: the numbers
     ``toda solve`` reports and ``toda verify`` recomputes."""
     from .connection import build_toda_connection, curvature, equivalence_defect
+    from .rootdata import diagram_automorphism
     from .todasolver import sigma_symmetry_defect
 
     F = curvature(build_toda_connection(omega, q, alg, data, "toda"), alg)
-    curv, res, _ = equivalence_defect(omega, q, alg, data, F)
+    curv, res, _ = equivalence_defect(omega, q, data, F)
     return {
         "residual": res,
         "curvature_norm": curv,
-        "sigma_defect": sigma_symmetry_defect(omega, sl2.sigma_mat),
+        "sigma_defect": sigma_symmetry_defect(omega, diagram_automorphism(data.rs).perm),
     }
 
 
 def cmd_toda_solve(args) -> int:
+    from .chevalley import build_chevalley
     from .grids import write_field_binary
     from .todasolver import solve, thread_cap
 
     thread_cap()  # validate the env var early
     opts = _solver_options(args)
     data, cfg = _solver_setup(opts)
-    alg, sl2 = _build(data.rs)
+    alg = build_chevalley(data.rs)
     sol = solve(cfg, data)
     summary = {
         "iterations": sol.iterations,
-        **_summary(sol.omega, cfg.q, alg, data, sl2),
+        **_summary(sol.omega, cfg.q, alg, data),
         "converged": bool(sol.converged),
     }
     out = args.out or "omega.bin"
@@ -280,9 +281,10 @@ def _reload_run(path: str):
 
 
 def cmd_toda_verify(args) -> int:
+    from .chevalley import build_chevalley
+
     manifest, data, cfg, omega = _reload_run(args.field)
-    alg, sl2 = _build(data.rs)
-    now = _summary(omega, cfg.q, alg, data, sl2)
+    now = _summary(omega, cfg.q, build_chevalley(data.rs), data)
     reported = manifest["summary"]
     drift = {key: abs(val - reported[key]) for key, val in now.items()}
     ok = all(v <= 1e-12 for v in drift.values()) and now["residual"] <= cfg.tol
@@ -323,19 +325,19 @@ def cmd_conn_check(args) -> int:
     F = curvature(conn, alg)
     star_defect = float(np.abs(conn.psi - conjugate_star(conn, alg)).max())
     comm_defect = commutator_defect(omega, q, alg, data)
-    fnorm, rnorm, mismatch = equivalence_defect(omega, q, alg, data, F)
+    fnorm, rnorm, mismatch = equivalence_defect(omega, q, data, F)
     # same continuum field at half resolution: mismatch must shrink ~4x
     grid2 = DomainGrid.make("torus", n // 2, n // 2)
     omega2 = random_trig_field(rs.rank, seed=7, amplitude=0.15).symmetrized(nu.perm).sample(grid2)
     F_half = curvature(build_toda_connection(omega2, q, alg, data, "toda"), alg)
-    _, _, mismatch2 = equivalence_defect(omega2, q, alg, data, F_half)
+    _, _, mismatch2 = equivalence_defect(omega2, q, data, F_half)
     ratio = mismatch2 / mismatch
     rng = np.random.default_rng(13)
     cov = 0.0
     for _ in range(3):
         H = constant_field(grid, rng.standard_normal(rs.rank) * 0.4)
         F2 = curvature(gauge_transform(conn, H, alg), alg)
-        cov = max(cov, float(np.abs(F2 - char_scale(alg, F, H.values)).max()))
+        cov = max(cov, float(np.abs(F2 - char_scale(alg, F, H.values, conn.slots)).max()))
 
     checks = {
         "psi_equals_phi_star": {"residual": star_defect, "pass": star_defect < 1e-12},

@@ -344,13 +344,14 @@ def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
     )
 
 
-def sigma_symmetry_defect(omega: HFieldGrid, sigma_mat: np.ndarray) -> float:
-    """Max-node norm of sigma(Omega) - Omega for a Cartan-valued field, with
-    sigma given by its matrix in the Chevalley basis (``PrincipalSL2.sigma_mat``)."""
-    l = omega.l
-    S = sigma_mat[:l, :l]  # sigma preserves the Cartan block
+def sigma_symmetry_defect(omega: HFieldGrid, perm: Sequence[int]) -> float:
+    """Max-node norm of sigma(Omega) - Omega for a Cartan-valued field.
+
+    On the Cartan, sigma permutes the simple coroots by the diagram
+    automorphism, an involution; ``perm`` is its ``DiagramAutomorphism.perm``.
+    """
     vals = omega.values
-    defect = vals @ S.T - vals
+    defect = vals[..., list(perm)] - vals
     return omega.grid.max_norm(np.abs(defect).max(axis=-1))
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from affinetoda.chevalley import build_chevalley, build_principal_sl2, coxeter_element
 from affinetoda.rootdata import LieType, build_root_system
@@ -31,6 +32,29 @@ def elliptic_residual(omega, q, rs):
     """The solver's residual of a field, computed as toda verify computes it."""
     q2 = np.abs(q.sample(omega.grid)) ** 2
     return residual(_TodaData(rs), omega.grid, omega.values, q2)
+
+
+def scatter(alg, slots, values):
+    """Coefficients over the basis slots ``slots`` as coefficients over all of g."""
+    out = np.zeros(values.shape[:-1] + (alg.dim,), dtype=complex)
+    out[..., slots] = values
+    return out
+
+
+_AD_CACHE = {}
+
+
+def reference_bracket(alg, X, Y):
+    """[X, Y] = sum_a X_a ad(e_a) Y over all of g, from the sparse integer ad matrices."""
+    if alg not in _AD_CACHE:
+        _AD_CACHE[alg] = [csr_matrix(alg.ad(e)) for e in np.eye(alg.dim, dtype=np.int64)]
+    shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (alg.dim,)
+    Xb = np.broadcast_to(X, shape).reshape(-1, alg.dim)
+    Yb = np.broadcast_to(Y, shape).reshape(-1, alg.dim)
+    Z = np.zeros(Xb.shape, dtype=complex)
+    for a, ad in enumerate(_AD_CACHE[alg]):
+        Z += Xb[:, a : a + 1] * (ad @ Yb.T).T
+    return Z.reshape(shape)
 
 
 @pytest.fixture(scope="session")

@@ -114,7 +114,7 @@ def test_criterion_3_higgs_toda_equivalence():
         grid = DomainGrid.make("torus", n, n)
         omega = field.sample(grid)
         F = curvature(build_toda_connection(omega, q, alg, data, "toda"), alg)
-        fnorm, rnorm, mism = equivalence_defect(omega, q, alg, data, F)
+        fnorm, rnorm, mism = equivalence_defect(omega, q, data, F)
         assert abs(fnorm - rnorm) <= mism + 1e-12
         mismatches[n] = mism
     r1 = mismatches[32] / mismatches[64]
@@ -193,7 +193,7 @@ def test_criterion_7_sigma_symmetry():
     details = []
     ok = True
     for name in ["A2", "A3"]:
-        rs, alg, sl2, _ = get_algebra(name)
+        rs = get_algebra(name)[0]
         grid = DomainGrid.make("torus", 32, 32)
         data = _TodaData(rs)
         cfg = SolverConfig(
@@ -202,7 +202,7 @@ def test_criterion_7_sigma_symmetry():
             init=InitSpec("perturbed", seed=31, amplitude=0.1),
         )
         sol = solve(cfg, data)
-        defect = sigma_symmetry_defect(sol.omega, sl2.sigma_mat)
+        defect = sigma_symmetry_defect(sol.omega, diagram_automorphism(rs).perm)
         ok = ok and sol.converged and defect < 1e-8
         details.append(f"{name}: defect {defect:.1e}")
     report(7, "sigma-symmetry", ok, "(" + "; ".join(details) + ")")
@@ -271,5 +271,5 @@ def test_criterion_10_gauge_covariance():
     for _ in range(10):
         H = constant_field(grid, rng.standard_normal(rs.rank) * 0.5)
         F2 = curvature(gauge_transform(conn, H, alg), alg)
-        worst = max(worst, float(np.abs(F2 - char_scale(alg, F, H.values)).max()))
+        worst = max(worst, float(np.abs(F2 - char_scale(alg, F, H.values, conn.slots)).max()))
     report(10, "gauge-covariance", worst < 1e-10, f"(max defect {worst:.2e})")

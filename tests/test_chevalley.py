@@ -1,7 +1,6 @@
 """Chevalley layer: brackets, characters, principal sl2, Coxeter phases, involutions."""
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from affinetoda.chevalley import (
     cyclic_reference,
@@ -13,7 +12,7 @@ from affinetoda.chevalley import (
 )
 from affinetoda.connection import char_scale
 from affinetoda.rootdata import diagram_automorphism
-from conftest import ALL_TYPES
+from conftest import ALL_TYPES, reference_bracket, scatter
 
 SMALL = ["A1", "A2", "B2", "G2", "A3", "D4"]
 MEDIUM = SMALL + ["C3", "F4", "D5", "E6"]
@@ -43,22 +42,6 @@ def test_bracket_basics(name, algebra, rng):
     Y = rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
     assert np.max(np.abs(alg.bracket(X, X))) < 1e-12
     assert np.max(np.abs(alg.bracket(X, Y) + alg.bracket(Y, X))) < 1e-12
-
-
-_AD_CACHE = {}
-
-
-def reference_bracket(alg, X, Y):
-    """[X, Y] = sum_a X_a ad(e_a) Y, from the sparse integer ad matrices."""
-    if alg not in _AD_CACHE:
-        _AD_CACHE[alg] = [csr_matrix(alg.ad(e)) for e in np.eye(alg.dim, dtype=np.int64)]
-    shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (alg.dim,)
-    Xb = np.broadcast_to(X, shape).reshape(-1, alg.dim)
-    Yb = np.broadcast_to(Y, shape).reshape(-1, alg.dim)
-    Z = np.zeros(Xb.shape, dtype=complex)
-    for a, ad in enumerate(_AD_CACHE[alg]):
-        Z += Xb[:, a : a + 1] * (ad @ Yb.T).T
-    return Z.reshape(shape)
 
 
 def _random(rng, shape, support=None):
@@ -99,6 +82,17 @@ def test_bracket_matches_dense_reference(name, algebra, rng):
     _assert_close(alg.bracket(e, f), reference_bracket(alg, e, f))
     assert not np.any(alg.bracket(np.zeros(d), G))
     assert not np.any(alg.bracket(G, np.zeros((3, 4, d))))
+
+
+def test_rho_hat_on_slots(algebra, rng):
+    """On slots closed under beta -> -beta, rho_hat acts as on all of g."""
+    rs, alg, _, _ = algebra("G2")
+    e1 = alg.root_index(rs.simple_root(0))
+    slots = np.array([0, 1, e1, alg.negation[e1]])
+    X = _random(rng, (3, 4))
+    assert np.array_equal(rho_hat(alg, X, slots), rho_hat(alg, scatter(alg, slots, X))[..., slots])
+    with pytest.raises(ValueError):
+        rho_hat(alg, X[..., :3], slots[:3])
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -293,15 +287,17 @@ def test_sigma_is_automorphism(name, algebra, rng):
         assert np.max(np.abs(lhs - rhs)) < 1e-8 * max(1.0, np.max(np.abs(lhs)))
 
 
-@pytest.mark.parametrize("name", ["A2", "A3", "D5", "E6", "B3", "G2"])
+@pytest.mark.parametrize("name", ALL_TYPES)
 def test_sigma_permutes_coroots_by_nu(name, algebra):
+    """Exactly, for every type: sigma_symmetry_defect reads sigma on the
+    Cartan as this permutation."""
     rs, alg, sl2, _ = algebra(name)
     nu = diagram_automorphism(rs)
     S = sl2.sigma_mat
     for i in range(rs.rank):
         got = S @ alg.basis_vector(i)
         expect = alg.basis_vector(nu.apply_index(i))
-        assert np.max(np.abs(got - expect)) < 1e-10
+        assert np.array_equal(got, expect)
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -410,7 +406,7 @@ class TestNormalizeCyclic:
             X[s] = rng.standard_normal() + 1j * rng.standard_normal()
         xi, lam = normalize_cyclic(alg, X)
         # the character table is checked against exact pairings above
-        got = char_scale(alg, X, xi)
+        got = char_scale(alg, X, xi, np.arange(alg.dim))
         ref = lam * cyclic_reference(alg)
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, abs(lam))
 

@@ -124,8 +124,8 @@ def test_toda_solve_verify_round_trip(flags, tmp_path, capsys):
 
 def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch):
     """Counted in process: every toda/conn command builds the solver's
-    per-type data and the reality constants r_i once, and the algebra and sl2
-    at most once; only lie check builds the Coxeter element."""
+    per-type data and the reality constants r_i once and the algebra at most
+    once; only lie check builds the principal sl2 and the Coxeter element."""
     import affinetoda.chevalley as chevalley
     import affinetoda.rootdata as rootdata
     import affinetoda.todasolver as todasolver
@@ -167,7 +167,7 @@ def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch)
         assert counts["_TodaData"] == 1, (label, counts)
         assert counts["x_coefficients"] == 1, (label, counts)
         assert counts["build_chevalley"] <= 1, (label, counts)
-        assert counts["build_principal_sl2"] <= 1, (label, counts)
+        assert counts["build_principal_sl2"] == 0, (label, counts)
         assert counts["coxeter_element"] == 0, (label, counts)
     counts.clear()
     code, _, _ = run_cli(capsys, "lie", "check", "A2")
@@ -175,6 +175,24 @@ def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch)
     assert counts == {
         "build_chevalley": 1, "build_principal_sl2": 1, "coxeter_element": 1, "x_coefficients": 1
     }
+
+
+def test_verify_and_conn_check_import_no_scipy(tmp_path, capsys):
+    """toda verify and conn check need numpy only: importing scipy alone
+    costs about 0.3 s per command."""
+    out_path = str(tmp_path / "omega.bin")
+    code, _, _ = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16x16", "--out", out_path)
+    assert code == 0
+    script = (
+        "import sys\n"
+        "from affinetoda.cli import main\n"
+        f"codes = [main(['toda', 'verify', {out_path!r}]),\n"
+        "         main(['conn', 'check', '--type', 'A2', '--grid', '16'])]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 def test_toda_solve_config_file(tmp_path, capsys):

@@ -24,7 +24,7 @@ from affinetoda.grids import (
 )
 from affinetoda.rootdata import coxeter_number, diagram_automorphism
 from affinetoda.todasolver import _TodaData
-from conftest import elliptic_residual
+from conftest import elliptic_residual, reference_bracket, scatter
 
 
 def make_omega(name, algebra, seed=3, amplitude=0.15, n=16, topology="torus"):
@@ -43,11 +43,12 @@ def test_zero_field_zero_q_connection(algebra):
     q = QDifferential.constant(0.0, coxeter_number(rs))
     conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
     assert np.abs(conn.A_z).max() == 0 and np.abs(conn.A_zbar).max() == 0
+    phi = scatter(alg, conn.slots, conn.phi)
     for i in range(rs.rank):
         lo = alg.root_index(tuple(-c for c in rs.simple_root(i)))
         expect = float(rs.x_coefficients[i]) ** 0.5
-        assert np.allclose(conn.phi[..., lo], expect)
-    assert np.abs(conn.phi[..., alg.highest_root_index]).max() == 0
+        assert np.allclose(phi[..., lo], expect)
+    assert np.abs(phi[..., alg.highest_root_index]).max() == 0
 
 
 def test_a1_higgs_gauge_layout(algebra):
@@ -56,10 +57,12 @@ def test_a1_higgs_gauge_layout(algebra):
     omega = constant_field(grid, [0.0])
     q = QDifferential.constant(1.0, 2)
     conn = build_toda_connection(omega, q, alg, _TodaData(rs), "higgs")
+    assert list(conn.slots) == [0, 1, 2]  # the simple root is the highest root
+    phi = scatter(alg, conn.slots, conn.phi)
     lo = alg.root_index((-1,))
     hi = alg.root_index((1,))
-    assert np.allclose(conn.phi[..., lo], 0.5 ** 0.5)
-    assert np.allclose(conn.phi[..., hi], 1.0)  # lowest affine slot carries q
+    assert np.allclose(phi[..., lo], 0.5 ** 0.5)
+    assert np.allclose(phi[..., hi], 1.0)  # lowest affine slot carries q
     assert np.abs(conn.A_zbar).max() == 0
 
 
@@ -82,8 +85,8 @@ def test_curvature_zero_field_a2(algebra):
     conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
     F = curvature(conn, alg)
     # [E-, E+] = - sum_i r_i h_i = -x
-    expect = -embed_cartan(alg, np.broadcast_to(
-        np.array([float(c) for c in rs.x_coefficients]), (8, 8, 2)))
+    expect = -embed_cartan(np.broadcast_to(
+        np.array([float(c) for c in rs.x_coefficients]), (8, 8, 2)), len(conn.slots))
     assert np.abs(F - expect).max() < 1e-13
 
 
@@ -132,11 +135,13 @@ def test_gauge_transform_constant_character_scaling(algebra):
     conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
     hvec = np.array([0.23, -0.41])
     out = gauge_transform(conn, constant_field(grid, hvec), alg)
+    assert np.array_equal(out.slots, conn.slots)
+    phi, phi0 = scatter(alg, out.slots, out.phi), scatter(alg, conn.slots, conn.phi)
     P = np.array([[rs.cartan_matrix[a][i] for a in range(2)] for i in range(2)])
     for i in range(rs.rank):
         lo = alg.root_index(tuple(-c for c in rs.simple_root(i)))
         scale = np.exp(-(P[i] @ hvec))
-        assert np.abs(out.phi[..., lo] - conn.phi[..., lo] * scale).max() < 1e-13
+        assert np.abs(phi[..., lo] - phi0[..., lo] * scale).max() < 1e-13
 
 
 @pytest.mark.parametrize("name", ["A1", "A2"])
@@ -150,7 +155,7 @@ def test_gauge_covariance_constant_h(name, algebra, rng):
         hvec = rng.standard_normal(rs.rank) * 0.5
         H = constant_field(grid, hvec)
         F2 = curvature(gauge_transform(conn, H, alg), alg)
-        expect = char_scale(alg, F, H.values)
+        expect = char_scale(alg, F, H.values, conn.slots)
         assert np.abs(F2 - expect).max() < 1e-10
 
 
@@ -168,10 +173,66 @@ def test_gauge_covariance_varying_h_second_order(algebra):
         H = hf.sample(grid)
         conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
         F2 = curvature(gauge_transform(conn, H, alg), alg)
-        expect = char_scale(alg, curvature(conn, alg), H.values)
+        expect = char_scale(alg, curvature(conn, alg), H.values, conn.slots)
         defects.append(np.abs(F2 - expect).max())
     ratio = defects[0] / defects[1]
     assert 2.5 < ratio < 6.0
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "G2", "D4", "E8"])
+@pytest.mark.parametrize("topology", ["torus", "rectangle"])
+def test_slot_curvature_matches_dense_reference(name, topology, algebra):
+    """The curvature built on the Toda slots, scattered into g, against one
+    built over all of g from dense derivatives and the reference bracket,
+    which is exactly zero off the slots."""
+    rs, alg, _, _ = algebra(name)
+    grid, omega = make_omega(name, algebra, n=8, topology=topology)
+    q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    assert len(conn.slots) == (3 if name == "A1" else 3 * rs.rank + 2)
+    assert list(conn.slots[: rs.rank]) == list(range(rs.rank))
+    az = scatter(alg, conn.slots, conn.A_z + conn.phi)
+    azbar = scatter(alg, conn.slots, conn.A_zbar + conn.psi)
+    ref = grid.d_dz(azbar) - grid.d_dzbar(az) + reference_bracket(alg, az, azbar)
+    off = np.ones(alg.dim, dtype=bool)
+    off[conn.slots] = False
+    assert not np.any(ref[..., off])
+    got = scatter(alg, conn.slots, curvature(conn, alg))
+    assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "G2", "E8"])
+def test_slot_bracket_is_the_dense_bracket(name, algebra):
+    """On the slots the bracket forms the same terms in the same order as
+    over all of g, so the two agree bit for bit."""
+    rs, alg, _, _ = algebra(name)
+    grid, omega = make_omega(name, algebra, n=8)
+    q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    az, azbar = conn.A_z + conn.phi, conn.A_zbar + conn.psi
+    dense = alg.bracket(scatter(alg, conn.slots, az), scatter(alg, conn.slots, azbar))
+    assert np.array_equal(scatter(alg, conn.slots, alg.bracket(az, azbar, conn.slots)), dense)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "E8"])
+def test_slot_bracket_checks_closure(name, algebra):
+    """Dropping a slot that a formed term lands on is an error, not a
+    silently lost term."""
+    rs, alg, _, _ = algebra(name)
+    grid, omega = make_omega(name, algebra, n=8)
+    q = QDifferential.constant(1.0, coxeter_number(rs))
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    az, azbar = conn.A_z + conn.phi, conn.A_zbar + conn.psi
+    # [e_-alpha_1, e_alpha_1] lands on h_1, the first slot
+    keep = np.arange(1, len(conn.slots))
+    with pytest.raises(RuntimeError, match="leaves the given slots"):
+        alg.bracket(az[..., keep], azbar[..., keep], conn.slots[keep])
+    if rs.rank >= 2:
+        # [e_alpha_1, e_alpha_2] lands on alpha_1 + alpha_2, which is not a slot
+        simple = [alg.root_index(rs.simple_root(i)) for i in range(2)]
+        with pytest.raises(RuntimeError, match="leaves the given slots"):
+            alg.bracket(np.array([1.0, 0.0]), np.array([0.0, 1.0]), simple)
+        assert not np.any(alg.bracket(np.array([1.0, 0.0]), np.array([1.0, 0.0]), simple))
 
 
 class TestHiggsResidual:
@@ -221,7 +282,7 @@ class TestEquivalence:
             grid = DomainGrid.make("torus", n, n)
             omega = field.sample(grid)
             F = curvature(build_toda_connection(omega, q, alg, data, "toda"), alg)
-            fn, rn, mn = equivalence_defect(omega, q, alg, data, F)
+            fn, rn, mn = equivalence_defect(omega, q, data, F)
             assert abs(fn - rn) <= mn + 1e-12
             mism.append(mn)
         assert 2.8 < mism[0] / mism[1] < 5.5
@@ -232,20 +293,20 @@ class TestChartTransition:
     def test_identity(self, algebra):
         _, alg, sl2, _ = algebra("A2")
         X = np.arange(alg.dim, dtype=complex)
-        assert np.abs(chart_transition(X, 1.0, alg) - X).max() == 0
+        assert np.abs(chart_transition(X, 1.0, alg, np.arange(alg.dim)) - X).max() == 0
 
     def test_height_scaling(self, algebra):
         rs, alg, _, _ = algebra("A2")
         lo = alg.root_index(tuple(-c for c in rs.simple_root(0)))
         X = np.zeros(alg.dim, dtype=complex)
         X[lo] = 3.0
-        out = chart_transition(X, 2.0, alg)
+        out = chart_transition(X, 2.0, alg, np.arange(alg.dim))
         assert out[lo] == 3.0 / 2.0  # height -1 slot picks up g^-1
 
     def test_zero_transition_rejected(self, algebra):
         _, alg, _, _ = algebra("A2")
         with pytest.raises(ValueError):
-            chart_transition(np.zeros(alg.dim), 0.0, alg)
+            chart_transition(np.zeros(alg.dim), 0.0, alg, np.arange(alg.dim))
 
     def test_two_chart_field_agreement(self, algebra):
         """Target chart w = 2z. Transporting the source-chart field with
@@ -268,7 +329,7 @@ class TestChartTransition:
         )  # q_i(w) = q_j(w/2) * (1/2)^h
         conn_j = build_toda_connection(omega_j, qj, alg, _TodaData(rs), "higgs")
         conn_i = build_toda_connection(omega_i, qi, alg, _TodaData(rs), "higgs")
-        moved = chart_transition(conn_j.phi, 0.5, alg, form_degree=1)
+        moved = chart_transition(conn_j.phi, 0.5, alg, conn_j.slots, form_degree=1)
         assert np.abs(moved - conn_i.phi).max() < 1e-12
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from affinetoda.grids import DomainGrid, QDifferential, constant_field
-from affinetoda.rootdata import coxeter_number
+from affinetoda.rootdata import coxeter_number, diagram_automorphism
 from affinetoda.todasolver import (
     InitSpec,
     SolverConfig,
@@ -236,18 +236,18 @@ class TestSigmaDefect:
         cfg, data, alg, sl2 = make_config("B2", algebra, init=InitSpec("perturbed", seed=1, amplitude=0.08))
         sol = solve(cfg, data)
         assert sol.converged
-        assert sigma_symmetry_defect(sol.omega, sl2.sigma_mat) < 1e-12
+        assert sigma_symmetry_defect(sol.omega, diagram_automorphism(data.rs).perm) < 1e-12
 
     def test_a2_constant_oracle(self, algebra):
         cfg, data, alg, sl2 = make_config("A2", algebra, init=InitSpec("oracle"))
         sol = solve(cfg, data)
-        assert sigma_symmetry_defect(sol.omega, sl2.sigma_mat) < 1e-10
+        assert sigma_symmetry_defect(sol.omega, diagram_automorphism(data.rs).perm) < 1e-10
 
     def test_a3_perturbed(self, algebra):
         cfg, data, alg, sl2 = make_config("A3", algebra, init=InitSpec("perturbed", seed=5, amplitude=0.1))
         sol = solve(cfg, data)
         assert sol.converged
-        assert sigma_symmetry_defect(sol.omega, sl2.sigma_mat) < 1e-8
+        assert sigma_symmetry_defect(sol.omega, diagram_automorphism(data.rs).perm) < 1e-8
 
 
 class TestUniqueness:
