@@ -192,17 +192,34 @@ class ChevalleyAlgebra:
     def killing(self) -> np.ndarray:
         """Killing form kappa(b_a, b_b) = tr(ad_a ad_b), exact int64.
 
-        With A[a, (u, w)] = c_{a,u,w} = ad_a[w, u] and B[b, (u, w)] = c_{b,w,u},
-        the trace form is the one sparse product A B^T.  Computed on first
+        The trace sums c_{a,u,w} c_{b,w,u} over u, w: the join of the table
+        with its copy whose two input slots are swapped.  Computed on first
         use: only the exact checks read it.
         """
-        from scipy.sparse import csr_matrix
-
         n = self.dim
         i, j, k, c = self._bk_i, self._bk_j, self._bk_k, self._bk_v
-        A = csr_matrix((c, (i, j * n + k)), shape=(n, n * n))
-        B = csr_matrix((c, (i, k * n + j)), shape=(n, n * n))
-        return (A @ B.T).toarray()
+        s, t = _matches(j * n + k, k * n + j)
+        K = np.zeros((n, n), dtype=np.int64)
+        np.add.at(K, (i[s], i[t]), c[s] * c[t])
+        return K
+
+    def generated_slots(self, slots: Sequence[int]) -> np.ndarray:
+        """Mask of the basis slots reached from ``slots`` by iterated brackets:
+        slot k is reached once some [b_i, b_j] with b_i, b_j reached is a
+        single nonzero multiple of b_k, so each reached b_k lies in the
+        subalgebra that the starting basis elements generate."""
+        key = self._bk_i * self.dim + self._bk_j  # the table is sorted by (i, j)
+        single = (np.diff(key, prepend=-1) != 0) & (np.diff(key, append=-1) != 0)
+        single &= self._bk_v != 0
+        i, j, k = self._bk_i[single], self._bk_j[single], self._bk_k[single]
+        reached = np.zeros(self.dim, dtype=bool)
+        reached[list(slots)] = True
+        while True:
+            grown = reached.copy()
+            grown[k[reached[i] & reached[j]]] = True
+            if np.array_equal(grown, reached):
+                return reached
+            reached = grown
 
     # ---- operations ------------------------------------------------------
     def _slot_positions(self, slots: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -244,9 +261,6 @@ class ChevalleyAlgebra:
     def ad(self, X: np.ndarray) -> np.ndarray:
         """ad_X as a dense (dim, dim) matrix, ad(X) @ Y = [X, Y], of X's dtype
         (exact integers for an integer X).
-
-        Dense rather than scipy.sparse: dim <= 248, and importing
-        scipy.sparse would cost every command that builds an sl2.
         """
         if X.shape != (self.dim,):
             raise ValueError("dimension mismatch")
@@ -256,6 +270,16 @@ class ChevalleyAlgebra:
             out, (self._bk_k[terms], self._bk_j[terms]), X[self._bk_i[terms]] * self._bk_v[terms]
         )
         return out
+
+
+def _matches(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """All index pairs (s, t) with a[s] == b[t], as two index arrays."""
+    order = np.argsort(b, kind="stable")
+    lo = np.searchsorted(b[order], a, "left")
+    n = np.searchsorted(b[order], a, "right") - lo
+    s = np.repeat(np.arange(len(a)), n)
+    t = order[np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())]
+    return s, t
 
 
 def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
@@ -314,14 +338,14 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> PrincipalSL2:
 
     hw: List[Optional[np.ndarray]] = [None] * l
     order_slots = sorted(range(l), key=lambda i: ms[i])
-    from scipy.linalg import null_space
-
     for m in sorted(set(ms)):
         slots = [i for i in order_slots if ms[i] == m]
         rows = grades.get(m + 1, [])
         cols = grades[m]
         block = ad_e[np.ix_(rows, cols)] if rows else np.zeros((0, len(cols)))
-        kern = null_space(block) if block.size else np.eye(len(cols))
+        _, sv, vh = np.linalg.svd(block)
+        rank = np.sum(sv > sv.max(initial=0.0) * np.finfo(float).eps * max(block.shape))
+        kern = vh[rank:].T  # the right singular vectors past the numerical rank
         if kern.shape[1] != len(slots):
             raise RuntimeError(
                 f"ad_e kernel at grade {m} has dimension {kern.shape[1]}, expected {len(slots)}"
@@ -489,36 +513,51 @@ def normalize_cyclic(alg: ChevalleyAlgebra, X: np.ndarray) -> Tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 
 
+def _sums_vanish(keys: np.ndarray, vals: np.ndarray) -> bool:
+    """Whether the integer values summed over each distinct key are all zero."""
+    uniq, where = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(uniq), dtype=np.int64)
+    np.add.at(sums, where, vals)
+    return not sums.any()
+
+
 def verify_structure(alg: ChevalleyAlgebra) -> Dict[str, bool]:
     """Exact integer checks: Jacobi identity and ad-invariance of Killing.
 
-    Jacobi is checked in derivation form, ad_a[u,v] = [ad_a u, v] + [u, ad_a v]
-    for every basis element a, via sparse integer matrix identities.
+    The table must be antisymmetric, and for each of the 2l generators
+    x = e_i, f_i, ad_x must be a derivation, [x, [u, v]] = [[x, u], v] +
+    [u, [x, v]], and Killing-skew, kappa([x, u], v) + kappa(u, [x, v]) = 0,
+    on all basis u, v.  That covers all of g: if ad_x is a derivation then
+    ad_[x,y] = [ad_x, ad_y], and derivations and Killing-skew maps each form
+    a subspace of gl(g) closed under the commutator, so the x that pass form
+    a subalgebra.  It holds the generators, whose iterated brackets reach
+    every basis slot (``generated_slots``, also checked), so it is g.
     """
-    from scipy.sparse import csr_matrix, identity, kron
-
-    dim = alg.dim
-    # cmat[u * dim + v, k] = c_{u,v,k}
-    cmat = csr_matrix(
-        (alg._bk_v, (alg._bk_i * dim + alg._bk_j, alg._bk_k)), shape=(dim * dim, dim)
+    n = alg.dim
+    i, j, k, v = alg._bk_i, alg._bk_j, alg._bk_k, alg._bk_v
+    antisymmetric = _sums_vanish(
+        np.concatenate([(i * n + j) * n + k, (j * n + i) * n + k]), np.concatenate([v, v])
     )
-    eye = identity(dim, dtype=np.int64, format="csr")
-    K = csr_matrix(alg.killing)
-    basis = np.eye(dim, dtype=np.int64)
-
-    jacobi_ok = True
-    killing_ok = True
-    for a in range(dim):
-        ad_a = csr_matrix(alg.ad(basis[a]))
-        ad_at = ad_a.T.tocsr()
-        lhs = cmat @ ad_at
-        rhs = kron(ad_at, eye, format="csr") @ cmat + kron(eye, ad_at, format="csr") @ cmat
-        diff = (lhs - rhs)
-        diff.eliminate_zeros()
-        if diff.nnz:
-            jacobi_ok = False
-        kd = ad_at @ K + K @ ad_a
-        kd.eliminate_zeros()
-        if kd.nnz:
-            killing_ok = False
-    return {"jacobi_exact": jacobi_ok, "killing_ad_invariant": killing_ok}
+    simple = [alg.rs.simple_root(a) for a in range(alg.rank)]
+    gens = [alg.root_index(r) for r in simple] + [alg.root_index(_neg(r)) for r in simple]
+    K = alg.killing
+    derivation = skew = True
+    for g in gens:
+        sel = i == g  # ad_x b_col = val b_row
+        row, col, val = k[sel], j[sel], v[sel]
+        ta, sa = _matches(k, col)  # ad_x [u, w]
+        sb, tb = _matches(row, i)  # [ad_x u, w]
+        sc, tc = _matches(row, j)  # [u, ad_x w]
+        u = np.concatenate([i[ta], col[sb], i[tc]])
+        w = np.concatenate([j[ta], j[tb], col[sc]])
+        out = np.concatenate([row[sa], k[tb], k[tc]])
+        coef = np.concatenate([v[ta] * val[sa], -val[sb] * v[tb], -val[sc] * v[tc]])
+        derivation &= _sums_vanish((u * n + w) * n + out, coef)
+        M = np.zeros((n, n), dtype=np.int64)  # ad_x^T K; K ad_x is its transpose
+        np.add.at(M, col, val[:, None] * K[row])
+        skew &= not np.any(M + M.T)
+    spans = bool(alg.generated_slots(gens).all())
+    return {
+        "jacobi_exact": bool(antisymmetric and derivation and spans),
+        "killing_ad_invariant": bool(skew and spans),
+    }

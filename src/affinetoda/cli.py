@@ -26,6 +26,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import chevalley, connection, grids, restriction, rootdata, todasolver
+
 CONVENTIONS = {
     "root_order": "height-then-lex",
     "structure_signs": "extraspecial-positive",
@@ -39,9 +41,7 @@ def _json_out(payload) -> None:
 
 
 def _root_system(name: str):
-    from .rootdata import LieType, build_root_system
-
-    return build_root_system(LieType.parse(name))
+    return rootdata.build_root_system(rootdata.LieType.parse(name))
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +50,13 @@ def _root_system(name: str):
 
 
 def cmd_lie_info(args) -> int:
-    from .rootdata import affine_cartan, coxeter_number, exponents
-
     rs = _root_system(args.type)
-    aff = affine_cartan(rs)
+    aff = rootdata.affine_cartan(rs)
     _json_out(
         {
             "type": str(rs.type),
-            "exponents": exponents(rs),
-            "coxeter_number": coxeter_number(rs),
+            "exponents": rootdata.exponents(rs),
+            "coxeter_number": rootdata.coxeter_number(rs),
             "x_coefficients": [str(c) for c in rs.x_coefficients],
             "marks": list(aff.marks),
             "comarks": list(aff.comarks),
@@ -69,20 +67,11 @@ def cmd_lie_info(args) -> int:
 
 
 def cmd_lie_check(args) -> int:
-    from .chevalley import (
-        build_chevalley,
-        build_principal_sl2,
-        coxeter_element,
-        rho_hat,
-        verify_structure,
-    )
-    from .rootdata import exponents
-
     rs = _root_system(args.type)
-    alg = build_chevalley(rs)
-    sl2 = build_principal_sl2(alg)
-    cox = coxeter_element(alg, sl2)
-    exact = verify_structure(alg)
+    alg = chevalley.build_chevalley(rs)
+    sl2 = chevalley.build_principal_sl2(alg)
+    cox = chevalley.coxeter_element(alg, sl2)
+    exact = chevalley.verify_structure(alg)
     S = sl2.sigma_mat
     checks: Dict[str, Dict] = {}
 
@@ -97,29 +86,23 @@ def cmd_lie_check(args) -> int:
     record("sl2_bracket", float(np.abs(alg.bracket(sl2.e, sl2.etilde) - sl2.x).max()), 1e-12)
     record("sigma_squared", float(np.abs(S @ S - np.eye(alg.dim)).max()), 1e-12)
     X = np.linspace(-1, 1, alg.dim) + 1j * np.linspace(1, 2, alg.dim)
-    record(
-        "sigma_rho_commute",
-        float(np.abs(S @ rho_hat(alg, X) - rho_hat(alg, S @ X)).max()),
-        1e-12,
-    )
-    record("rho_squared", float(np.abs(rho_hat(alg, rho_hat(alg, X)) - X).max()), 1e-12)
+    rho_X, rho_SX = chevalley.rho_hat(alg, X), chevalley.rho_hat(alg, S @ X)
+    record("sigma_rho_commute", float(np.abs(S @ rho_X - rho_SX).max()), 1e-12)
+    record("rho_squared", float(np.abs(chevalley.rho_hat(alg, rho_X) - X).max()), 1e-12)
     record_exact(
         "coxeter_eigenspaces",
         len(cox.eigenspace_indices(0)) == alg.rank
         and len(cox.eigenspace_indices(1)) == alg.rank + 1,
     )
-    record_exact("exponent_dimension", sum(2 * m + 1 for m in exponents(rs)) == alg.dim)
+    record_exact("exponent_dimension", sum(2 * m + 1 for m in rootdata.exponents(rs)) == alg.dim)
     ok = all(c["pass"] for c in checks.values())
     _json_out({"type": str(rs.type), "pass": ok, "checks": checks})
     return 0 if ok else 1
 
 
 def cmd_lie_restrict(args) -> int:
-    from .restriction import restrict
-    from .rootdata import diagram_automorphism
-
     rs = _root_system(args.type)
-    rest = restrict(rs, diagram_automorphism(rs))
+    rest = restriction.restrict(rs, rootdata.diagram_automorphism(rs))
     _json_out(
         {
             "type": str(rs.type),
@@ -199,20 +182,16 @@ def _solver_options(args) -> Dict[str, str]:
 def _solver_setup(opts: Dict[str, str]):
     """The solver's per-type data and config from a run's options: the
     resolved flags of ``toda solve``, or the ``config`` of its manifest."""
-    from .grids import DomainGrid, QDifferential
-    from .rootdata import coxeter_number
-    from .todasolver import InitSpec, SolverConfig, _TodaData
-
-    data = _TodaData(_root_system(opts["type"]))
+    data = todasolver._TodaData(_root_system(opts["type"]))
     nx, ny = _parse_grid(opts["grid"])
     ex, ey = opts["extent"].lower().split("x")
-    cfg = SolverConfig(
-        grid=DomainGrid.make(opts["topology"], nx, ny, (float(ex), float(ey))),
-        q=QDifferential.parse(opts["q"], coxeter_number(data.rs)),
+    cfg = todasolver.SolverConfig(
+        grid=grids.DomainGrid.make(opts["topology"], nx, ny, (float(ex), float(ey))),
+        q=grids.QDifferential.parse(opts["q"], rootdata.coxeter_number(data.rs)),
         tol=float(opts["tol"]),
         max_iter=int(opts["max_iter"]),
         damping=float(opts["damping"]),
-        init=InitSpec.parse(opts["init"]),
+        init=todasolver.InitSpec.parse(opts["init"]),
     )
     return data, cfg
 
@@ -220,36 +199,28 @@ def _solver_setup(opts: Dict[str, str]):
 def _summary(omega, q, alg, data) -> Dict[str, float]:
     """Residual, curvature norm and sigma defect of a field: the numbers
     ``toda solve`` reports and ``toda verify`` recomputes."""
-    from .connection import build_toda_connection, curvature, equivalence_defect
-    from .rootdata import diagram_automorphism
-    from .todasolver import sigma_symmetry_defect
-
-    F = curvature(build_toda_connection(omega, q, alg, data, "toda"), alg)
-    curv, res, _ = equivalence_defect(omega, q, data, F)
+    F = connection.curvature(connection.build_toda_connection(omega, q, alg, data, "toda"), alg)
+    curv, res, _ = connection.equivalence_defect(omega, q, data, F)
+    perm = rootdata.diagram_automorphism(data.rs).perm
     return {
         "residual": res,
         "curvature_norm": curv,
-        "sigma_defect": sigma_symmetry_defect(omega, diagram_automorphism(data.rs).perm),
+        "sigma_defect": todasolver.sigma_symmetry_defect(omega, perm),
     }
 
 
 def cmd_toda_solve(args) -> int:
-    from .chevalley import build_chevalley
-    from .grids import write_field_binary
-    from .todasolver import solve, thread_cap
-
-    thread_cap()  # validate the env var early
     opts = _solver_options(args)
     data, cfg = _solver_setup(opts)
-    alg = build_chevalley(data.rs)
-    sol = solve(cfg, data)
+    alg = chevalley.build_chevalley(data.rs)
+    sol = todasolver.solve(cfg, data)
     summary = {
         "iterations": sol.iterations,
         **_summary(sol.omega, cfg.q, alg, data),
         "converged": bool(sol.converged),
     }
     out = args.out or "omega.bin"
-    write_field_binary(out, sol.omega)
+    grids.write_field_binary(out, sol.omega)
     manifest = {
         "command": "toda solve",
         "config": opts,
@@ -265,13 +236,11 @@ def cmd_toda_solve(args) -> int:
 
 def _reload_run(path: str):
     """Manifest, solver data, config and stored field of a ``toda solve`` run."""
-    from .grids import read_field_binary
-
     with open(path + ".manifest.json") as fh:
         manifest = json.load(fh)
     conf = manifest["config"]
     data, cfg = _solver_setup(conf)
-    omega = read_field_binary(path, cfg.grid)
+    omega = grids.read_field_binary(path, cfg.grid)
     if omega.l != data.rs.rank:
         raise RuntimeError(
             f"{path}: stored field has {omega.l} components, but type {conf['type']} "
@@ -281,10 +250,8 @@ def _reload_run(path: str):
 
 
 def cmd_toda_verify(args) -> int:
-    from .chevalley import build_chevalley
-
     manifest, data, cfg, omega = _reload_run(args.field)
-    now = _summary(omega, cfg.q, build_chevalley(data.rs), data)
+    now = _summary(omega, cfg.q, chevalley.build_chevalley(data.rs), data)
     reported = manifest["summary"]
     drift = {key: abs(val - reported[key]) for key, val in now.items()}
     ok = all(v <= 1e-12 for v in drift.values()) and now["residual"] <= cfg.tol
@@ -298,46 +265,35 @@ def cmd_toda_verify(args) -> int:
 
 
 def cmd_conn_check(args) -> int:
-    from .chevalley import build_chevalley
-    from .connection import (
-        build_toda_connection,
-        char_scale,
-        commutator_defect,
-        conjugate_star,
-        curvature,
-        equivalence_defect,
-        gauge_transform,
-    )
-    from .grids import DomainGrid, QDifferential, constant_field, random_trig_field
-    from .rootdata import coxeter_number, diagram_automorphism
-    from .todasolver import _TodaData
-
     rs = _root_system(args.type)
-    alg = build_chevalley(rs)
-    data = _TodaData(rs)
+    alg = chevalley.build_chevalley(rs)
+    data = todasolver._TodaData(rs)
     n = int(args.grid)
-    grid = DomainGrid.make("torus", n, n)
-    nu = diagram_automorphism(rs)
-    omega = random_trig_field(rs.rank, seed=7, amplitude=0.15).symmetrized(nu.perm).sample(grid)
-    q = QDifferential.parse(args.q, coxeter_number(rs))
+    grid = grids.DomainGrid.make("torus", n, n)
+    nu = rootdata.diagram_automorphism(rs)
+    field = grids.random_trig_field(rs.rank, seed=7, amplitude=0.15).symmetrized(nu.perm)
+    omega = field.sample(grid)
+    q = grids.QDifferential.parse(args.q, rootdata.coxeter_number(rs))
 
-    conn = build_toda_connection(omega, q, alg, data, "toda")
-    F = curvature(conn, alg)
-    star_defect = float(np.abs(conn.psi - conjugate_star(conn, alg)).max())
-    comm_defect = commutator_defect(omega, q, alg, data)
-    fnorm, rnorm, mismatch = equivalence_defect(omega, q, data, F)
+    conn = connection.build_toda_connection(omega, q, alg, data, "toda")
+    F = connection.curvature(conn, alg)
+    star_defect = float(np.abs(conn.psi - connection.conjugate_star(conn, alg)).max())
+    comm_defect = connection.commutator_defect(omega, q, alg, data)
+    fnorm, rnorm, mismatch = connection.equivalence_defect(omega, q, data, F)
     # same continuum field at half resolution: mismatch must shrink ~4x
-    grid2 = DomainGrid.make("torus", n // 2, n // 2)
-    omega2 = random_trig_field(rs.rank, seed=7, amplitude=0.15).symmetrized(nu.perm).sample(grid2)
-    F_half = curvature(build_toda_connection(omega2, q, alg, data, "toda"), alg)
-    _, _, mismatch2 = equivalence_defect(omega2, q, data, F_half)
+    grid2 = grids.DomainGrid.make("torus", n // 2, n // 2)
+    omega2 = field.sample(grid2)
+    conn2 = connection.build_toda_connection(omega2, q, alg, data, "toda")
+    F_half = connection.curvature(conn2, alg)
+    _, _, mismatch2 = connection.equivalence_defect(omega2, q, data, F_half)
     ratio = mismatch2 / mismatch
     rng = np.random.default_rng(13)
     cov = 0.0
     for _ in range(3):
-        H = constant_field(grid, rng.standard_normal(rs.rank) * 0.4)
-        F2 = curvature(gauge_transform(conn, H, alg), alg)
-        cov = max(cov, float(np.abs(F2 - char_scale(alg, F, H.values, conn.slots)).max()))
+        H = grids.constant_field(grid, rng.standard_normal(rs.rank) * 0.4)
+        F2 = connection.curvature(connection.gauge_transform(conn, H, alg), alg)
+        F2_expected = connection.char_scale(alg, F, H.values, conn.slots)
+        cov = max(cov, float(np.abs(F2 - F2_expected).max()))
 
     checks = {
         "psi_equals_phi_star": {"residual": star_defect, "pass": star_defect < 1e-12},
@@ -357,12 +313,10 @@ def cmd_conn_check(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
-    from .todasolver import residual
-
     _, data, cfg, omega = _reload_run(args.field)
     grid = cfg.grid
     av = omega.values @ data.P.T
-    R = residual(data, grid, omega.values, np.abs(cfg.q.sample(grid)) ** 2)
+    R = todasolver.residual(data, grid, omega.values, np.abs(cfg.q.sample(grid)) ** 2)
     rnorm = np.abs(R).max(axis=-1)
     out = args.out or (args.field + ".csv")
     l = data.rs.rank

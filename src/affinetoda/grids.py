@@ -235,7 +235,10 @@ def read_field_binary(path: str, grid: Optional[DomainGrid] = None) -> HFieldGri
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        nx, ny, l = struct.unpack("<III", fh.read(12))
+        header = fh.read(12)
+        if len(header) != 12:
+            raise ValueError(f"{path}: truncated header")
+        nx, ny, l = struct.unpack("<III", header)
         data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != nx * ny * l:
         raise ValueError(f"{path}: truncated payload")

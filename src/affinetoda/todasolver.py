@@ -27,15 +27,20 @@ CG iteration count per Newton step then no longer grows with the grid.
 """
 from __future__ import annotations
 
-import concurrent.futures
-import os
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grids import DomainGrid, HFieldGrid, QDifferential, constant_field, random_trig_field
+from .grids import (
+    DomainGrid,
+    HFieldGrid,
+    QDifferential,
+    constant_field,
+    random_trig_field,
+    read_field_binary,
+)
 from .rootdata import RootSystem, affine_cartan
 
 
@@ -189,10 +194,32 @@ def _initial_field(cfg: SolverConfig, data: _TodaData, q2: np.ndarray) -> HField
         bump = random_trig_field(l, seed=cfg.init.seed, amplitude=cfg.init.amplitude)
         return HFieldGrid(grid, base.values + bump.sample(grid).values)
     if kind == "file":
-        from .grids import read_field_binary
-
-        return read_field_binary(cfg.init.path, grid)
+        field0 = read_field_binary(cfg.init.path, grid)
+        if field0.l != l:
+            raise ValueError(
+                f"{cfg.init.path}: init field has {field0.l} components, but the rank is {l}"
+            )
+        return field0
     raise ValueError(f"unknown init kind {kind!r}")
+
+
+def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
+    """Unnormalized DST-I along ``axis``: minus the imaginary part of the
+    FFT of the odd extension [0, a, 0, -a reversed].  It is its own inverse
+    up to the factor 2 (n + 1)."""
+    n = a.shape[axis]
+    zero = np.zeros_like(np.take(a, [0], axis=axis))
+    ext = np.concatenate([zero, a, zero, -np.flip(a, axis=axis)], axis=axis)
+    return -np.take(np.fft.rfft(ext, axis=axis).imag, np.arange(1, n + 1), axis=axis)
+
+
+def _generalized_eigh(B: np.ndarray, G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """mu, V with B V = G V diag(mu) and V^T G V = I, for symmetric B and
+    positive definite G: G = L L^T reduces the pair to L^-1 B L^-T."""
+    Linv = np.linalg.inv(np.linalg.cholesky(G))
+    C = Linv @ B @ Linv.T
+    mu, W = np.linalg.eigh(0.5 * (C + C.T))
+    return mu, Linv.T @ W
 
 
 def _mean_field_preconditioner(
@@ -206,9 +233,6 @@ def _mean_field_preconditioner(
     where lam_k is the mode's eigenvalue of the five-point -Lap.  Boundary
     slots of a rectangle pass through unchanged.
     """
-    from scipy.fft import dstn, idstn, irfft2, rfft2  # scipy imports are slow: defer them
-    from scipy.linalg import eigh
-
     interior = grid.interior_mask()
     expo, exp0 = data.exponentials(vals[interior], q2[interior])
     dP = data.delta_marks @ data.P  # delta(h_a)
@@ -216,7 +240,7 @@ def _mean_field_preconditioner(
         2 * expo.mean(axis=0)[:, None] * data.P
         + 2 * exp0.mean() * np.outer(data.delta_co, dP)
     )
-    mu, V = eigh(0.5 * (B + B.T), data.G)
+    mu, V = _generalized_eigh(0.5 * (B + B.T), data.G)
 
     if grid.periodic:
         tx = np.pi * np.arange(grid.nx) / grid.nx
@@ -229,11 +253,12 @@ def _mean_field_preconditioner(
 
     def apply(r: np.ndarray) -> np.ndarray:
         if grid.periodic:
-            spec = rfft2(r @ V, axes=(0, 1)) * inv_symbol
-            return irfft2(spec, s=(grid.nx, grid.ny), axes=(0, 1)) @ V.T
+            spec = np.fft.rfft2(r @ V, axes=(0, 1)) * inv_symbol
+            return np.fft.irfft2(spec, s=(grid.nx, grid.ny), axes=(0, 1)) @ V.T
         z = r.copy()
-        spec = dstn(r[1:-1, 1:-1] @ V, type=1, axes=(0, 1)) * inv_symbol
-        z[1:-1, 1:-1] = idstn(spec, type=1, axes=(0, 1)) @ V.T
+        spec = _dst1(_dst1(r[1:-1, 1:-1] @ V, 0), 1) * inv_symbol
+        scale = 4 * (grid.nx - 1) * (grid.ny - 1)
+        z[1:-1, 1:-1] = (_dst1(_dst1(spec, 0), 1) / scale) @ V.T
         return z
 
     return apply
@@ -242,43 +267,33 @@ def _mean_field_preconditioner(
 def _newton_step(
     data: _TodaData, grid: DomainGrid, vals: np.ndarray, q2: np.ndarray, R: np.ndarray
 ) -> Tuple[np.ndarray, int]:
-    """Solve the symmetrized Newton system G J s = -G R by CG with the
-    spectral mean-field preconditioner; boundary slots pass through
-    untouched.  Returns the step and the number of CG iterations."""
-    from scipy.sparse.linalg import LinearOperator, cg
-
-    shape = vals.shape
+    """Solve the symmetrized Newton system G J s = -G R by preconditioned
+    CG from s = 0, stopping when |r| < 1e-12 |G R|, with the spectral
+    mean-field preconditioner; boundary slots pass through untouched.
+    Returns the step and the number of CG iterations."""
     G = data.G
     interior = grid.interior_mask()
-
-    def apply_H(flat: np.ndarray) -> np.ndarray:
-        s = flat.reshape(shape)
-        Js = jacobian_apply(data, grid, vals, q2, s)
-        Hs = Js @ G  # G is symmetric
-        if not grid.periodic:
-            Hs[~interior] = s[~interior]
-        return Hs.ravel()
-
     precond = _mean_field_preconditioner(data, grid, vals, q2)
-    rhs = -(R @ G)
+    r = -(R @ G)
     if not grid.periodic:
-        rhs[~interior] = 0.0
-    n = rhs.size
-    H = LinearOperator((n, n), matvec=apply_H)
-    M = LinearOperator((n, n), matvec=lambda x: precond(x.reshape(shape)).ravel())
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    sol, info = cg(
-        H, rhs.ravel(), rtol=1e-12, atol=0.0, maxiter=40 * max(grid.nx, grid.ny), M=M,
-        callback=count,
-    )
-    if info != 0:
-        raise RuntimeError(f"inner CG did not converge (info={info})")
-    return sol.reshape(shape), iters
+        r[~interior] = 0.0
+    x = np.zeros_like(r)
+    atol = 1e-12 * np.linalg.norm(r.ravel())
+    maxiter = 40 * max(grid.nx, grid.ny)
+    for it in range(maxiter):
+        if np.linalg.norm(r.ravel()) <= atol:
+            return x, it
+        z = precond(r)
+        rho = np.dot(r.ravel(), z.ravel())
+        p = z if it == 0 else z + (rho / rho_prev) * p
+        Hp = jacobian_apply(data, grid, vals, q2, p) @ G  # G is symmetric
+        if not grid.periodic:
+            Hp[~interior] = p[~interior]
+        alpha = rho / np.dot(p.ravel(), Hp.ravel())
+        x += alpha * p
+        r -= alpha * Hp
+        rho_prev = rho
+    raise RuntimeError(f"inner CG did not converge (info={maxiter})")
 
 
 def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
@@ -364,21 +379,15 @@ def uniqueness_probe(
     """Max pairwise distance between converged runs from perturbed starts.
 
     Non-converged runs are excluded; fewer than two converged runs raise
-    RuntimeError, since there is then nothing to compare.  TODA_THREADS
-    (>= 1) caps how many solves run concurrently.
+    RuntimeError, since there is then nothing to compare.
     """
     if len(seeds) < 2:
         raise ValueError("need at least two seeds")
     amp = cfg.init.amplitude if amplitude is None else amplitude
-    configs = [
-        replace(cfg, init=InitSpec("perturbed", seed=s, amplitude=amp)) for s in seeds
+    sols = [
+        solve(replace(cfg, init=InitSpec("perturbed", seed=s, amplitude=amp)), data)
+        for s in seeds
     ]
-    workers = thread_cap()
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            sols = list(pool.map(lambda c: solve(c, data), configs))
-    else:
-        sols = [solve(c, data) for c in configs]
     failed = [seed for seed, s in zip(seeds, sols) if not s.converged]
     fields = [s.omega.values for s in sols if s.converged]
     if len(fields) < 2:
@@ -393,14 +402,3 @@ def uniqueness_probe(
             worst = max(worst, float(np.abs(fields[i] - fields[j]).max()))
     return worst
 
-
-def thread_cap() -> int:
-    """Parallelism cap from TODA_THREADS (integer >= 1, default 1)."""
-    raw = os.environ.get("TODA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"TODA_THREADS must be an integer >= 1, got {raw!r}") from exc
-    if n < 1:
-        raise ValueError(f"TODA_THREADS must be an integer >= 1, got {raw!r}")
-    return n

@@ -26,6 +26,37 @@ def test_structure_exact(name, algebra):
     assert checks["killing_ad_invariant"]
 
 
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_generators_reach_every_slot(name, algebra):
+    """verify_structure checks only the 2l generators e_i, f_i; their
+    iterated brackets reach all of g, and the e_i alone only the positive
+    root slots."""
+    rs, alg, _, _ = algebra(name)
+    simple = [rs.simple_root(i) for i in range(alg.rank)]
+    e = [alg.root_index(r) for r in simple]
+    f = [alg.root_index(tuple(-c for c in r)) for r in simple]
+    assert alg.generated_slots(e + f).all()
+    positive = np.zeros(alg.dim, dtype=bool)
+    positive[alg.rank : alg.rank + alg.num_positive] = True
+    assert np.array_equal(alg.generated_slots(e), positive)
+
+
+def test_verify_structure_needs_the_generated_slots(algebra, monkeypatch):
+    """With the closure step broken (one slot left unreached), the
+    generator checks no longer cover g and both exact checks fail."""
+    _, alg, _, _ = algebra("A2")
+    full = type(alg).generated_slots
+
+    def one_short(self, slots):
+        mask = full(self, slots)
+        mask[-1] = False
+        return mask
+
+    assert verify_structure(alg) == {"jacobi_exact": True, "killing_ad_invariant": True}
+    monkeypatch.setattr(type(alg), "generated_slots", one_short)
+    assert verify_structure(alg) == {"jacobi_exact": False, "killing_ad_invariant": False}
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_bracket_basics(name, algebra, rng):
     rs, alg, _, _ = algebra(name)

@@ -177,22 +177,35 @@ def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch)
     }
 
 
-def test_verify_and_conn_check_import_no_scipy(tmp_path, capsys):
-    """toda verify and conn check need numpy only: importing scipy alone
-    costs about 0.3 s per command."""
-    out_path = str(tmp_path / "omega.bin")
-    code, _, _ = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16x16", "--out", out_path)
-    assert code == 0
+def test_verify_and_conn_check_import_no_scipy(tmp_path):
+    """Every command needs numpy only: one fresh interpreter runs each in
+    turn and reports after each whether scipy has been imported."""
+    torus, rect = str(tmp_path / "torus.bin"), str(tmp_path / "rect.bin")
+    commands = [
+        ["toda", "solve", "--type", "A2", "--grid", "16x16", "--init", "perturbed:1:0.1",
+         "--out", torus],
+        ["toda", "solve", "--type", "A2", "--grid", "16x16", "--init", "perturbed:1:0.1",
+         "--topology", "rectangle", "--out", rect],
+        ["toda", "verify", torus],
+        ["conn", "check", "--type", "A2", "--grid", "16"],
+        ["lie", "check", "A2"],
+        ["lie", "info", "A2"],
+        ["lie", "restrict", "A2"],
+        ["export-plot", rect, "--out", str(tmp_path / "plot.csv")],
+    ]
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from affinetoda.cli import main\n"
-        f"codes = [main(['toda', 'verify', {out_path!r}]),\n"
-        "         main(['conn', 'check', '--type', 'A2', '--grid', '16'])]\n"
-        "print(codes, 'scipy' in sys.modules)\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[:2], code, 'scipy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[0, 0] False"
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(commands)
+    assert all(line.endswith(" 0 False") for line in lines), lines
 
 
 def test_toda_solve_config_file(tmp_path, capsys):
@@ -270,11 +283,25 @@ def test_manifest_contents(tmp_path, capsys):
     assert "summary" in manifest and "config" in manifest
 
 
-def test_bad_threads_env_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TODA_THREADS", "zero")
-    code, _, err = run_cli(capsys, "toda", "solve", "--type", "A1", "--grid", "16x16",
-                           "--out", str(tmp_path / "o.bin"))
+def test_verify_rejects_truncated_header(tmp_path, capsys):
+    out_path = str(tmp_path / "omega.bin")
+    code, _, _ = run_cli(capsys, "toda", "solve", "--type", "A1", "--grid", "16x16", "--out", out_path)
+    assert code == 0
+    with open(out_path, "r+b") as fh:
+        fh.truncate(10)
+    code, _, err = run_cli(capsys, "toda", "verify", out_path)
     assert code == 2
+    assert "truncated header" in err
+
+
+def test_init_file_rank_mismatch_exits_2(tmp_path, capsys):
+    a1_path = str(tmp_path / "a1.bin")
+    code, _, _ = run_cli(capsys, "toda", "solve", "--type", "A1", "--grid", "16x16", "--out", a1_path)
+    assert code == 0
+    code, _, err = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16x16",
+                           "--init", f"file:{a1_path}", "--out", str(tmp_path / "a2.bin"))
+    assert code == 2
+    assert "1 components" in err and "rank is 2" in err
 
 
 def test_module_entry_point():

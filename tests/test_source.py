@@ -50,24 +50,12 @@ def test_only_chevalley_reads_the_structure_table():
     assert found == []
 
 
-def _import_time_nodes(tree):
-    """The nodes that run when a module is imported: all but function bodies."""
-    todo = list(tree.body)
-    while todo:
-        node = todo.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        yield node
-        todo.extend(ast.iter_child_nodes(node))
-
-
-def test_scipy_imports_are_deferred():
-    """Importing scipy costs about 0.3 s, so no package module imports it at
-    module level: each scipy import sits in the function that needs it, and
-    commands that never call one (toda verify, conn check) never pay it."""
+def test_no_scipy_imports():
+    """The package needs numpy only: no module imports scipy, at module
+    level or inside a function (the tests keep scipy as a reference)."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        for node in _import_time_nodes(ast.parse(path.read_text())):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""] if node.level == 0 else []
             elif isinstance(node, ast.Import):

@@ -4,19 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from affinetoda.grids import DomainGrid, QDifferential, constant_field
+from affinetoda.grids import DomainGrid, QDifferential, constant_field, random_trig_field
 from affinetoda.rootdata import coxeter_number, diagram_automorphism
 from affinetoda.todasolver import (
     InitSpec,
     SolverConfig,
     _TodaData,
+    _dst1,
+    _generalized_eigh,
     _mean_field_preconditioner,
+    _newton_step,
     constant_solution,
     jacobian_apply,
     residual,
     sigma_symmetry_defect,
     solve,
-    thread_cap,
     uniqueness_probe,
 )
 
@@ -123,6 +125,72 @@ class TestPreconditioner:
         Hs[~interior] = s[~interior]
         back = _mean_field_preconditioner(data, grid, vals, q2)(Hs)
         assert np.abs(back - s).max() < 1e-10 * np.abs(s).max()
+
+
+class TestScipyReferences:
+    """The solver's numpy FFT, eigen and CG code against scipy's."""
+
+    @pytest.mark.parametrize("shape", [(6, 9, 2), (14, 14, 8)])
+    def test_dst1_matches_scipy(self, shape, rng):
+        from scipy.fft import dstn, idstn
+
+        a = rng.standard_normal(shape)
+        ours = _dst1(_dst1(a, 0), 1)
+        ref = dstn(a, type=1, axes=(0, 1))
+        assert np.abs(ours - ref).max() <= 1e-13 * np.abs(ref).max()
+        inverse = ours / (4 * (shape[0] + 1) * (shape[1] + 1))
+        ref_inverse = idstn(a, type=1, axes=(0, 1))
+        assert np.abs(inverse - ref_inverse).max() <= 1e-13 * np.abs(ref_inverse).max()
+
+    @pytest.mark.parametrize("name", ["A2", "G2", "B8", "E8"])
+    def test_generalized_eigh_matches_scipy(self, name, algebra, rng):
+        from scipy.linalg import eigh
+
+        rs, _, _, _ = algebra(name)
+        G = _TodaData(rs).G
+        X = rng.standard_normal(G.shape)
+        B = X @ X.T + np.eye(len(G))
+        mu, V = _generalized_eigh(B, G)
+        mu_ref, _ = eigh(B, G)
+        assert np.abs(V.T @ G @ V - np.eye(len(G))).max() < 1e-12
+        assert np.abs(B @ V - G @ V * mu).max() < 1e-10 * np.abs(B).max()
+        assert np.abs(mu - mu_ref).max() < 1e-10 * np.abs(mu_ref).max()
+
+    @pytest.mark.parametrize("name, topology", [("A2", "rectangle"), ("E8", "torus")])
+    def test_newton_step_matches_scipy_cg(self, name, topology, algebra):
+        from scipy.sparse.linalg import LinearOperator, cg
+
+        cfg, data, _, _ = make_config(name, algebra, n=16, topology=topology)
+        grid = cfg.grid
+        q2 = np.abs(cfg.q.sample(grid)) ** 2
+        om0, _ = constant_solution(data, 1.0)
+        vals = constant_field(grid, om0).values + random_trig_field(
+            data.rs.rank, seed=3, amplitude=0.1
+        ).sample(grid).values
+        R = residual(data, grid, vals, q2)
+        step, iters = _newton_step(data, grid, vals, q2, R)
+
+        shape, interior = vals.shape, grid.interior_mask()
+
+        def apply_H(flat):
+            s = flat.reshape(shape)
+            Hs = jacobian_apply(data, grid, vals, q2, s) @ data.G
+            Hs[~interior] = s[~interior]
+            return Hs.ravel()
+
+        precond = _mean_field_preconditioner(data, grid, vals, q2)
+        rhs = -(R @ data.G)
+        rhs[~interior] = 0.0
+        n = rhs.size
+        H = LinearOperator((n, n), matvec=apply_H)
+        M = LinearOperator((n, n), matvec=lambda x: precond(x.reshape(shape)).ravel())
+        counted = []
+        ref, info = cg(
+            H, rhs.ravel(), rtol=1e-12, atol=0.0, maxiter=40 * 16, M=M, callback=counted.append
+        )
+        assert info == 0
+        assert iters == len(counted) > 0
+        assert np.abs(step - ref.reshape(shape)).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSolve:
@@ -271,19 +339,6 @@ class TestUniqueness:
         cfg, data, alg, sl2 = make_config("A1", algebra)
         with pytest.raises(ValueError):
             uniqueness_probe(cfg, [1], data)
-
-    def test_thread_cap_env(self, monkeypatch, algebra):
-        monkeypatch.setenv("TODA_THREADS", "2")
-        assert thread_cap() == 2
-        cfg, data, alg, sl2 = make_config("A1", algebra, n=16, init=InitSpec("perturbed", amplitude=0.05))
-        worst = uniqueness_probe(cfg, [21, 22], data)
-        assert worst < 1e-8
-        monkeypatch.setenv("TODA_THREADS", "0")
-        with pytest.raises(ValueError):
-            thread_cap()
-        monkeypatch.setenv("TODA_THREADS", "soup")
-        with pytest.raises(ValueError):
-            thread_cap()
 
 
 def test_config_validation(algebra):
