@@ -236,10 +236,12 @@ class ChevalleyAlgebra:
         X, Y and the result hold coefficients over the basis slots
         ``slots``, or over all ``dim`` slots when it is None.  Only table
         terms whose left slot is in the support of X and whose right slot is
-        in the support of Y are formed, in table order, so memory and time
-        scale with the supports rather than with the whole table.  A formed
-        term whose output slot is not in ``slots`` raises RuntimeError: the
-        closure of the support under the bracket is checked, not assumed.
+        in the support of Y are formed, so time scales with the supports
+        rather than with the whole table.  Each formed term is added into its
+        output slot in table order, one at a time: working memory is the
+        output plus one term's worth of points.  A formed term whose output
+        slot is not in ``slots`` raises RuntimeError: the closure of the
+        support under the bracket is checked, not assumed.
         """
         full, pos = self._slot_positions(slots)
         n = len(full)
@@ -255,7 +257,8 @@ class ChevalleyAlgebra:
         i, j, k = (pos[t[terms]] for t in (self._bk_i, self._bk_j, self._bk_k))
         if np.any(k < 0):
             raise RuntimeError("the bracket leaves the given slots")
-        np.add.at(Z, (..., k), X[..., i] * Y[..., j] * self._bk_v[terms])
+        for a, b, c, v in zip(i, j, k, self._bk_v[terms]):
+            Z[..., c] += X[..., a] * Y[..., b] * v
         return Z
 
     def ad(self, X: np.ndarray) -> np.ndarray:

@@ -269,6 +269,8 @@ def cmd_conn_check(args) -> int:
     alg = chevalley.build_chevalley(rs)
     data = todasolver._TodaData(rs)
     n = int(args.grid)
+    if n < 16:
+        raise ValueError(f"conn check needs --grid at least 16: it also runs at n // 2 = {n // 2}")
     grid = grids.DomainGrid.make("torus", n, n)
     nu = rootdata.diagram_automorphism(rs)
     field = grids.random_trig_field(rs.rank, seed=7, amplitude=0.15).symmetrized(nu.perm)

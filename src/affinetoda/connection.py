@@ -156,7 +156,9 @@ def curvature(conn: ConnectionData, alg: ChevalleyAlgebra) -> np.ndarray:
     grid = conn.grid
     az = conn.A_z + conn.phi
     azbar = conn.A_zbar + conn.psi
-    F = grid.d_dz(azbar) - grid.d_dzbar(az) + alg.bracket(az, azbar, conn.slots)
+    F = grid.d_dz(azbar)
+    F -= grid.d_dzbar(az)
+    F += alg.bracket(az, azbar, conn.slots)
     return F
 
 

@@ -24,6 +24,9 @@ on tori, DST-I on the interior of rectangles), and a generalized
 eigenbasis of the pair (B, G) diagonalizes the l x l block of every mode
 at once, so one application costs two transforms and a division.  The
 CG iteration count per Newton step then no longer grows with the grid.
+CG's inner products are numpy sums rather than BLAS dots, which may split
+a long vector across threads: a solve's bits do not depend on the BLAS
+thread count.
 """
 from __future__ import annotations
 
@@ -264,6 +267,12 @@ def _mean_field_preconditioner(
     return apply
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of a * b over every entry, by numpy's own summation and not by a
+    BLAS dot, whose bits depend on the thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
 def _newton_step(
     data: _TodaData, grid: DomainGrid, vals: np.ndarray, q2: np.ndarray, R: np.ndarray
 ) -> Tuple[np.ndarray, int]:
@@ -278,18 +287,18 @@ def _newton_step(
     if not grid.periodic:
         r[~interior] = 0.0
     x = np.zeros_like(r)
-    atol = 1e-12 * np.linalg.norm(r.ravel())
+    atol = 1e-12 * np.sqrt(_dot(r, r))
     maxiter = 40 * max(grid.nx, grid.ny)
     for it in range(maxiter):
-        if np.linalg.norm(r.ravel()) <= atol:
+        if np.sqrt(_dot(r, r)) <= atol:
             return x, it
         z = precond(r)
-        rho = np.dot(r.ravel(), z.ravel())
+        rho = _dot(r, z)
         p = z if it == 0 else z + (rho / rho_prev) * p
         Hp = jacobian_apply(data, grid, vals, q2, p) @ G  # G is symmetric
         if not grid.periodic:
             Hp[~interior] = p[~interior]
-        alpha = rho / np.dot(p.ravel(), Hp.ravel())
+        alpha = rho / _dot(p, Hp)
         x += alpha * p
         r -= alpha * Hp
         rho_prev = rho
@@ -300,8 +309,9 @@ def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
     """Damped Newton iteration with Armijo backtracking on |R|^2.
 
     Deterministic for a fixed config (seeded perturbations, fixed-order
-    reductions).  Divergence (no residual progress over a patience window)
-    yields a non-converged Solution; NaN raises.
+    reductions), whatever the BLAS thread count.  Divergence (no residual
+    progress over a patience window) yields a non-converged Solution; NaN
+    raises.
     """
     grid = cfg.grid
     q2 = np.abs(cfg.q.sample(grid)) ** 2

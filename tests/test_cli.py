@@ -263,6 +263,31 @@ def test_conn_check_a2(capsys):
     assert data["checks"]["zero_curvature_equivalence"]["pass"] is True
 
 
+@pytest.mark.parametrize("n", ["8", "15"])
+def test_conn_check_grid_below_16_exits_2(capsys, n):
+    """The check also runs at n // 2, which must itself be a valid grid."""
+    code, _, err = run_cli(capsys, "conn", "check", "--type", "A2", "--grid", n)
+    assert code == 2
+    assert "at least 16" in err and "n // 2" in err
+
+
+def test_solve_bits_do_not_depend_on_blas_threads(tmp_path):
+    """The CG inner products are numpy sums, not threaded BLAS dots, so one
+    and two BLAS threads write byte-identical fields."""
+    fields = []
+    for threads in ("1", "2"):
+        out_path = str(tmp_path / f"omega{threads}.bin")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "affinetoda", "toda", "solve", "--type", "A2",
+             "--grid", "80x80", "--init", "perturbed:1:0.2", "--out", out_path],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fields.append(open(out_path, "rb").read())
+    assert fields[0] == fields[1]
+
+
 def test_export_plot(tmp_path, capsys):
     out_path = str(tmp_path / "omega.bin")
     run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16x16", "--out", out_path)

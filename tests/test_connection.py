@@ -1,4 +1,6 @@
 """Connection layer: gauges, curvature, residuals, chart transitions, I/O."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,25 @@ def test_slot_bracket_is_the_dense_bracket(name, algebra):
     az, azbar = conn.A_z + conn.phi, conn.A_zbar + conn.psi
     dense = alg.bracket(scatter(alg, conn.slots, az), scatter(alg, conn.slots, azbar))
     assert np.array_equal(scatter(alg, conn.slots, alg.bracket(az, azbar, conn.slots)), dense)
+
+
+def test_slot_bracket_working_memory(algebra):
+    """The bracket adds its terms into the output one at a time: beyond the
+    output it holds only points-sized products, never a (points, terms)
+    array of them."""
+    rs, alg, _, _ = algebra("A2")
+    _, omega = make_omega("A2", algebra, n=64)
+    q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    az, azbar = conn.A_z + conn.phi, conn.A_zbar + conn.psi
+    tracemalloc.start()
+    try:
+        out = alg.bracket(az, azbar, conn.slots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == az.shape
+    assert peak <= 2 * out.nbytes, (peak, out.nbytes)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "E8"])

@@ -65,3 +65,17 @@ def test_no_scipy_imports():
             if any(name.split(".")[0] == "scipy" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_solver_calls_no_blas_reductions():
+    """The solver's inner products are numpy sums: a BLAS dot or norm may
+    split a long vector across threads, and the solve's bits would then
+    depend on the thread count.  l x l linear algebra (``solve``,
+    ``cholesky``, ``eigh``) is not a reduction over the field and stays."""
+    banned = {"np.dot", "np.vdot", "np.inner", "np.linalg.norm"}
+    found = [
+        f"todasolver.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "todasolver.py").read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in banned
+    ]
+    assert found == []
