@@ -230,34 +230,47 @@ class ChevalleyAlgebra:
         pos[full] = np.arange(len(full))
         return full, pos
 
+    def bracket_terms(
+        self, x_supp: np.ndarray, y_supp: np.ndarray, slots: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The table terms a bracket forms, as (i, j, k, c) in table order.
+
+        x_supp and y_supp are boolean masks over the basis slots ``slots``
+        (all ``dim`` slots when it is None): the slots on which X and Y are
+        nonzero.  A term is formed when its left slot is in x_supp and its
+        right slot in y_supp; [X, Y] has sum_t X_i[t] Y_j[t] c[t] on slot
+        k[t], with i, j, k positions among ``slots``.  A formed term whose
+        output slot is not in ``slots`` raises RuntimeError: the closure of
+        the support under the bracket is checked, not assumed.
+        """
+        full, pos = self._slot_positions(slots)
+        x_mask = np.zeros(self.dim, dtype=bool)
+        y_mask = np.zeros(self.dim, dtype=bool)
+        x_mask[full] = x_supp
+        y_mask[full] = y_supp
+        terms = np.flatnonzero(x_mask[self._bk_i] & y_mask[self._bk_j])
+        i, j, k = (pos[t[terms]] for t in (self._bk_i, self._bk_j, self._bk_k))
+        if np.any(k < 0):
+            raise RuntimeError("the bracket leaves the given slots")
+        return i, j, k, self._bk_v[terms]
+
     def bracket(self, X: np.ndarray, Y: np.ndarray, slots: Optional[np.ndarray] = None) -> np.ndarray:
         """Bilinear bracket of coefficient vectors (supports leading axes).
 
         X, Y and the result hold coefficients over the basis slots
-        ``slots``, or over all ``dim`` slots when it is None.  Only table
-        terms whose left slot is in the support of X and whose right slot is
-        in the support of Y are formed, so time scales with the supports
-        rather than with the whole table.  Each formed term is added into its
-        output slot in table order, one at a time: working memory is the
-        output plus one term's worth of points.  A formed term whose output
-        slot is not in ``slots`` raises RuntimeError: the closure of the
-        support under the bracket is checked, not assumed.
+        ``slots``, or over all ``dim`` slots when it is None.  Only the
+        ``bracket_terms`` of the supports of X and Y are formed, so time
+        scales with the supports rather than with the whole table.  Each
+        formed term is added into its output slot in table order, one at a
+        time: working memory is the output plus one term's worth of points.
         """
-        full, pos = self._slot_positions(slots)
-        n = len(full)
+        n = self.dim if slots is None else len(slots)
         if X.shape[-1] != n or Y.shape[-1] != n:
             raise ValueError("dimension mismatch")
         out_shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (n,)
         Z = np.zeros(out_shape, dtype=complex)
-        x_supp = np.zeros(self.dim, dtype=bool)
-        y_supp = np.zeros(self.dim, dtype=bool)
-        x_supp[full] = X.reshape(-1, n).any(axis=0)
-        y_supp[full] = Y.reshape(-1, n).any(axis=0)
-        terms = np.flatnonzero(x_supp[self._bk_i] & y_supp[self._bk_j])
-        i, j, k = (pos[t[terms]] for t in (self._bk_i, self._bk_j, self._bk_k))
-        if np.any(k < 0):
-            raise RuntimeError("the bracket leaves the given slots")
-        for a, b, c, v in zip(i, j, k, self._bk_v[terms]):
+        terms = self.bracket_terms(X.reshape(-1, n).any(axis=0), Y.reshape(-1, n).any(axis=0), slots)
+        for a, b, c, v in zip(*terms):
             Z[..., c] += X[..., a] * Y[..., b] * v
         return Z
 

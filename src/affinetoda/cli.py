@@ -22,11 +22,13 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from . import chevalley, connection, grids, restriction, rootdata, todasolver
+
+T = TypeVar("T")
 
 CONVENTIONS = {
     "root_order": "height-then-lex",
@@ -119,13 +121,16 @@ def cmd_lie_restrict(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_grid(text: str) -> Tuple[int, int]:
+def _parse_pair(text: str, what: str, kind: Callable[[str], T]) -> Tuple[T, T]:
+    """The pair of a --grid or --extent value: ``AxB`` is (A, B) and ``A``
+    is (A, A)."""
     parts = text.lower().split("x")
-    if len(parts) == 1:
-        return int(parts[0]), int(parts[0])
-    if len(parts) == 2:
-        return int(parts[0]), int(parts[1])
-    raise ValueError(f"cannot parse grid {text!r}")
+    if len(parts) <= 2:
+        try:
+            return kind(parts[0]), kind(parts[-1])
+        except ValueError:
+            pass
+    raise ValueError(f"cannot parse {what} {text!r}")
 
 
 def _load_config_file(path: str) -> Dict[str, str]:
@@ -183,10 +188,11 @@ def _solver_setup(opts: Dict[str, str]):
     """The solver's per-type data and config from a run's options: the
     resolved flags of ``toda solve``, or the ``config`` of its manifest."""
     data = todasolver._TodaData(_root_system(opts["type"]))
-    nx, ny = _parse_grid(opts["grid"])
-    ex, ey = opts["extent"].lower().split("x")
+    nx, ny = _parse_pair(opts["grid"], "grid", int)
     cfg = todasolver.SolverConfig(
-        grid=grids.DomainGrid.make(opts["topology"], nx, ny, (float(ex), float(ey))),
+        grid=grids.DomainGrid.make(
+            opts["topology"], nx, ny, _parse_pair(opts["extent"], "extent", float)
+        ),
         q=grids.QDifferential.parse(opts["q"], rootdata.coxeter_number(data.rs)),
         tol=float(opts["tol"]),
         max_iter=int(opts["max_iter"]),
@@ -198,13 +204,16 @@ def _solver_setup(opts: Dict[str, str]):
 
 def _summary(omega, q, alg, data) -> Dict[str, float]:
     """Residual, curvature norm and sigma defect of a field: the numbers
-    ``toda solve`` reports and ``toda verify`` recomputes."""
-    F = connection.curvature(connection.build_toda_connection(omega, q, alg, data, "toda"), alg)
-    curv, res, _ = connection.equivalence_defect(omega, q, data, F)
+    ``toda solve`` reports and ``toda verify`` recomputes.  The norms are
+    those of ``connection.equivalence_defect``; the curvature is reduced to
+    its norm column by column and never held whole."""
+    grid = omega.grid
+    R = todasolver.residual(data, grid, omega.values, np.abs(q.sample(grid)) ** 2)
+    conn = connection.build_toda_connection(omega, q, alg, data, "toda")
     perm = rootdata.diagram_automorphism(data.rs).perm
     return {
-        "residual": res,
-        "curvature_norm": curv,
+        "residual": grid.max_norm(np.abs(R).max(axis=-1)),
+        "curvature_norm": connection.curvature_norm(conn, alg),
         "sigma_defect": todasolver.sigma_symmetry_defect(omega, perm),
     }
 
@@ -410,7 +419,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,14 +17,19 @@ character exp(s * beta(Omega)) and is never computed through a series.
 Every array is kept over the 3l+2 basis slots of a Toda connection, not over
 all of g: the l Cartan slots, the +-simple root slots and the +-highest root
 slots (26 of E8's 248).  The connection, its field parts and the Cartan
-gauge action live there by construction.  The curvature does too, because
-the bracket of A_z + Phi (Cartan, -alpha_i, theta) with A_zbar + Psi
-(Cartan, +alpha_j, -theta) never leaves them.  The Cartan scales each slot;
-alpha_j - alpha_i (i != j) is not a root, as the difference of two simple
-roots never is; theta + alpha_j is not a root, as theta is the highest, and
-so neither is its negative -alpha_i - theta; the pairs beta, -beta land on
-the Cartan.  ``ChevalleyAlgebra.bracket`` checks that closure on every call
-rather than assuming it.
+gauge action live there by construction; the Cartan-valued A_z and A_zbar
+are kept as their l Cartan coefficients only.  The curvature lives there
+too, because the bracket of A_z + Phi (Cartan, -alpha_i, theta) with
+A_zbar + Psi (Cartan, +alpha_j, -theta) never leaves them.  The Cartan scales
+each slot; alpha_j - alpha_i (i != j) is not a root, as the difference of two
+simple roots never is; theta + alpha_j is not a root, as theta is the
+highest, and so neither is its negative -alpha_i - theta; the pairs beta,
+-beta land on the Cartan.  ``ChevalleyAlgebra.bracket_terms`` checks that
+closure on every call rather than assuming it.
+
+The curvature is formed one slot column at a time (``_curvature_columns``):
+``curvature`` fills a dense F from those columns, and ``curvature_norm``
+reduces them to the norm as they come, so it never holds F.
 """
 from __future__ import annotations
 
@@ -55,7 +60,7 @@ def char_scale(
     """Ad of exp(H) for Cartan-valued H on coefficients over ``slots``: root
     slots scale by exp(beta(H))."""
     chars = np.einsum("...a,da->...d", np.asarray(H, dtype=complex), alg.characters[slots])
-    return values * np.exp(chars)
+    return values * np.exp(chars, out=chars)
 
 
 def embed_cartan(coeffs: np.ndarray, n: int) -> np.ndarray:
@@ -68,16 +73,17 @@ def embed_cartan(coeffs: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass
 class ConnectionData:
-    """Grids of connection and field coefficients in a declared gauge, over
+    """Grids of connection and field coefficients in a declared gauge: the
+    Cartan-valued A_z, A_zbar over the l simple coroots, the fields over
     the basis slots ``slots`` (sorted, Cartan slots first)."""
 
     gauge: str  # "toda" | "higgs" | "custom"
     grid: DomainGrid
     omega: HFieldGrid
     slots: np.ndarray
-    A_z: np.ndarray  # (nx, ny, len(slots)) complex
+    A_z: np.ndarray  # (nx, ny, l) complex
     A_zbar: np.ndarray
-    phi: np.ndarray
+    phi: np.ndarray  # (nx, ny, len(slots)) complex
     psi: np.ndarray
 
 
@@ -96,8 +102,8 @@ def build_toda_connection(
                  Phi = E-, Psi = Ad_{exp(2 Omega)} E+,
     where E- carries sqrt(r_i) on the lowered simple slots and q on the
     raised highest-root slot, and E+ is its mirror with qbar; the r_i are
-    the solver's reality constants ``data.r``.  Everything lives on
-    ``_toda_slots(alg)``.
+    the solver's reality constants ``data.r``.  Phi and Psi live on
+    ``_toda_slots(alg)`` and are written only on their l+1 nonzero slots.
     """
     if gauge not in ("toda", "higgs"):
         raise ValueError(f"unknown gauge {gauge!r}")
@@ -108,28 +114,31 @@ def build_toda_connection(
     if not np.all(np.isfinite(vals)):
         raise ValueError("field contains non-finite values")
     slots = _toda_slots(alg)
-    n = len(slots)
+    A_z, A_zbar = grid.wirtinger(vals.astype(complex))  # Omega_z, Omega_zbar
+    if gauge == "toda":
+        np.negative(A_z, out=A_z)
+    else:
+        A_z *= -2
+        A_zbar = np.zeros_like(A_z)
+
+    # E- on the lowered simple roots, then q on the highest root; E+ on
+    # their negatives, with qbar
     raised = [alg.root_index(alg.rs.simple_root(i)) for i in range(alg.rank)]
+    lo = np.append(alg.negation[raised], alg.highest_root_index)
+    hi = alg.negation[lo]
+    ilo, ihi = np.searchsorted(slots, lo), np.searchsorted(slots, hi)
     sqrt_r = np.sqrt(data.r)
     qv = q.sample(grid)
-    eminus = np.zeros((grid.nx, grid.ny, n), dtype=complex)
-    eplus = np.zeros_like(eminus)
-    eminus[..., np.searchsorted(slots, alg.negation[raised])] = sqrt_r
-    eplus[..., np.searchsorted(slots, raised)] = sqrt_r
-    eminus[..., np.searchsorted(slots, alg.highest_root_index)] = qv
-    eplus[..., np.searchsorted(slots, alg.lowest_root_index)] = np.conj(qv)
-
-    om_z = grid.d_dz(vals.astype(complex))
+    phi = np.zeros((grid.nx, grid.ny, len(slots)), dtype=complex)
+    psi = np.zeros_like(phi)
+    phi[..., ilo[:-1]] = psi[..., ihi[:-1]] = sqrt_r
+    phi[..., ilo[-1]] = qv
+    psi[..., ihi[-1]] = np.conj(qv)
     if gauge == "toda":
-        A_z = embed_cartan(-om_z, n)
-        A_zbar = embed_cartan(grid.d_dzbar(vals.astype(complex)), n)
-        phi = char_scale(alg, eminus, -vals, slots)
-        psi = char_scale(alg, eplus, +vals, slots)
+        phi[..., ilo] = char_scale(alg, phi[..., ilo], -vals, lo)
+        psi[..., ihi] = char_scale(alg, psi[..., ihi], +vals, hi)
     else:
-        A_z = embed_cartan(-2 * om_z, n)
-        A_zbar = np.zeros_like(A_z)
-        phi = eminus
-        psi = char_scale(alg, eplus, 2 * vals, slots)
+        psi[..., ihi] = char_scale(alg, psi[..., ihi], 2 * vals, hi)
     return ConnectionData(
         gauge=gauge, grid=grid, omega=omega, slots=slots,
         A_z=A_z, A_zbar=A_zbar, phi=phi, psi=psi,
@@ -150,16 +159,49 @@ def conjugate_star(conn: ConnectionData, alg: ChevalleyAlgebra) -> np.ndarray:
     raise ValueError("star is defined only in the toda and higgs gauges")
 
 
+def _curvature_columns(conn: ConnectionData, alg: ChevalleyAlgebra):
+    """Yield (p, F[..., p]) for each slot position p in turn: the curvature
+    of ``curvature`` one column at a time, by the same operations in the
+    same order, in the working memory of the connection plus a few columns.
+    """
+    grid = conn.grid
+    l, n = conn.A_z.shape[-1], len(conn.slots)
+    # columns of A_z + Phi and A_zbar + Psi; off the Cartan they are views
+    az = [conn.A_z[..., p] + conn.phi[..., p] for p in range(l)]
+    az += [conn.phi[..., p] for p in range(l, n)]
+    azbar = [conn.A_zbar[..., p] + conn.psi[..., p] for p in range(l)]
+    azbar += [conn.psi[..., p] for p in range(l, n)]
+    i, j, k, c = alg.bracket_terms(
+        [col.any() for col in az], [col.any() for col in azbar], conn.slots
+    )
+    for p in range(n):
+        F = grid.d_dz(azbar[p])
+        F -= grid.d_dzbar(az[p])
+        Z = np.zeros(F.shape, dtype=complex)
+        for t in np.flatnonzero(k == p):  # in table order, as in ``bracket``
+            Z += az[i[t]] * azbar[j[t]] * c[t]
+        F += Z
+        yield p, F
+
+
 def curvature(conn: ConnectionData, alg: ChevalleyAlgebra) -> np.ndarray:
     """Discrete curvature over ``conn.slots``, coefficient of dz ^ dzbar,
-    O(dx^2) accurate."""
-    grid = conn.grid
-    az = conn.A_z + conn.phi
-    azbar = conn.A_zbar + conn.psi
-    F = grid.d_dz(azbar)
-    F -= grid.d_dzbar(az)
-    F += alg.bracket(az, azbar, conn.slots)
+    O(dx^2) accurate: d_dz(A_zbar + Psi) - d_dzbar(A_z + Phi) plus their
+    bracket."""
+    F = np.empty(conn.phi.shape, dtype=complex)
+    for p, col in _curvature_columns(conn, alg):
+        F[..., p] = col
     return F
+
+
+def curvature_norm(conn: ConnectionData, alg: ChevalleyAlgebra) -> float:
+    """The curvature norm ``equivalence_defect`` reports, max over nodes of
+    max over slots |F|, without holding F: each column is reduced as it
+    is formed."""
+    node = np.zeros((conn.grid.nx, conn.grid.ny))
+    for _, col in _curvature_columns(conn, alg):
+        np.maximum(node, np.abs(col), out=node)
+    return conn.grid.max_norm(node)
 
 
 def gauge_transform(conn: ConnectionData, H: HFieldGrid, alg: ChevalleyAlgebra) -> ConnectionData:
@@ -171,11 +213,9 @@ def gauge_transform(conn: ConnectionData, H: HFieldGrid, alg: ChevalleyAlgebra) 
     """
     grid = conn.grid
     hv = H.values
-    Hz = grid.d_dz(hv.astype(complex))
-    Hzbar = grid.d_dzbar(hv.astype(complex))
-    n = len(conn.slots)
-    A_z = conn.A_z - embed_cartan(Hz, n)
-    A_zbar = conn.A_zbar - embed_cartan(Hzbar, n)
+    Hz, Hzbar = grid.wirtinger(hv.astype(complex))
+    A_z = conn.A_z - Hz
+    A_zbar = conn.A_zbar - Hzbar
     phi = char_scale(alg, conn.phi, hv, conn.slots)
     psi = char_scale(alg, conn.psi, hv, conn.slots)
     if not np.any(hv):

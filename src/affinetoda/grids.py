@@ -29,8 +29,8 @@ class DomainGrid:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.nx < 8 or self.ny < 8:
             raise ValueError("grid must be at least 8x8")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ValueError("grid spacings must be positive")
+        if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):  # NaN fails too
+            raise ValueError("grid spacings must be positive and finite")
 
     @staticmethod
     def make(topology: str, nx: int, ny: int, extent: Tuple[float, float] = (1.0, 1.0)) -> "DomainGrid":
@@ -75,6 +75,12 @@ class DomainGrid:
 
     def d_dzbar(self, F: np.ndarray) -> np.ndarray:
         return 0.5 * (self.d_dx(F) + 1j * self.d_dy(F))
+
+    def wirtinger(self, F: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(d_dz F, d_dzbar F) from one d_dx and one d_dy of F, with the
+        values of ``d_dz`` and ``d_dzbar``."""
+        fx, fy = self.d_dx(F), self.d_dy(F)
+        return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
     def laplacian(self, F: np.ndarray) -> np.ndarray:
         """Five-point Laplacian; on a rectangle the boundary ring is garbage

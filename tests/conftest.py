@@ -3,6 +3,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from affinetoda.chevalley import build_chevalley, build_principal_sl2, coxeter_element
+from affinetoda.connection import embed_cartan
 from affinetoda.rootdata import LieType, build_root_system
 from affinetoda.todasolver import _TodaData, residual
 
@@ -39,6 +40,13 @@ def scatter(alg, slots, values):
     out = np.zeros(values.shape[:-1] + (alg.dim,), dtype=complex)
     out[..., slots] = values
     return out
+
+
+def connection_parts(conn):
+    """(A_z + Phi, A_zbar + Psi) of a connection over its slots; A_z and
+    A_zbar are kept as their Cartan coefficients only."""
+    n = len(conn.slots)
+    return embed_cartan(conn.A_z, n) + conn.phi, embed_cartan(conn.A_zbar, n) + conn.psi
 
 
 _AD_CACHE = {}

@@ -288,6 +288,46 @@ def test_solve_bits_do_not_depend_on_blas_threads(tmp_path):
     assert fields[0] == fields[1]
 
 
+def test_non_finite_solve_exits_1(tmp_path, capsys):
+    """A solve whose residual overflows is a failure (exit 1), not a crash."""
+    code, _, err = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16x16",
+                           "--init", "perturbed:1:200", "--out", str(tmp_path / "omega.bin"))
+    assert code == 1
+    assert "error: residual became non-finite" in err
+
+
+def test_single_extent_means_square(tmp_path, capsys):
+    """--extent L means LxL, as --grid N means NxN."""
+    fields = []
+    for extent in ("2", "2x2"):
+        out_path = str(tmp_path / f"omega{extent}.bin")
+        code, _, _ = run_cli(capsys, "toda", "solve", "--type", "A1", "--grid", "16",
+                             "--topology", "rectangle", "--extent", extent,
+                             "--init", "perturbed:1:0.1", "--out", out_path)
+        assert code == 0
+        fields.append(open(out_path, "rb").read())
+    assert fields[0] == fields[1]
+    code, out, _ = run_cli(capsys, "toda", "verify", str(tmp_path / "omega2.bin"))
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+@pytest.mark.parametrize("extent", ["nan", "inf", "1xnan", "0", "-1x1"])
+def test_extent_must_be_positive_and_finite(extent, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "toda", "solve", "--type", "A1", f"--extent={extent}",
+                           "--out", str(tmp_path / "omega.bin"))
+    assert code == 2
+    assert "grid spacings must be positive and finite" in err
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--extent"])
+@pytest.mark.parametrize("text", ["1x2x3", "x", "abc", "2xy"])
+def test_malformed_pair_exits_2(flag, text, tmp_path, capsys):
+    code, _, err = run_cli(capsys, "toda", "solve", "--type", "A1", flag, text,
+                           "--out", str(tmp_path / "omega.bin"))
+    assert code == 2
+    assert f"cannot parse {flag[2:]} {text!r}" in err
+
+
 def test_export_plot(tmp_path, capsys):
     out_path = str(tmp_path / "omega.bin")
     run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16x16", "--out", out_path)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from affinetoda.cli import _summary
 from affinetoda.connection import (
     build_toda_connection,
     char_scale,
@@ -26,7 +27,7 @@ from affinetoda.grids import (
 )
 from affinetoda.rootdata import coxeter_number, diagram_automorphism
 from affinetoda.todasolver import _TodaData
-from conftest import elliptic_residual, reference_bracket, scatter
+from conftest import connection_parts, elliptic_residual, reference_bracket, scatter
 
 
 def make_omega(name, algebra, seed=3, amplitude=0.15, n=16, topology="torus"):
@@ -193,14 +194,68 @@ def test_slot_curvature_matches_dense_reference(name, topology, algebra):
     conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
     assert len(conn.slots) == (3 if name == "A1" else 3 * rs.rank + 2)
     assert list(conn.slots[: rs.rank]) == list(range(rs.rank))
-    az = scatter(alg, conn.slots, conn.A_z + conn.phi)
-    azbar = scatter(alg, conn.slots, conn.A_zbar + conn.psi)
+    az, azbar = (scatter(alg, conn.slots, part) for part in connection_parts(conn))
     ref = grid.d_dz(azbar) - grid.d_dzbar(az) + reference_bracket(alg, az, azbar)
     off = np.ones(alg.dim, dtype=bool)
     off[conn.slots] = False
     assert not np.any(ref[..., off])
     got = scatter(alg, conn.slots, curvature(conn, alg))
     assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "G2", "E8"])
+@pytest.mark.parametrize("topology", ["torus", "rectangle"])
+@pytest.mark.parametrize("moved", [False, True])
+def test_column_curvature_is_the_dense_formula(name, topology, moved, algebra):
+    """The curvature formed one slot column at a time equals, bit for bit,
+    the dense formula over all slots, in the Toda gauge and after a gauge
+    transformation."""
+    rs, alg, _, _ = algebra(name)
+    grid, omega = make_omega(name, algebra, topology=topology)
+    q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
+    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    if moved:
+        H = random_trig_field(rs.rank, seed=5, amplitude=0.2).sample(grid)
+        conn = gauge_transform(conn, H, alg)
+    az, azbar = connection_parts(conn)
+    dense = grid.d_dz(azbar) - grid.d_dzbar(az) + alg.bracket(az, azbar, conn.slots)
+    assert np.array_equal(curvature(conn, alg), dense)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "G2", "E8"])
+@pytest.mark.parametrize("topology", ["torus", "rectangle"])
+def test_summary_norms_are_the_equivalence_norms(name, topology, algebra):
+    """The solve/verify summary reduces the curvature column by column to
+    the same norms that ``equivalence_defect`` takes of the whole of F."""
+    rs, alg, _, _ = algebra(name)
+    _, omega = make_omega(name, algebra, topology=topology)
+    q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
+    data = _TodaData(rs)
+    F = curvature(build_toda_connection(omega, q, alg, data, "toda"), alg)
+    curv, res, _ = equivalence_defect(omega, q, data, F)
+    summary = _summary(omega, q, alg, data)
+    assert summary["curvature_norm"] == curv
+    assert summary["residual"] == res
+
+
+@pytest.mark.parametrize("topology", ["torus", "rectangle"])
+def test_summary_working_memory(topology, algebra):
+    """The summary never holds the curvature or the full parts A_z + Phi,
+    A_zbar + Psi: beyond the connection (A_z and A_zbar on the Cartan
+    only) it keeps a few slot columns."""
+    rs, alg, _, _ = algebra("A2")
+    _, omega = make_omega("A2", algebra, n=64, topology=topology)
+    q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
+    data = _TodaData(rs)
+    _summary(omega, q, alg, data)  # per-type caches
+    tracemalloc.start()
+    try:
+        _summary(omega, q, alg, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one = 64 * 64 * (3 * rs.rank + 2) * 16  # one (points, slots) complex array
+    assert peak <= 5.5 * one, peak / one
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "G2", "E8"])
@@ -211,7 +266,7 @@ def test_slot_bracket_is_the_dense_bracket(name, algebra):
     grid, omega = make_omega(name, algebra, n=8)
     q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
     conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
-    az, azbar = conn.A_z + conn.phi, conn.A_zbar + conn.psi
+    az, azbar = connection_parts(conn)
     dense = alg.bracket(scatter(alg, conn.slots, az), scatter(alg, conn.slots, azbar))
     assert np.array_equal(scatter(alg, conn.slots, alg.bracket(az, azbar, conn.slots)), dense)
 
@@ -224,7 +279,7 @@ def test_slot_bracket_working_memory(algebra):
     _, omega = make_omega("A2", algebra, n=64)
     q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
     conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
-    az, azbar = conn.A_z + conn.phi, conn.A_zbar + conn.psi
+    az, azbar = connection_parts(conn)
     tracemalloc.start()
     try:
         out = alg.bracket(az, azbar, conn.slots)
@@ -243,7 +298,7 @@ def test_slot_bracket_checks_closure(name, algebra):
     grid, omega = make_omega(name, algebra, n=8)
     q = QDifferential.constant(1.0, coxeter_number(rs))
     conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
-    az, azbar = conn.A_z + conn.phi, conn.A_zbar + conn.psi
+    az, azbar = connection_parts(conn)
     # [e_-alpha_1, e_alpha_1] lands on h_1, the first slot
     keep = np.arange(1, len(conn.slots))
     with pytest.raises(RuntimeError, match="leaves the given slots"):
