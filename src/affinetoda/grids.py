@@ -7,6 +7,7 @@ ring there.
 """
 from __future__ import annotations
 
+import random
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
@@ -47,10 +48,6 @@ class DomainGrid:
         x = np.arange(self.nx) * self.dx
         y = np.arange(self.ny) * self.dy
         return np.meshgrid(x, y, indexing="ij")
-
-    def z(self) -> np.ndarray:
-        X, Y = self.xy()
-        return X + 1j * Y
 
     def interior_mask(self) -> np.ndarray:
         m = np.ones((self.nx, self.ny), dtype=bool)
@@ -150,7 +147,8 @@ class QDifferential:
     def sample(self, grid: DomainGrid) -> np.ndarray:
         if self.kind == "const":
             return np.full((grid.nx, grid.ny), self.coeffs[0], dtype=complex)
-        z = grid.z()
+        X, Y = grid.xy()
+        z = X + 1j * Y
         out = np.zeros_like(z, dtype=complex)
         for c in reversed(self.coeffs):  # Horner
             out = out * z + c
@@ -185,20 +183,14 @@ class TrigField:
     Ly: float
 
     def sample(self, grid: DomainGrid) -> HFieldGrid:
-        l, nkx, _ = self.coeffs.shape
-        K = (nkx - 1) // 2
-        X, Y = grid.xy()
-        out = np.zeros((grid.nx, grid.ny, l))
-        for a in range(l):
-            for ikx in range(nkx):
-                for iky in range(nkx):
-                    c = self.coeffs[a, ikx, iky]
-                    if c == 0:
-                        continue
-                    kx, ky = ikx - K, iky - K
-                    phase = 2 * np.pi * (kx * X / self.Lx + ky * Y / self.Ly)
-                    out[..., a] += (c * np.exp(1j * phase)).real
-        return HFieldGrid(grid, out)
+        """Re(e_x C_a e_y^T) per component a, with the 1-D mode tables
+        e_x[ix, kx] = exp(2 pi i kx x / Lx) and e_y likewise."""
+        K = (self.coeffs.shape[1] - 1) // 2
+        k = np.arange(-K, K + 1)
+        ex = np.exp(2j * np.pi * np.outer(np.arange(grid.nx) * grid.dx / self.Lx, k))
+        ey = np.exp(2j * np.pi * np.outer(np.arange(grid.ny) * grid.dy / self.Ly, k))
+        vals = (ex @ self.coeffs @ ey.T).real  # (l, nx, ny)
+        return HFieldGrid(grid, np.ascontiguousarray(vals.transpose(1, 2, 0)))
 
     def symmetrized(self, perm: Sequence[int]) -> "TrigField":
         """Average with the component permutation (for diagram symmetry)."""
@@ -213,11 +205,15 @@ def random_trig_field(
     kmax: int = 2,
     extent: Tuple[float, float] = (1.0, 1.0),
 ) -> TrigField:
-    rng = np.random.default_rng(seed)
+    """Mode amplitudes amplitude * (g_re + 1j g_im) / (2n), n = 2 kmax + 1,
+    from unit normals of ``random.Random(seed).gauss``: first the l n^2 real
+    parts, then the imaginary parts, each in C order over (a, kx, ky)."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    rng = random.Random(seed)
     n = 2 * kmax + 1
-    coeffs = amplitude * (
-        rng.standard_normal((l, n, n)) + 1j * rng.standard_normal((l, n, n))
-    ) / (2 * n)
+    g = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * l * n * n)]).reshape(2, l, n, n)
+    coeffs = amplitude * (g[0] + 1j * g[1]) / (2 * n)
     return TrigField(coeffs, extent[0], extent[1])
 
 

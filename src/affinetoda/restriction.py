@@ -15,6 +15,7 @@ member).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
@@ -152,13 +153,9 @@ def _twisted_chain_gcm(n: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(row) for row in M)
 
 
-_CATALOG: List[Tuple[str, Tuple[Tuple[int, ...], ...]]] = []
-
-
-def affine_catalog() -> List[Tuple[str, Tuple[Tuple[int, ...], ...]]]:
-    if _CATALOG:
-        return _CATALOG
-    entries = _CATALOG
+@functools.lru_cache(maxsize=None)
+def affine_catalog(size: int) -> Tuple[Tuple[str, Tuple[Tuple[int, ...], ...]], ...]:
+    """The catalog entries with ``size`` nodes, in catalog order."""
     names = (
         [f"A{n}" for n in range(1, 9)]
         + [f"B{n}" for n in range(3, 9)]
@@ -166,12 +163,13 @@ def affine_catalog() -> List[Tuple[str, Tuple[Tuple[int, ...], ...]]]:
         + [f"D{n}" for n in range(4, 9)]
         + ["E6", "E7", "E8", "F4", "G2"]
     )
+    entries = []
     for name in names:
-        aff = affine_cartan(build_root_system(LieType.parse(name)))
-        entries.append((aff.kac_label, aff.gcm))
-    for n in range(1, 5):
-        entries.append((f"A{2*n}(2)", _twisted_chain_gcm(n)))
-    return entries
+        if int(name[1:]) == size - 1:  # an extended diagram has rank + 1 nodes
+            aff = affine_cartan(build_root_system(LieType.parse(name)))
+            entries.append((aff.kac_label, aff.gcm))
+    entries += [(f"A{2*n}(2)", _twisted_chain_gcm(n)) for n in range(1, 5) if n == size - 1]
+    return tuple(entries)
 
 
 def gcm_permutation_equivalent(
@@ -225,7 +223,7 @@ def classify_affine(rest: RestrictedSystem) -> str:
         if rest.gcm != affine_cartan(rest.base).gcm:
             raise RuntimeError(f"{base}: trivial folding changed the affine matrix")
         return f"{base.family}{base.rank}(1)"
-    for label, gcm in affine_catalog():
+    for label, gcm in affine_catalog(len(rest.gcm)):
         if gcm_permutation_equivalent(rest.gcm, gcm):
             return label
     raise ValueError(

@@ -61,6 +61,8 @@ class InitSpec:
         if parts[0] in ("zero", "oracle") and len(parts) == 1:
             return InitSpec(parts[0])
         if parts[0] == "perturbed" and len(parts) == 3:
+            if int(parts[1]) < 0:
+                raise ValueError(f"init specification {text!r} has a negative seed")
             return InitSpec("perturbed", seed=int(parts[1]), amplitude=float(parts[2]))
         if parts[0] == "file" and len(parts) >= 2:
             return InitSpec("file", path=":".join(parts[1:]))
@@ -325,7 +327,8 @@ def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
     converged = False
     it = 0
     for it in range(cfg.max_iter):
-        R = residual(data, grid, vals, q2)
+        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+            R = residual(data, grid, vals, q2)
         if not np.all(np.isfinite(R)):
             raise FloatingPointError("residual became non-finite")
         res_inf = grid.max_norm(np.abs(R).max(axis=-1))

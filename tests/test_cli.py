@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from affinetoda.cli import main
+from conftest import ALL_TYPES
 
 
 def run_cli(capsys, *argv):
@@ -158,7 +160,7 @@ def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch)
         ),
         "verify": ("toda", "verify", out_path),
         "export-plot": ("export-plot", out_path),
-        "conn check": ("conn", "check", "--type", "A2", "--grid", "16"),
+        "conn check": ("conn", "check", "--type", "A2", "--grid", "24"),
     }
     for label, argv in commands.items():
         counts.clear()
@@ -178,8 +180,9 @@ def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch)
 
 
 def test_verify_and_conn_check_import_no_scipy(tmp_path):
-    """Every command needs numpy only: one fresh interpreter runs each in
-    turn and reports after each whether scipy has been imported."""
+    """Every command needs numpy only, and no command draws from
+    ``numpy.random``: one fresh interpreter runs each in turn and reports
+    after each whether scipy or ``numpy.random`` has been imported."""
     torus, rect = str(tmp_path / "torus.bin"), str(tmp_path / "rect.bin")
     commands = [
         ["toda", "solve", "--type", "A2", "--grid", "16x16", "--init", "perturbed:1:0.1",
@@ -187,7 +190,7 @@ def test_verify_and_conn_check_import_no_scipy(tmp_path):
         ["toda", "solve", "--type", "A2", "--grid", "16x16", "--init", "perturbed:1:0.1",
          "--topology", "rectangle", "--out", rect],
         ["toda", "verify", torus],
-        ["conn", "check", "--type", "A2", "--grid", "16"],
+        ["conn", "check", "--type", "A2", "--grid", "24"],
         ["lie", "check", "A2"],
         ["lie", "info", "A2"],
         ["lie", "restrict", "A2"],
@@ -199,13 +202,13 @@ def test_verify_and_conn_check_import_no_scipy(tmp_path):
         f"for argv in {commands!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        code = main(argv)\n"
-        "    print(argv[:2], code, 'scipy' in sys.modules)\n"
+        "    print(argv[:2], code, 'scipy' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == len(commands)
-    assert all(line.endswith(" 0 False") for line in lines), lines
+    assert all(line.endswith(" 0 False False") for line in lines), lines
 
 
 def test_toda_solve_config_file(tmp_path, capsys):
@@ -263,12 +266,20 @@ def test_conn_check_a2(capsys):
     assert data["checks"]["zero_curvature_equivalence"]["pass"] is True
 
 
-@pytest.mark.parametrize("n", ["8", "15"])
-def test_conn_check_grid_below_16_exits_2(capsys, n):
-    """The check also runs at n // 2, which must itself be a valid grid."""
+@pytest.mark.parametrize("n", ["8", "15", "23"])
+def test_conn_check_grid_below_24_exits_2(capsys, n):
+    """The refinement check compares n with n // 2, and on coarser grids the
+    mismatch ratio is pre-asymptotic: it would fail correct code."""
     code, _, err = run_cli(capsys, "conn", "check", "--type", "A2", "--grid", n)
     assert code == 2
-    assert "at least 16" in err and "n // 2" in err
+    assert "at least 24" in err and "n // 2" in err and "pre-asymptotic" in err
+
+
+@pytest.mark.parametrize("lie_type", ALL_TYPES)
+def test_conn_check_passes_at_the_minimum_grid(capsys, lie_type):
+    code, out, _ = run_cli(capsys, "conn", "check", "--type", lie_type, "--grid", "24")
+    assert code == 0, out
+    assert json.loads(out)["pass"] is True
 
 
 def test_solve_bits_do_not_depend_on_blas_threads(tmp_path):
@@ -289,11 +300,15 @@ def test_solve_bits_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_non_finite_solve_exits_1(tmp_path, capsys):
-    """A solve whose residual overflows is a failure (exit 1), not a crash."""
-    code, _, err = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16x16",
-                           "--init", "perturbed:1:200", "--out", str(tmp_path / "omega.bin"))
+    """A solve whose residual overflows is a failure (exit 1), not a crash,
+    and numpy's overflow warning is not printed on top of the error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16x16",
+                               "--init", "perturbed:1:200", "--out", str(tmp_path / "omega.bin"))
     assert code == 1
     assert "error: residual became non-finite" in err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_single_extent_means_square(tmp_path, capsys):

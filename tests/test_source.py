@@ -79,3 +79,25 @@ def test_solver_calls_no_blas_reductions():
         if isinstance(node, ast.Call) and ast.unparse(node.func) in banned
     ]
     assert found == []
+
+
+def test_no_numpy_random():
+    """No command draws from ``numpy.random``, whose import costs several MB
+    of RSS: seeded draws come from the stdlib ``random`` (the tests may keep
+    using ``numpy.random``)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+                if names == ["numpy"]:
+                    names = [f"numpy.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            if any(name.startswith(("numpy.random", "np.random")) for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

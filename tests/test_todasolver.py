@@ -193,6 +193,49 @@ class TestScipyReferences:
         assert np.abs(step - ref.reshape(shape)).max() <= 1e-12 * np.abs(ref).max()
 
 
+class TestTrigField:
+    def test_draw_is_pinned(self):
+        """The first coefficients of seed 0: a change to the stream of
+        ``random.Random`` or to the draw order shows up here."""
+        field = random_trig_field(2, seed=0)
+        assert field.coeffs.shape == (2, 5, 5)
+        np.testing.assert_array_equal(
+            field.coeffs[0, 0, :3],
+            [
+                0.09417154046806644 + 0.03575000483644121j,
+                -0.139657810470115 - 0.10298048045363971j,
+                -0.0679714448078421 + 0.07685090969541893j,
+            ],
+        )
+        assert field.coeffs[1, 4, 4] == 0.26116075272560474 - 0.07513264535331379j
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            random_trig_field(2, seed=-1)
+
+    @pytest.mark.parametrize(
+        "grid, extent",
+        [
+            (DomainGrid.make("torus", 16, 16), (1.0, 1.0)),
+            (DomainGrid.make("rectangle", 24, 10, (2.0, 0.7)), (2.0, 0.7)),
+        ],
+        ids=["torus", "rectangle"],
+    )
+    def test_separable_sample_is_the_mode_sum(self, grid, extent):
+        field = random_trig_field(3, seed=5, amplitude=0.7, kmax=3, extent=extent)
+        X, Y = grid.xy()
+        K = 3
+        direct = np.zeros((grid.nx, grid.ny, 3))
+        for a in range(3):
+            for ikx in range(2 * K + 1):
+                for iky in range(2 * K + 1):
+                    phase = 2 * np.pi * ((ikx - K) * X / extent[0] + (iky - K) * Y / extent[1])
+                    direct[..., a] += (field.coeffs[a, ikx, iky] * np.exp(1j * phase)).real
+        sampled = field.sample(grid).values
+        assert sampled.flags.c_contiguous
+        assert np.abs(sampled - direct).max() < 1e-14
+
+
 class TestSolve:
     def test_oracle_init_converges_immediately(self, algebra):
         cfg, data, alg, sl2 = make_config("A2", algebra, init=InitSpec("oracle"))
@@ -351,4 +394,6 @@ def test_config_validation(algebra):
     with pytest.raises(ValueError):
         InitSpec.parse("perturbed:oops")
     assert InitSpec.parse("perturbed:3:0.2") == InitSpec("perturbed", seed=3, amplitude=0.2)
+    with pytest.raises(ValueError, match="'perturbed:-1:0.1' has a negative seed"):
+        InitSpec.parse("perturbed:-1:0.1")
     assert InitSpec.parse("file:/tmp/x.bin").path == "/tmp/x.bin"
