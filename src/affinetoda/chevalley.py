@@ -53,7 +53,7 @@ class ChevalleyAlgebra:
         # negation[d] = slot of -beta for the root beta of slot d; identity on the Cartan
         self.negation = np.concatenate([np.arange(l), np.arange(R) + l + R, np.arange(R) + l])
         # characters[d, a] = beta(h_a) for the root beta of slot d; zero rows on the Cartan
-        self.characters = roots @ rs.simple_characters
+        self.characters = roots @ np.array(rs.simple_characters, dtype=np.int64)
 
         self._build_structure_table(roots[l:])
 
@@ -350,7 +350,7 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> PrincipalSL2:
         et[alg.root_index(_neg(rs.simple_root(i)))] = sq
 
     grades = _grade_indices(alg)
-    ad_e = np.real(alg.ad(e))
+    ad_e = alg.ad(e.real)  # e, et and the hw vectors are real: no complex (dim, dim) matrices
 
     hw: List[Optional[np.ndarray]] = [None] * l
     order_slots = sorted(range(l), key=lambda i: ms[i])
@@ -395,10 +395,10 @@ def _build_sigma(alg, grades, ms, hw, et) -> np.ndarray:
     matrix; an entry that moves by more than 1e-9 is an error.
     """
     l = alg.rank
-    ad_et = alg.ad(et)
+    ad_et = alg.ad(et.real)
     towers: List[List[np.ndarray]] = []
     for i in range(l):
-        tower = [hw[i]]
+        tower = [hw[i].real]
         for _ in range(2 * ms[i]):
             nxt = ad_et @ tower[-1]
             nxt = nxt / np.max(np.abs(nxt))
@@ -412,7 +412,7 @@ def _build_sigma(alg, grades, ms, hw, et) -> np.ndarray:
         for i in range(l):
             k = ms[i] - m
             if 0 <= k <= 2 * ms[i]:
-                cols.append(np.real(towers[i][k][idxs]))
+                cols.append(towers[i][k][idxs])
                 signs.append(-1.0 if (k + 1) % 2 else 1.0)
         B = np.stack(cols, axis=1)
         if B.shape[0] != B.shape[1]:

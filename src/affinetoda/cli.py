@@ -11,6 +11,9 @@ Subcommand groups::
     affinetoda export-plot <field.bin>    per-node CSV for external plotting
 
 Exit codes: 0 success, 1 verification/convergence failure, 2 usage error.
+At module level this file imports only the stdlib and ``rootdata``; each
+command imports the numeric modules it uses, so ``lie info`` and ``lie
+restrict`` never load numpy.
 Every solver output file is accompanied by a JSON manifest
 (<output>.manifest.json) that records the config, the convention tags and
 the reported residuals; ``toda verify`` recomputes them from the stored
@@ -21,13 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
-import numpy as np
-
-from . import chevalley, connection, grids, restriction, rootdata, todasolver
+from . import rootdata
 
 T = TypeVar("T")
 
@@ -70,6 +70,10 @@ def cmd_lie_info(args) -> int:
 
 
 def cmd_lie_check(args) -> int:
+    import numpy as np
+
+    from . import chevalley
+
     rs = _root_system(args.type)
     alg = chevalley.build_chevalley(rs)
     sl2 = chevalley.build_principal_sl2(alg)
@@ -104,6 +108,8 @@ def cmd_lie_check(args) -> int:
 
 
 def cmd_lie_restrict(args) -> int:
+    from . import restriction
+
     rs = _root_system(args.type)
     rest = restriction.restrict(rs, rootdata.diagram_automorphism(rs))
     _json_out(
@@ -188,6 +194,8 @@ def _solver_options(args) -> Dict[str, str]:
 def _solver_setup(opts: Dict[str, str]):
     """The solver's per-type data and config from a run's options: the
     resolved flags of ``toda solve``, or the ``config`` of its manifest."""
+    from . import grids, todasolver
+
     data = todasolver._TodaData(_root_system(opts["type"]))
     nx, ny = _parse_pair(opts["grid"], "grid", int)
     cfg = todasolver.SolverConfig(
@@ -208,6 +216,10 @@ def _summary(omega, q, alg, data) -> Dict[str, float]:
     ``toda solve`` reports and ``toda verify`` recomputes.  The norms are
     those of ``connection.equivalence_defect``; the curvature is reduced to
     its norm column by column and never held whole."""
+    import numpy as np
+
+    from . import connection, todasolver
+
     grid = omega.grid
     R = todasolver.residual(data, grid, omega.values, np.abs(q.sample(grid)) ** 2)
     conn = connection.build_toda_connection(omega, q, alg, data, "toda")
@@ -220,6 +232,8 @@ def _summary(omega, q, alg, data) -> Dict[str, float]:
 
 
 def cmd_toda_solve(args) -> int:
+    from . import chevalley, grids, todasolver
+
     opts = _solver_options(args)
     data, cfg = _solver_setup(opts)
     alg = chevalley.build_chevalley(data.rs)
@@ -246,6 +260,8 @@ def cmd_toda_solve(args) -> int:
 
 def _reload_run(path: str):
     """Manifest, solver data, config and stored field of a ``toda solve`` run."""
+    from . import grids
+
     with open(path + ".manifest.json") as fh:
         manifest = json.load(fh)
     conf = manifest["config"]
@@ -260,6 +276,8 @@ def _reload_run(path: str):
 
 
 def cmd_toda_verify(args) -> int:
+    from . import chevalley
+
     manifest, data, cfg, omega = _reload_run(args.field)
     now = _summary(omega, cfg.q, chevalley.build_chevalley(data.rs), data)
     reported = manifest["summary"]
@@ -275,6 +293,12 @@ def cmd_toda_verify(args) -> int:
 
 
 def cmd_conn_check(args) -> int:
+    import random
+
+    import numpy as np
+
+    from . import chevalley, connection, grids, todasolver
+
     rs = _root_system(args.type)
     alg = chevalley.build_chevalley(rs)
     data = todasolver._TodaData(rs)
@@ -326,6 +350,10 @@ def cmd_conn_check(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
+    import numpy as np
+
+    from . import todasolver
+
     _, data, cfg, omega = _reload_run(args.field)
     grid = cfg.grid
     av = omega.values @ data.P.T

@@ -18,11 +18,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import numpy as np
-
-from .grids import HFieldGrid, QDifferential
 from .rootdata import (
     DiagramAutomorphism,
     LieType,
@@ -30,6 +27,11 @@ from .rootdata import (
     affine_cartan,
     build_root_system,
 )
+
+if TYPE_CHECKING:  # the folded field equation needs numpy; the folding itself does not
+    import numpy as np
+
+    from .grids import HFieldGrid, QDifferential
 
 Vec = Tuple[Fraction, ...]
 
@@ -238,6 +240,8 @@ def classify_affine(rest: RestrictedSystem) -> str:
 
 
 def symmetry_defect(rest: RestrictedSystem, omega: HFieldGrid) -> float:
+    import numpy as np
+
     perm = list(rest.nu.perm)
     return float(np.abs(omega.values - omega.values[..., perm]).max())
 
@@ -250,12 +254,14 @@ def restricted_toda_residual(
     Agrees with the unfolded residual to roundoff; the field must take
     values in the fixed subspace (defect above 1e-12 is an error).
     """
+    import numpy as np
+
     if symmetry_defect(rest, omega) > 1e-12:
         raise ValueError("field is not fixed by the diagram symmetry")
     rs = rest.base
     grid = omega.grid
     vals = omega.values
-    P = rs.simple_characters
+    P = np.array(rs.simple_characters, dtype=float)
 
     def functional(vec: Vec) -> np.ndarray:
         # beta(h_a) row vector; the projected coordinates are halves, exact in floats

@@ -26,8 +26,6 @@ from functools import cached_property
 from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 Root = Tuple[int, ...]
 
 _RANK_BOUNDS = {
@@ -163,13 +161,13 @@ class RootSystem:
         return sum(beta[j] * self.cartan_matrix[i][j] for j in range(self.rank))
 
     @property
-    def simple_characters(self) -> np.ndarray:
-        """Integer (l, l) matrix P with P[i, a] = alpha_i(h_a).
+    def simple_characters(self) -> Tuple[Tuple[int, ...], ...]:
+        """Integer (l, l) matrix P, as rows, with P[i][a] = alpha_i(h_a).
 
         It is the transpose of the Cartan matrix, so beta(h_a) = (beta @ P)[a]
         for any beta in simple-root coordinates.
         """
-        return np.array(self.cartan_matrix, dtype=np.int64).T
+        return tuple(zip(*self.cartan_matrix))
 
     def dot(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         """Inner product of two h* vectors given in simple-root coordinates."""

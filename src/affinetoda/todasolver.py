@@ -79,8 +79,10 @@ class SolverConfig:
     init: InitSpec = field(default_factory=InitSpec)
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < float("inf"):  # a NaN or infinite tol would pass any residual
+            raise ValueError(f"tol must be positive and finite, not {self.tol}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be non-negative, not {self.max_iter}")
         if not (0 < self.damping <= 1):
             raise ValueError("damping must lie in (0, 1]")
 
@@ -108,7 +110,7 @@ class _TodaData:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self.P = rs.simple_characters.astype(float)  # P[i, a] = alpha_i(h_a)
+        self.P = np.array(rs.simple_characters, dtype=float)  # P[i, a] = alpha_i(h_a)
         self.r = np.array([float(c) for c in rs.x_coefficients])
         self.delta_marks = np.array(rs.highest_root, dtype=float)
         self.delta_co = np.array(rs.coroot(rs.highest_root), dtype=float)

@@ -211,6 +211,67 @@ def test_verify_and_conn_check_import_no_scipy(tmp_path):
     assert all(line.endswith(" 0 False False") for line in lines), lines
 
 
+# Run in a fresh interpreter: the affinetoda submodules loaded by ``import
+# affinetoda``, then the command's exit code and every module loaded by then.
+_IMPORT_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "import affinetoda\n"
+    "package = sorted(m for m in sys.modules if m.startswith('affinetoda.'))\n"
+    "from affinetoda.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(json.dumps({'package': package, 'code': code, 'modules': sorted(sys.modules)}))\n"
+)
+
+
+def _modules_after(*argv):
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["code"] == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["info", "restrict"])
+def test_exact_lie_commands_load_no_numpy(command):
+    """lie info and lie restrict compute with integers and Fractions only,
+    and importing the package loads none of its submodules."""
+    out = _modules_after("lie", command, "E6")
+    assert out["package"] == []
+    assert "numpy" not in out["modules"]
+
+
+def test_lie_check_loads_no_solver_grid_or_connection():
+    out = _modules_after("lie", "check", "A2")
+    assert "numpy" in out["modules"] and "affinetoda.chevalley" in out["modules"]
+    loaded = {m.rsplit(".", 1)[-1] for m in out["modules"] if m.startswith("affinetoda.")}
+    assert loaded.isdisjoint({"grids", "todasolver", "connection", "restriction"}), loaded
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_exits_2(tol, tmp_path, capsys):
+    """An infinite tol would pass any residual, and toda verify after it."""
+    code, out, err = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16",
+                             "--init", "perturbed:1:0.5", "--tol", tol,
+                             "--out", str(tmp_path / "omega.bin"))
+    assert code == 2
+    assert "tol must be positive and finite" in err
+    assert out == "" and not (tmp_path / "omega.bin").exists()
+
+
+def test_negative_max_iter_exits_2_and_zero_is_valid(tmp_path, capsys):
+    out_path = str(tmp_path / "omega.bin")
+    code, _, err = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16",
+                           "--max-iter", "-2", "--out", out_path)
+    assert code == 2
+    assert "max_iter must be non-negative" in err
+    code, out, _ = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16",
+                           "--max-iter", "0", "--out", out_path)
+    assert code == 0
+    assert json.loads(out)["iterations"] == 0
+
+
 def test_toda_solve_config_file(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("type=A1\ngrid=16x16\nq=const:1.0\ninit=oracle\n")

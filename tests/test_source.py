@@ -1,6 +1,9 @@
 """Source-level rules for the package."""
 import ast
+import importlib
 import pathlib
+
+import pytest
 
 import affinetoda
 
@@ -101,3 +104,87 @@ def test_no_numpy_random():
             if any(name.startswith(("numpy.random", "np.random")) for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# Every public name the package exported while its __init__ imported all
+# modules eagerly, by home module.
+PUBLIC_NAMES = {
+    "chevalley": (
+        "ChevalleyAlgebra", "CoxeterElement", "PrincipalSL2", "build_chevalley",
+        "build_principal_sl2", "coxeter_element", "is_cyclic_g1", "lambda_hat",
+        "normalize_cyclic", "rho_hat", "verify_structure",
+    ),
+    "connection": (
+        "ConnectionData", "build_toda_connection", "chart_transition", "curvature",
+        "gauge_transform",
+    ),
+    "grids": ("DomainGrid", "HFieldGrid", "QDifferential"),
+    "restriction": ("RestrictedSystem", "classify_affine", "restrict", "restricted_toda_residual"),
+    "rootdata": (
+        "AffineCartanData", "DiagramAutomorphism", "LieType", "RootSystem", "affine_cartan",
+        "build_root_system", "coxeter_number", "diagram_automorphism", "exponents",
+    ),
+    "todasolver": (
+        "InitSpec", "Solution", "SolverConfig", "constant_solution", "sigma_symmetry_defect",
+        "solve", "uniqueness_probe",
+    ),
+}
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
+def test_lazy_package_keeps_every_public_name(module):
+    home = importlib.import_module(f"affinetoda.{module}")
+    assert getattr(affinetoda, module) is home
+    for name in PUBLIC_NAMES[module]:
+        assert getattr(affinetoda, name) is getattr(home, name), name
+        assert name in affinetoda.__all__ and name in dir(affinetoda), name
+    assert affinetoda.__version__ == "0.1.0"
+    with pytest.raises(AttributeError):
+        affinetoda.no_such_name
+
+
+def _load_time_imports(path):
+    """Modules imported when ``path`` is loaded, by name: the top-level
+    package of an absolute import, the package module of a relative one.
+    Imports inside functions and ``if TYPE_CHECKING:`` blocks do not run at
+    load time and are skipped."""
+    found = set()
+    stack = [ast.parse(path.read_text())]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            stack += node.orelse
+            continue
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+        stack += ast.iter_child_nodes(node)
+    return found
+
+
+NUMERIC_MODULES = {"numpy", "chevalley", "connection", "grids", "restriction", "todasolver"}
+
+
+def test_load_time_imports_reads_both_import_forms():
+    assert {"numpy", "rootdata"} <= _load_time_imports(SRC / "chevalley.py")
+    assert {"numpy", "grids", "rootdata"} <= _load_time_imports(SRC / "todasolver.py")
+
+
+@pytest.mark.parametrize("module", ["rootdata", "restriction"])
+def test_exact_layer_imports_no_numpy_at_load_time(module):
+    """Root data and the folding are exact integer and Fraction work; only
+    the folded field equation imports numpy, inside its functions."""
+    assert "numpy" not in _load_time_imports(SRC / f"{module}.py")
+
+
+def test_cli_imports_no_numeric_module_at_load_time():
+    """Each command imports the numeric modules it uses, so lie info and lie
+    restrict never load numpy."""
+    found = _load_time_imports(SRC / "cli.py")
+    assert "rootdata" in found
+    assert found & NUMERIC_MODULES == set()
