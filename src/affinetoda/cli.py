@@ -10,10 +10,12 @@ Subcommand groups::
     affinetoda conn check ...             connection-level consistency checks
     affinetoda export-plot <field.bin>    per-node CSV for external plotting
 
-Exit codes: 0 success, 1 verification/convergence failure, 2 usage error.
+Exit codes: 0 success, 1 verification/convergence failure or a closed stdout,
+2 usage error.
 At module level this file imports only the stdlib and ``rootdata``; each
-command imports the numeric modules it uses, so ``lie info`` and ``lie
-restrict`` never load numpy.
+command imports the modules it uses.  The three ``lie`` commands never load
+numpy: ``lie check`` reads the exact table, checks and sigma of
+``chevalley`` and forms its float residuals in plain Python.
 Every solver output file is accompanied by a JSON manifest
 (<output>.manifest.json) that records the config, the convention tags and
 the reported residuals; ``toda verify`` recomputes them from the stored
@@ -40,7 +42,13 @@ CONVENTIONS = {
 
 
 def _json_out(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    try:
+        print(json.dumps(payload, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so that the flush at
+        # exit cannot fail again, and exit 1 without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
 
 
 def _root_system(name: str):
@@ -69,9 +77,19 @@ def cmd_lie_info(args) -> int:
     return 0
 
 
-def cmd_lie_check(args) -> int:
-    import numpy as np
+def _linspace(start: float, stop: float, n: int) -> List[float]:
+    """``numpy.linspace(start, stop, n)``, value for value: i * step + start,
+    with the last point set to ``stop``."""
+    step = (stop - start) / (n - 1)
+    return [i * step + start for i in range(n - 1)] + [stop]
 
+
+def cmd_lie_check(args) -> int:
+    """The invariant suite, in plain Python: the exact checks of
+    ``chevalley`` and float residuals of the same operations as their numpy
+    forms (``bracket``, ``sigma_mat @``, ``rho_hat`` on a ``linspace``
+    vector), so the JSON is byte for byte what those printed, without
+    loading numpy."""
     from . import chevalley
 
     rs = _root_system(args.type)
@@ -79,7 +97,7 @@ def cmd_lie_check(args) -> int:
     sl2 = chevalley.build_principal_sl2(alg)
     cox = chevalley.coxeter_element(alg, sl2)
     exact = chevalley.verify_structure(alg)
-    S = sl2.sigma_mat
+    S = sl2.sigma
     checks: Dict[str, Dict] = {}
 
     def record(key: str, residual: float, tol: float) -> None:
@@ -88,14 +106,30 @@ def cmd_lie_check(args) -> int:
     def record_exact(key: str, ok: bool) -> None:
         record(key, 0.0 if ok else 1.0, 0.0)
 
+    def defect(X: List[complex], Y: List[complex]) -> float:
+        return max(abs(x - y) for x, y in zip(X, Y))
+
+    def sigma(X: List[complex]) -> List[complex]:
+        return [s * X[b] for b, s in S]
+
+    def rho(X: List[complex]) -> List[complex]:
+        return [-X[b].conjugate() for b in alg.slot_negation]
+
     record_exact("jacobi_exact", exact["jacobi_exact"])
     record_exact("killing_ad_invariant", exact["killing_ad_invariant"])
-    record("sl2_bracket", float(np.abs(alg.bracket(sl2.e, sl2.etilde) - sl2.x).max()), 1e-12)
-    record("sigma_squared", float(np.abs(S @ S - np.eye(alg.dim)).max()), 1e-12)
-    X = np.linspace(-1, 1, alg.dim) + 1j * np.linspace(1, 2, alg.dim)
-    rho_X, rho_SX = chevalley.rho_hat(alg, X), chevalley.rho_hat(alg, S @ X)
-    record("sigma_rho_commute", float(np.abs(S @ rho_X - rho_SX).max()), 1e-12)
-    record("rho_squared", float(np.abs(chevalley.rho_hat(alg, rho_X) - X).max()), 1e-12)
+    x, e, et = sl2.triple_coefficients()
+    ee = alg.bracket_sparse(e, et)
+    n = alg.dim
+    record("sl2_bracket", defect([ee.get(d, 0.0) for d in range(n)],
+                                 [x.get(d, 0.0) for d in range(n)]), 1e-12)
+    # row a of sigma^2 holds s t in column c, for (b, s) = S[a] and (c, t) = S[b]
+    square = [(S[b][0], s * S[b][1]) for b, s in S]
+    record("sigma_squared",
+           float(max(abs(st - 1) if c == a else 1 for a, (c, st) in enumerate(square))), 1e-12)
+    X = [complex(p, q) for p, q in zip(_linspace(-1, 1, n), _linspace(1, 2, n))]
+    rho_X = rho(X)
+    record("sigma_rho_commute", defect(sigma(rho_X), rho(sigma(X))), 1e-12)
+    record("rho_squared", defect(rho(rho_X), X), 1e-12)
     record_exact(
         "coxeter_eigenspaces",
         len(cox.eigenspace_indices(0)) == alg.rank

@@ -1,7 +1,11 @@
 """Chevalley layer: brackets, characters, principal sl2, Coxeter phases, involutions."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from affinetoda import chevalley
 from affinetoda.chevalley import (
     cyclic_reference,
     is_cyclic_g1,
@@ -11,7 +15,7 @@ from affinetoda.chevalley import (
     verify_structure,
 )
 from affinetoda.connection import char_scale
-from affinetoda.rootdata import diagram_automorphism
+from affinetoda.rootdata import diagram_automorphism, exponents
 from conftest import ALL_TYPES, reference_bracket, scatter
 
 SMALL = ["A1", "A2", "B2", "G2", "A3", "D4"]
@@ -35,7 +39,7 @@ def test_generators_reach_every_slot(name, algebra):
     simple = [rs.simple_root(i) for i in range(alg.rank)]
     e = [alg.root_index(r) for r in simple]
     f = [alg.root_index(tuple(-c for c in r)) for r in simple]
-    assert alg.generated_slots(e + f).all()
+    assert all(alg.generated_slots(e + f))
     positive = np.zeros(alg.dim, dtype=bool)
     positive[alg.rank : alg.rank + alg.num_positive] = True
     assert np.array_equal(alg.generated_slots(e), positive)
@@ -304,6 +308,105 @@ def test_sigma_is_exact_signed_permutation(name, algebra):
     assert np.array_equal(np.count_nonzero(S, axis=0), np.ones(alg.dim))
     X = np.linspace(-1, 1, alg.dim) + 1j * np.linspace(1, 2, alg.dim)
     assert np.array_equal(S @ rho_hat(alg, X), rho_hat(alg, S @ X))
+
+
+def _float_sigma(alg):
+    """sigma by the float construction it had before it was exact: the SVD
+    kernel of ad_e at each exponent grade, lowering towers by ad_etilde
+    scaled to max 1, the block solves B D B^-1 with ``inv``, and rounding."""
+    rs, l = alg.rs, alg.rank
+    ms = exponents(rs)
+    e, et = np.zeros(alg.dim), np.zeros(alg.dim)
+    for i, r in enumerate(rs.x_coefficients):
+        e[alg.root_index(rs.simple_root(i))] = float(r) ** 0.5
+        et[alg.root_index(tuple(-c for c in rs.simple_root(i)))] = float(r) ** 0.5
+    grades = {}
+    for idx, height in enumerate(alg.heights.tolist()):
+        grades.setdefault(height, []).append(idx)
+    ad_e, ad_et = alg.ad(e), alg.ad(et)
+    towers = [None] * l
+    for m in sorted(set(ms)):
+        rows, cols = grades.get(m + 1, []), grades[m]
+        block = ad_e[np.ix_(rows, cols)] if rows else np.zeros((0, len(cols)))
+        _, sv, vh = np.linalg.svd(block)
+        rank = np.sum(sv > sv.max(initial=0.0) * np.finfo(float).eps * max(block.shape))
+        kern = vh[rank:]
+        slots = [i for i in range(l) if ms[i] == m]
+        assert len(kern) == len(slots)
+        for i, vec in zip(slots, kern):
+            tower = [np.zeros(alg.dim)]
+            tower[0][cols] = vec
+            for _ in range(2 * m):
+                nxt = ad_et @ tower[-1]
+                tower.append(nxt / np.abs(nxt).max())
+            towers[i] = tower
+    S = np.zeros((alg.dim, alg.dim))
+    for m, idxs in grades.items():
+        levels = [(i, ms[i] - m) for i in range(l) if 0 <= ms[i] - m <= 2 * ms[i]]
+        B = np.stack([towers[i][k][idxs] for i, k in levels], axis=1)
+        D = np.diag([-1.0 if k % 2 == 0 else 1.0 for _, k in levels])
+        S[np.ix_(idxs, idxs)] = B @ D @ np.linalg.inv(B)
+    exact = np.rint(S)
+    assert np.abs(S - exact).max() < 1e-9
+    return exact
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_exact_sigma_equals_the_float_construction(name, algebra):
+    _, alg, sl2, _ = algebra(name)
+    assert np.array_equal(sl2.sigma_mat, _float_sigma(alg))
+
+
+# sigma's inputs broken on purpose.  A4: in a type whose exponents are all
+# odd, sigma is (-1)^height on every slot whatever f0 is, and a sign flip in
+# a grade block of size <= 2 leaves +-1 there, so neither can show; and A4's
+# sigma moves root slots (e_beta to e_nu(beta)), so the torus factor counts.
+_MUTATIONS = """
+from affinetoda import chevalley
+from affinetoda.rootdata import LieType, build_root_system, exponents
+
+alg = chevalley.build_chevalley(build_root_system(LieType.parse("A4")))
+ms = tuple(exponents(alg.rs))
+e0, f0, two_r = chevalley._rational_frame(alg)
+kernels = chevalley._highest_weight_kernels(alg, e0, ms)
+unbroken = chevalley._signed_permutation(alg, chevalley._grade_blocks(alg, kernels, f0, ms), two_r)
+raised = 0
+
+def expect_raise(blocks, t=two_r):
+    global raised
+    try:
+        chevalley._signed_permutation(alg, blocks, t)
+    except RuntimeError as exc:
+        raised += "is not a signed permutation" in str(exc)
+
+for slot in f0:  # a wrong r_i in f0
+    for delta in (-1, 1):
+        expect_raise(chevalley._grade_blocks(alg, kernels, {**f0, slot: f0[slot] + delta}, ms))
+blocks = chevalley._grade_blocks(alg, kernels, f0, ms)
+cartan = next(b for b in blocks if b[0] == list(range(alg.rank)))
+for q in range(alg.rank):  # one flipped tower sign in the Cartan block
+    cartan[2][q] *= -1
+    expect_raise(blocks)
+    cartan[2][q] *= -1
+for q in range(alg.rank):  # a wrong r_i in the torus factor of the check only
+    expect_raise(blocks, [t + (i == q) for i, t in enumerate(two_r)])
+# a Cartan block whose S0 = D - 2 E_01 has two entries in row 0, the first +-1
+expect_raise([([0, 1, 2, 3], [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [1, -1, 1, 1])])
+print(unbroken == chevalley.build_principal_sl2(alg).sigma, raised)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_broken_sigma_inputs_raise(flags):
+    """Each of the 17 mutations raises the signed-permutation RuntimeError,
+    also under python -O (the check is not an assert); the unbroken inputs
+    give sigma.  12 break S0 itself; 4 leave S0 right and only the torus
+    factor wrong, which the one-entry-per-row test cannot see; the last has
+    a row of S0 whose first entry passes the torus test."""
+    proc = subprocess.run([sys.executable, *flags, "-c", _MUTATIONS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "17"]
 
 
 @pytest.mark.parametrize("name", MEDIUM)

@@ -233,20 +233,63 @@ def _modules_after(*argv):
     return out
 
 
-@pytest.mark.parametrize("command", ["info", "restrict"])
+@pytest.mark.parametrize("command", ["info", "restrict", "check"])
 def test_exact_lie_commands_load_no_numpy(command):
-    """lie info and lie restrict compute with integers and Fractions only,
-    and importing the package loads none of its submodules."""
+    """The lie commands compute with integers, Fractions and plain floats
+    only, and importing the package loads none of its submodules."""
     out = _modules_after("lie", command, "E6")
     assert out["package"] == []
     assert "numpy" not in out["modules"]
 
 
 def test_lie_check_loads_no_solver_grid_or_connection():
-    out = _modules_after("lie", "check", "A2")
-    assert "numpy" in out["modules"] and "affinetoda.chevalley" in out["modules"]
-    loaded = {m.rsplit(".", 1)[-1] for m in out["modules"] if m.startswith("affinetoda.")}
+    """lie check of every type, in turn in one interpreter, loads neither
+    numpy nor the grid, solver, connection or restriction layers."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from affinetoda.cli import main\n"
+        f"for name in {ALL_TYPES!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        if main(['lie', 'check', name]) != 0:\n"
+        "            sys.exit(f'lie check {name} failed')\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    assert "affinetoda.chevalley" in modules and "numpy" not in modules
+    loaded = {m.rsplit(".", 1)[-1] for m in modules if m.startswith("affinetoda.")}
     assert loaded.isdisjoint({"grids", "todasolver", "connection", "restriction"}), loaded
+
+
+def _golden_lie_check():
+    path = os.path.join(os.path.dirname(__file__), "data", "lie_check.jsonl")
+    with open(path) as fh:
+        return {json.loads(line)["type"]: line for line in fh}
+
+
+@pytest.mark.parametrize("lie_type", ALL_TYPES)
+def test_lie_check_output_is_unchanged(capsys, lie_type):
+    """Byte for byte the JSON lie check printed when sigma was built from
+    float SVD kernels and the residuals from numpy arrays
+    (``tests/data/lie_check.jsonl``)."""
+    code, out, _ = run_cli(capsys, "lie", "check", lie_type)
+    assert code == 0
+    assert out == _golden_lie_check()[lie_type]
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    """A reader that is gone before the JSON is written (python -m affinetoda
+    ... | head -c 0) ends the command with exit 1 and nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "affinetoda", "lie", "info", "E8"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])

@@ -171,14 +171,15 @@ NUMERIC_MODULES = {"numpy", "chevalley", "connection", "grids", "restriction", "
 
 
 def test_load_time_imports_reads_both_import_forms():
-    assert {"numpy", "rootdata"} <= _load_time_imports(SRC / "chevalley.py")
+    assert {"numpy", "chevalley", "rootdata"} <= _load_time_imports(SRC / "connection.py")
     assert {"numpy", "grids", "rootdata"} <= _load_time_imports(SRC / "todasolver.py")
 
 
-@pytest.mark.parametrize("module", ["rootdata", "restriction"])
+@pytest.mark.parametrize("module", ["rootdata", "restriction", "chevalley"])
 def test_exact_layer_imports_no_numpy_at_load_time(module):
-    """Root data and the folding are exact integer and Fraction work; only
-    the folded field equation imports numpy, inside its functions."""
+    """Root data, the folding and the Chevalley table, checks and sigma are
+    exact integer and Fraction work; the float and field functions import
+    numpy inside themselves."""
     assert "numpy" not in _load_time_imports(SRC / f"{module}.py")
 
 
