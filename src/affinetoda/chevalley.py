@@ -12,11 +12,13 @@ forced from those by the Jacobi identity and the invariant-form relation
 The constants are kept once, as an exact table of terms (i, j, k, c)
 meaning [b_i, b_j] has coefficient c on b_k: four stdlib ``array('q')``
 columns sorted by (i, j, k).  The table, the Jacobi and Killing checks, the
-principal sl2 and its involution sigma are computed in Python integer
-arithmetic, so none of them loads numpy.  The field code reads the same
-table through numpy: ``bracket_terms``, ``bracket``, ``ad``, ``killing``,
-``characters``, ``heights`` and ``negation`` return arrays (the table
-columns as zero-copy int64 views) and import numpy inside the function.
+principal sl2 and its involution sigma (the signed lift of the diagram
+automorphism, checked against every term of the table) are computed in
+Python integer arithmetic, so none of them loads numpy.  The field code
+reads the same table through numpy: ``bracket_terms``, ``bracket``,
+``ad``, ``killing``, ``characters``, ``heights`` and ``negation`` return
+arrays (the table columns as zero-copy int64 views) and import numpy
+inside the function.
 """
 from __future__ import annotations
 
@@ -25,10 +27,10 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm, prod
+from math import lcm
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .rootdata import RootSystem, affine_cartan, coxeter_number, exponents
+from .rootdata import RootSystem, affine_cartan, coxeter_number, diagram_automorphism, exponents
 
 if TYPE_CHECKING:
     import numpy as np
@@ -416,24 +418,19 @@ def _apply_sparse(
 
 class PrincipalSL2:
     """The principal sl2 triple {x, e, etilde}, x = sum r_i h_i, e and etilde
-    with sqrt(r_i) on the +-simple root slots, its highest weight vectors and
-    the split-form involution sigma.
+    with sqrt(r_i) on the +-simple root slots, and the split-form involution
+    sigma.
 
     ``sigma`` is exact, a signed permutation of the Chevalley basis (see
-    ``SignedPermutation``).  The numpy fields ``x``, ``e``, ``etilde``,
-    ``hw_vectors`` (hw_vectors[0] = e) and ``sigma_mat`` are built on first
-    access.
+    ``SignedPermutation``): the signed lift of the diagram automorphism
+    (``build_principal_sl2``).  The numpy fields ``x``, ``e``, ``etilde`` and
+    ``sigma_mat`` are built on first access.
     """
 
-    def __init__(
-        self, alg: ChevalleyAlgebra, exponents: Tuple[int, ...],
-        kernels: List[Dict[int, int]], sigma: SignedPermutation,
-    ):
+    def __init__(self, alg: ChevalleyAlgebra, exponents: Tuple[int, ...], sigma: SignedPermutation):
         self.alg = alg
         self.exponents = exponents
         self.sigma = sigma
-        # integer highest weight vectors of e0 = sum_i e_{alpha_i}, one per exponent
-        self._kernels = kernels
 
     @property
     def top_exponent(self) -> int:
@@ -472,27 +469,6 @@ class PrincipalSL2:
         return self._dense(self.triple_coefficients()[2])
 
     @cached_property
-    def hw_vectors(self) -> List[np.ndarray]:
-        """Unit highest weight vectors of e, in the order of ``exponents``:
-        e itself first and, from rank 2, the highest-root generator last.
-        The others are the integer kernels of ad e0 carried to the frame of e
-        by the torus element that maps e0 to e."""
-        import numpy as np
-
-        alg = self.alg
-        sq = [float(c) ** 0.5 for c in alg.rs.x_coefficients]
-        out = []
-        for vec in self._kernels:
-            v = self._dense(
-                {d: c * prod(s**k for s, k in zip(sq, alg._roots[d])) for d, c in vec.items()}
-            )
-            out.append(v / np.linalg.norm(v))
-        out[0] = self.e.copy()  # exponent 1 is the triple itself
-        if alg.rank >= 2:
-            out[-1] = alg.basis_vector(alg.highest_root_index)
-        return out
-
-    @cached_property
     def sigma_mat(self) -> np.ndarray:
         """sigma as a dense float (dim, dim) matrix."""
         import numpy as np
@@ -503,169 +479,76 @@ class PrincipalSL2:
         return S
 
 
-def _grade_slots(alg: ChevalleyAlgebra) -> Dict[int, List[int]]:
-    grades: Dict[int, List[int]] = {}
-    for idx, height in enumerate(alg.slot_heights):
-        grades.setdefault(height, []).append(idx)
-    return grades
+def _diagram_lift(alg: ChevalleyAlgebra) -> Tuple[List[int], List[int]]:
+    """The target slot and the sign of sigma on each basis slot: h_i goes to
+    h_nu(i), and e_beta to s_beta e_nu(beta), for nu the diagram automorphism.
 
-
-def _fraction_free_rref(M: List[List[int]], ncols: int) -> Tuple[List[int], int]:
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of the integer rows M,
-    in place, pivoting in the first ``ncols`` columns.
-
-    Returns the pivot columns and the last pivot d.  Afterwards the r-th row
-    holds d in the r-th pivot column and 0 in every other pivot column, the
-    rows past the rank are zero, and every entry is an integer: each
-    division by the previous pivot is exact (Sylvester's identity).
+    s = -1 on the +-simple slots.  Any other root beta is alpha + gamma for a
+    +-simple alpha and a root gamma one step nearer the Cartan; applying
+    sigma to [e_alpha, e_gamma] = N_{alpha,gamma} e_beta gives
+    s_beta = s_alpha s_gamma N_{nu alpha, nu gamma} / N_{alpha,gamma}, so the
+    signs follow by height.  Nothing here is checked: see ``_check_lift``.
     """
-    pivots: List[int] = []
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        piv, row = M[r][c], M[r]
-        for i in range(len(M)):
-            if i != r:
-                f = M[i][c]
-                M[i] = [(piv * a - f * b) // prev for a, b in zip(M[i], row)]
-        pivots.append(c)
-        prev = piv
-    return pivots, prev
+    rs, l, n = alg.rs, alg.rank, alg.dim
+    nu = diagram_automorphism(rs)
+    target = list(nu.perm) + [alg.root_index(nu.apply_root(r)) for r in alg._roots[l:]]
+    ht = alg.slot_heights
+    simple = {alg.root_index(tuple(s * c for c in rs.simple_root(i))) for i in range(l) for s in (1, -1)}
+    # the table terms whose left slot is +-simple, {(i, j, k): c}; nu maps them to each other
+    rows = {(i, alg._bk_j[t], alg._bk_k[t]): alg._bk_v[t] for i in sorted(simple) for t in alg._row(i)}
+    defining: Dict[int, Tuple[int, int, int]] = {}  # beta -> (alpha, gamma, N_{alpha,gamma})
+    for (i, j, k), v in rows.items():
+        if abs(ht[k]) > abs(ht[j]):
+            defining.setdefault(k, (i, j, v))
+    sign = [1] * n
+    for k in sorted(range(l, n), key=lambda d: abs(ht[d])):
+        if k in simple:
+            sign[k] = -1
+        else:
+            i, j, v = defining[k]
+            image = rows.get((target[i], target[j], target[k]), 0)
+            sign[k] = sign[i] * sign[j] * (1 if image == v else -1)
+    return target, sign
 
 
-def _primitive(v: Dict[int, int]) -> Dict[int, int]:
-    """An integer vector divided by the gcd of its entries."""
-    g = gcd(*v.values())
-    return {k: c // g for k, c in v.items()} if g > 1 else v
-
-
-def _highest_weight_kernels(
-    alg: ChevalleyAlgebra, e0: Mapping[int, int], ms: Sequence[int]
-) -> List[Dict[int, int]]:
-    """Integer bases of the kernel of ad e0 at each exponent grade, one
-    vector per entry of ``ms`` (exponents in increasing order)."""
-    grades = _grade_slots(alg)
-    ad_e0 = alg.ad_sparse(e0)
-    out: List[Dict[int, int]] = []
-    for m in sorted(set(ms)):
-        cols, rows = grades[m], grades.get(m + 1, [])
-        pos = {d: r for r, d in enumerate(rows)}
-        A = [[0] * len(cols) for _ in rows]
-        for c, j in enumerate(cols):
-            for k, v in ad_e0.get(j, {}).items():
-                A[pos[k]][c] = v
-        pivots, d = _fraction_free_rref(A, len(cols))
-        free = [c for c in range(len(cols)) if c not in pivots]
-        if len(free) != ms.count(m):
-            raise RuntimeError(
-                f"ad_e kernel at grade {m} has dimension {len(free)}, expected {ms.count(m)}"
-            )
-        for f in free:
-            vec = {cols[f]: d}
-            vec.update((cols[p], -A[r][f]) for r, p in enumerate(pivots) if A[r][f])
-            out.append(_primitive(vec))
-    return out
-
-
-def _grade_blocks(
-    alg: ChevalleyAlgebra, kernels: Sequence[Dict[int, int]], f0: Mapping[int, int],
-    ms: Sequence[int],
-) -> List[Tuple[List[int], List[List[int]], List[int]]]:
-    """Per grade: its basis slots, the integer matrix B whose columns are the
-    lowering-tower vectors (ad f0)^k v through that grade (v the kernel of
-    exponent m, k = m - grade), and the sign (-1)^(k+1) sigma takes on each."""
-    ad_f0 = alg.ad_sparse(f0)
-    columns = defaultdict(list)  # grade -> [(vector, sign)]
-    for v, m in zip(kernels, ms):
-        for k in range(2 * m + 1):
-            if k:
-                v = _primitive(_apply_sparse(ad_f0, v))
-            columns[m - k].append((v, -1 if k % 2 == 0 else 1))
-    blocks = []
-    for grade, slots in sorted(_grade_slots(alg).items()):
-        cols = columns[grade]
-        if len(cols) != len(slots):
-            raise RuntimeError("tower vectors do not span the grade block")
-        B = [[v.get(d, 0) for v, _ in cols] for d in slots]
-        blocks.append((slots, B, [s for _, s in cols]))
-    return blocks
-
-
-def _signed_permutation(
-    alg: ChevalleyAlgebra, blocks: Sequence[Tuple[List[int], List[List[int]], List[int]]],
-    two_r: Sequence[int],
-) -> SignedPermutation:
-    """sigma from the grade blocks of ``_grade_blocks``; ``two_r`` holds the
-    integers 2 r_i.
-
-    Per block, S0 = B D B^-1 (D the signs) is solved exactly from
-    B^T S0^T = D B^T by fraction-free elimination.  S0 is sigma in the frame
-    of (e0, f0), which the torus element with alpha_i -> 1/sqrt(r_i) carries
-    to the frame of (e, etilde), where sigma_ab = S0_ab prod_i
-    sqrt(r_i)^(beta_a - beta_b)_i.  So sigma is a signed permutation exactly
-    when each row of S0 has one nonzero entry, with S0_ab^2 prod_i
-    r_i^(beta_a - beta_b)_i = 1; then sigma_ab = sign(S0_ab).  Anything else
-    raises RuntimeError.  beta_a and beta_b have the same height, so the
-    product equals prod_i (2 r_i)^(beta_a - beta_b)_i, and the check is made
-    in integers.
-    """
-    sigma: List[Tuple[int, int]] = [(-1, 0)] * alg.dim
-    for slots, B, signs in blocks:
-        n = len(slots)
-        M = [list(col) + [s * x for x in col] for col, s in zip(zip(*B), signs)]
-        pivots, d = _fraction_free_rref(M, n)
-        if len(pivots) != n:
-            raise RuntimeError("tower vectors do not span the grade block")
-        for a in range(n):  # S0[a][b] = M[b][n + a] / d
-            nonzero = [b for b in range(n) if M[b][n + a]]
-            if len(nonzero) == 1:
-                b = nonzero[0]
-                lhs, rhs = M[b][n + a] ** 2, d * d
-                for t, p, q in zip(two_r, alg._roots[slots[a]], alg._roots[slots[b]]):
-                    if p > q:
-                        lhs *= t ** (p - q)
-                    else:
-                        rhs *= t ** (q - p)
-            if len(nonzero) != 1 or lhs != rhs:
-                raise RuntimeError(
-                    f"{alg.rs.type}: sigma is not a signed permutation at grade "
-                    f"{alg.slot_heights[slots[a]]}"
-                )
-            sigma[slots[a]] = (slots[b], 1 if (M[b][n + a] > 0) == (d > 0) else -1)
-    return tuple(sigma)
-
-
-def _rational_frame(alg: ChevalleyAlgebra) -> Tuple[Dict[int, int], Dict[int, int], List[int]]:
-    """e0 = sum_i e_{alpha_i}, f0 = sum_i 2 r_i e_{-alpha_i} as coefficient
-    maps, and the integers 2 r_i."""
-    rs = alg.rs
-    two_r = [int(2 * ri) for ri in rs.x_coefficients]
-    simple = [rs.simple_root(i) for i in range(alg.rank)]
-    e0 = {alg.root_index(a): 1 for a in simple}
-    f0 = {alg.root_index(_neg(a)): t for a, t in zip(simple, two_r)}
-    return e0, f0, two_r
+def _check_lift(alg: ChevalleyAlgebra, target: Sequence[int], sign: Sequence[int]) -> None:
+    """Raise RuntimeError unless the slot map ``target`` with signs ``sign``
+    is an involutive automorphism of the table that fixes x: r_nu(i) = r_i,
+    target is an involution with s_d s_target(d) = 1, and every table term
+    satisfies s_k c_ijk = s_i s_j c_{nu i, nu j, nu k}."""
+    name, n = alg.rs.type, alg.dim
+    r = alg.rs.x_coefficients
+    if any(r[target[i]] != r[i] for i in range(alg.rank)):
+        raise RuntimeError(f"{name}: the diagram automorphism does not fix x")
+    if any(target[target[d]] != d or sign[d] * sign[target[d]] != 1 for d in range(n)):
+        raise RuntimeError(f"{name}: sigma is not an involution")
+    t = target
+    terms = list(zip(alg._bk_i, alg._bk_j, alg._bk_k, alg._bk_v))
+    table = {(i * n + j) * n + k: v for i, j, k, v in terms}
+    for i, j, k, v in terms:
+        if sign[k] * v != sign[i] * sign[j] * table.get((t[i] * n + t[j]) * n + t[k], 0):
+            raise RuntimeError(f"{name}: sigma does not preserve the bracket at term {(i, j, k)}")
 
 
 def build_principal_sl2(alg: ChevalleyAlgebra) -> PrincipalSL2:
-    """The sl2 triple {x, e, etilde}, its highest weight vectors and sigma.
+    """The sl2 triple {x, e, etilde} and the split-form involution sigma.
 
-    Everything is computed in the rational frame e0 = sum_i e_{alpha_i},
-    f0 = sum_i 2 r_i e_{-alpha_i}, a torus conjugate of (e, 2 etilde) with
-    integer entries (2 r_i is an integer).  The highest weight vectors are
-    integer kernels of ad e0 at each exponent grade; sigma, defined by
-    sigma = (-1)^(k+1) on the k-th lowering level (ad f0)^k of each
-    irreducible summand, is solved blockwise per grade and read off as a
-    signed permutation (``_signed_permutation``).
+    sigma is defined by levels: on each irreducible summand of g under the
+    principal sl2, with highest weight vector v, it is (-1)^(k+1) on the
+    k-th level (ad etilde)^k v.  That is an automorphism of g, and it sends
+    e_{+-alpha_i} to -e_{+-nu(alpha_i)}, for nu the diagram automorphism.
+    The e_{+-alpha_i} generate g, so an automorphism is fixed by its values
+    on them, and sigma is built as the one with those values: the signed
+    lift of nu (``_diagram_lift``), checked exactly (``_check_lift``;
+    anything else raises RuntimeError).  The float construction from the
+    levels is kept in the tests as the reference, and gives the same signed
+    permutation for all 33 supported types.
     """
-    ms = tuple(exponents(alg.rs))
-    e0, f0, two_r = _rational_frame(alg)
-    kernels = _highest_weight_kernels(alg, e0, ms)
-    sigma = _signed_permutation(alg, _grade_blocks(alg, kernels, f0, ms), two_r)
-    return PrincipalSL2(alg, ms, kernels, sigma)
+    target, sign = _diagram_lift(alg)
+    _check_lift(alg, target, sign)
+    # sigma(b_d) = s_d b_target(d); for an involution with s_target(d) = s_d,
+    # row a of its matrix holds s_a in column target(a)
+    return PrincipalSL2(alg, tuple(exponents(alg.rs)), tuple(zip(target, sign)))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ Exit codes: 0 success, 1 verification/convergence failure or a closed stdout,
 At module level this file imports only the stdlib and ``rootdata``; each
 command imports the modules it uses.  The three ``lie`` commands never load
 numpy: ``lie check`` reads the exact table, checks and sigma of
-``chevalley`` and forms its float residuals in plain Python.
+``chevalley`` and forms its one float residual in plain Python.
 Every solver output file is accompanied by a JSON manifest
 (<output>.manifest.json) that records the config, the convention tags and
 the reported residuals; ``toda verify`` recomputes them from the stored
@@ -32,6 +32,11 @@ from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 from . import rootdata
 
 T = TypeVar("T")
+
+# the options of a solver run: the ``config`` of its manifest
+SOLVER_KEYS = ("type", "grid", "q", "tol", "max_iter", "damping", "init", "topology", "extent")
+# the numbers ``toda solve`` reports and ``toda verify`` recomputes: the ``summary`` of its manifest
+SUMMARY_KEYS = ("residual", "curvature_norm", "sigma_defect")
 
 CONVENTIONS = {
     "root_order": "height-then-lex",
@@ -77,19 +82,11 @@ def cmd_lie_info(args) -> int:
     return 0
 
 
-def _linspace(start: float, stop: float, n: int) -> List[float]:
-    """``numpy.linspace(start, stop, n)``, value for value: i * step + start,
-    with the last point set to ``stop``."""
-    step = (stop - start) / (n - 1)
-    return [i * step + start for i in range(n - 1)] + [stop]
-
-
 def cmd_lie_check(args) -> int:
     """The invariant suite, in plain Python: the exact checks of
-    ``chevalley`` and float residuals of the same operations as their numpy
-    forms (``bracket``, ``sigma_mat @``, ``rho_hat`` on a ``linspace``
-    vector), so the JSON is byte for byte what those printed, without
-    loading numpy."""
+    ``chevalley``, the sl2 bracket as a float residual, and the sigma and
+    rho_hat identities exactly, on their signed permutations (``sigma``
+    and the antilinear e_beta -> -e_{-beta}).  It loads no numpy."""
     from . import chevalley
 
     rs = _root_system(args.type)
@@ -97,7 +94,7 @@ def cmd_lie_check(args) -> int:
     sl2 = chevalley.build_principal_sl2(alg)
     cox = chevalley.coxeter_element(alg, sl2)
     exact = chevalley.verify_structure(alg)
-    S = sl2.sigma
+    S, neg = sl2.sigma, alg.slot_negation
     checks: Dict[str, Dict] = {}
 
     def record(key: str, residual: float, tol: float) -> None:
@@ -106,30 +103,15 @@ def cmd_lie_check(args) -> int:
     def record_exact(key: str, ok: bool) -> None:
         record(key, 0.0 if ok else 1.0, 0.0)
 
-    def defect(X: List[complex], Y: List[complex]) -> float:
-        return max(abs(x - y) for x, y in zip(X, Y))
-
-    def sigma(X: List[complex]) -> List[complex]:
-        return [s * X[b] for b, s in S]
-
-    def rho(X: List[complex]) -> List[complex]:
-        return [-X[b].conjugate() for b in alg.slot_negation]
-
     record_exact("jacobi_exact", exact["jacobi_exact"])
     record_exact("killing_ad_invariant", exact["killing_ad_invariant"])
     x, e, et = sl2.triple_coefficients()
     ee = alg.bracket_sparse(e, et)
-    n = alg.dim
-    record("sl2_bracket", defect([ee.get(d, 0.0) for d in range(n)],
-                                 [x.get(d, 0.0) for d in range(n)]), 1e-12)
-    # row a of sigma^2 holds s t in column c, for (b, s) = S[a] and (c, t) = S[b]
-    square = [(S[b][0], s * S[b][1]) for b, s in S]
-    record("sigma_squared",
-           float(max(abs(st - 1) if c == a else 1 for a, (c, st) in enumerate(square))), 1e-12)
-    X = [complex(p, q) for p, q in zip(_linspace(-1, 1, n), _linspace(1, 2, n))]
-    rho_X = rho(X)
-    record("sigma_rho_commute", defect(sigma(rho_X), rho(sigma(X))), 1e-12)
-    record("rho_squared", defect(rho(rho_X), X), 1e-12)
+    record("sl2_bracket", max(abs(ee.get(d, 0.0) - x.get(d, 0.0)) for d in range(alg.dim)), 1e-12)
+    # row a of sigma holds s in column b for (b, s) = S[a]; rho_hat maps slot a to -conj(neg[a])
+    record_exact("sigma_squared", all(S[b][0] == a and s * S[b][1] == 1 for a, (b, s) in enumerate(S)))
+    record_exact("sigma_rho_commute", all(S[neg[a]] == (neg[b], s) for a, (b, s) in enumerate(S)))
+    record_exact("rho_squared", all(neg[neg[a]] == a for a in range(alg.dim)))
     record_exact(
         "coxeter_eigenspaces",
         len(cox.eigenspace_indices(0)) == alg.rank
@@ -177,11 +159,13 @@ def _parse_pair(text: str, what: str, kind: Callable[[str], T]) -> Tuple[T, T]:
 def _load_config_file(path: str) -> Dict[str, str]:
     out: Dict[str, str] = {}
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
+            key, eq, val = line.partition("=")
+            if not eq:
+                raise ValueError(f"{path}, line {number}: expected key=value, got {line!r}")
             out[key.strip()] = val.strip()
     return out
 
@@ -189,17 +173,7 @@ def _load_config_file(path: str) -> Dict[str, str]:
 def _solver_options(args) -> Dict[str, str]:
     """The run's options as strings: flags win over the --config file, which
     wins over the defaults.  The manifest records them as its ``config``."""
-    opts = {
-        "type": args.type,
-        "grid": args.grid,
-        "q": args.q,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "damping": args.damping,
-        "init": args.init,
-        "topology": args.topology,
-        "extent": args.extent,
-    }
+    opts = {key: getattr(args, key) for key in SOLVER_KEYS}
     if getattr(args, "config", None):
         file_opts = _load_config_file(args.config)
         for key, val in file_opts.items():
@@ -292,13 +266,25 @@ def cmd_toda_solve(args) -> int:
     return 0 if sol.converged else 1
 
 
+def _manifest_section(manifest: Dict, path: str, section: str, keys: Tuple[str, ...]) -> Dict:
+    """manifest[section], after checking that it holds each of ``keys``."""
+    where = f"{path}.manifest.json"
+    part = manifest.get(section) if isinstance(manifest, dict) else None
+    if not isinstance(part, dict):
+        raise ValueError(f"{where}: the manifest has no {section!r} object")
+    missing = [key for key in keys if key not in part]
+    if missing:
+        raise ValueError(f"{where}: {section!r} has no key {missing[0]!r}")
+    return part
+
+
 def _reload_run(path: str):
     """Manifest, solver data, config and stored field of a ``toda solve`` run."""
     from . import grids
 
     with open(path + ".manifest.json") as fh:
         manifest = json.load(fh)
-    conf = manifest["config"]
+    conf = _manifest_section(manifest, path, "config", SOLVER_KEYS)
     data, cfg = _solver_setup(conf)
     omega = grids.read_field_binary(path, cfg.grid)
     if omega.l != data.rs.rank:
@@ -313,8 +299,8 @@ def cmd_toda_verify(args) -> int:
     from . import chevalley
 
     manifest, data, cfg, omega = _reload_run(args.field)
+    reported = _manifest_section(manifest, args.field, "summary", SUMMARY_KEYS)
     now = _summary(omega, cfg.q, chevalley.build_chevalley(data.rs), data)
-    reported = manifest["summary"]
     drift = {key: abs(val - reported[key]) for key, val in now.items()}
     ok = all(v <= 1e-12 for v in drift.values()) and now["residual"] <= cfg.tol
     _json_out({**now, "drift": drift, "pass": ok})
@@ -336,7 +322,9 @@ def cmd_conn_check(args) -> int:
     rs = _root_system(args.type)
     alg = chevalley.build_chevalley(rs)
     data = todasolver._TodaData(rs)
-    n = int(args.grid)
+    n, ny = _parse_pair(args.grid, "grid", int)
+    if ny != n:
+        raise ValueError(f"conn check needs a square grid, got {args.grid!r}")
     if n < 24:
         raise ValueError(f"conn check needs --grid at least 24: its refinement check against "
                          f"n // 2 = {n // 2} is pre-asymptotic on coarser grids")

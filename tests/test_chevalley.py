@@ -229,7 +229,7 @@ def test_principal_sl2_relations(name, algebra):
     assert np.max(np.abs(alg.bracket(x, e) - e)) < 1e-12
     assert np.max(np.abs(alg.bracket(x, et) + et)) < 1e-12
     assert np.max(np.abs(alg.bracket(e, et) - x)) < 1e-12
-    for m, v in zip(sl2.exponents, sl2.hw_vectors):
+    for m, v in zip(sl2.exponents, _hw_vectors(alg)):
         assert np.max(np.abs(alg.bracket(e, v))) < 1e-10
         assert np.max(np.abs(alg.bracket(x, v) - m * v)) < 1e-10
 
@@ -244,7 +244,7 @@ def test_a1_sl2_explicit(algebra):
 
 def test_a2_top_vector_is_highest_root(algebra):
     rs, alg, sl2, _ = algebra("A2")
-    e2 = sl2.hw_vectors[1]
+    e2 = _hw_vectors(alg)[1]
     expect = alg.basis_vector(alg.highest_root_index)
     assert np.max(np.abs(e2 - expect)) == 0
     assert np.max(np.abs(alg.bracket(sl2.x, e2) - 2 * e2)) < 1e-12
@@ -294,7 +294,7 @@ def test_sigma_defining_properties(name, algebra):
     S = sl2.sigma_mat
     assert np.max(np.abs(S @ sl2.etilde + sl2.etilde)) < 1e-10
     assert np.max(np.abs(S @ sl2.x - sl2.x)) < 1e-10
-    for v in sl2.hw_vectors:
+    for v in _hw_vectors(alg):
         assert np.max(np.abs(S @ v + v)) < 1e-10
     assert np.max(np.abs(S @ S - np.eye(alg.dim))) < 1e-10
 
@@ -310,39 +310,60 @@ def test_sigma_is_exact_signed_permutation(name, algebra):
     assert np.array_equal(S @ rho_hat(alg, X), rho_hat(alg, S @ X))
 
 
-def _float_sigma(alg):
-    """sigma by the float construction it had before it was exact: the SVD
-    kernel of ad_e at each exponent grade, lowering towers by ad_etilde
-    scaled to max 1, the block solves B D B^-1 with ``inv``, and rounding."""
-    rs, l = alg.rs, alg.rank
+def _grades(alg):
+    """Basis slots by root height."""
+    grades = {}
+    for idx, height in enumerate(alg.slot_heights):
+        grades.setdefault(height, []).append(idx)
+    return grades
+
+
+def _hw_vectors(alg):
+    """Unit highest weight vectors of e, one per entry of ``exponents``: the
+    SVD kernel of ad_e at each exponent grade, each vector signed so that its
+    largest entry is positive."""
+    rs = alg.rs
     ms = exponents(rs)
-    e, et = np.zeros(alg.dim), np.zeros(alg.dim)
+    e = np.zeros(alg.dim)
     for i, r in enumerate(rs.x_coefficients):
         e[alg.root_index(rs.simple_root(i))] = float(r) ** 0.5
-        et[alg.root_index(tuple(-c for c in rs.simple_root(i)))] = float(r) ** 0.5
-    grades = {}
-    for idx, height in enumerate(alg.heights.tolist()):
-        grades.setdefault(height, []).append(idx)
-    ad_e, ad_et = alg.ad(e), alg.ad(et)
-    towers = [None] * l
+    grades, ad_e = _grades(alg), alg.ad(e)
+    out = [None] * len(ms)
     for m in sorted(set(ms)):
         rows, cols = grades.get(m + 1, []), grades[m]
         block = ad_e[np.ix_(rows, cols)] if rows else np.zeros((0, len(cols)))
         _, sv, vh = np.linalg.svd(block)
         rank = np.sum(sv > sv.max(initial=0.0) * np.finfo(float).eps * max(block.shape))
         kern = vh[rank:]
-        slots = [i for i in range(l) if ms[i] == m]
+        slots = [i for i in range(len(ms)) if ms[i] == m]
         assert len(kern) == len(slots)
         for i, vec in zip(slots, kern):
-            tower = [np.zeros(alg.dim)]
-            tower[0][cols] = vec
-            for _ in range(2 * m):
-                nxt = ad_et @ tower[-1]
-                tower.append(nxt / np.abs(nxt).max())
-            towers[i] = tower
+            out[i] = np.zeros(alg.dim)
+            out[i][cols] = vec * np.sign(vec[np.argmax(np.abs(vec))])
+    return out
+
+
+def _float_sigma(alg):
+    """sigma by the float construction from its definition by levels: the
+    highest weight vectors of ``_hw_vectors``, lowering towers by ad_etilde
+    scaled to max 1, the sign (-1)^(k+1) on level k, the block solves
+    B D B^-1 with ``inv`` per grade, and rounding."""
+    rs = alg.rs
+    ms = exponents(rs)
+    et = np.zeros(alg.dim)
+    for i, r in enumerate(rs.x_coefficients):
+        et[alg.root_index(tuple(-c for c in rs.simple_root(i)))] = float(r) ** 0.5
+    ad_et = alg.ad(et)
+    towers = []
+    for m, v in zip(ms, _hw_vectors(alg)):
+        tower = [v]
+        for _ in range(2 * m):
+            nxt = ad_et @ tower[-1]
+            tower.append(nxt / np.abs(nxt).max())
+        towers.append(tower)
     S = np.zeros((alg.dim, alg.dim))
-    for m, idxs in grades.items():
-        levels = [(i, ms[i] - m) for i in range(l) if 0 <= ms[i] - m <= 2 * ms[i]]
+    for m, idxs in _grades(alg).items():
+        levels = [(i, mi - m) for i, mi in enumerate(ms) if 0 <= mi - m <= 2 * mi]
         B = np.stack([towers[i][k][idxs] for i, k in levels], axis=1)
         D = np.diag([-1.0 if k % 2 == 0 else 1.0 for _, k in levels])
         S[np.ix_(idxs, idxs)] = B @ D @ np.linalg.inv(B)
@@ -357,56 +378,73 @@ def test_exact_sigma_equals_the_float_construction(name, algebra):
     assert np.array_equal(sl2.sigma_mat, _float_sigma(alg))
 
 
-# sigma's inputs broken on purpose.  A4: in a type whose exponents are all
-# odd, sigma is (-1)^height on every slot whatever f0 is, and a sign flip in
-# a grade block of size <= 2 leaves +-1 there, so neither can show; and A4's
-# sigma moves root slots (e_beta to e_nu(beta)), so the torus factor counts.
+# The lift of nu broken on purpose, on A4 (nu reverses the chain) and D4
+# (nu is trivial).  Each mutation must raise; some are seen by only one of
+# the checks of ``_check_lift``, so each check is needed:
+#  - a flipped s_beta on the highest root, which nu fixes, so s_beta s_nu(beta)
+#    is still 1: only the term check sees it;
+#  - one wrong target slot (another root of the same height);
+#  - a flipped antisymmetric pair of table constants, [e_a1, e_a2] and
+#    [e_a2, e_a1] (A4 only: for a trivial nu, sigma is (-1)^height, an
+#    automorphism of any graded bracket, so only verify_structure's Jacobi
+#    check can see a broken constant there);
+#  - two r_i swapped so that r_nu(i) != r_i (A4): only the r check sees it;
+#  - the lift of D4's order-3 graph symmetry, an automorphism but not an
+#    involution: only the involution check sees it.
 _MUTATIONS = """
 from affinetoda import chevalley
-from affinetoda.rootdata import LieType, build_root_system, exponents
+from affinetoda.rootdata import DiagramAutomorphism, LieType, build_root_system
 
-alg = chevalley.build_chevalley(build_root_system(LieType.parse("A4")))
-ms = tuple(exponents(alg.rs))
-e0, f0, two_r = chevalley._rational_frame(alg)
-kernels = chevalley._highest_weight_kernels(alg, e0, ms)
-unbroken = chevalley._signed_permutation(alg, chevalley._grade_blocks(alg, kernels, f0, ms), two_r)
-raised = 0
 
-def expect_raise(blocks, t=two_r):
-    global raised
+def raises(fn, *args):
     try:
-        chevalley._signed_permutation(alg, blocks, t)
-    except RuntimeError as exc:
-        raised += "is not a signed permutation" in str(exc)
+        fn(*args)
+    except RuntimeError:
+        return True
+    return False
 
-for slot in f0:  # a wrong r_i in f0
-    for delta in (-1, 1):
-        expect_raise(chevalley._grade_blocks(alg, kernels, {**f0, slot: f0[slot] + delta}, ms))
-blocks = chevalley._grade_blocks(alg, kernels, f0, ms)
-cartan = next(b for b in blocks if b[0] == list(range(alg.rank)))
-for q in range(alg.rank):  # one flipped tower sign in the Cartan block
-    cartan[2][q] *= -1
-    expect_raise(blocks)
-    cartan[2][q] *= -1
-for q in range(alg.rank):  # a wrong r_i in the torus factor of the check only
-    expect_raise(blocks, [t + (i == q) for i, t in enumerate(two_r)])
-# a Cartan block whose S0 = D - 2 E_01 has two entries in row 0, the first +-1
-expect_raise([([0, 1, 2, 3], [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [1, -1, 1, 1])])
-print(unbroken == chevalley.build_principal_sl2(alg).sigma, raised)
+
+caught = []
+for name in ("A4", "D4"):
+    alg = chevalley.build_chevalley(build_root_system(LieType.parse(name)))
+    target, sign = chevalley._diagram_lift(alg)
+    chevalley._check_lift(alg, target, sign)
+    if chevalley.build_principal_sl2(alg).sigma != tuple(zip(target, sign)):
+        raise SystemExit("the unbroken lift is not sigma")
+    ht, top = alg.slot_heights, alg.highest_root_index
+    flipped = list(sign)
+    flipped[top] = -flipped[top]
+    caught.append(raises(chevalley._check_lift, alg, target, flipped))
+    d = ht.index(2)
+    wrong = list(target)
+    wrong[d] = next(c for c in range(alg.dim) if ht[c] == 2 and c != target[d])
+    caught.append(raises(chevalley._check_lift, alg, wrong, sign))
+    if name == "A4":
+        terms = list(zip(alg._bk_i, alg._bk_j, alg._bk_k))
+        a1, a2, a12 = (alg.root_index(r) for r in ((1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)))
+        t, u = terms.index((a1, a2, a12)), terms.index((a2, a1, a12))
+        alg._bk_v[t], alg._bk_v[u] = -alg._bk_v[t], -alg._bk_v[u]
+        caught.append(raises(chevalley.build_principal_sl2, alg))
+        alg._bk_v[t], alg._bk_v[u] = -alg._bk_v[t], -alg._bk_v[u]
+        r = alg.rs.x_coefficients
+        alg.rs.__dict__["x_coefficients"] = (r[1], r[0]) + r[2:]
+        caught.append(raises(chevalley.build_principal_sl2, alg))
+    else:
+        triality = DiagramAutomorphism(perm=(2, 1, 3, 0), order=3)
+        chevalley.diagram_automorphism = lambda rs: triality
+        caught.append(raises(chevalley.build_principal_sl2, alg))
+print(*caught)
 """
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_broken_sigma_inputs_raise(flags):
-    """Each of the 17 mutations raises the signed-permutation RuntimeError,
-    also under python -O (the check is not an assert); the unbroken inputs
-    give sigma.  12 break S0 itself; 4 leave S0 right and only the torus
-    factor wrong, which the one-entry-per-row test cannot see; the last has
-    a row of S0 whose first entry passes the torus test."""
+    """Each of the 7 mutations of the lift raises RuntimeError, also under
+    python -O (the checks are not asserts); the unbroken lift passes."""
     proc = subprocess.run([sys.executable, *flags, "-c", _MUTATIONS],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "17"]
+    assert proc.stdout.split() == ["True"] * 7
 
 
 @pytest.mark.parametrize("name", MEDIUM)

@@ -324,6 +324,15 @@ def test_toda_solve_config_file(tmp_path, capsys):
     assert json.loads(out)["converged"] is True
 
 
+def test_config_line_without_equals_exits_2(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("type=A1\n# a comment\ntol\n")
+    code, _, err = run_cli(capsys, "toda", "solve", "--config", str(conf),
+                           "--out", str(tmp_path / "omega.bin"))
+    assert code == 2
+    assert f"{conf}, line 3: expected key=value, got 'tol'" in err
+
+
 def test_toda_solve_flag_overrides_config(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("type=A1\ngrid=16x16\n")
@@ -445,6 +454,83 @@ def test_malformed_pair_exits_2(flag, text, tmp_path, capsys):
                            "--out", str(tmp_path / "omega.bin"))
     assert code == 2
     assert f"cannot parse {flag[2:]} {text!r}" in err
+
+
+def test_conn_check_grid_n_and_nxn_agree(capsys):
+    outs = [run_cli(capsys, "conn", "check", "--type", "A1", "--grid", g) for g in ("24", "24x24")]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0 and json.loads(outs[0][1])["grid"] == 24
+
+
+def test_conn_check_non_square_grid_exits_2(capsys):
+    code, _, err = run_cli(capsys, "conn", "check", "--type", "A1", "--grid", "24x32")
+    assert code == 2
+    assert "conn check needs a square grid, got '24x32'" in err
+
+
+@pytest.mark.parametrize("text", ["1x2x3", "x", "abc", "24x"])
+def test_conn_check_malformed_grid_exits_2(text, capsys):
+    code, _, err = run_cli(capsys, "conn", "check", "--type", "A1", "--grid", text)
+    assert code == 2
+    assert f"cannot parse grid {text!r}" in err
+
+
+@pytest.fixture(scope="module")
+def solved_run(tmp_path_factory):
+    """Field and manifest of one A1 16x16 solve."""
+    out_path = str(tmp_path_factory.mktemp("run") / "omega.bin")
+    assert main(["toda", "solve", "--type", "A1", "--grid", "16", "--out", out_path]) == 0
+    with open(out_path, "rb") as fh:
+        field = fh.read()
+    with open(out_path + ".manifest.json") as fh:
+        return field, json.load(fh)
+
+
+def _damaged_run(solved_run, tmp_path, section, key):
+    """A copy of ``solved_run`` whose manifest lacks ``section`` (key None)
+    or the ``key`` of that section."""
+    field, manifest = solved_run
+    manifest = json.loads(json.dumps(manifest))
+    if key is None:
+        del manifest[section]
+    else:
+        del manifest[section][key]
+    out_path = str(tmp_path / "omega.bin")
+    with open(out_path, "wb") as fh:
+        fh.write(field)
+    with open(out_path + ".manifest.json", "w") as fh:
+        json.dump(manifest, fh)
+    return out_path
+
+
+_CONFIG_KEYS = ("type", "grid", "q", "tol", "max_iter", "damping", "init", "topology", "extent")
+_SUMMARY_KEYS = ("residual", "curvature_norm", "sigma_defect")
+
+
+@pytest.mark.parametrize(
+    "command, section, key",
+    [("toda verify", "config", None), ("toda verify", "summary", None)]
+    + [("toda verify", "config", k) for k in _CONFIG_KEYS]
+    + [("toda verify", "summary", k) for k in _SUMMARY_KEYS]
+    + [("export-plot", "config", None), ("export-plot", "config", "grid")],
+)
+def test_incomplete_manifest_exits_2(command, section, key, solved_run, tmp_path, capsys):
+    """A manifest without a section or key the command reads is a usage
+    error that names the manifest and what it lacks, not a KeyError."""
+    out_path = _damaged_run(solved_run, tmp_path, section, key)
+    code, out, err = run_cli(capsys, *command.split(), out_path)
+    assert code == 2 and out == ""
+    where = f"{out_path}.manifest.json: "
+    if key is None:
+        assert where + f"the manifest has no {section!r} object" in err
+    else:
+        assert where + f"{section!r} has no key {key!r}" in err
+
+
+def test_export_plot_reads_only_the_config(solved_run, tmp_path, capsys):
+    out_path = _damaged_run(solved_run, tmp_path, "summary", None)
+    code, out, _ = run_cli(capsys, "export-plot", out_path, "--out", str(tmp_path / "plot.csv"))
+    assert code == 0 and json.loads(out)["nodes"] == 16 * 16
 
 
 def test_export_plot(tmp_path, capsys):
