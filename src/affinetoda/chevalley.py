@@ -304,23 +304,18 @@ class ChevalleyAlgebra:
         return reached
 
     # ---- operations ------------------------------------------------------
-    def ad_sparse(self, X: Mapping[int, complex]) -> Dict[int, Dict[int, complex]]:
-        """ad_X in plain Python, for a coefficient map X {basis slot: coefficient},
-        as sparse columns: out[j][k] is the coefficient of b_k in [X, b_j].
-        Integer coefficients stay exact."""
-        J, K, V = self._bk_j, self._bk_k, self._bk_v
-        cols: Dict[int, Dict[int, complex]] = {}
-        for i, x in X.items():
-            for t in self._row(i):
-                col = cols.setdefault(J[t], {})
-                col[K[t]] = col.get(K[t], 0) + x * V[t]
-        return cols
-
     def bracket_sparse(
         self, X: Mapping[int, complex], Y: Mapping[int, complex]
     ) -> Dict[int, complex]:
-        """[X, Y] in plain Python for coefficient maps {basis slot: coefficient}."""
-        return _apply_sparse(self.ad_sparse(X), Y)
+        """[X, Y] in plain Python for coefficient maps {basis slot: coefficient}.
+        Integer coefficients stay exact."""
+        J, K, V = self._bk_j, self._bk_k, self._bk_v
+        Z: Dict[int, complex] = {}
+        for i, x in X.items():
+            for t in self._row(i):
+                if J[t] in Y:
+                    Z[K[t]] = Z.get(K[t], 0) + x * V[t] * Y[J[t]]
+        return Z
 
     def _slot_positions(self, slots: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
         """The basis slots (all ``dim`` of them when ``slots`` is None) and
@@ -398,17 +393,6 @@ class ChevalleyAlgebra:
 
 def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(rs)
-
-
-def _apply_sparse(
-    cols: Mapping[int, Mapping[int, complex]], Y: Mapping[int, complex]
-) -> Dict[int, complex]:
-    """The sparse columns ``cols`` of a matrix applied to the coefficient map Y."""
-    Z: Dict[int, complex] = {}
-    for j, y in Y.items():
-        for k, c in cols.get(j, {}).items():
-            Z[k] = Z.get(k, 0) + c * y
-    return Z
 
 
 # ---------------------------------------------------------------------------

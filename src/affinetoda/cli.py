@@ -266,15 +266,27 @@ def cmd_toda_solve(args) -> int:
     return 0 if sol.converged else 1
 
 
+# what each manifest section read back must hold under its keys: a run's
+# options as strings, and reported numbers as real numbers (JSON true is not one)
+_MANIFEST_VALUES = {
+    "config": ("a string", lambda v: isinstance(v, str)),
+    "summary": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+}
+
+
 def _manifest_section(manifest: Dict, path: str, section: str, keys: Tuple[str, ...]) -> Dict:
-    """manifest[section], after checking that it holds each of ``keys``."""
+    """manifest[section], after checking that it holds each of ``keys`` with
+    a value of the section's kind."""
     where = f"{path}.manifest.json"
     part = manifest.get(section) if isinstance(manifest, dict) else None
     if not isinstance(part, dict):
         raise ValueError(f"{where}: the manifest has no {section!r} object")
-    missing = [key for key in keys if key not in part]
-    if missing:
-        raise ValueError(f"{where}: {section!r} has no key {missing[0]!r}")
+    kind, valid = _MANIFEST_VALUES[section]
+    for key in keys:
+        if key not in part:
+            raise ValueError(f"{where}: {section!r} has no key {key!r}")
+        if not valid(part[key]):
+            raise ValueError(f"{where}: {section!r} key {key!r} is {part[key]!r}, not {kind}")
     return part
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 Root = Tuple[int, ...]
@@ -288,51 +287,15 @@ class AffineCartanData:
     kac_label: str
 
 
-def _integer_null_vector(mat: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """The (unique up to scale) kernel vector of an affine GCM, scaled to
-    coprime positive integers."""
-    n = len(mat)
-    rows = [[Fraction(x) for x in row] for row in mat]
-    piv_cols: List[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((k for k in range(r, n) if rows[k][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for k in range(n):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in piv_cols]
-    if len(free) != 1:
-        raise ValueError(f"kernel dimension {len(free)} != 1; matrix is not affine")
-    fc = free[0]
-    vec = [Fraction(0)] * n
-    vec[fc] = Fraction(1)
-    for rr, c in enumerate(piv_cols):
-        vec[c] = -rows[rr][fc]
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    if any(x <= 0 for x in ints):
-        ints = [-x for x in ints]
-    if any(x <= 0 for x in ints):
-        raise ValueError("kernel vector is not positive; matrix is not affine")
-    return tuple(ints)
-
-
 def affine_cartan(rs: RootSystem) -> AffineCartanData:
-    """Extend the Cartan matrix by the lowered highest root (node 0)."""
+    """Extend the Cartan matrix by the lowered highest root (node 0).
+
+    With theta the highest root, the marks are the labels of the null root
+    alpha_0 + theta, (1, *theta), and the comarks those of its coroot,
+    (1, *theta^vee) (Kac, Table Aff 1).  Both are checked as positive null
+    vectors of the matrix.  The null identities hold for any root in the
+    last slot; positivity rejects one that lacks full support.
+    """
     l = rs.rank
     delta = rs.highest_root
     dd = rs.half_norm(delta)
@@ -351,12 +314,14 @@ def affine_cartan(rs: RootSystem) -> AffineCartanData:
         return rs.cartan_matrix[i - 1][j - 1]
 
     gcm = tuple(tuple(entry(i, j) for j in range(l + 1)) for i in range(l + 1))
-    marks = _integer_null_vector(gcm)
-    comarks = _integer_null_vector([[gcm[j][i] for j in range(l + 1)] for i in range(l + 1)])
-    if any(sum(gcm[i][j] * marks[j] for j in range(l + 1)) for i in range(l + 1)) or any(
-        sum(comarks[i] * gcm[i][j] for i in range(l + 1)) for j in range(l + 1)
+    marks = (1, *delta)
+    comarks = (1, *rs.coroot(delta))
+    if (
+        min(marks + comarks) <= 0
+        or any(sum(gcm[i][j] * marks[j] for j in range(l + 1)) for i in range(l + 1))
+        or any(sum(comarks[i] * gcm[i][j] for i in range(l + 1)) for j in range(l + 1))
     ):
-        raise RuntimeError(f"{rs.type}: marks or comarks are not null vectors")
+        raise RuntimeError(f"{rs.type}: marks or comarks are not positive null vectors")
     label = f"{rs.type.family}{rs.type.rank}(1)"
     return AffineCartanData(gcm=gcm, marks=marks, comarks=comarks, kac_label=label)
 

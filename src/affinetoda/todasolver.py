@@ -44,7 +44,7 @@ from .grids import (
     random_trig_field,
     read_field_binary,
 )
-from .rootdata import RootSystem, affine_cartan
+from .rootdata import RootSystem
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,11 @@ def residual(data: _TodaData, grid: DomainGrid, vals: np.ndarray, q2: np.ndarray
 
 
 def jacobian_apply(
-    data: _TodaData, grid: DomainGrid, vals: np.ndarray, q2: np.ndarray, s: np.ndarray
+    data: _TodaData, grid: DomainGrid, exps: Tuple[np.ndarray, np.ndarray], s: np.ndarray
 ) -> np.ndarray:
-    """Directional derivative of the residual at vals along s."""
-    expo, exp0 = data.exponentials(vals, q2)
+    """Directional derivative of the residual along s, at the point whose
+    pointwise exponentials are ``exps = data.exponentials(vals, q2)``."""
+    expo, exp0 = exps
     a_s = s @ data.P.T
     d_s = a_s @ data.delta_marks
     out = -0.5 * grid.laplacian(s) + 2 * expo * a_s + 2 * (exp0 * d_s)[..., None] * data.delta_co
@@ -160,20 +161,16 @@ def constant_solution(data: _TodaData, q_sq: float) -> Tuple[np.ndarray, float]:
     """The spatially constant solution for constant |q|^2 > 0.
 
     Writing s = |q|^2 exp(-2 delta(Omega)), the h_i components decouple to
-    r_i exp(2 alpha_i(Omega)) = c_i s with the comarks c_i, and the scalar
-    s solves a monotone equation in log s whose closed form is evaluated
-    directly.  Returns (coroot coordinates, pointwise residual norm).
+    r_i exp(2 alpha_i(Omega)) = c_i s with c_i the coefficients of the
+    highest coroot (the comarks of nodes 1..l), and the scalar s solves a
+    monotone equation in log s whose closed form is evaluated directly; its
+    exponent h = 1 + sum of the highest root's coefficients is the Coxeter
+    number.  Returns (coroot coordinates, pointwise residual norm).
     """
     if q_sq <= 0:
         raise ValueError("constant solution needs |q|^2 > 0")
-    aff = affine_cartan(data.rs)
-    marks = np.array(aff.marks[1:], dtype=float)
-    comarks = np.array(aff.comarks[1:], dtype=float)
-    h = float(sum(aff.marks))
-    if aff.marks[0] != 1 or aff.comarks[0] != 1:
-        raise RuntimeError(
-            f"affine node 0 must have mark and comark 1, got {aff.marks[0]} and {aff.comarks[0]}"
-        )
+    marks, comarks = data.delta_marks, data.delta_co
+    h = 1 + float(marks.sum())
     log_s = (np.log(q_sq) - float(marks @ np.log(comarks / data.r))) / h
     targets = 0.5 * np.log(comarks * np.exp(log_s) / data.r)  # alpha_i(Omega)
     om = np.linalg.solve(data.P, targets)
@@ -230,18 +227,19 @@ def _generalized_eigh(B: np.ndarray, G: np.ndarray) -> Tuple[np.ndarray, np.ndar
 
 
 def _mean_field_preconditioner(
-    data: _TodaData, grid: DomainGrid, vals: np.ndarray, q2: np.ndarray
+    data: _TodaData, grid: DomainGrid, exps: Tuple[np.ndarray, np.ndarray]
 ):
     """Inverse of -(1/2) Lap (x) G + I (x) B as a function on grid fields.
 
-    B is the symmetrized spatial mean of the pointwise block of G J.  With
+    B is the symmetrized spatial mean over the interior of the pointwise
+    block of G J, at the point whose exponentials are ``exps``.  With
     V from the generalized eigenproblem B V = G V diag(mu), V^T G V = I,
     the block of Fourier mode k inverts as V diag(1 / (lam_k / 2 + mu)) V^T,
     where lam_k is the mode's eigenvalue of the five-point -Lap.  Boundary
     slots of a rectangle pass through unchanged.
     """
     interior = grid.interior_mask()
-    expo, exp0 = data.exponentials(vals[interior], q2[interior])
+    expo, exp0 = exps[0][interior], exps[1][interior]
     dP = data.delta_marks @ data.P  # delta(h_a)
     B = data.G @ (
         2 * expo.mean(axis=0)[:, None] * data.P
@@ -283,10 +281,13 @@ def _newton_step(
     """Solve the symmetrized Newton system G J s = -G R by preconditioned
     CG from s = 0, stopping when |r| < 1e-12 |G R|, with the spectral
     mean-field preconditioner; boundary slots pass through untouched.
-    Returns the step and the number of CG iterations."""
+    The pointwise exponentials at vals are formed once, for the
+    preconditioner and every matvec.  Returns the step and the number of
+    CG iterations."""
     G = data.G
     interior = grid.interior_mask()
-    precond = _mean_field_preconditioner(data, grid, vals, q2)
+    exps = data.exponentials(vals, q2)
+    precond = _mean_field_preconditioner(data, grid, exps)
     r = -(R @ G)
     if not grid.periodic:
         r[~interior] = 0.0
@@ -299,7 +300,7 @@ def _newton_step(
         z = precond(r)
         rho = _dot(r, z)
         p = z if it == 0 else z + (rho / rho_prev) * p
-        Hp = jacobian_apply(data, grid, vals, q2, p) @ G  # G is symmetric
+        Hp = jacobian_apply(data, grid, exps, p) @ G  # G is symmetric
         if not grid.periodic:
             Hp[~interior] = p[~interior]
         alpha = rho / _dot(p, Hp)

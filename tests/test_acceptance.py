@@ -246,9 +246,10 @@ def test_criterion_9_jacobian_check():
             (16, 16, rs.rank)
         )
         eps = 1e-6
+        exps = data.exponentials(vals, q2)
         for _ in range(20):
             s = rng.standard_normal(vals.shape)
-            jv = jacobian_apply(data, grid, vals, q2, s)
+            jv = jacobian_apply(data, grid, exps, s)
             fd = (
                 residual(data, grid, vals + eps * s, q2)
                 - residual(data, grid, vals - eps * s, q2)

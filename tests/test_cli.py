@@ -486,15 +486,20 @@ def solved_run(tmp_path_factory):
         return field, json.load(fh)
 
 
-def _damaged_run(solved_run, tmp_path, section, key):
+_DELETE = object()
+
+
+def _damaged_run(solved_run, tmp_path, section, key, value=_DELETE):
     """A copy of ``solved_run`` whose manifest lacks ``section`` (key None)
-    or the ``key`` of that section."""
+    or the ``key`` of that section, or holds ``value`` under that key."""
     field, manifest = solved_run
     manifest = json.loads(json.dumps(manifest))
     if key is None:
         del manifest[section]
-    else:
+    elif value is _DELETE:
         del manifest[section][key]
+    else:
+        manifest[section][key] = value
     out_path = str(tmp_path / "omega.bin")
     with open(out_path, "wb") as fh:
         fh.write(field)
@@ -525,6 +530,23 @@ def test_incomplete_manifest_exits_2(command, section, key, solved_run, tmp_path
         assert where + f"the manifest has no {section!r} object" in err
     else:
         assert where + f"{section!r} has no key {key!r}" in err
+
+
+@pytest.mark.parametrize(
+    "section, key, value, kind",
+    [
+        ("summary", "residual", "x", "a number"),
+        ("summary", "sigma_defect", True, "a number"),
+        ("config", "grid", None, "a string"),
+    ],
+)
+def test_mistyped_manifest_value_exits_2(section, key, value, kind, solved_run, tmp_path, capsys):
+    """A manifest key that holds the wrong kind of value is a usage error
+    that names the manifest and the key, not a TypeError or AttributeError."""
+    out_path = _damaged_run(solved_run, tmp_path, section, key, value)
+    code, out, err = run_cli(capsys, "toda", "verify", out_path)
+    assert code == 2 and out == ""
+    assert f"{out_path}.manifest.json: {section!r} key {key!r} is {value!r}, not {kind}" in err
 
 
 def test_export_plot_reads_only_the_config(solved_run, tmp_path, capsys):

@@ -1,4 +1,5 @@
 """Folding layer: projections, twisted classification, folded residual."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from affinetoda.restriction import (
     restricted_toda_residual,
     symmetry_defect,
 )
-from affinetoda.rootdata import _integer_null_vector, coxeter_number, diagram_automorphism
+from affinetoda.rootdata import coxeter_number, diagram_automorphism
 from conftest import elliptic_residual
 
 TABLE = [
@@ -68,11 +69,21 @@ def test_delta_is_fixed_and_projection_idempotent(algebra):
 
 @pytest.mark.parametrize("name", [n for n, _ in TABLE])
 def test_projected_matrix_is_affine(name, algebra):
+    """The projected matrix has positive null vectors on both sides: the
+    marks (1, sum of theta_i over each orbit O), which theta = sum m_O beta_O
+    gives, and the comarks m_O hn(beta_O) / hn(theta), scaled to coprime
+    integers (hn is half the squared length, theta the highest root)."""
     rs, _, _, _ = algebra(name)
     rest = restrict(rs, diagram_automorphism(rs))
     n = len(rest.gcm)
-    marks = _integer_null_vector(rest.gcm)
-    comarks = _integer_null_vector([[rest.gcm[j][i] for j in range(n)] for i in range(n)])
+    theta = rs.highest_root
+    marks = (1,) + tuple(sum(theta[i] for i in orbit) for orbit in rest.orbits)
+    nodes = (theta,) + rest.restricted_roots
+    ratios = [m * rs.half_norm(beta) / rs.half_norm(theta) for m, beta in zip(marks, nodes)]
+    scale = math.lcm(*(c.denominator for c in ratios))
+    comarks = [int(c * scale) for c in ratios]
+    comarks = [c // math.gcd(*comarks) for c in comarks]
+    assert min(marks) > 0 and min(comarks) > 0
     assert all(sum(rest.gcm[i][j] * marks[j] for j in range(n)) == 0 for i in range(n))
     assert all(sum(comarks[i] * rest.gcm[i][j] for i in range(n)) == 0 for j in range(n))
 

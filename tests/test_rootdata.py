@@ -4,6 +4,7 @@ The oracle here generates roots by closing the simple roots under all
 simple reflections (pure integer arithmetic on coefficient tuples), which
 is independent of the root-string closure used by the implementation.
 """
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,15 @@ def test_affine_a1_gcm():
     assert aff.gcm == ((2, -2), (-2, 2))
     assert aff.marks == (1, 1)
     assert aff.comarks == (1, 1)
+
+
+def test_affine_cartan_rejects_a_last_root_that_is_not_the_highest():
+    """affine_cartan reads theta as the last positive root; with alpha_2 of A2
+    there the marks (1, 0, 1) are not positive and the check raises."""
+    rs = build_root_system(LieType.parse("A2"))
+    skewed = dataclasses.replace(rs, positive_roots=rs.positive_roots[-1:] + rs.positive_roots[:-1])
+    with pytest.raises(RuntimeError, match="not positive null vectors"):
+        affine_cartan(skewed)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)

@@ -37,6 +37,18 @@ def test_solver_imports_neither_algebra_nor_connection():
     assert found == []
 
 
+def test_solver_imports_only_root_system_from_rootdata():
+    """The Toda constants (marks, comarks, Coxeter number) reach the solver
+    only through its ``_TodaData``, never from another ``rootdata`` function."""
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "todasolver.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("rootdata"):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [a.name for a in node.names if a.name.rsplit(".", 1)[-1] == "rootdata"]
+    assert imported == ["RootSystem"]
+
+
 def test_only_chevalley_reads_the_structure_table():
     """The table's format is known to ``chevalley`` alone: every other module,
     tests included, goes through ``bracket``, ``ad`` and ``killing``."""

@@ -69,20 +69,6 @@ class TestConstantSolution:
         with pytest.raises(ValueError):
             constant_solution(_TodaData(rs), 0.0)
 
-    def test_bad_affine_node_raises_typed_error(self, algebra, monkeypatch):
-        import affinetoda.todasolver as ts
-
-        rs, _, _, _ = algebra("A2")
-        real = ts.affine_cartan(rs)
-
-        class Skewed:
-            marks = (2,) + tuple(real.marks[1:])
-            comarks = real.comarks
-
-        monkeypatch.setattr(ts, "affine_cartan", lambda _rs: Skewed)
-        with pytest.raises(RuntimeError, match="mark and comark 1"):
-            constant_solution(_TodaData(rs), 1.0)
-
 
 class TestJacobian:
     @pytest.mark.parametrize("name", ["A1", "A2"])
@@ -95,15 +81,34 @@ class TestJacobian:
             (16, 16, data.rs.rank)
         )
         eps = 1e-6
+        exps = data.exponentials(vals, q2)
         for _ in range(20):
             s = rng.standard_normal(vals.shape)
-            jv = jacobian_apply(data, grid, vals, q2, s)
+            jv = jacobian_apply(data, grid, exps, s)
             fd = (
                 residual(data, grid, vals + eps * s, q2)
                 - residual(data, grid, vals - eps * s, q2)
             ) / (2 * eps)
             rel = np.abs(jv - fd).max() / max(1.0, np.abs(jv).max())
             assert rel < 1e-6
+
+    @pytest.mark.parametrize("topology", ["torus", "rectangle"])
+    def test_newton_step_forms_the_exponentials_once(self, topology, algebra, monkeypatch):
+        """The preconditioner and every CG matvec of one Newton step share
+        the pointwise exponentials at the step's iterate."""
+        cfg, data, _, _ = make_config("A2", algebra, n=16, topology=topology)
+        grid = cfg.grid
+        q2 = np.abs(cfg.q.sample(grid)) ** 2
+        om0, _ = constant_solution(data, 1.0)
+        vals = constant_field(grid, om0).values + random_trig_field(
+            data.rs.rank, seed=3, amplitude=0.1
+        ).sample(grid).values
+        R = residual(data, grid, vals, q2)
+        calls = []
+        exponentials = data.exponentials
+        monkeypatch.setattr(data, "exponentials", lambda *a: calls.append(a) or exponentials(*a))
+        _, iters = _newton_step(data, grid, vals, q2, R)
+        assert iters > 1 and len(calls) == 1
 
 
 class TestPreconditioner:
@@ -121,9 +126,10 @@ class TestPreconditioner:
         s = rng.standard_normal(vals.shape)
         interior = grid.interior_mask()
         s[~interior] = 0.0  # CG keeps rectangle boundary slots at zero
-        Hs = jacobian_apply(data, grid, vals, q2, s) @ data.G
+        exps = data.exponentials(vals, q2)
+        Hs = jacobian_apply(data, grid, exps, s) @ data.G
         Hs[~interior] = s[~interior]
-        back = _mean_field_preconditioner(data, grid, vals, q2)(Hs)
+        back = _mean_field_preconditioner(data, grid, exps)(Hs)
         assert np.abs(back - s).max() < 1e-10 * np.abs(s).max()
 
 
@@ -171,14 +177,15 @@ class TestScipyReferences:
         step, iters = _newton_step(data, grid, vals, q2, R)
 
         shape, interior = vals.shape, grid.interior_mask()
+        exps = data.exponentials(vals, q2)
 
         def apply_H(flat):
             s = flat.reshape(shape)
-            Hs = jacobian_apply(data, grid, vals, q2, s) @ data.G
+            Hs = jacobian_apply(data, grid, exps, s) @ data.G
             Hs[~interior] = s[~interior]
             return Hs.ravel()
 
-        precond = _mean_field_preconditioner(data, grid, vals, q2)
+        precond = _mean_field_preconditioner(data, grid, exps)
         rhs = -(R @ data.G)
         rhs[~interior] = 0.0
         n = rhs.size
