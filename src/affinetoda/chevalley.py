@@ -122,16 +122,15 @@ class ChevalleyAlgebra:
 
     # ---- structure constants -------------------------------------------
     def _build_structure_table(self) -> None:
-        """The table columns (_bk_i, _bk_j, _bk_k, _bk_v), sorted by (i, j, k).
+        """The table columns (_bk_i, _bk_j, _bk_k, _bk_v), built in (i, j, k) order.
 
         Each root is encoded as one integer, linear in its coordinates, and
         root sums are looked up in a dict of those codes.  Only the positive
         pairs x < y whose sum g is a root are walked: the extraspecial pair
         of each g gets +(p+1), and the other pairs follow from the Jacobi
-        identity in integer arithmetic on scaled squared norms.  Each such
-        triple also gives the negative pair, by N_{-a,-b} = -N_{a,b}, and
-        the four mixed pairs (g, -x), (g, -y), (x, -g), (y, -g), by the
-        norm-ratio relation of the module docstring.
+        identity in integer arithmetic on scaled squared norms.  The
+        negative pairs follow by N_{-a,-b} = -N_{a,b}, and the mixed pairs
+        by the norm-ratio relation of the module docstring.
         """
         rs = self.rs
         l, R = self.rank, self.num_positive
@@ -193,47 +192,46 @@ class ChevalleyAlgebra:
                 raise RuntimeError(f"{rs.type}: a mixed structure constant is not an integer")
             return val
 
-        # [h_i, e_d] = beta_d(h_i) e_d; [e_u, e_v] = N e_{u+v}; [e_a, e_-a] = h_a.
-        # The terms go into one flat array, and each left slot i keeps the
-        # sort keys of its terms, ((j n + k) << 32) | term index, so that
-        # one slot's terms sort by (j, k).  The field commands build the
-        # table after loading numpy: a list of all the terms as Python
-        # objects would leave about 1 MB of freed small-object memory
-        # resident under their later peak (conn check E8 at 32: +0.7 MB).
-        n = self.dim
-        flat = array("q")  # i, j, k, c of each term in turn
-        rows = [array("q") for _ in range(n)]
+        def constant(u: int, w: int, g: int) -> int:
+            """N_{u,w} for root slots u, w whose sum is the root of slot g."""
+            if u < R:
+                return N[u, w] if w < R else mixed(u, w - R, g)
+            return -mixed(w, u - R, g) if w < R else -N[u - R, w - R]
 
-        def put(i: int, j: int, k: int, c: int) -> None:
-            """The term (i, j, k, c) and its antisymmetric partner (j, i, k, -c)."""
-            t = len(flat) >> 2
-            flat.extend((i, j, k, c, j, i, k, -c))
-            rows[i].append((j * n + k) << 32 | t)
-            rows[j].append((i * n + k) << 32 | t + 1)
-
-        for d in range(l, n):
-            for i, c in enumerate(self._characters[d]):
+        # The terms in (i, j, k) order: [h_a, e_d] = beta_d(h_a) e_d, then for
+        # each root slot u its [e_u, h_a] = -beta_u(h_a) e_u, and for w in slot
+        # order [e_u, e_w] = N_{u,w} e_{u+w}, or +-h_u when w = -u.  The slot
+        # of u + w is looked up by the sum of their codes, which is 0 exactly
+        # when w = -u.
+        chars = self._characters
+        columns = tuple(array("q") for _ in range(4))
+        put_i, put_j, put_k, put_v = (col.append for col in columns)
+        for a in range(l):
+            for d in range(l, self.dim):
+                c = chars[d][a]
                 if c:
-                    put(i, d, d, c)
-        neg = l + R
-        for g, x, y in triples:
-            put(l + x, l + y, l + g, N[x, y])
-            put(neg + x, neg + y, neg + g, -N[x, y])
-            for u, w, c in ((g, x, y), (g, y, x), (x, g, R + y), (y, g, R + x)):
-                put(l + u, neg + w, l + c, mixed(u, w, c))
-        for pa in range(R):
-            for ci, rc in enumerate(roots[pa]):
-                if rc:
-                    co, rem = divmod(2 * rc * sd[ci], nn[pa])
-                    if rem:
-                        raise RuntimeError(f"{rs.type}: a coroot is not integral")
-                    put(l + pa, neg + pa, ci, co)
-        order = array("q")
-        for row in rows:
-            order.extend([key & 0xFFFFFFFF for key in sorted(row)])
-        self._bk_i, self._bk_j, self._bk_k, self._bk_v = (
-            array("q", map(flat[c::4].__getitem__, order)) for c in range(4)
-        )
+                    put_i(a), put_j(d), put_k(d), put_v(c)
+        slot[0] = -1  # w = -u
+        for u in range(2 * R):
+            i = l + u
+            for a, c in enumerate(chars[i]):
+                if c:
+                    put_i(i), put_j(a), put_k(i), put_v(-c)
+            cu = codes[u]
+            for w, g in enumerate(map(slot.get, [cu + cw for cw in codes])):
+                if g is None:
+                    continue
+                if g >= 0:
+                    put_i(i), put_j(l + w), put_k(l + g), put_v(constant(u, w, g))
+                    continue
+                pa = min(u, w)  # [e_pa, e_-pa] = h_pa = sum_ci co_ci h_ci
+                for ci, rc in enumerate(roots[pa]):
+                    if rc:
+                        co, rem = divmod(2 * rc * sd[ci], nn[pa])
+                        if rem:
+                            raise RuntimeError(f"{rs.type}: a coroot is not integral")
+                        put_i(i), put_j(l + w), put_k(ci), put_v(co if u < R else -co)
+        self._bk_i, self._bk_j, self._bk_k, self._bk_v = columns
 
     @cached_property
     def _table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

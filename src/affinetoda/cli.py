@@ -229,7 +229,8 @@ def _summary(omega, q, alg, data) -> Dict[str, float]:
     from . import connection, todasolver
 
     grid = omega.grid
-    R = todasolver.residual(data, grid, omega.values, np.abs(q.sample(grid)) ** 2)
+    exps = data.exponentials(omega.values, np.abs(q.sample(grid)) ** 2)
+    R = todasolver.residual(data, grid, omega.values, exps)
     conn = connection.build_toda_connection(omega, q, alg, data, "toda")
     perm = rootdata.diagram_automorphism(data.rs).perm
     return {
@@ -391,7 +392,8 @@ def cmd_export_plot(args) -> int:
     _, data, cfg, omega = _reload_run(args.field)
     grid = cfg.grid
     av = omega.values @ data.P.T
-    R = todasolver.residual(data, grid, omega.values, np.abs(cfg.q.sample(grid)) ** 2)
+    exps = data.exponentials(omega.values, np.abs(cfg.q.sample(grid)) ** 2)
+    R = todasolver.residual(data, grid, omega.values, exps)
     rnorm = np.abs(R).max(axis=-1)
     out = args.out or (args.field + ".csv")
     l = data.rs.rank

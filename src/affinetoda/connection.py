@@ -238,7 +238,7 @@ def commutator_defect(
     conn = build_toda_connection(omega, q, alg, data, gauge="higgs")
     comm = alg.bracket(conn.phi, conjugate_star(conn, alg), conn.slots)
     q2 = np.abs(q.sample(omega.grid)) ** 2
-    closed = -data.pointwise_residual(omega.values, q2)
+    closed = -data.pointwise_residual(data.exponentials(omega.values, q2))
     return float(np.abs(comm - embed_cartan(closed, len(conn.slots))).max())
 
 
@@ -277,7 +277,8 @@ def equivalence_defect(
     second order under grid refinement.
     """
     grid = omega.grid
-    R = residual(data, grid, omega.values, np.abs(q.sample(grid)) ** 2)
+    exps = data.exponentials(omega.values, np.abs(q.sample(grid)) ** 2)
+    R = residual(data, grid, omega.values, exps)
     mismatch = F + embed_cartan(R, F.shape[-1])
     return (
         grid.max_norm(np.abs(F).max(axis=-1)),

@@ -156,13 +156,14 @@ class QDifferential:
 
     @staticmethod
     def parse(text: str, degree: int) -> "QDifferential":
-        """CLI syntax: const:VALUE or poly:c0,c1,..."""
+        """CLI syntax: const:VALUE or poly:c0,c1,... with finite coefficients."""
         kind, _, rest = text.partition(":")
-        if kind == "const" and rest:
-            return QDifferential.constant(complex(rest), degree)
-        if kind == "poly" and rest:
-            return QDifferential.polynomial([complex(c) for c in rest.split(",")], degree)
-        raise ValueError(f"cannot parse q specification {text!r}")
+        if kind not in ("const", "poly") or not rest:
+            raise ValueError(f"cannot parse q specification {text!r}")
+        coeffs = [complex(rest)] if kind == "const" else [complex(c) for c in rest.split(",")]
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"q specification {text!r} has a non-finite coefficient")
+        return QDifferential(kind, tuple(coeffs), degree)
 
 
 # ---------------------------------------------------------------------------

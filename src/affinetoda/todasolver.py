@@ -10,7 +10,9 @@ with the five-point Laplacian (Omega_{z zbar} = Lap/4).  ``residual`` and
 ``_TodaData.pointwise_residual`` are the only implementation of it:
 ``toda verify``, ``export-plot`` and the connection layer's cross-checks
 call them, so a verify recomputes exactly what the solve reported.  Every
-entry point takes the one per-type ``_TodaData`` its caller built.
+entry point takes the one per-type ``_TodaData`` its caller built.  The
+residual and its Jacobian read the exponentials of their point, formed
+once by the caller, and a solve evaluates each iterate once.
 
 Multiplying the coordinate Jacobian by the Gram matrix of the coroots
 under the invariant-form pairing makes the Newton system symmetric
@@ -125,14 +127,18 @@ class _TodaData:
         dv = av @ self.delta_marks
         return self.r * np.exp(2 * av), q2 * np.exp(-2 * dv)
 
-    def pointwise_residual(self, vals: np.ndarray, q2: np.ndarray) -> np.ndarray:
-        expo, exp0 = self.exponentials(vals, q2)
+    def pointwise_residual(self, exps: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """The pointwise term at the point whose exponentials are ``exps``."""
+        expo, exp0 = exps
         return expo - exp0[..., None] * self.delta_co
 
 
-def residual(data: _TodaData, grid: DomainGrid, vals: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """R(Omega) on the grid, zero on the boundary ring of a rectangle."""
-    R = -0.5 * grid.laplacian(vals) + data.pointwise_residual(vals, q2)
+def residual(
+    data: _TodaData, grid: DomainGrid, vals: np.ndarray, exps: Tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """R(Omega) on the grid, zero on the boundary ring of a rectangle, with
+    ``exps = data.exponentials(vals, q2)``."""
+    R = -0.5 * grid.laplacian(vals) + data.pointwise_residual(exps)
     if not grid.periodic:
         R[~grid.interior_mask()] = 0.0
     return R
@@ -174,7 +180,7 @@ def constant_solution(data: _TodaData, q_sq: float) -> Tuple[np.ndarray, float]:
     log_s = (np.log(q_sq) - float(marks @ np.log(comarks / data.r))) / h
     targets = 0.5 * np.log(comarks * np.exp(log_s) / data.r)  # alpha_i(Omega)
     om = np.linalg.solve(data.P, targets)
-    res = data.pointwise_residual(om[None, None, :], np.array([[q_sq]]))
+    res = data.pointwise_residual(data.exponentials(om[None, None, :], np.array([[q_sq]])))
     return om, float(np.abs(res).max())
 
 
@@ -276,21 +282,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _newton_step(
-    data: _TodaData, grid: DomainGrid, vals: np.ndarray, q2: np.ndarray, R: np.ndarray
+    data: _TodaData, grid: DomainGrid, exps: Tuple[np.ndarray, np.ndarray], R: np.ndarray
 ) -> Tuple[np.ndarray, int]:
     """Solve the symmetrized Newton system G J s = -G R by preconditioned
     CG from s = 0, stopping when |r| < 1e-12 |G R|, with the spectral
-    mean-field preconditioner; boundary slots pass through untouched.
-    The pointwise exponentials at vals are formed once, for the
-    preconditioner and every matvec.  Returns the step and the number of
-    CG iterations."""
+    mean-field preconditioner, at the iterate whose exponentials are
+    ``exps`` and whose residual is R.  R and every matvec vanish on the
+    boundary ring of a rectangle, and the preconditioner passes the ring
+    through, so the step is zero there.  Returns the step and the number
+    of CG iterations."""
     G = data.G
-    interior = grid.interior_mask()
-    exps = data.exponentials(vals, q2)
     precond = _mean_field_preconditioner(data, grid, exps)
     r = -(R @ G)
-    if not grid.periodic:
-        r[~interior] = 0.0
     x = np.zeros_like(r)
     atol = 1e-12 * np.sqrt(_dot(r, r))
     maxiter = 40 * max(grid.nx, grid.ny)
@@ -301,8 +304,6 @@ def _newton_step(
         rho = _dot(r, z)
         p = z if it == 0 else z + (rho / rho_prev) * p
         Hp = jacobian_apply(data, grid, exps, p) @ G  # G is symmetric
-        if not grid.periodic:
-            Hp[~interior] = p[~interior]
         alpha = rho / _dot(p, Hp)
         x += alpha * p
         r -= alpha * Hp
@@ -315,29 +316,30 @@ def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
 
     Deterministic for a fixed config (seeded perturbations, fixed-order
     reductions), whatever the BLAS thread count.  Divergence (no residual
-    progress over a patience window) yields a non-converged Solution; NaN
-    raises.
+    progress over a patience window) yields a non-converged Solution.  The
+    accepted line-search trial is the next iterate, with its exponentials,
+    residual and |R|^2; as |R|^2 falls at each step, only the initial
+    field's non-finite residual can raise.
     """
     grid = cfg.grid
     q2 = np.abs(cfg.q.sample(grid)) ** 2
-    omega = _initial_field(cfg, data, q2)
-    vals = omega.values.copy()
+    vals = _initial_field(cfg, data, q2).values.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # caught just below
+        exps = data.exponentials(vals, q2)
+        R = residual(data, grid, vals, exps)
+        norm2 = float((R * R).sum())
+    if not np.isfinite(norm2):
+        raise FloatingPointError("residual became non-finite")
 
     history: List[float] = []
     cg_iterations: List[int] = []
     best = np.inf
     stall = 0
-    converged = False
-    it = 0
-    for it in range(cfg.max_iter):
-        with np.errstate(over="ignore", invalid="ignore"):  # caught just below
-            R = residual(data, grid, vals, q2)
-        if not np.all(np.isfinite(R)):
-            raise FloatingPointError("residual became non-finite")
+    for it in range(cfg.max_iter + 1):
         res_inf = grid.max_norm(np.abs(R).max(axis=-1))
         history.append(res_inf)
-        if res_inf <= cfg.tol:
-            converged = True
+        converged = res_inf <= cfg.tol
+        if converged or it == cfg.max_iter:
             break
         if res_inf < best * (1 - 1e-12):
             best = res_inf
@@ -346,25 +348,20 @@ def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
             stall += 1
             if stall >= 6:
                 break  # diverged / stagnated
-        s, cg_its = _newton_step(data, grid, vals, q2, R)
+        s, cg_its = _newton_step(data, grid, exps, R)
         cg_iterations.append(cg_its)
-        norm2 = float((R * R).sum())
         t = cfg.damping
         while t > 1e-12:
             trial = vals + t * s
-            Rt = residual(data, grid, trial, q2)
-            if float((Rt * Rt).sum()) <= (1 - 1e-4 * t) * norm2:
+            trial_exps = data.exponentials(trial, q2)
+            Rt = residual(data, grid, trial, trial_exps)
+            trial_norm2 = float((Rt * Rt).sum())
+            if trial_norm2 <= (1 - 1e-4 * t) * norm2:
                 break
             t *= 0.5
         else:
             break  # no acceptable step: give up, report non-converged
-        vals = vals + t * s
-    else:
-        R = residual(data, grid, vals, q2)
-        res_inf = grid.max_norm(np.abs(R).max(axis=-1))
-        history.append(res_inf)
-        converged = res_inf <= cfg.tol
-        it = cfg.max_iter
+        vals, exps, R, norm2 = trial, trial_exps, Rt, trial_norm2
 
     return Solution(
         omega=HFieldGrid(grid, vals),

@@ -31,8 +31,9 @@ def get_algebra(name: str):
 
 def elliptic_residual(omega, q, rs):
     """The solver's residual of a field, computed as toda verify computes it."""
-    q2 = np.abs(q.sample(omega.grid)) ** 2
-    return residual(_TodaData(rs), omega.grid, omega.values, q2)
+    data = _TodaData(rs)
+    exps = data.exponentials(omega.values, np.abs(q.sample(omega.grid)) ** 2)
+    return residual(data, omega.grid, omega.values, exps)
 
 
 def scatter(alg, slots, values):

@@ -1,4 +1,7 @@
 """Chevalley layer: brackets, characters, principal sl2, Coxeter phases, involutions."""
+import hashlib
+import json
+import os
 import subprocess
 import sys
 
@@ -20,6 +23,24 @@ from conftest import ALL_TYPES, reference_bracket, scatter
 
 SMALL = ["A1", "A2", "B2", "G2", "A3", "D4"]
 MEDIUM = SMALL + ["C3", "F4", "D5", "E6"]
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "structure_table.json")) as fh:
+    TABLE_DIGESTS = json.load(fh)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_structure_table_matches_its_digest(name, algebra):
+    """Every term of the table, in table order: the sha256 of the four
+    little-endian int64 columns (i, then j, k, c) that ``bracket_terms``
+    returns with every slot in both supports.  A change to the build must
+    reproduce the committed table term for term."""
+    _, alg, _, _ = algebra(name)
+    full = np.ones(alg.dim, dtype=bool)
+    columns = alg.bracket_terms(full, full)
+    data = np.stack([np.asarray(c, dtype="<i8") for c in columns]).tobytes()
+    assert len(columns[0]) == TABLE_DIGESTS[name]["terms"]
+    assert hashlib.sha256(data).hexdigest() == TABLE_DIGESTS[name]["sha256"]
 
 
 @pytest.mark.parametrize("name", MEDIUM)

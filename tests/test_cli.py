@@ -303,6 +303,27 @@ def test_non_finite_tol_exits_2(tol, tmp_path, capsys):
     assert out == "" and not (tmp_path / "omega.bin").exists()
 
 
+@pytest.mark.parametrize("q", ["const:nan", "poly:1,inf"])
+@pytest.mark.parametrize("init", ["zero", "oracle"])
+def test_non_finite_q_exits_2(q, init, tmp_path, capsys):
+    """A NaN or infinite coefficient of q is a usage error that names the q
+    specification, whatever the initial field, and not a failed solve."""
+    code, out, err = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16",
+                             "--init", init, "--q", q, "--out", str(tmp_path / "omega.bin"))
+    assert code == 2
+    assert f"q specification {q!r} has a non-finite coefficient" in err
+    assert out == "" and not (tmp_path / "omega.bin").exists()
+
+
+def test_conn_check_rejects_a_non_finite_q(capsys):
+    """Without the check, NaN reaches the report as a bare NaN token, which
+    is not valid JSON."""
+    code, out, err = run_cli(capsys, "conn", "check", "--type", "A2", "--grid", "24",
+                             "--q", "poly:1,nanj")
+    assert code == 2 and out == ""
+    assert "q specification 'poly:1,nanj' has a non-finite coefficient" in err
+
+
 def test_negative_max_iter_exits_2_and_zero_is_valid(tmp_path, capsys):
     out_path = str(tmp_path / "omega.bin")
     code, _, err = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16",
@@ -547,6 +568,15 @@ def test_mistyped_manifest_value_exits_2(section, key, value, kind, solved_run, 
     code, out, err = run_cli(capsys, "toda", "verify", out_path)
     assert code == 2 and out == ""
     assert f"{out_path}.manifest.json: {section!r} key {key!r} is {value!r}, not {kind}" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "export-plot"])
+def test_manifest_with_a_non_finite_q_exits_2(command, solved_run, tmp_path, capsys):
+    out_path = _damaged_run(solved_run, tmp_path, "config", "q", "const:inf")
+    argv = ["toda", "verify", out_path] if command == "verify" else ["export-plot", out_path]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "q specification 'const:inf' has a non-finite coefficient" in err
 
 
 def test_export_plot_reads_only_the_config(solved_run, tmp_path, capsys):

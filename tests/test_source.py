@@ -49,6 +49,24 @@ def test_solver_imports_only_root_system_from_rootdata():
     assert imported == ["RootSystem"]
 
 
+def test_only_solve_and_the_oracle_form_the_exponentials():
+    """The Toda term is evaluated once per field: in the solver only
+    ``solve`` (once per iterate) and ``constant_solution`` call
+    ``exponentials``; the residual, the Jacobian, the Newton step and the
+    preconditioner read the exponentials their caller formed."""
+    callers = set()
+    stack = [(node, None) for node in ast.parse((SRC / "todasolver.py").read_text()).body]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name if func is None else func
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "exponentials":
+                callers.add(func)
+        stack += [(child, func) for child in ast.iter_child_nodes(node)]
+    assert callers == {"solve", "constant_solution"}
+
+
 def test_only_chevalley_reads_the_structure_table():
     """The table's format is known to ``chevalley`` alone: every other module,
     tests included, goes through ``bracket``, ``ad`` and ``killing``."""

@@ -60,7 +60,7 @@ class TestConstantSolution:
         q2 = np.array([[1.0]])
         v = np.zeros((1, 1, 2))
         for _ in range(20000):
-            v = v - 0.05 * data.pointwise_residual(v, q2)
+            v = v - 0.05 * data.pointwise_residual(data.exponentials(v, q2))
         om, _ = constant_solution(data, 1.0)
         assert np.abs(v[0, 0] - om).max() < 1e-10
 
@@ -86,29 +86,11 @@ class TestJacobian:
             s = rng.standard_normal(vals.shape)
             jv = jacobian_apply(data, grid, exps, s)
             fd = (
-                residual(data, grid, vals + eps * s, q2)
-                - residual(data, grid, vals - eps * s, q2)
+                residual(data, grid, vals + eps * s, data.exponentials(vals + eps * s, q2))
+                - residual(data, grid, vals - eps * s, data.exponentials(vals - eps * s, q2))
             ) / (2 * eps)
             rel = np.abs(jv - fd).max() / max(1.0, np.abs(jv).max())
             assert rel < 1e-6
-
-    @pytest.mark.parametrize("topology", ["torus", "rectangle"])
-    def test_newton_step_forms_the_exponentials_once(self, topology, algebra, monkeypatch):
-        """The preconditioner and every CG matvec of one Newton step share
-        the pointwise exponentials at the step's iterate."""
-        cfg, data, _, _ = make_config("A2", algebra, n=16, topology=topology)
-        grid = cfg.grid
-        q2 = np.abs(cfg.q.sample(grid)) ** 2
-        om0, _ = constant_solution(data, 1.0)
-        vals = constant_field(grid, om0).values + random_trig_field(
-            data.rs.rank, seed=3, amplitude=0.1
-        ).sample(grid).values
-        R = residual(data, grid, vals, q2)
-        calls = []
-        exponentials = data.exponentials
-        monkeypatch.setattr(data, "exponentials", lambda *a: calls.append(a) or exponentials(*a))
-        _, iters = _newton_step(data, grid, vals, q2, R)
-        assert iters > 1 and len(calls) == 1
 
 
 class TestPreconditioner:
@@ -173,11 +155,11 @@ class TestScipyReferences:
         vals = constant_field(grid, om0).values + random_trig_field(
             data.rs.rank, seed=3, amplitude=0.1
         ).sample(grid).values
-        R = residual(data, grid, vals, q2)
-        step, iters = _newton_step(data, grid, vals, q2, R)
+        exps = data.exponentials(vals, q2)
+        R = residual(data, grid, vals, exps)
+        step, iters = _newton_step(data, grid, exps, R)
 
         shape, interior = vals.shape, grid.interior_mask()
-        exps = data.exponentials(vals, q2)
 
         def apply_H(flat):
             s = flat.reshape(shape)
@@ -244,6 +226,79 @@ class TestTrigField:
 
 
 class TestSolve:
+    @pytest.mark.parametrize("topology", ["torus", "rectangle"])
+    def test_one_evaluation_per_point(self, topology, algebra, monkeypatch):
+        """A solve evaluates the residual once at the initial field and once
+        per line-search trial, each time with exponentials formed for it and
+        at a point not evaluated before; the Newton step forms none.  The
+        accepted trial carries its evaluation to the next step."""
+        import affinetoda.todasolver as ts
+
+        cfg, data, _, _ = make_config(
+            "A2", algebra, n=16, topology=topology, init=InitSpec("perturbed", seed=3, amplitude=0.5)
+        )
+        field0 = ts._initial_field(cfg, data, np.abs(cfg.q.sample(cfg.grid)) ** 2)
+        log = []
+        exponentials, residual_of, newton_step = data.exponentials, ts.residual, ts._newton_step
+
+        def counted_exponentials(vals, q2):
+            log.append(("exponentials", vals))
+            return exponentials(vals, q2)
+
+        def counted_residual(data, grid, vals, exps):
+            log.append(("residual", vals))
+            return residual_of(data, grid, vals, exps)
+
+        def counted_step(*args):
+            log.append(("step", None))
+            step, its = newton_step(*args)
+            log.append(("step end", None))
+            if len(log) == 4:  # the first step: overshoot it 4x, so its line search backtracks
+                step = 4 * step
+            return step, its
+
+        monkeypatch.setattr(ts, "_initial_field", lambda *args: field0)  # its oracle is not counted
+        monkeypatch.setattr(data, "exponentials", counted_exponentials)
+        monkeypatch.setattr(ts, "residual", counted_residual)
+        monkeypatch.setattr(ts, "_newton_step", counted_step)
+        sol = solve(cfg, data)
+        assert sol.converged and sol.iterations > 1
+
+        kinds = [kind for kind, _ in log]
+        steps = [i for i, kind in enumerate(kinds) if kind == "step"]
+        assert len(steps) == len(sol.cg_iterations) == sol.iterations
+        assert all(kinds[i + 1] == "step end" for i in steps)  # no evaluation inside a step
+        evaluations = [(kind, vals) for kind, vals in log if kind.startswith(("exp", "res"))]
+        assert kinds.count("exponentials") == kinds.count("residual")
+        for (k1, v1), (k2, v2) in zip(evaluations[::2], evaluations[1::2]):
+            assert (k1, k2) == ("exponentials", "residual") and v1 is v2
+        trials = kinds[steps[0]:].count("residual")
+        assert kinds.count("residual") == 1 + trials and trials > len(steps)
+        points = [vals for kind, vals in log if kind == "residual"]
+        for i in range(len(points)):
+            for j in range(i):
+                assert not np.array_equal(points[i], points[j])
+
+    @pytest.mark.parametrize("topology", ["torus", "rectangle"])
+    @pytest.mark.parametrize("max_iter", [60, 0, 2])
+    def test_history_belongs_to_the_returned_field(self, topology, max_iter, algebra):
+        """One residual per iterate and one CG solve per step, whether the
+        solve converged or stopped at max_iter; the last residual is that of
+        the field returned."""
+        cfg, data, _, _ = make_config(
+            "A2", algebra, n=16, topology=topology, max_iter=max_iter,
+            init=InitSpec("perturbed", seed=3, amplitude=0.5),
+        )
+        sol = solve(cfg, data)
+        assert sol.converged == (max_iter == 60)
+        assert sol.iterations == max_iter or sol.converged
+        assert len(sol.residual_history) == sol.iterations + 1
+        assert len(sol.cg_iterations) == sol.iterations
+        vals, grid = sol.omega.values, cfg.grid
+        exps = data.exponentials(vals, np.abs(cfg.q.sample(grid)) ** 2)
+        fresh = grid.max_norm(np.abs(residual(data, grid, vals, exps)).max(axis=-1))
+        assert sol.residual_history[-1] == fresh
+
     def test_oracle_init_converges_immediately(self, algebra):
         cfg, data, alg, sl2 = make_config("A2", algebra, init=InitSpec("oracle"))
         sol = solve(cfg, data)
@@ -274,7 +329,7 @@ class TestSolve:
         assert sol.converged
         # boundary kept at its initial (perturbed) values: only check residual
         q2 = np.abs(cfg.q.sample(cfg.grid)) ** 2
-        R = residual(data, cfg.grid, sol.omega.values, q2)
+        R = residual(data, cfg.grid, sol.omega.values, data.exponentials(sol.omega.values, q2))
         assert cfg.grid.max_norm(np.abs(R).max(axis=-1)) < cfg.tol
 
     def test_rectangle_oracle_boundary_curvature(self, algebra):
