@@ -14,10 +14,9 @@ meaning [b_i, b_j] has coefficient c on b_k: four stdlib ``array('q')``
 columns sorted by (i, j, k).  The table, the Jacobi and Killing checks, the
 principal sl2 and its involution sigma (the signed lift of the diagram
 automorphism, checked against every term of the table) are computed in
-Python integer arithmetic, so none of them loads numpy.  The field code
-reads the same table through numpy: ``bracket_terms``, ``bracket``,
-``ad``, ``killing``, ``characters``, ``heights`` and ``negation`` return
-arrays (the table columns as zero-copy int64 views) and import numpy
+Python integer arithmetic, so none of them loads numpy.  ``bracket_terms``,
+``bracket``, ``ad``, ``killing`` and ``characters`` read the same table
+through numpy (the columns as zero-copy int64 views) and import numpy
 inside the function.
 """
 from __future__ import annotations
@@ -28,7 +27,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
 
 from .rootdata import RootSystem, affine_cartan, coxeter_number, diagram_automorphism, exponents
 
@@ -60,7 +59,6 @@ class ChevalleyAlgebra:
         # simple-root coordinates of the root of each slot, zero on the Cartan
         self._roots: Tuple[Root, ...] = tuple([(0,) * l] * l + pos + [_neg(r) for r in pos])
         self._index_of_root: Dict[Root, int] = {r: d for d, r in enumerate(self._roots) if d >= l}
-        # exact per-slot data; ``heights`` and ``negation`` are their numpy forms
         self.slot_heights: Tuple[int, ...] = tuple(sum(r) for r in self._roots)
         # slot of -beta for the root beta of each slot; identity on the Cartan
         self.slot_negation: Tuple[int, ...] = (
@@ -76,10 +74,6 @@ class ChevalleyAlgebra:
     # ---- index helpers -------------------------------------------------
     def root_index(self, root: Root) -> int:
         return self._index_of_root[root]
-
-    @property
-    def highest_root_index(self) -> int:
-        return self.rank + self.num_positive - 1
 
     @property
     def lowest_root_index(self) -> int:
@@ -98,20 +92,6 @@ class ChevalleyAlgebra:
         v = np.zeros(self.dim, dtype=complex)
         v[: self.rank] = coeffs
         return v
-
-    @cached_property
-    def heights(self) -> np.ndarray:
-        """Height of the root of each basis slot (0 on the Cartan), int64."""
-        import numpy as np
-
-        return np.array(self.slot_heights, dtype=np.int64)
-
-    @cached_property
-    def negation(self) -> np.ndarray:
-        """negation[d] = slot of -beta for the root beta of slot d, int64."""
-        import numpy as np
-
-        return np.array(self.slot_negation, dtype=np.int64)
 
     @cached_property
     def characters(self) -> np.ndarray:
@@ -315,61 +295,37 @@ class ChevalleyAlgebra:
                     Z[K[t]] = Z.get(K[t], 0) + x * V[t] * Y[J[t]]
         return Z
 
-    def _slot_positions(self, slots: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-        """The basis slots (all ``dim`` of them when ``slots`` is None) and
-        pos[b], the position of basis slot b among them or -1."""
-        import numpy as np
-
-        full = np.arange(self.dim) if slots is None else np.asarray(slots)
-        pos = np.full(self.dim, -1)
-        pos[full] = np.arange(len(full))
-        return full, pos
-
-    def bracket_terms(
-        self, x_supp: np.ndarray, y_supp: np.ndarray, slots: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def bracket_terms(self, x_supp: np.ndarray, y_supp: np.ndarray) -> Tuple[np.ndarray, ...]:
         """The table terms a bracket forms, as (i, j, k, c) in table order.
 
-        x_supp and y_supp are boolean masks over the basis slots ``slots``
-        (all ``dim`` slots when it is None): the slots on which X and Y are
-        nonzero.  A term is formed when its left slot is in x_supp and its
-        right slot in y_supp; [X, Y] has sum_t X_i[t] Y_j[t] c[t] on slot
-        k[t], with i, j, k positions among ``slots``.  A formed term whose
-        output slot is not in ``slots`` raises RuntimeError: the closure of
-        the support under the bracket is checked, not assumed.
+        x_supp and y_supp are boolean masks over the basis slots: the slots
+        on which X and Y are nonzero.  A term is formed when its left slot is
+        in x_supp and its right slot in y_supp; [X, Y] has
+        sum_t X_i[t] Y_j[t] c[t] on slot k[t].
         """
         import numpy as np
 
         bk_i, bk_j, bk_k, bk_v = self._table
-        full, pos = self._slot_positions(slots)
-        x_mask = np.zeros(self.dim, dtype=bool)
-        y_mask = np.zeros(self.dim, dtype=bool)
-        x_mask[full] = x_supp
-        y_mask[full] = y_supp
-        terms = np.flatnonzero(x_mask[bk_i] & y_mask[bk_j])
-        i, j, k = (pos[t[terms]] for t in (bk_i, bk_j, bk_k))
-        if np.any(k < 0):
-            raise RuntimeError("the bracket leaves the given slots")
-        return i, j, k, bk_v[terms]
+        terms = np.flatnonzero(np.asarray(x_supp)[bk_i] & np.asarray(y_supp)[bk_j])
+        return bk_i[terms], bk_j[terms], bk_k[terms], bk_v[terms]
 
-    def bracket(self, X: np.ndarray, Y: np.ndarray, slots: Optional[np.ndarray] = None) -> np.ndarray:
+    def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Bilinear bracket of coefficient vectors (supports leading axes).
 
-        X, Y and the result hold coefficients over the basis slots
-        ``slots``, or over all ``dim`` slots when it is None.  Only the
-        ``bracket_terms`` of the supports of X and Y are formed, so time
-        scales with the supports rather than with the whole table.  Each
-        formed term is added into its output slot in table order, one at a
-        time: working memory is the output plus one term's worth of points.
+        Only the ``bracket_terms`` of the supports of X and Y are formed, so
+        time scales with the supports rather than with the whole table.
+        Each formed term is added into its output slot in table order, one
+        at a time: working memory is the output plus one term's worth of
+        points.
         """
         import numpy as np
 
-        n = self.dim if slots is None else len(slots)
+        n = self.dim
         if X.shape[-1] != n or Y.shape[-1] != n:
             raise ValueError("dimension mismatch")
         out_shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (n,)
         Z = np.zeros(out_shape, dtype=complex)
-        terms = self.bracket_terms(X.reshape(-1, n).any(axis=0), Y.reshape(-1, n).any(axis=0), slots)
+        terms = self.bracket_terms(X.reshape(-1, n).any(axis=0), Y.reshape(-1, n).any(axis=0))
         for a, b, c, v in zip(*terms):
             Z[..., c] += X[..., a] * Y[..., b] * v
         return Z
@@ -563,19 +519,11 @@ def coxeter_element(alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> CoxeterElement:
     return CoxeterElement(slot_phases=tuple(ht % h for ht in alg.slot_heights), h=h)
 
 
-def rho_hat(alg: ChevalleyAlgebra, X: np.ndarray, slots: Optional[np.ndarray] = None) -> np.ndarray:
-    """Compact anti-involution: h -> -h, e_beta -> -e_{-beta}, antilinear.
-
-    X holds coefficients over ``slots`` (all ``dim`` slots when None), which
-    must be closed under beta -> -beta.
-    """
+def rho_hat(alg: ChevalleyAlgebra, X: np.ndarray) -> np.ndarray:
+    """Compact anti-involution: h -> -h, e_beta -> -e_{-beta}, antilinear."""
     import numpy as np
 
-    full, pos = alg._slot_positions(slots)
-    perm = pos[alg.negation[full]]
-    if np.any(perm < 0):
-        raise ValueError("slots are not closed under beta -> -beta")
-    return -np.conj(np.asarray(X, dtype=complex)[..., perm])
+    return -np.conj(np.asarray(X, dtype=complex)[..., list(alg.slot_negation)])
 
 
 def lambda_hat(alg: ChevalleyAlgebra, sl2: PrincipalSL2, X: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ At module level this file imports only the stdlib and ``rootdata``; each
 command imports the modules it uses.  The three ``lie`` commands never load
 numpy: ``lie check`` reads the exact table, checks and sigma of
 ``chevalley`` and forms its one float residual in plain Python.
+The field commands never load ``chevalley``: the connection builds its
+slots and their bracket from root data (``connection.TodaSlots``).
 Every solver output file is accompanied by a JSON manifest
 (<output>.manifest.json) that records the config, the convention tags and
 the reported residuals; ``toda verify`` recomputes them from the stored
@@ -219,7 +221,7 @@ def _solver_setup(opts: Dict[str, str]):
     return data, cfg
 
 
-def _summary(omega, q, alg, data) -> Dict[str, float]:
+def _summary(omega, q, data) -> Dict[str, float]:
     """Residual, curvature norm and sigma defect of a field: the numbers
     ``toda solve`` reports and ``toda verify`` recomputes.  The norms are
     those of ``connection.equivalence_defect``; the curvature is reduced to
@@ -231,25 +233,24 @@ def _summary(omega, q, alg, data) -> Dict[str, float]:
     grid = omega.grid
     exps = data.exponentials(omega.values, np.abs(q.sample(grid)) ** 2)
     R = todasolver.residual(data, grid, omega.values, exps)
-    conn = connection.build_toda_connection(omega, q, alg, data, "toda")
+    conn = connection.build_toda_connection(omega, q, data, "toda")
     perm = rootdata.diagram_automorphism(data.rs).perm
     return {
         "residual": grid.max_norm(np.abs(R).max(axis=-1)),
-        "curvature_norm": connection.curvature_norm(conn, alg),
+        "curvature_norm": connection.curvature_norm(conn),
         "sigma_defect": todasolver.sigma_symmetry_defect(omega, perm),
     }
 
 
 def cmd_toda_solve(args) -> int:
-    from . import chevalley, grids, todasolver
+    from . import grids, todasolver
 
     opts = _solver_options(args)
     data, cfg = _solver_setup(opts)
-    alg = chevalley.build_chevalley(data.rs)
     sol = todasolver.solve(cfg, data)
     summary = {
         "iterations": sol.iterations,
-        **_summary(sol.omega, cfg.q, alg, data),
+        **_summary(sol.omega, cfg.q, data),
         "converged": bool(sol.converged),
     }
     out = args.out or "omega.bin"
@@ -309,11 +310,9 @@ def _reload_run(path: str):
 
 
 def cmd_toda_verify(args) -> int:
-    from . import chevalley
-
     manifest, data, cfg, omega = _reload_run(args.field)
     reported = _manifest_section(manifest, args.field, "summary", SUMMARY_KEYS)
-    now = _summary(omega, cfg.q, chevalley.build_chevalley(data.rs), data)
+    now = _summary(omega, cfg.q, data)
     drift = {key: abs(val - reported[key]) for key, val in now.items()}
     ok = all(v <= 1e-12 for v in drift.values()) and now["residual"] <= cfg.tol
     _json_out({**now, "drift": drift, "pass": ok})
@@ -330,10 +329,9 @@ def cmd_conn_check(args) -> int:
 
     import numpy as np
 
-    from . import chevalley, connection, grids, todasolver
+    from . import connection, grids, todasolver
 
     rs = _root_system(args.type)
-    alg = chevalley.build_chevalley(rs)
     data = todasolver._TodaData(rs)
     n, ny = _parse_pair(args.grid, "grid", int)
     if ny != n:
@@ -347,24 +345,24 @@ def cmd_conn_check(args) -> int:
     omega = field.sample(grid)
     q = grids.QDifferential.parse(args.q, rootdata.coxeter_number(rs))
 
-    conn = connection.build_toda_connection(omega, q, alg, data, "toda")
-    F = connection.curvature(conn, alg)
-    star_defect = float(np.abs(conn.psi - connection.conjugate_star(conn, alg)).max())
-    comm_defect = connection.commutator_defect(omega, q, alg, data)
+    conn = connection.build_toda_connection(omega, q, data, "toda")
+    F = connection.curvature(conn)
+    star_defect = float(np.abs(conn.psi - connection.conjugate_star(conn)).max())
+    comm_defect = connection.commutator_defect(omega, q, data)
     fnorm, rnorm, mismatch = connection.equivalence_defect(omega, q, data, F)
     # same continuum field at half resolution: mismatch must shrink ~4x
     grid2 = grids.DomainGrid.make("torus", n // 2, n // 2)
     omega2 = field.sample(grid2)
-    conn2 = connection.build_toda_connection(omega2, q, alg, data, "toda")
-    F_half = connection.curvature(conn2, alg)
+    conn2 = connection.build_toda_connection(omega2, q, data, "toda")
+    F_half = connection.curvature(conn2)
     _, _, mismatch2 = connection.equivalence_defect(omega2, q, data, F_half)
     ratio = mismatch2 / mismatch
     rng = random.Random(13)
     cov = 0.0
     for _ in range(3):
         H = grids.constant_field(grid, [0.4 * rng.gauss(0.0, 1.0) for _ in range(rs.rank)])
-        F2 = connection.curvature(connection.gauge_transform(conn, H, alg), alg)
-        F2_expected = connection.char_scale(alg, F, H.values, conn.slots)
+        F2 = connection.curvature(connection.gauge_transform(conn, H))
+        F2_expected = connection.char_scale(F, H.values, conn.slots.characters)
         cov = max(cov, float(np.abs(F2 - F2_expected).max()))
 
     checks = {

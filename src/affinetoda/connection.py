@@ -15,17 +15,10 @@ Ad of exp(s * Omega) for Cartan Omega acts diagonally on root slots by the
 character exp(s * beta(Omega)) and is never computed through a series.
 
 Every array is kept over the 3l+2 basis slots of a Toda connection, not over
-all of g: the l Cartan slots, the +-simple root slots and the +-highest root
-slots (26 of E8's 248).  The connection, its field parts and the Cartan
-gauge action live there by construction; the Cartan-valued A_z and A_zbar
-are kept as their l Cartan coefficients only.  The curvature lives there
-too, because the bracket of A_z + Phi (Cartan, -alpha_i, theta) with
-A_zbar + Psi (Cartan, +alpha_j, -theta) never leaves them.  The Cartan scales
-each slot; alpha_j - alpha_i (i != j) is not a root, as the difference of two
-simple roots never is; theta + alpha_j is not a root, as theta is the
-highest, and so neither is its negative -alpha_i - theta; the pairs beta,
--beta land on the Cartan.  ``ChevalleyAlgebra.bracket_terms`` checks that
-closure on every call rather than assuming it.
+all of g (``TodaSlots``, 26 of E8's 248 slots).  The connection, its field
+parts, the Cartan gauge action and the curvature live there; the
+Cartan-valued A_z and A_zbar are kept as their l Cartan coefficients only.
+The slots and their bracket are built from the root system alone.
 
 The curvature is formed one slot column at a time (``_curvature_columns``):
 ``curvature`` fills a dense F from those columns, and ``curvature_norm``
@@ -34,32 +27,98 @@ reduces them to the norm as they come, so it never holds F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .chevalley import ChevalleyAlgebra, rho_hat
 from .grids import DomainGrid, HFieldGrid, QDifferential
-from .rootdata import coxeter_number
+from .rootdata import RootSystem, coxeter_number
 from .todasolver import _TodaData, residual
 
 
-def _toda_slots(alg: ChevalleyAlgebra) -> np.ndarray:
-    """The 3l+2 basis slots of a Toda connection, sorted, Cartan slots first:
-    the coroots, the +-simple roots and the +-highest root (deduplicated, as
-    in A1 the simple root is the highest root)."""
-    up = [alg.root_index(alg.rs.simple_root(i)) for i in range(alg.rank)]
-    up.append(alg.highest_root_index)
-    # a set, not np.unique, whose first call imports numpy submodules (~15 ms)
-    return np.array(sorted({*range(alg.rank), *up, *alg.negation[up].tolist()}))
+class TodaSlots:
+    """The 3l+2 basis slots of a Toda connection and their bracket, from
+    root data alone.
+
+    Local positions: the l Cartan slots h_a, then the simple roots and the
+    highest root theta in positive-root order, then their negatives in the
+    same order (A1, whose simple root is theta, has 3 slots): the order of
+    the Chevalley basis restricted to these slots.  For the root beta of
+    slot d, ``characters[d, a]`` is beta(h_a), ``heights[d]`` its height and
+    ``negation[d]`` the slot of -beta (0, 0 and d on the Cartan).
+    ``lowered`` holds the slots of E-, the -alpha_i then theta, and
+    ``raised`` those of E+, their negatives.
+
+    ``table`` holds the terms (i, j, k, c), [b_i, b_j] has coefficient c on
+    b_k, in (i, j, k) order: [h_a, e_beta] = beta(h_a) e_beta, its negative
+    [e_beta, h_a], and [e_beta, e_-beta] = +-h_beta (+ for positive beta).
+    Those are all the constants the connection forms: the bracket of
+    A_z + Phi (Cartan, -alpha_i, theta) with A_zbar + Psi (Cartan, +alpha_j,
+    -theta) never leaves the slots.  The Cartan scales each slot;
+    alpha_j - alpha_i (i != j) is not a root, as the difference of two
+    simple roots never is; theta + alpha_j is not a root, as theta is the
+    highest, and so neither is -alpha_i - theta; the pairs beta, -beta land
+    on the Cartan.  Every pair of root slots whose sum is a root, a slot or
+    not (in A2, alpha_1 + alpha_2 = theta), is a term with k = -1, and
+    ``terms`` raises RuntimeError when it forms one: the closure is checked,
+    not assumed.
+    """
+
+    def __init__(self, rs: RootSystem):
+        l, theta = rs.rank, rs.highest_root
+        up = [r for r in rs.positive_roots if sum(r) == 1 or r == theta]
+        self.roots = up + [tuple(-c for c in r) for r in up]  # of the root slots; -theta last
+        self.n = l + len(self.roots)
+        pos = {r: d for d, r in enumerate(self.roots, l)}
+        chars = [[0] * l] * l + [[rs.pairing(r, a) for a in range(l)] for r in self.roots]
+        self.characters = np.array(chars, dtype=np.int64)
+        self.heights = np.array([0] * l + [sum(r) for r in self.roots], dtype=np.int64)
+        self.negation = np.array([*range(l), *(pos[tuple(-c for c in r)] for r in self.roots)])
+        self.raised = np.array([pos[rs.simple_root(i)] for i in range(l)] + [pos[self.roots[-1]]])
+        self.lowered = self.negation[self.raised]
+        is_root = set(rs.positive_roots) | {tuple(-c for c in r) for r in rs.positive_roots}
+        terms = [(a, d, d, chars[d][a]) for a in range(l) for d in range(l, self.n) if chars[d][a]]
+        for u, ru in enumerate(self.roots, l):
+            terms += [(u, a, u, -c) for a, c in enumerate(chars[u]) if c]
+            for w, rw in enumerate(self.roots, l):
+                g = tuple(x + y for x, y in zip(ru, rw))
+                if not any(g):  # [e_u, e_-u] = +-h_u, + for positive u (slot u < w)
+                    sign, co = (1, rs.coroot(ru)) if u < w else (-1, rs.coroot(rw))
+                    terms += [(u, w, a, sign * c) for a, c in enumerate(co) if c]
+                elif g in is_root:
+                    terms.append((u, w, -1, 0))
+        self.table = tuple(np.array(col, dtype=np.int64) for col in zip(*terms))
+
+    def terms(self, x_supp: Sequence[bool], y_supp: Sequence[bool]) -> Tuple[np.ndarray, ...]:
+        """The table terms a bracket forms, as (i, j, k, c) in table order:
+        those whose left slot is in the mask x_supp and right slot in y_supp.
+        A formed pair of root slots whose sum is a root raises RuntimeError."""
+        i, j, k, c = self.table
+        formed = np.flatnonzero(np.asarray(x_supp)[i] & np.asarray(y_supp)[j])
+        if np.any(k[formed] < 0):
+            raise RuntimeError("the bracket leaves the Toda slots")
+        return i[formed], j[formed], k[formed], c[formed]
+
+    def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Bilinear bracket of coefficient vectors over the slots (supports
+        leading axes).  Only the ``terms`` of the supports of X and Y are
+        formed, each added into its output slot in table order, one at a
+        time: working memory is the output plus one term's worth of points.
+        """
+        n = self.n
+        if X.shape[-1] != n or Y.shape[-1] != n:
+            raise ValueError("dimension mismatch")
+        Z = np.zeros(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (n,), dtype=complex)
+        terms = self.terms(X.reshape(-1, n).any(axis=0), Y.reshape(-1, n).any(axis=0))
+        for a, b, c, v in zip(*terms):
+            Z[..., c] += X[..., a] * Y[..., b] * v
+        return Z
 
 
-def char_scale(
-    alg: ChevalleyAlgebra, values: np.ndarray, H: np.ndarray, slots: np.ndarray
-) -> np.ndarray:
-    """Ad of exp(H) for Cartan-valued H on coefficients over ``slots``: root
-    slots scale by exp(beta(H))."""
-    chars = np.einsum("...a,da->...d", np.asarray(H, dtype=complex), alg.characters[slots])
+def char_scale(values: np.ndarray, H: np.ndarray, characters: np.ndarray) -> np.ndarray:
+    """Ad of exp(H) for Cartan-valued H on coefficients over slots whose
+    roots have the rows of ``characters``: root slots scale by exp(beta(H))."""
+    chars = np.einsum("...a,da->...d", np.asarray(H, dtype=complex), characters)
     return values * np.exp(chars, out=chars)
 
 
@@ -75,24 +134,20 @@ def embed_cartan(coeffs: np.ndarray, n: int) -> np.ndarray:
 class ConnectionData:
     """Grids of connection and field coefficients in a declared gauge: the
     Cartan-valued A_z, A_zbar over the l simple coroots, the fields over
-    the basis slots ``slots`` (sorted, Cartan slots first)."""
+    the Toda slots ``slots`` (Cartan slots first)."""
 
     gauge: str  # "toda" | "higgs" | "custom"
     grid: DomainGrid
     omega: HFieldGrid
-    slots: np.ndarray
+    slots: TodaSlots
     A_z: np.ndarray  # (nx, ny, l) complex
     A_zbar: np.ndarray
-    phi: np.ndarray  # (nx, ny, len(slots)) complex
+    phi: np.ndarray  # (nx, ny, slots.n) complex
     psi: np.ndarray
 
 
 def build_toda_connection(
-    omega: HFieldGrid,
-    q: QDifferential,
-    alg: ChevalleyAlgebra,
-    data: _TodaData,
-    gauge: str = "toda",
+    omega: HFieldGrid, q: QDifferential, data: _TodaData, gauge: str = "toda"
 ) -> ConnectionData:
     """Flat connection generated by a Cartan field and a top differential.
 
@@ -102,18 +157,19 @@ def build_toda_connection(
                  Phi = E-, Psi = Ad_{exp(2 Omega)} E+,
     where E- carries sqrt(r_i) on the lowered simple slots and q on the
     raised highest-root slot, and E+ is its mirror with qbar; the r_i are
-    the solver's reality constants ``data.r``.  Phi and Psi live on
-    ``_toda_slots(alg)`` and are written only on their l+1 nonzero slots.
+    the solver's reality constants ``data.r``.  Phi and Psi live on the
+    ``TodaSlots`` of ``data.rs`` and are written only on their l+1 nonzero
+    slots.
     """
     if gauge not in ("toda", "higgs"):
         raise ValueError(f"unknown gauge {gauge!r}")
-    if q.degree != coxeter_number(alg.rs):
+    if q.degree != coxeter_number(data.rs):
         raise ValueError("q differential degree does not match the Coxeter number")
     grid = omega.grid
     vals = omega.values
     if not np.all(np.isfinite(vals)):
         raise ValueError("field contains non-finite values")
-    slots = _toda_slots(alg)
+    slots = TodaSlots(data.rs)
     A_z, A_zbar = grid.wirtinger(vals.astype(complex))  # Omega_z, Omega_zbar
     if gauge == "toda":
         np.negative(A_z, out=A_z)
@@ -123,88 +179,84 @@ def build_toda_connection(
 
     # E- on the lowered simple roots, then q on the highest root; E+ on
     # their negatives, with qbar
-    raised = [alg.root_index(alg.rs.simple_root(i)) for i in range(alg.rank)]
-    lo = np.append(alg.negation[raised], alg.highest_root_index)
-    hi = alg.negation[lo]
-    ilo, ihi = np.searchsorted(slots, lo), np.searchsorted(slots, hi)
+    lo, hi = slots.lowered, slots.raised
     sqrt_r = np.sqrt(data.r)
     qv = q.sample(grid)
-    phi = np.zeros((grid.nx, grid.ny, len(slots)), dtype=complex)
+    phi = np.zeros((grid.nx, grid.ny, slots.n), dtype=complex)
     psi = np.zeros_like(phi)
-    phi[..., ilo[:-1]] = psi[..., ihi[:-1]] = sqrt_r
-    phi[..., ilo[-1]] = qv
-    psi[..., ihi[-1]] = np.conj(qv)
+    phi[..., lo[:-1]] = psi[..., hi[:-1]] = sqrt_r
+    phi[..., lo[-1]] = qv
+    psi[..., hi[-1]] = np.conj(qv)
     if gauge == "toda":
-        phi[..., ilo] = char_scale(alg, phi[..., ilo], -vals, lo)
-        psi[..., ihi] = char_scale(alg, psi[..., ihi], +vals, hi)
+        phi[..., lo] = char_scale(phi[..., lo], -vals, slots.characters[lo])
+        psi[..., hi] = char_scale(psi[..., hi], +vals, slots.characters[hi])
     else:
-        psi[..., ihi] = char_scale(alg, psi[..., ihi], 2 * vals, hi)
+        psi[..., hi] = char_scale(psi[..., hi], 2 * vals, slots.characters[hi])
     return ConnectionData(
         gauge=gauge, grid=grid, omega=omega, slots=slots,
         A_z=A_z, A_zbar=A_zbar, phi=phi, psi=psi,
     )
 
 
-def conjugate_star(conn: ConnectionData, alg: ChevalleyAlgebra) -> np.ndarray:
-    """Phi* = -rho(Phi) for the unitary structure of the declared gauge.
+def conjugate_star(conn: ConnectionData) -> np.ndarray:
+    """Phi* = -rho(Phi) for the unitary structure of the declared gauge,
+    with rho the compact anti-involution h -> -h, e_beta -> -e_{-beta}.
 
     In the Toda gauge the metric involution is the compact one; in the
     Higgs gauge it is dressed by Ad of exp(2 Omega).
     """
-    rho = rho_hat(alg, conn.phi, conn.slots)
+    rho = -np.conj(conn.phi[..., conn.slots.negation])
     if conn.gauge == "toda":
         return -rho
     if conn.gauge == "higgs":
-        return -char_scale(alg, rho, 2 * conn.omega.values, conn.slots)
+        return -char_scale(rho, 2 * conn.omega.values, conn.slots.characters)
     raise ValueError("star is defined only in the toda and higgs gauges")
 
 
-def _curvature_columns(conn: ConnectionData, alg: ChevalleyAlgebra):
+def _curvature_columns(conn: ConnectionData):
     """Yield (p, F[..., p]) for each slot position p in turn: the curvature
     of ``curvature`` one column at a time, by the same operations in the
     same order, in the working memory of the connection plus a few columns.
     """
     grid = conn.grid
-    l, n = conn.A_z.shape[-1], len(conn.slots)
+    l, n = conn.A_z.shape[-1], conn.slots.n
     # columns of A_z + Phi and A_zbar + Psi; off the Cartan they are views
     az = [conn.A_z[..., p] + conn.phi[..., p] for p in range(l)]
     az += [conn.phi[..., p] for p in range(l, n)]
     azbar = [conn.A_zbar[..., p] + conn.psi[..., p] for p in range(l)]
     azbar += [conn.psi[..., p] for p in range(l, n)]
-    i, j, k, c = alg.bracket_terms(
-        [col.any() for col in az], [col.any() for col in azbar], conn.slots
-    )
+    i, j, k, c = conn.slots.terms([col.any() for col in az], [col.any() for col in azbar])
     for p in range(n):
         F = grid.d_dz(azbar[p])
         F -= grid.d_dzbar(az[p])
         Z = np.zeros(F.shape, dtype=complex)
-        for t in np.flatnonzero(k == p):  # in table order, as in ``bracket``
+        for t in np.flatnonzero(k == p):  # in table order, as in ``TodaSlots.bracket``
             Z += az[i[t]] * azbar[j[t]] * c[t]
         F += Z
         yield p, F
 
 
-def curvature(conn: ConnectionData, alg: ChevalleyAlgebra) -> np.ndarray:
+def curvature(conn: ConnectionData) -> np.ndarray:
     """Discrete curvature over ``conn.slots``, coefficient of dz ^ dzbar,
     O(dx^2) accurate: d_dz(A_zbar + Psi) - d_dzbar(A_z + Phi) plus their
     bracket."""
     F = np.empty(conn.phi.shape, dtype=complex)
-    for p, col in _curvature_columns(conn, alg):
+    for p, col in _curvature_columns(conn):
         F[..., p] = col
     return F
 
 
-def curvature_norm(conn: ConnectionData, alg: ChevalleyAlgebra) -> float:
+def curvature_norm(conn: ConnectionData) -> float:
     """The curvature norm ``equivalence_defect`` reports, max over nodes of
     max over slots |F|, without holding F: each column is reduced as it
     is formed."""
     node = np.zeros((conn.grid.nx, conn.grid.ny))
-    for _, col in _curvature_columns(conn, alg):
+    for _, col in _curvature_columns(conn):
         np.maximum(node, np.abs(col), out=node)
     return conn.grid.max_norm(node)
 
 
-def gauge_transform(conn: ConnectionData, H: HFieldGrid, alg: ChevalleyAlgebra) -> ConnectionData:
+def gauge_transform(conn: ConnectionData, H: HFieldGrid) -> ConnectionData:
     """Gauge action of exp(H) for Cartan-valued H; it keeps the slots.
 
     Field parts conjugate by the character action; the Cartan connection
@@ -216,8 +268,8 @@ def gauge_transform(conn: ConnectionData, H: HFieldGrid, alg: ChevalleyAlgebra) 
     Hz, Hzbar = grid.wirtinger(hv.astype(complex))
     A_z = conn.A_z - Hz
     A_zbar = conn.A_zbar - Hzbar
-    phi = char_scale(alg, conn.phi, hv, conn.slots)
-    psi = char_scale(alg, conn.psi, hv, conn.slots)
+    phi = char_scale(conn.phi, hv, conn.slots.characters)
+    psi = char_scale(conn.psi, hv, conn.slots.characters)
     if not np.any(hv):
         gauge = conn.gauge
     elif conn.gauge == "toda" and np.array_equal(hv, conn.omega.values):
@@ -230,26 +282,21 @@ def gauge_transform(conn: ConnectionData, H: HFieldGrid, alg: ChevalleyAlgebra) 
     )
 
 
-def commutator_defect(
-    omega: HFieldGrid, q: QDifferential, alg: ChevalleyAlgebra, data: _TodaData
-) -> float:
+def commutator_defect(omega: HFieldGrid, q: QDifferential, data: _TodaData) -> float:
     """Max deviation between the explicit bracket [Phi, Phi*] and its closed
     form, minus the pointwise term of the Toda residual, in the Higgs gauge."""
-    conn = build_toda_connection(omega, q, alg, data, gauge="higgs")
-    comm = alg.bracket(conn.phi, conjugate_star(conn, alg), conn.slots)
+    conn = build_toda_connection(omega, q, data, gauge="higgs")
+    comm = conn.slots.bracket(conn.phi, conjugate_star(conn))
     q2 = np.abs(q.sample(omega.grid)) ** 2
     closed = -data.pointwise_residual(data.exponentials(omega.values, q2))
-    return float(np.abs(comm - embed_cartan(closed, len(conn.slots))).max())
+    return float(np.abs(comm - embed_cartan(closed, conn.slots.n)).max())
 
 
 def chart_transition(
-    values: np.ndarray,
-    g: np.ndarray | complex,
-    alg: ChevalleyAlgebra,
-    slots: np.ndarray,
-    form_degree: int = 0,
+    values: np.ndarray, g: np.ndarray | complex, heights: Sequence[int], form_degree: int = 0
 ) -> np.ndarray:
-    """Transport coefficients over ``slots`` between charts.
+    """Transport coefficients between charts, over slots whose roots have
+    the given ``heights`` (0 on the Cartan).
 
     Root-space components scale by g**height, Cartan components are
     untouched; ``form_degree`` adds the canonical-bundle power of a tensor
@@ -261,7 +308,7 @@ def chart_transition(
     garr = np.asarray(g, dtype=complex)
     if np.any(garr == 0):
         raise ValueError("chart transition function vanishes")
-    powers = alg.heights[slots] + form_degree
+    powers = np.asarray(heights) + form_degree
     scale = garr[..., None] ** powers if garr.ndim else garr**powers
     return values * scale
 

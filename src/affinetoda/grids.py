@@ -35,6 +35,8 @@ class DomainGrid:
 
     @staticmethod
     def make(topology: str, nx: int, ny: int, extent: Tuple[float, float] = (1.0, 1.0)) -> "DomainGrid":
+        if nx < 8 or ny < 8:  # before the spacings divide by the size
+            raise ValueError("grid must be at least 8x8")
         Lx, Ly = extent
         if topology == "torus":
             return DomainGrid(topology, nx, ny, Lx / nx, Ly / ny)

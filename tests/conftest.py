@@ -36,17 +36,22 @@ def elliptic_residual(omega, q, rs):
     return residual(data, omega.grid, omega.values, exps)
 
 
+def chevalley_slots(alg, slots):
+    """The Chevalley basis slot of each local position of a ``TodaSlots``."""
+    return np.array([*range(alg.rank), *(alg.root_index(r) for r in slots.roots)])
+
+
 def scatter(alg, slots, values):
-    """Coefficients over the basis slots ``slots`` as coefficients over all of g."""
+    """Coefficients over the Toda slots ``slots`` as coefficients over all of g."""
     out = np.zeros(values.shape[:-1] + (alg.dim,), dtype=complex)
-    out[..., slots] = values
+    out[..., chevalley_slots(alg, slots)] = values
     return out
 
 
 def connection_parts(conn):
     """(A_z + Phi, A_zbar + Psi) of a connection over its slots; A_z and
     A_zbar are kept as their Cartan coefficients only."""
-    n = len(conn.slots)
+    n = conn.slots.n
     return embed_cartan(conn.A_z, n) + conn.phi, embed_cartan(conn.A_zbar, n) + conn.psi
 
 

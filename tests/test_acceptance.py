@@ -99,7 +99,7 @@ def test_criterion_2_commutator_identity():
             q = QDifferential.constant(
                 rng.standard_normal() + 1j * rng.standard_normal(), h
             )
-            worst = max(worst, commutator_defect(omega, q, alg, data))
+            worst = max(worst, commutator_defect(omega, q, data))
     report(2, "commutator-identity", worst < 1e-12, f"(max defect {worst:.2e})")
 
 
@@ -113,7 +113,7 @@ def test_criterion_3_higgs_toda_equivalence():
     for n in (32, 64, 128):
         grid = DomainGrid.make("torus", n, n)
         omega = field.sample(grid)
-        F = curvature(build_toda_connection(omega, q, alg, data, "toda"), alg)
+        F = curvature(build_toda_connection(omega, q, data, "toda"))
         fnorm, rnorm, mism = equivalence_defect(omega, q, data, F)
         assert abs(fnorm - rnorm) <= mism + 1e-12
         mismatches[n] = mism
@@ -266,11 +266,11 @@ def test_criterion_10_gauge_covariance():
     grid = DomainGrid.make("torus", 32, 32)
     omega = random_trig_field(2, seed=3, amplitude=0.15).symmetrized(nu.perm).sample(grid)
     q = QDifferential.constant(1.0, 3)
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
-    F = curvature(conn, alg)
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
+    F = curvature(conn)
     worst = 0.0
     for _ in range(10):
         H = constant_field(grid, rng.standard_normal(rs.rank) * 0.5)
-        F2 = curvature(gauge_transform(conn, H, alg), alg)
-        worst = max(worst, float(np.abs(F2 - char_scale(alg, F, H.values, conn.slots)).max()))
+        F2 = curvature(gauge_transform(conn, H))
+        worst = max(worst, float(np.abs(F2 - char_scale(F, H.values, conn.slots.characters)).max()))
     report(10, "gauge-covariance", worst < 1e-10, f"(max defect {worst:.2e})")

@@ -126,8 +126,9 @@ def test_toda_solve_verify_round_trip(flags, tmp_path, capsys):
 
 def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch):
     """Counted in process: every toda/conn command builds the solver's
-    per-type data and the reality constants r_i once and the algebra at most
-    once; only lie check builds the principal sl2 and the Coxeter element."""
+    per-type data and the reality constants r_i once and never the algebra;
+    only lie check builds the algebra, the principal sl2 and the Coxeter
+    element."""
     import affinetoda.chevalley as chevalley
     import affinetoda.rootdata as rootdata
     import affinetoda.todasolver as todasolver
@@ -168,7 +169,7 @@ def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch)
         assert code == 0, label
         assert counts["_TodaData"] == 1, (label, counts)
         assert counts["x_coefficients"] == 1, (label, counts)
-        assert counts["build_chevalley"] <= 1, (label, counts)
+        assert counts["build_chevalley"] == 0, (label, counts)
         assert counts["build_principal_sl2"] == 0, (label, counts)
         assert counts["coxeter_element"] == 0, (label, counts)
     counts.clear()
@@ -242,6 +243,24 @@ def test_exact_lie_commands_load_no_numpy(command):
     assert "numpy" not in out["modules"]
 
 
+def test_field_commands_never_load_the_chevalley_module(tmp_path):
+    """toda solve, toda verify, export-plot and conn check, each in a fresh
+    interpreter, never import ``affinetoda.chevalley``: the connection
+    builds its slots and their bracket from root data."""
+    field = str(tmp_path / "omega.bin")
+    commands = [
+        ("toda", "solve", "--type", "E8", "--grid", "16x16", "--init", "perturbed:1:0.1",
+         "--out", field),
+        ("toda", "verify", field),
+        ("export-plot", field, "--out", str(tmp_path / "plot.csv")),
+        ("conn", "check", "--type", "E8", "--grid", "24"),
+    ]
+    for argv in commands:
+        modules = _modules_after(*argv)["modules"]
+        assert "affinetoda.connection" in modules or argv[0] == "export-plot", argv
+        assert "affinetoda.chevalley" not in modules, argv
+
+
 def test_lie_check_loads_no_solver_grid_or_connection():
     """lie check of every type, in turn in one interpreter, loads neither
     numpy nor the grid, solver, connection or restriction layers."""
@@ -312,6 +331,19 @@ def test_non_finite_q_exits_2(q, init, tmp_path, capsys):
                              "--init", init, "--q", q, "--out", str(tmp_path / "omega.bin"))
     assert code == 2
     assert f"q specification {q!r} has a non-finite coefficient" in err
+    assert out == "" and not (tmp_path / "omega.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "grid, topology", [("0x8", "torus"), ("8x0", "torus"), ("1x8", "rectangle")]
+)
+def test_grid_below_8_nodes_exits_2(grid, topology, tmp_path, capsys):
+    """A size the grid spacing would divide by zero on is a usage error,
+    not a ZeroDivisionError traceback."""
+    code, out, err = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", grid,
+                             "--topology", topology, "--out", str(tmp_path / "omega.bin"))
+    assert code == 2
+    assert "grid must be at least 8x8" in err
     assert out == "" and not (tmp_path / "omega.bin").exists()
 
 
@@ -577,6 +609,15 @@ def test_manifest_with_a_non_finite_q_exits_2(command, solved_run, tmp_path, cap
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "q specification 'const:inf' has a non-finite coefficient" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "export-plot"])
+def test_manifest_with_a_grid_below_8_nodes_exits_2(command, solved_run, tmp_path, capsys):
+    out_path = _damaged_run(solved_run, tmp_path, "config", "grid", "0x8")
+    argv = ["toda", "verify", out_path] if command == "verify" else ["export-plot", out_path]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "grid must be at least 8x8" in err
 
 
 def test_export_plot_reads_only_the_config(solved_run, tmp_path, capsys):

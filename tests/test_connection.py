@@ -6,6 +6,7 @@ import pytest
 
 from affinetoda.cli import _summary
 from affinetoda.connection import (
+    TodaSlots,
     build_toda_connection,
     char_scale,
     chart_transition,
@@ -27,7 +28,14 @@ from affinetoda.grids import (
 )
 from affinetoda.rootdata import coxeter_number, diagram_automorphism
 from affinetoda.todasolver import _TodaData
-from conftest import connection_parts, elliptic_residual, reference_bracket, scatter
+from conftest import (
+    ALL_TYPES,
+    chevalley_slots,
+    connection_parts,
+    elliptic_residual,
+    reference_bracket,
+    scatter,
+)
 
 
 def make_omega(name, algebra, seed=3, amplitude=0.15, n=16, topology="torus"):
@@ -44,14 +52,14 @@ def test_zero_field_zero_q_connection(algebra):
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
     q = QDifferential.constant(0.0, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     assert np.abs(conn.A_z).max() == 0 and np.abs(conn.A_zbar).max() == 0
     phi = scatter(alg, conn.slots, conn.phi)
     for i in range(rs.rank):
         lo = alg.root_index(tuple(-c for c in rs.simple_root(i)))
         expect = float(rs.x_coefficients[i]) ** 0.5
         assert np.allclose(phi[..., lo], expect)
-    assert np.abs(phi[..., alg.highest_root_index]).max() == 0
+    assert np.abs(phi[..., alg.root_index(alg.rs.highest_root)]).max() == 0
 
 
 def test_a1_higgs_gauge_layout(algebra):
@@ -59,8 +67,8 @@ def test_a1_higgs_gauge_layout(algebra):
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0])
     q = QDifferential.constant(1.0, 2)
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "higgs")
-    assert list(conn.slots) == [0, 1, 2]  # the simple root is the highest root
+    conn = build_toda_connection(omega, q, _TodaData(rs), "higgs")
+    assert list(chevalley_slots(alg, conn.slots)) == [0, 1, 2]  # the simple root is the highest root
     phi = scatter(alg, conn.slots, conn.phi)
     lo = alg.root_index((-1,))
     hi = alg.root_index((1,))
@@ -75,8 +83,8 @@ def test_psi_is_phi_star(name, gauge, algebra):
     rs, alg, sl2, _ = algebra(name)
     grid, omega = make_omega(name, algebra)
     q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), gauge)
-    star = conjugate_star(conn, alg)
+    conn = build_toda_connection(omega, q, _TodaData(rs), gauge)
+    star = conjugate_star(conn)
     assert np.abs(conn.psi - star).max() < 1e-12
 
 
@@ -85,11 +93,11 @@ def test_curvature_zero_field_a2(algebra):
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
     q = QDifferential.constant(0.0, 3)
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
-    F = curvature(conn, alg)
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
+    F = curvature(conn)
     # [E-, E+] = - sum_i r_i h_i = -x
     expect = -embed_cartan(np.broadcast_to(
-        np.array([float(c) for c in rs.x_coefficients]), (8, 8, 2)), len(conn.slots))
+        np.array([float(c) for c in rs.x_coefficients]), (8, 8, 2)), conn.slots.n)
     assert np.abs(F - expect).max() < 1e-13
 
 
@@ -101,8 +109,8 @@ def test_curvature_of_constant_oracle_vanishes(algebra):
     om0, _ = constant_solution(_TodaData(rs), 1.0)
     omega = constant_field(grid, om0)
     q = QDifferential.constant(1.0, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
-    F = curvature(conn, alg)
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
+    F = curvature(conn)
     assert np.abs(F).max() < 1e-10
 
 
@@ -110,9 +118,9 @@ def test_gauge_transform_identity(algebra):
     rs, alg, sl2, _ = algebra("A2")
     grid, omega = make_omega("A2", algebra)
     q = QDifferential.constant(1.0, 3)
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     H = constant_field(grid, [0.0, 0.0])
-    out = gauge_transform(conn, H, alg)
+    out = gauge_transform(conn, H)
     assert out.gauge == "toda"
     for a, b in [(out.A_z, conn.A_z), (out.A_zbar, conn.A_zbar), (out.phi, conn.phi), (out.psi, conn.psi)]:
         assert np.abs(a - b).max() == 0
@@ -122,9 +130,9 @@ def test_gauge_transform_omega_reaches_higgs(algebra):
     rs, alg, sl2, _ = algebra("A2")
     grid, omega = make_omega("A2", algebra)
     q = QDifferential.constant(1.0, 3)
-    toda = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
-    higgs = build_toda_connection(omega, q, alg, _TodaData(rs), "higgs")
-    moved = gauge_transform(toda, omega, alg)
+    toda = build_toda_connection(omega, q, _TodaData(rs), "toda")
+    higgs = build_toda_connection(omega, q, _TodaData(rs), "higgs")
+    moved = gauge_transform(toda, omega)
     assert moved.gauge == "higgs"
     assert np.abs(moved.A_zbar).max() < 1e-14
     for a, b in [(moved.A_z, higgs.A_z), (moved.phi, higgs.phi), (moved.psi, higgs.psi)]:
@@ -135,10 +143,10 @@ def test_gauge_transform_constant_character_scaling(algebra):
     rs, alg, sl2, _ = algebra("B2")
     grid, omega = make_omega("B2", algebra)
     q = QDifferential.constant(1.0, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     hvec = np.array([0.23, -0.41])
-    out = gauge_transform(conn, constant_field(grid, hvec), alg)
-    assert np.array_equal(out.slots, conn.slots)
+    out = gauge_transform(conn, constant_field(grid, hvec))
+    assert out.slots is conn.slots
     phi, phi0 = scatter(alg, out.slots, out.phi), scatter(alg, conn.slots, conn.phi)
     P = np.array([[rs.cartan_matrix[a][i] for a in range(2)] for i in range(2)])
     for i in range(rs.rank):
@@ -152,13 +160,13 @@ def test_gauge_covariance_constant_h(name, algebra, rng):
     rs, alg, sl2, _ = algebra(name)
     grid, omega = make_omega(name, algebra)
     q = QDifferential.constant(1.0, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
-    F = curvature(conn, alg)
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
+    F = curvature(conn)
     for _ in range(3):
         hvec = rng.standard_normal(rs.rank) * 0.5
         H = constant_field(grid, hvec)
-        F2 = curvature(gauge_transform(conn, H, alg), alg)
-        expect = char_scale(alg, F, H.values, conn.slots)
+        F2 = curvature(gauge_transform(conn, H))
+        expect = char_scale(F, H.values, conn.slots.characters)
         assert np.abs(F2 - expect).max() < 1e-10
 
 
@@ -174,9 +182,9 @@ def test_gauge_covariance_varying_h_second_order(algebra):
         grid = DomainGrid.make("torus", n, n)
         omega = omf.sample(grid)
         H = hf.sample(grid)
-        conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
-        F2 = curvature(gauge_transform(conn, H, alg), alg)
-        expect = char_scale(alg, curvature(conn, alg), H.values, conn.slots)
+        conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
+        F2 = curvature(gauge_transform(conn, H))
+        expect = char_scale(curvature(conn), H.values, conn.slots.characters)
         defects.append(np.abs(F2 - expect).max())
     ratio = defects[0] / defects[1]
     assert 2.5 < ratio < 6.0
@@ -191,15 +199,15 @@ def test_slot_curvature_matches_dense_reference(name, topology, algebra):
     rs, alg, _, _ = algebra(name)
     grid, omega = make_omega(name, algebra, n=8, topology=topology)
     q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
-    assert len(conn.slots) == (3 if name == "A1" else 3 * rs.rank + 2)
-    assert list(conn.slots[: rs.rank]) == list(range(rs.rank))
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
+    assert conn.slots.n == (3 if name == "A1" else 3 * rs.rank + 2)
+    assert list(chevalley_slots(alg, conn.slots)[: rs.rank]) == list(range(rs.rank))
     az, azbar = (scatter(alg, conn.slots, part) for part in connection_parts(conn))
     ref = grid.d_dz(azbar) - grid.d_dzbar(az) + reference_bracket(alg, az, azbar)
     off = np.ones(alg.dim, dtype=bool)
-    off[conn.slots] = False
+    off[chevalley_slots(alg, conn.slots)] = False
     assert not np.any(ref[..., off])
-    got = scatter(alg, conn.slots, curvature(conn, alg))
+    got = scatter(alg, conn.slots, curvature(conn))
     assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
@@ -213,13 +221,13 @@ def test_column_curvature_is_the_dense_formula(name, topology, moved, algebra):
     rs, alg, _, _ = algebra(name)
     grid, omega = make_omega(name, algebra, topology=topology)
     q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     if moved:
         H = random_trig_field(rs.rank, seed=5, amplitude=0.2).sample(grid)
-        conn = gauge_transform(conn, H, alg)
+        conn = gauge_transform(conn, H)
     az, azbar = connection_parts(conn)
-    dense = grid.d_dz(azbar) - grid.d_dzbar(az) + alg.bracket(az, azbar, conn.slots)
-    assert np.array_equal(curvature(conn, alg), dense)
+    dense = grid.d_dz(azbar) - grid.d_dzbar(az) + conn.slots.bracket(az, azbar)
+    assert np.array_equal(curvature(conn), dense)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "G2", "E8"])
@@ -231,9 +239,9 @@ def test_summary_norms_are_the_equivalence_norms(name, topology, algebra):
     _, omega = make_omega(name, algebra, topology=topology)
     q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
     data = _TodaData(rs)
-    F = curvature(build_toda_connection(omega, q, alg, data, "toda"), alg)
+    F = curvature(build_toda_connection(omega, q, data, "toda"))
     curv, res, _ = equivalence_defect(omega, q, data, F)
-    summary = _summary(omega, q, alg, data)
+    summary = _summary(omega, q, data)
     assert summary["curvature_norm"] == curv
     assert summary["residual"] == res
 
@@ -247,10 +255,10 @@ def test_summary_working_memory(topology, algebra):
     _, omega = make_omega("A2", algebra, n=64, topology=topology)
     q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
     data = _TodaData(rs)
-    _summary(omega, q, alg, data)  # per-type caches
+    _summary(omega, q, data)  # per-type caches
     tracemalloc.start()
     try:
-        _summary(omega, q, alg, data)
+        _summary(omega, q, data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -265,10 +273,10 @@ def test_slot_bracket_is_the_dense_bracket(name, algebra):
     rs, alg, _, _ = algebra(name)
     grid, omega = make_omega(name, algebra, n=8)
     q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     az, azbar = connection_parts(conn)
     dense = alg.bracket(scatter(alg, conn.slots, az), scatter(alg, conn.slots, azbar))
-    assert np.array_equal(scatter(alg, conn.slots, alg.bracket(az, azbar, conn.slots)), dense)
+    assert np.array_equal(scatter(alg, conn.slots, conn.slots.bracket(az, azbar)), dense)
 
 
 def test_slot_bracket_working_memory(algebra):
@@ -278,11 +286,11 @@ def test_slot_bracket_working_memory(algebra):
     rs, alg, _, _ = algebra("A2")
     _, omega = make_omega("A2", algebra, n=64)
     q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     az, azbar = connection_parts(conn)
     tracemalloc.start()
     try:
-        out = alg.bracket(az, azbar, conn.slots)
+        out = conn.slots.bracket(az, azbar)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -290,25 +298,71 @@ def test_slot_bracket_working_memory(algebra):
     assert peak <= 2 * out.nbytes, (peak, out.nbytes)
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "E8"])
-def test_slot_bracket_checks_closure(name, algebra):
-    """Dropping a slot that a formed term lands on is an error, not a
-    silently lost term."""
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_slot_data_is_the_chevalley_data(name, algebra):
+    """Characters, heights, negation and the E-/E+ positions of the Toda
+    slots against those of the Chevalley basis, read through root_index."""
     rs, alg, _, _ = algebra(name)
-    grid, omega = make_omega(name, algebra, n=8)
-    q = QDifferential.constant(1.0, coxeter_number(rs))
-    conn = build_toda_connection(omega, q, alg, _TodaData(rs), "toda")
-    az, azbar = connection_parts(conn)
-    # [e_-alpha_1, e_alpha_1] lands on h_1, the first slot
-    keep = np.arange(1, len(conn.slots))
-    with pytest.raises(RuntimeError, match="leaves the given slots"):
-        alg.bracket(az[..., keep], azbar[..., keep], conn.slots[keep])
-    if rs.rank >= 2:
-        # [e_alpha_1, e_alpha_2] lands on alpha_1 + alpha_2, which is not a slot
-        simple = [alg.root_index(rs.simple_root(i)) for i in range(2)]
-        with pytest.raises(RuntimeError, match="leaves the given slots"):
-            alg.bracket(np.array([1.0, 0.0]), np.array([0.0, 1.0]), simple)
-        assert not np.any(alg.bracket(np.array([1.0, 0.0]), np.array([1.0, 0.0]), simple))
+    slots = TodaSlots(rs)
+    glob = chevalley_slots(alg, slots)
+    assert slots.n == len(set(glob.tolist())) == (3 if name == "A1" else 3 * rs.rank + 2)
+    assert np.all(np.diff(glob) > 0)  # the Chevalley order
+    assert np.array_equal(slots.characters, alg.characters[glob])
+    assert np.array_equal(slots.heights, np.array(alg.slot_heights)[glob])
+    assert np.array_equal(glob[slots.negation], np.array(alg.slot_negation)[glob])
+    minus = [alg.root_index(tuple(-c for c in rs.simple_root(i))) for i in range(rs.rank)]
+    assert glob[slots.lowered].tolist() == minus + [alg.root_index(rs.highest_root)]
+    assert glob[slots.raised].tolist() == [alg.slot_negation[d] for d in glob[slots.lowered]]
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_slot_table_is_the_restricted_chevalley_table(name, algebra):
+    """The formed terms of the slot table are the Chevalley table's terms
+    between slots, term for term and in order, less its root-sum terms
+    [e_beta, e_gamma] = N e_(beta+gamma); each such pair of slots is a
+    marker (k = -1) in the slot table, and every marker is one."""
+    rs, alg, _, _ = algebra(name)
+    l, slots = rs.rank, TodaSlots(rs)
+    local = np.full(alg.dim, -1)
+    local[chevalley_slots(alg, slots)] = np.arange(slots.n)
+    full = np.ones(alg.dim, dtype=bool)
+    gi, gj, gk, gc = alg.bracket_terms(full, full)
+    between = (local[gi] >= 0) & (local[gj] >= 0)
+    root_sum = between & (gi >= l) & (gj >= l) & (gk >= l)
+    keep = between & ~root_sum
+    assert np.all(local[gk[keep]] >= 0)  # off the root sums, the slots are closed
+    i, j, k, c = slots.table
+    formed = k >= 0
+    for got, want in zip((i, j, k, c), (local[gi], local[gj], local[gk], gc)):
+        assert np.array_equal(got[formed], want[keep])
+    markers = sorted(zip(i[~formed].tolist(), j[~formed].tolist()))
+    assert markers == sorted(zip(local[gi[root_sum]].tolist(), local[gj[root_sum]].tolist()))
+    assert (len(markers) > 0) == (l > 1)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_forming_a_marker_raises(name, algebra):
+    """Forming a pair of root slots whose sum is a root is an error, not a
+    silently lost term, also where the sum is a slot (in A2,
+    alpha_1 + alpha_2 = theta); the connection's own supports form none."""
+    rs = algebra(name)[0]
+    slots = TodaSlots(rs)
+    i, j, k, _ = slots.table
+    for a, b in zip(i[k < 0], j[k < 0]):
+        x, y = np.zeros(slots.n, dtype=bool), np.zeros(slots.n, dtype=bool)
+        x[a] = y[b] = True
+        with pytest.raises(RuntimeError, match="leaves the Toda slots"):
+            slots.terms(x, y)
+        with pytest.raises(RuntimeError, match="leaves the Toda slots"):
+            slots.bracket(x.astype(complex), y.astype(complex))
+    if name == "A2":  # every root is a slot, so each of the 12 root-sum pairs is a marker
+        assert k.tolist().count(-1) == 12
+        assert (2, 3) in set(zip(i[k < 0].tolist(), j[k < 0].tolist()))  # alpha_1, alpha_2
+    x = np.zeros(slots.n, dtype=bool)
+    y = np.zeros(slots.n, dtype=bool)
+    x[: rs.rank] = y[: rs.rank] = True
+    x[slots.lowered] = y[slots.raised] = True
+    slots.terms(x, y)
 
 
 class TestHiggsResidual:
@@ -342,7 +396,7 @@ class TestHiggsResidual:
             q = QDifferential.constant(
                 rng.standard_normal() + 1j * rng.standard_normal(), coxeter_number(rs)
             )
-            assert commutator_defect(omega, q, alg, _TodaData(rs)) < 1e-12
+            assert commutator_defect(omega, q, _TodaData(rs)) < 1e-12
 
 
 class TestEquivalence:
@@ -357,7 +411,7 @@ class TestEquivalence:
         for n in (16, 32, 64):
             grid = DomainGrid.make("torus", n, n)
             omega = field.sample(grid)
-            F = curvature(build_toda_connection(omega, q, alg, data, "toda"), alg)
+            F = curvature(build_toda_connection(omega, q, data, "toda"))
             fn, rn, mn = equivalence_defect(omega, q, data, F)
             assert abs(fn - rn) <= mn + 1e-12
             mism.append(mn)
@@ -369,20 +423,20 @@ class TestChartTransition:
     def test_identity(self, algebra):
         _, alg, sl2, _ = algebra("A2")
         X = np.arange(alg.dim, dtype=complex)
-        assert np.abs(chart_transition(X, 1.0, alg, np.arange(alg.dim)) - X).max() == 0
+        assert np.abs(chart_transition(X, 1.0, alg.slot_heights) - X).max() == 0
 
     def test_height_scaling(self, algebra):
         rs, alg, _, _ = algebra("A2")
         lo = alg.root_index(tuple(-c for c in rs.simple_root(0)))
         X = np.zeros(alg.dim, dtype=complex)
         X[lo] = 3.0
-        out = chart_transition(X, 2.0, alg, np.arange(alg.dim))
+        out = chart_transition(X, 2.0, alg.slot_heights)
         assert out[lo] == 3.0 / 2.0  # height -1 slot picks up g^-1
 
     def test_zero_transition_rejected(self, algebra):
         _, alg, _, _ = algebra("A2")
         with pytest.raises(ValueError):
-            chart_transition(np.zeros(alg.dim), 0.0, alg, np.arange(alg.dim))
+            chart_transition(np.zeros(alg.dim), 0.0, alg.slot_heights)
 
     def test_two_chart_field_agreement(self, algebra):
         """Target chart w = 2z. Transporting the source-chart field with
@@ -403,9 +457,9 @@ class TestChartTransition:
         qi = QDifferential.polynomial(
             [0.9 * 0.5 ** h, (0.4 - 0.2j) * 0.5 ** (h + 1)], h
         )  # q_i(w) = q_j(w/2) * (1/2)^h
-        conn_j = build_toda_connection(omega_j, qj, alg, _TodaData(rs), "higgs")
-        conn_i = build_toda_connection(omega_i, qi, alg, _TodaData(rs), "higgs")
-        moved = chart_transition(conn_j.phi, 0.5, alg, conn_j.slots, form_degree=1)
+        conn_j = build_toda_connection(omega_j, qj, _TodaData(rs), "higgs")
+        conn_i = build_toda_connection(omega_i, qi, _TodaData(rs), "higgs")
+        moved = chart_transition(conn_j.phi, 0.5, conn_j.slots.heights, form_degree=1)
         assert np.abs(moved - conn_i.phi).max() < 1e-12
 
 
@@ -431,6 +485,6 @@ def test_bad_gauge_and_degree(algebra):
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
     with pytest.raises(ValueError):
-        build_toda_connection(omega, QDifferential.constant(1.0, 3), alg, _TodaData(rs), "weird")
+        build_toda_connection(omega, QDifferential.constant(1.0, 3), _TodaData(rs), "weird")
     with pytest.raises(ValueError):
-        build_toda_connection(omega, QDifferential.constant(1.0, 7), alg, _TodaData(rs), "toda")
+        build_toda_connection(omega, QDifferential.constant(1.0, 7), _TodaData(rs), "toda")

@@ -340,8 +340,8 @@ class TestSolve:
         )
         sol = solve(cfg, data)
         assert sol.converged
-        conn = build_toda_connection(sol.omega, cfg.q, alg, data, "toda")
-        F = curvature(conn, alg)
+        conn = build_toda_connection(sol.omega, cfg.q, data, "toda")
+        F = curvature(conn)
         assert cfg.grid.max_norm(np.abs(F).max(axis=-1)) <= 10 * cfg.tol
 
     def test_phase_of_q_is_irrelevant(self, algebra):
@@ -369,8 +369,8 @@ class TestSolve:
         cfg, data, alg, sl2 = make_config("A2", algebra, init=InitSpec("perturbed", seed=3, amplitude=0.1))
         sol = solve(cfg, data)
         assert sol.converged
-        conn = build_toda_connection(sol.omega, cfg.q, alg, data, "toda")
-        F = curvature(conn, alg)
+        conn = build_toda_connection(sol.omega, cfg.q, data, "toda")
+        F = curvature(conn)
         assert cfg.grid.max_norm(np.abs(F).max(axis=-1)) <= 10 * cfg.tol
 
 
