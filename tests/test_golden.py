@@ -1,9 +1,10 @@
 """Golden outputs: sha256 digests of what the field commands write and print.
 
 Twelve ``toda solve`` runs (field, manifest, stdout and exit code), a
-``toda verify`` of every field they write, one ``export-plot`` CSV and
-``conn check --grid 32`` for A2, E7 and E8 are compared with the digests in
-``tests/data/golden_digests.json``.  The digests hold for the numpy version
+``toda verify`` of every field they write, one ``export-plot`` CSV,
+``conn check --grid 32`` for A2, E7 and E8, and ``lie info`` and ``lie
+restrict`` of all 33 types (stdout and exit code) are compared with the
+digests in ``tests/data/golden_digests.json``.  The digests hold for the numpy version
 recorded there: under any other version the test fails and names both.
 
 A change that moves an output on purpose regenerates the file, from the
@@ -24,6 +25,7 @@ import tempfile
 import numpy as np
 
 from affinetoda.cli import main
+from conftest import ALL_TYPES
 
 DATA = pathlib.Path(__file__).parent / "data" / "golden_digests.json"
 
@@ -82,6 +84,9 @@ def golden_outputs(workdir: str):
     got[f"export-plot {PLOTTED}"] = {"exit": entry["exit"], "csv": _sha(pathlib.Path(csv).read_bytes())}
     for t in CONN_TYPES:
         got[f"conn check {t} 32"] = _run("conn", "check", "--type", t, "--grid", "32")
+    for t in ALL_TYPES:
+        for command in ("info", "restrict"):
+            got[f"lie {command} {t}"] = _run("lie", command, t)
     return got
 
 
