@@ -24,7 +24,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
@@ -489,12 +488,12 @@ def build_principal_sl2(alg: ChevalleyAlgebra) -> PrincipalSL2:
     return PrincipalSL2(alg, tuple(exponents(alg.rs)), tuple(zip(target, sign)))
 
 
-@dataclass(frozen=True)
 class CoxeterElement:
     """Eigenphase bookkeeping for Ad of exp(2 pi i x / h)."""
 
-    slot_phases: Tuple[int, ...]  # basis index -> height mod h
-    h: int
+    def __init__(self, slot_phases: Tuple[int, ...], h: int):
+        self.slot_phases = slot_phases  # basis index -> height mod h
+        self.h = h
 
     @cached_property
     def phases(self) -> np.ndarray:
@@ -604,14 +603,16 @@ def normalize_cyclic(alg: ChevalleyAlgebra, X: np.ndarray) -> Tuple[np.ndarray, 
 def verify_structure(alg: ChevalleyAlgebra) -> Dict[str, bool]:
     """Exact integer checks: Jacobi identity and ad-invariance of Killing.
 
-    The table must be antisymmetric, and for each of the 2l generators
-    x = e_i, f_i, ad_x must be a derivation, [x, [u, v]] = [[x, u], v] +
-    [u, [x, v]], and Killing-skew, kappa([x, u], v) + kappa(u, [x, v]) = 0,
-    on all basis u, v.  That covers all of g: if ad_x is a derivation then
-    ad_[x,y] = [ad_x, ad_y], and derivations and Killing-skew maps each form
-    a subspace of gl(g) closed under the commutator, so the x that pass form
-    a subalgebra.  It holds the generators, whose iterated brackets reach
-    every basis slot (``generated_slots``, also checked), so it is g.
+    The table must be antisymmetric, and for each of the l+1 generators
+    x = e_{-theta}, e_1, ..., e_l (the affine Chevalley generators, the
+    support of the cyclic element), ad_x must be a derivation,
+    [x, [u, v]] = [[x, u], v] + [u, [x, v]], and Killing-skew,
+    kappa([x, u], v) + kappa(u, [x, v]) = 0, on all basis u, v.  That covers
+    all of g: if ad_x is a derivation then ad_[x,y] = [ad_x, ad_y], and
+    derivations and Killing-skew maps each form a subspace of gl(g) closed
+    under the commutator, so the x that pass form a subalgebra.  It holds
+    the generators, whose iterated brackets reach every basis slot
+    (``generated_slots``, also checked), so it is g.
 
     Plain Python on the table columns; the sums are keyed by the integer
     (u n + w) n + k for the coefficient of b_k in an expression in u and w.
@@ -633,8 +634,9 @@ def verify_structure(alg: ChevalleyAlgebra) -> Dict[str, bool]:
             by_k[k].append((i * nn + j * n, v))
     keys_i = {i: [key for key, _ in t] for i, t in by_i.items()}
     keys_j = {j: [key for key, _ in t] for j, t in by_j.items()}
-    simple = [alg.rs.simple_root(a) for a in range(alg.rank)]
-    gens = [alg.root_index(r) for r in simple] + [alg.root_index(_neg(r)) for r in simple]
+    rs = alg.rs
+    gens = [alg.root_index(_neg(rs.highest_root))]
+    gens += [alg.root_index(rs.simple_root(a)) for a in range(alg.rank)]
     K = alg._killing_rows()
     derivation = skew = True
     for g in gens:

@@ -18,7 +18,8 @@ Every array is kept over the 3l+2 basis slots of a Toda connection, not over
 all of g (``TodaSlots``, 26 of E8's 248 slots).  The connection, its field
 parts, the Cartan gauge action and the curvature live there; the
 Cartan-valued A_z and A_zbar are kept as their l Cartan coefficients only.
-The slots and their bracket are built from the root system alone.
+The slots and their bracket are built from the root system alone, once per
+``_TodaData``, which keeps them for every connection of its type.
 
 The curvature is formed one slot column at a time (``_curvature_columns``):
 ``curvature`` fills a dense F from those columns, and ``curvature_norm``
@@ -26,7 +27,6 @@ reduces them to the norm as they come, so it never holds F.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -115,6 +115,14 @@ class TodaSlots:
         return Z
 
 
+def _shared_slots(data: _TodaData) -> TodaSlots:
+    """The ``TodaSlots`` of ``data.rs``, built on the first call and kept as
+    ``data.slots``: one build per type, however many connections."""
+    if data.slots is None:
+        data.slots = TodaSlots(data.rs)
+    return data.slots
+
+
 def char_scale(values: np.ndarray, H: np.ndarray, characters: np.ndarray) -> np.ndarray:
     """Ad of exp(H) for Cartan-valued H on coefficients over slots whose
     roots have the rows of ``characters``: root slots scale by exp(beta(H))."""
@@ -130,20 +138,30 @@ def embed_cartan(coeffs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-@dataclass
 class ConnectionData:
     """Grids of connection and field coefficients in a declared gauge: the
     Cartan-valued A_z, A_zbar over the l simple coroots, the fields over
     the Toda slots ``slots`` (Cartan slots first)."""
 
-    gauge: str  # "toda" | "higgs" | "custom"
-    grid: DomainGrid
-    omega: HFieldGrid
-    slots: TodaSlots
-    A_z: np.ndarray  # (nx, ny, l) complex
-    A_zbar: np.ndarray
-    phi: np.ndarray  # (nx, ny, slots.n) complex
-    psi: np.ndarray
+    def __init__(
+        self,
+        gauge: str,
+        grid: DomainGrid,
+        omega: HFieldGrid,
+        slots: TodaSlots,
+        A_z: np.ndarray,
+        A_zbar: np.ndarray,
+        phi: np.ndarray,
+        psi: np.ndarray,
+    ):
+        self.gauge = gauge  # "toda" | "higgs" | "custom"
+        self.grid = grid
+        self.omega = omega
+        self.slots = slots
+        self.A_z = A_z  # (nx, ny, l) complex
+        self.A_zbar = A_zbar
+        self.phi = phi  # (nx, ny, slots.n) complex
+        self.psi = psi
 
 
 def build_toda_connection(
@@ -169,7 +187,7 @@ def build_toda_connection(
     vals = omega.values
     if not np.all(np.isfinite(vals)):
         raise ValueError("field contains non-finite values")
-    slots = TodaSlots(data.rs)
+    slots = _shared_slots(data)
     A_z, A_zbar = grid.wirtinger(vals.astype(complex))  # Omega_z, Omega_zbar
     if gauge == "toda":
         np.negative(A_z, out=A_z)

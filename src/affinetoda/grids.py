@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -17,21 +16,19 @@ import numpy as np
 _MAGIC = b"TODA"
 
 
-@dataclass(frozen=True)
 class DomainGrid:
-    topology: str  # "torus" | "rectangle"
-    nx: int
-    ny: int
-    dx: float
-    dy: float
-
-    def __post_init__(self):
-        if self.topology not in ("torus", "rectangle"):
-            raise ValueError(f"unknown topology {self.topology!r}")
-        if self.nx < 8 or self.ny < 8:
+    def __init__(self, topology: str, nx: int, ny: int, dx: float, dy: float):
+        if topology not in ("torus", "rectangle"):
+            raise ValueError(f"unknown topology {topology!r}")
+        if nx < 8 or ny < 8:
             raise ValueError("grid must be at least 8x8")
-        if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):  # NaN fails too
+        if not (0 < dx < np.inf and 0 < dy < np.inf):  # NaN fails too
             raise ValueError("grid spacings must be positive and finite")
+        self.topology = topology  # "torus" | "rectangle"
+        self.nx = nx
+        self.ny = ny
+        self.dx = dx
+        self.dy = dy
 
     @staticmethod
     def make(topology: str, nx: int, ny: int, extent: Tuple[float, float] = (1.0, 1.0)) -> "DomainGrid":
@@ -102,19 +99,17 @@ class DomainGrid:
         return float(vals.max()) if vals.size else 0.0
 
 
-@dataclass
 class HFieldGrid:
     """Real Cartan-valued field: coefficients over the simple coroots."""
 
-    grid: DomainGrid
-    values: np.ndarray  # (nx, ny, l) float64
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[:2] != (self.grid.nx, self.grid.ny):
+    def __init__(self, grid: DomainGrid, values: np.ndarray):
+        values = np.asarray(values, dtype=float)  # (nx, ny, l)
+        if values.shape[:2] != (grid.nx, grid.ny):
             raise ValueError("field shape does not match grid")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite values")
+        self.grid = grid
+        self.values = values
 
     @property
     def l(self) -> int:
@@ -126,7 +121,6 @@ def constant_field(grid: DomainGrid, vec: Sequence[float]) -> HFieldGrid:
     return HFieldGrid(grid, vals)
 
 
-@dataclass(frozen=True)
 class QDifferential:
     """Holomorphic coefficient of the top-degree differential.
 
@@ -134,9 +128,10 @@ class QDifferential:
     power (Coxeter number) the coefficient belongs to.
     """
 
-    kind: str  # "const" | "poly"
-    coeffs: Tuple[complex, ...]
-    degree: int
+    def __init__(self, kind: str, coeffs: Tuple[complex, ...], degree: int):
+        self.kind = kind  # "const" | "poly"
+        self.coeffs = coeffs
+        self.degree = degree
 
     @staticmethod
     def constant(value: complex, degree: int) -> "QDifferential":
@@ -173,7 +168,6 @@ class QDifferential:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TrigField:
     """Real trigonometric polynomial, periodic with periods (Lx, Ly).
 
@@ -181,9 +175,10 @@ class TrigField:
     resolution, which the discretization-order tests rely on.
     """
 
-    coeffs: np.ndarray  # (l, 2K+1, 2K+1) complex, mode amplitudes
-    Lx: float
-    Ly: float
+    def __init__(self, coeffs: np.ndarray, Lx: float, Ly: float):
+        self.coeffs = coeffs  # (l, 2K+1, 2K+1) complex, mode amplitudes
+        self.Lx = Lx
+        self.Ly = Ly
 
     def sample(self, grid: DomainGrid) -> HFieldGrid:
         """Re(e_x C_a e_y^T) per component a, with the 1-D mode tables

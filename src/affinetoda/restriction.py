@@ -16,7 +16,6 @@ member).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
@@ -36,16 +35,26 @@ if TYPE_CHECKING:  # the folded field equation needs numpy; the folding itself d
 Vec = Tuple[Fraction, ...]
 
 
-@dataclass(eq=False)
 class RestrictedSystem:
-    base: RootSystem
-    nu: DiagramAutomorphism
-    restricted_roots: Tuple[Vec, ...]  # deduplicated projections of the simple roots
-    orbits: Tuple[Tuple[int, ...], ...]  # simple-root indices over each projection
-    coroot_coords: Tuple[Vec, ...]  # dual vectors over the simple coroots
-    weights: Tuple[Fraction, ...]  # constants pinning the folded equation
-    gcm: Tuple[Tuple[int, ...], ...]  # affine matrix, lowered-root node first
-    label: str
+    def __init__(
+        self,
+        base: RootSystem,
+        nu: DiagramAutomorphism,
+        restricted_roots: Tuple[Vec, ...],
+        orbits: Tuple[Tuple[int, ...], ...],
+        coroot_coords: Tuple[Vec, ...],
+        weights: Tuple[Fraction, ...],
+        gcm: Tuple[Tuple[int, ...], ...],
+        label: str,
+    ):
+        self.base = base
+        self.nu = nu
+        self.restricted_roots = restricted_roots  # deduplicated projections of the simple roots
+        self.orbits = orbits  # simple-root indices over each projection
+        self.coroot_coords = coroot_coords  # dual vectors over the simple coroots
+        self.weights = weights  # constants pinning the folded equation
+        self.gcm = gcm  # affine matrix, lowered-root node first
+        self.label = label
 
 
 def project(rs: RootSystem, nu: DiagramAutomorphism, alpha: Sequence[Fraction]) -> Vec:

@@ -20,7 +20,6 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
@@ -49,21 +48,25 @@ _DIM = {
 }
 
 
-@dataclass(frozen=True)
 class LieType:
-    """A simple type, e.g. LieType('A', 2)."""
+    """A simple type, e.g. LieType('A', 2); equal and hashed by (family, rank)."""
 
-    family: str
-    rank: int
+    def __init__(self, family: str, rank: int):
+        if family not in _RANK_BOUNDS:
+            raise ValueError(f"unknown family {family!r}")
+        lo, hi = _RANK_BOUNDS[family]
+        if not (lo <= rank <= hi):
+            raise ValueError(f"rank {rank} out of range [{lo}, {hi}] for family {family}")
+        self.family = family
+        self.rank = rank
 
-    def __post_init__(self):
-        if self.family not in _RANK_BOUNDS:
-            raise ValueError(f"unknown family {self.family!r}")
-        lo, hi = _RANK_BOUNDS[self.family]
-        if not (lo <= self.rank <= hi):
-            raise ValueError(
-                f"rank {self.rank} out of range [{lo}, {hi}] for family {self.family}"
-            )
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LieType):
+            return NotImplemented
+        return (self.family, self.rank) == (other.family, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
 
     @staticmethod
     def parse(name: str) -> "LieType":
@@ -127,14 +130,20 @@ def _cartan_and_norms(lt: LieType) -> Tuple[List[List[int]], List[Fraction]]:
     return M, d
 
 
-@dataclass(frozen=True, eq=False)
 class RootSystem:
     """Positive roots, Cartan data and pairings for one simple type."""
 
-    type: LieType
-    cartan_matrix: Tuple[Tuple[int, ...], ...]
-    norms: Tuple[Fraction, ...]  # d_i = (alpha_i, alpha_i) / 2
-    positive_roots: Tuple[Root, ...]  # ordered by (height, lex)
+    def __init__(
+        self,
+        type: LieType,
+        cartan_matrix: Tuple[Tuple[int, ...], ...],
+        norms: Tuple[Fraction, ...],
+        positive_roots: Tuple[Root, ...],
+    ):
+        self.type = type
+        self.cartan_matrix = cartan_matrix
+        self.norms = norms  # d_i = (alpha_i, alpha_i) / 2
+        self.positive_roots = positive_roots  # ordered by (height, lex)
 
     @property
     def rank(self) -> int:
@@ -196,19 +205,29 @@ class RootSystem:
 
     @cached_property
     def x_coefficients(self) -> Tuple[Fraction, ...]:
-        """Coefficients r_i of the grading element x = (1/2) sum of all positive coroots.
+        """Coefficients r_i of the grading element x = sum_i r_i h_i, the
+        reality constants of the Toda layer.
 
-        x satisfies alpha_i(x) = 1 for every simple root, which the caller may
-        verify via ``pairing``; the r_i are the reality constants used by the
-        Toda layer.  Computed once per root system.
+        alpha_j(x) = sum_i r_i A[i][j] = 1 for every simple root, so r solves
+        A^T r = 1 (x is half the sum of the positive coroots).  Exact
+        elimination without pivoting: the leading principal minors of a
+        Cartan matrix are Cartan determinants, hence positive.  Computed once
+        per root system.
         """
         l = self.rank
-        acc = [Fraction(0)] * l
-        for root in self.positive_roots:
-            co = self.coroot(root)
-            for i in range(l):
-                acc[i] += co[i]
-        return tuple(c / 2 for c in acc)
+        A = self.cartan_matrix
+        M = [[Fraction(A[i][j]) for i in range(l)] + [Fraction(1)] for j in range(l)]
+        for p in range(l):
+            pivot = M[p]
+            for row in M[p + 1 :]:
+                if row[p]:
+                    f = row[p] / pivot[p]
+                    for c in range(p, l + 1):
+                        row[c] -= f * pivot[c]
+        r = [Fraction(0)] * l
+        for p in reversed(range(l)):
+            r[p] = (M[p][l] - sum(M[p][c] * r[c] for c in range(p + 1, l))) / M[p][p]
+        return tuple(r)
 
 
 def build_root_system(lt: LieType) -> RootSystem:
@@ -279,12 +298,18 @@ def coxeter_number(rs: RootSystem) -> int:
     return rs.height(rs.highest_root) + 1
 
 
-@dataclass(frozen=True)
 class AffineCartanData:
-    gcm: Tuple[Tuple[int, ...], ...]  # (l+1) x (l+1), node 0 first
-    marks: Tuple[int, ...]
-    comarks: Tuple[int, ...]
-    kac_label: str
+    def __init__(
+        self,
+        gcm: Tuple[Tuple[int, ...], ...],
+        marks: Tuple[int, ...],
+        comarks: Tuple[int, ...],
+        kac_label: str,
+    ):
+        self.gcm = gcm  # (l+1) x (l+1), node 0 first
+        self.marks = marks
+        self.comarks = comarks
+        self.kac_label = kac_label
 
 
 def affine_cartan(rs: RootSystem) -> AffineCartanData:
@@ -326,12 +351,12 @@ def affine_cartan(rs: RootSystem) -> AffineCartanData:
     return AffineCartanData(gcm=gcm, marks=marks, comarks=comarks, kac_label=label)
 
 
-@dataclass(frozen=True)
 class DiagramAutomorphism:
     """Order <= 2 symmetry of the Dynkin graph acting on simple-root indices."""
 
-    perm: Tuple[int, ...]  # 0-based image of each node
-    order: int
+    def __init__(self, perm: Tuple[int, ...], order: int):
+        self.perm = perm  # 0-based image of each node
+        self.order = order
 
     @property
     def is_identity(self) -> bool:

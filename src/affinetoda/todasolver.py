@@ -33,7 +33,6 @@ thread count.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,12 +48,27 @@ from .grids import (
 from .rootdata import RootSystem
 
 
-@dataclass(frozen=True)
 class InitSpec:
-    kind: str = "oracle"  # zero | oracle | perturbed | file
-    seed: int = 0
-    amplitude: float = 0.1
-    path: Optional[str] = None
+    """How a solve starts; equal and hashed by (kind, seed, amplitude, path)."""
+
+    def __init__(
+        self, kind: str = "oracle", seed: int = 0, amplitude: float = 0.1, path: Optional[str] = None
+    ):
+        self.kind = kind  # zero | oracle | perturbed | file
+        self.seed = seed
+        self.amplitude = amplitude
+        self.path = path
+
+    def _key(self) -> Tuple:
+        return self.kind, self.seed, self.amplitude, self.path
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, InitSpec):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def parse(text: str) -> "InitSpec":
@@ -71,31 +85,44 @@ class InitSpec:
         raise ValueError(f"cannot parse init specification {text!r}")
 
 
-@dataclass
 class SolverConfig:
-    grid: DomainGrid
-    q: QDifferential
-    tol: float = 1e-10
-    max_iter: int = 60
-    damping: float = 1.0
-    init: InitSpec = field(default_factory=InitSpec)
-
-    def __post_init__(self):
-        if not 0 < self.tol < float("inf"):  # a NaN or infinite tol would pass any residual
-            raise ValueError(f"tol must be positive and finite, not {self.tol}")
-        if self.max_iter < 0:
-            raise ValueError(f"max_iter must be non-negative, not {self.max_iter}")
-        if not (0 < self.damping <= 1):
+    def __init__(
+        self,
+        grid: DomainGrid,
+        q: QDifferential,
+        tol: float = 1e-10,
+        max_iter: int = 60,
+        damping: float = 1.0,
+        init: Optional[InitSpec] = None,
+    ):
+        if not 0 < tol < float("inf"):  # a NaN or infinite tol would pass any residual
+            raise ValueError(f"tol must be positive and finite, not {tol}")
+        if max_iter < 0:
+            raise ValueError(f"max_iter must be non-negative, not {max_iter}")
+        if not (0 < damping <= 1):
             raise ValueError("damping must lie in (0, 1]")
+        self.grid = grid
+        self.q = q
+        self.tol = tol
+        self.max_iter = max_iter
+        self.damping = damping
+        self.init = InitSpec() if init is None else init
 
 
-@dataclass
 class Solution:
-    omega: HFieldGrid
-    residual_history: List[float]
-    iterations: int
-    converged: bool
-    cg_iterations: List[int] = field(default_factory=list)  # one entry per Newton step
+    def __init__(
+        self,
+        omega: HFieldGrid,
+        residual_history: List[float],
+        iterations: int,
+        converged: bool,
+        cg_iterations: Optional[List[int]] = None,
+    ):
+        self.omega = omega
+        self.residual_history = residual_history
+        self.iterations = iterations
+        self.converged = converged
+        self.cg_iterations = [] if cg_iterations is None else cg_iterations  # one per Newton step
 
     @property
     def final_residual(self) -> float:
@@ -121,6 +148,9 @@ class _TodaData:
         self.G = np.array(
             [[float(a / d) for a, d in zip(row, rs.norms)] for row in rs.cartan_matrix]
         )
+        # the connection's ``TodaSlots`` of rs, built there on first use and
+        # kept here, so that every connection of this type shares them
+        self.slots = None
 
     def exponentials(self, vals: np.ndarray, q2: np.ndarray):
         av = vals @ self.P.T
@@ -398,7 +428,11 @@ def uniqueness_probe(
         raise ValueError("need at least two seeds")
     amp = cfg.init.amplitude if amplitude is None else amplitude
     sols = [
-        solve(replace(cfg, init=InitSpec("perturbed", seed=s, amplitude=amp)), data)
+        solve(
+            SolverConfig(cfg.grid, cfg.q, cfg.tol, cfg.max_iter, cfg.damping,
+                         InitSpec("perturbed", seed=s, amplitude=amp)),
+            data,
+        )
         for s in seeds
     ]
     failed = [seed for seed, s in zip(seeds, sols) if not s.converged]

@@ -53,14 +53,13 @@ def test_structure_exact(name, algebra):
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_generators_reach_every_slot(name, algebra):
-    """verify_structure checks only the 2l generators e_i, f_i; their
-    iterated brackets reach all of g, and the e_i alone only the positive
-    root slots."""
+    """verify_structure checks only the l+1 affine generators e_1, ..., e_l
+    and e_{-theta}; their iterated brackets reach all of g, and the e_i
+    alone only the positive root slots."""
     rs, alg, _, _ = algebra(name)
-    simple = [rs.simple_root(i) for i in range(alg.rank)]
-    e = [alg.root_index(r) for r in simple]
-    f = [alg.root_index(tuple(-c for c in r)) for r in simple]
-    assert all(alg.generated_slots(e + f))
+    e = [alg.root_index(rs.simple_root(i)) for i in range(alg.rank)]
+    e0 = alg.root_index(tuple(-c for c in rs.highest_root))
+    assert all(alg.generated_slots(e + [e0]))
     positive = np.zeros(alg.dim, dtype=bool)
     positive[alg.rank : alg.rank + alg.num_positive] = True
     assert np.array_equal(alg.generated_slots(e), positive)
@@ -68,11 +67,14 @@ def test_generators_reach_every_slot(name, algebra):
 
 def test_verify_structure_needs_the_generated_slots(algebra, monkeypatch):
     """With the closure step broken (one slot left unreached), the
-    generator checks no longer cover g and both exact checks fail."""
-    _, alg, _, _ = algebra("A2")
+    generator checks no longer cover g and both exact checks fail.  The
+    generators whose closure is taken are e_{-theta}, e_1, ..., e_l."""
+    rs, alg, _, _ = algebra("A2")
     full = type(alg).generated_slots
+    seen = []
 
     def one_short(self, slots):
+        seen.append(list(slots))
         mask = full(self, slots)
         mask[-1] = False
         return mask
@@ -80,6 +82,8 @@ def test_verify_structure_needs_the_generated_slots(algebra, monkeypatch):
     assert verify_structure(alg) == {"jacobi_exact": True, "killing_ad_invariant": True}
     monkeypatch.setattr(type(alg), "generated_slots", one_short)
     assert verify_structure(alg) == {"jacobi_exact": False, "killing_ad_invariant": False}
+    roots = [(-1, -1), (1, 0), (0, 1)]
+    assert seen == [[alg.root_index(r) for r in roots]]
 
 
 @pytest.mark.parametrize("name", SMALL)

@@ -127,9 +127,11 @@ def test_toda_solve_verify_round_trip(flags, tmp_path, capsys):
 def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch):
     """Counted in process: every toda/conn command builds the solver's
     per-type data and the reality constants r_i once and never the algebra;
-    only lie check builds the algebra, the principal sl2 and the Coxeter
-    element."""
+    solve, verify and conn check build the connection's Toda slots once, and
+    export-plot, which builds no connection, never; only lie check builds
+    the algebra, the principal sl2 and the Coxeter element."""
     import affinetoda.chevalley as chevalley
+    import affinetoda.connection as connection
     import affinetoda.rootdata as rootdata
     import affinetoda.todasolver as todasolver
 
@@ -144,9 +146,8 @@ def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch)
 
     for name in ("build_chevalley", "build_principal_sl2", "coxeter_element"):
         monkeypatch.setattr(chevalley, name, counting(name, getattr(chevalley, name)))
-    monkeypatch.setattr(
-        todasolver._TodaData, "__init__", counting("_TodaData", todasolver._TodaData.__init__)
-    )
+    for cls in (todasolver._TodaData, connection.TodaSlots):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
     r_i = functools.cached_property(
         counting("x_coefficients", rootdata.RootSystem.x_coefficients.func)
     )
@@ -169,6 +170,7 @@ def test_commands_build_each_per_type_object_once(tmp_path, capsys, monkeypatch)
         assert code == 0, label
         assert counts["_TodaData"] == 1, (label, counts)
         assert counts["x_coefficients"] == 1, (label, counts)
+        assert counts["TodaSlots"] == (label != "export-plot"), (label, counts)
         assert counts["build_chevalley"] == 0, (label, counts)
         assert counts["build_principal_sl2"] == 0, (label, counts)
         assert counts["coxeter_element"] == 0, (label, counts)
@@ -213,15 +215,18 @@ def test_verify_and_conn_check_import_no_scipy(tmp_path):
 
 
 # Run in a fresh interpreter: the affinetoda submodules loaded by ``import
-# affinetoda``, then the command's exit code and every module loaded by then.
+# affinetoda``, every module loaded once ``affinetoda.cli`` is imported, then
+# the command's exit code and every module loaded by then.
 _IMPORT_PROBE = (
     "import contextlib, io, json, sys\n"
     "import affinetoda\n"
     "package = sorted(m for m in sys.modules if m.startswith('affinetoda.'))\n"
     "from affinetoda.cli import main\n"
+    "cli = sorted(sys.modules)\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    code = main(sys.argv[1:])\n"
-    "print(json.dumps({'package': package, 'code': code, 'modules': sorted(sys.modules)}))\n"
+    "print(json.dumps({'package': package, 'cli': cli, 'code': code,\n"
+    "                  'modules': sorted(sys.modules)}))\n"
 )
 
 
@@ -241,6 +246,16 @@ def test_exact_lie_commands_load_no_numpy(command):
     out = _modules_after("lie", command, "E6")
     assert out["package"] == []
     assert "numpy" not in out["modules"]
+
+
+@pytest.mark.parametrize("command", ["info", "restrict", "check"])
+def test_cli_and_lie_commands_load_neither_dataclasses_nor_inspect(command):
+    """The package defines plain classes: neither ``import affinetoda.cli``
+    nor a lie command pays for ``dataclasses`` and the ``inspect``, ``ast``
+    and ``dis`` modules it imports."""
+    out = _modules_after("lie", command, "E8")
+    for stage in ("cli", "modules"):
+        assert {"dataclasses", "inspect"}.isdisjoint(out[stage]), stage
 
 
 def test_field_commands_never_load_the_chevalley_module(tmp_path):

@@ -4,13 +4,13 @@ The oracle here generates roots by closing the simple roots under all
 simple reflections (pure integer arithmetic on coefficient tuples), which
 is independent of the root-string closure used by the implementation.
 """
-import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from affinetoda.rootdata import (
     LieType,
+    RootSystem,
     affine_cartan,
     build_root_system,
     coxeter_number,
@@ -136,6 +136,18 @@ def test_grading_element_pairs_to_one(name):
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
+def test_grading_element_is_half_the_coroot_sum(name):
+    """The exact solve of A^T r = 1 gives the same Fractions as the
+    definition x = (1/2) sum of all positive coroots."""
+    rs = build_root_system(LieType.parse(name))
+    total = [Fraction(0)] * rs.rank
+    for root in rs.positive_roots:
+        for i, c in enumerate(rs.coroot(root)):
+            total[i] += c
+    assert rs.x_coefficients == tuple(c / 2 for c in total)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
 def test_cartan_entry_range_and_coroots(name):
     rs = build_root_system(LieType.parse(name))
     for row in rs.cartan_matrix:
@@ -167,7 +179,7 @@ def test_affine_cartan_rejects_a_last_root_that_is_not_the_highest():
     """affine_cartan reads theta as the last positive root; with alpha_2 of A2
     there the marks (1, 0, 1) are not positive and the check raises."""
     rs = build_root_system(LieType.parse("A2"))
-    skewed = dataclasses.replace(rs, positive_roots=rs.positive_roots[-1:] + rs.positive_roots[:-1])
+    skewed = RootSystem(rs.type, rs.cartan_matrix, rs.norms, rs.positive_roots[-1:] + rs.positive_roots[:-1])
     with pytest.raises(RuntimeError, match="not positive null vectors"):
         affine_cartan(skewed)
 

@@ -21,6 +21,25 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_dataclasses_imports():
+    """No module imports ``dataclasses``, at module level or inside a
+    function: it loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, about
+    12 ms of every fresh process, and each decorator costs more at import.
+    The classes are plain classes."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "dataclasses" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_solver_imports_neither_algebra_nor_connection():
     """The solver reads only its per-type ``_TodaData``; it never needs the
     Chevalley algebra, the principal sl2 or the connection layer.  The
