@@ -224,20 +224,26 @@ def _solver_setup(opts: Dict[str, str]):
 def _summary(omega, q, data) -> Dict[str, float]:
     """Residual, curvature norm and sigma defect of a field: the numbers
     ``toda solve`` reports and ``toda verify`` recomputes.  The norms are
-    those of ``connection.equivalence_defect``; the curvature is reduced to
-    its norm column by column and never held whole."""
+    those of ``connection.equivalence_defect``.  q is sampled once; the
+    field's exponentials are dropped once R is formed, and R once it is
+    reduced.  The curvature norm is taken one block of grid rows at a time,
+    each block's connection built from its rows of Omega and q plus a
+    two-row halo, so neither F nor the whole connection is ever held."""
     import numpy as np
 
     from . import connection, todasolver
 
     grid = omega.grid
-    exps = data.exponentials(omega.values, np.abs(q.sample(grid)) ** 2)
-    R = todasolver.residual(data, grid, omega.values, exps)
-    conn = connection.build_toda_connection(omega, q, data, "toda")
+    qv = q.sample(grid)
+    R = todasolver.residual(
+        data, grid, omega.values, data.exponentials(omega.values, np.abs(qv) ** 2)
+    )
+    res = grid.max_norm(np.abs(R).max(axis=-1))
+    del R
     perm = rootdata.diagram_automorphism(data.rs).perm
     return {
-        "residual": grid.max_norm(np.abs(R).max(axis=-1)),
-        "curvature_norm": connection.curvature_norm(conn),
+        "residual": res,
+        "curvature_norm": connection.curvature_norm(omega, qv, data),
         "sigma_defect": todasolver.sigma_symmetry_defect(omega, perm),
     }
 

@@ -21,9 +21,17 @@ Cartan-valued A_z and A_zbar are kept as their l Cartan coefficients only.
 The slots and their bracket are built from the root system alone, once per
 ``_TodaData``, which keeps them for every connection of its type.
 
-The curvature is formed one slot column at a time (``_curvature_columns``):
-``curvature`` fills a dense F from those columns, and ``curvature_norm``
-reduces them to the norm as they come, so it never holds F.
+The curvature is formed a group of slot columns at a time over a block of
+grid rows (``_curvature``).  ``curvature`` takes the whole grid as its one
+block and fills the dense F.  ``curvature_norm``, which the solve/verify
+summary uses, goes through the grid in row blocks of about
+``_BLOCK_POINTS`` points.  Each block builds its own Toda-gauge connection
+from Omega and q on its rows plus a two-row halo, wrapped on a torus and
+clipped at a rectangle's edges, with Phi and Psi kept on their l+1 slots,
+and folds |F| on its own rows into the node maxima.  The halo is two rows
+because F differentiates A = d Omega again.  So the summary holds neither
+F nor a whole-grid connection, and its norm is that of ``curvature``, bit
+for bit.
 """
 from __future__ import annotations
 
@@ -184,10 +192,30 @@ def build_toda_connection(
     if q.degree != coxeter_number(data.rs):
         raise ValueError("q differential degree does not match the Coxeter number")
     grid = omega.grid
-    vals = omega.values
-    if not np.all(np.isfinite(vals)):
+    if not np.all(np.isfinite(omega.values)):
         raise ValueError("field contains non-finite values")
     slots = _shared_slots(data)
+    A_z, A_zbar, phi_lo, psi_hi = _toda_parts(
+        grid, slots, data.r, omega.values, q.sample(grid), gauge
+    )
+    phi = np.zeros((grid.nx, grid.ny, slots.n), dtype=complex)
+    psi = np.zeros_like(phi)
+    phi[..., slots.lowered] = phi_lo
+    psi[..., slots.raised] = psi_hi
+    return ConnectionData(
+        gauge=gauge, grid=grid, omega=omega, slots=slots,
+        A_z=A_z, A_zbar=A_zbar, phi=phi, psi=psi,
+    )
+
+
+def _toda_parts(
+    grid: DomainGrid, slots: TodaSlots, r: np.ndarray, vals: np.ndarray, qv: np.ndarray, gauge: str
+) -> Tuple[np.ndarray, ...]:
+    """(A_z, A_zbar, Phi, Psi) of ``build_toda_connection`` from the field
+    values ``vals`` and the samples ``qv`` of q on some rows of ``grid``,
+    with Phi on the slots ``slots.lowered`` only and Psi on ``slots.raised``.
+    On a block of rows, the first and last rows of A_z and A_zbar are not
+    those of the whole grid: the derivative there lacks a neighbour."""
     A_z, A_zbar = grid.wirtinger(vals.astype(complex))  # Omega_z, Omega_zbar
     if gauge == "toda":
         np.negative(A_z, out=A_z)
@@ -195,25 +223,20 @@ def build_toda_connection(
         A_z *= -2
         A_zbar = np.zeros_like(A_z)
 
-    # E- on the lowered simple roots, then q on the highest root; E+ on
-    # their negatives, with qbar
+    # E- is sqrt(r_i) on the lowered simple roots, then q on the highest
+    # root; E+ on their negatives, with qbar
     lo, hi = slots.lowered, slots.raised
-    sqrt_r = np.sqrt(data.r)
-    qv = q.sample(grid)
-    phi = np.zeros((grid.nx, grid.ny, slots.n), dtype=complex)
-    psi = np.zeros_like(phi)
-    phi[..., lo[:-1]] = psi[..., hi[:-1]] = sqrt_r
-    phi[..., lo[-1]] = qv
-    psi[..., hi[-1]] = np.conj(qv)
+    phi = np.empty(vals.shape[:-1] + (len(lo),), dtype=complex)
+    phi[..., :-1] = np.sqrt(r)
+    psi = phi.copy()
+    phi[..., -1] = qv
+    psi[..., -1] = np.conj(qv)
     if gauge == "toda":
-        phi[..., lo] = char_scale(phi[..., lo], -vals, slots.characters[lo])
-        psi[..., hi] = char_scale(psi[..., hi], +vals, slots.characters[hi])
+        phi = char_scale(phi, -vals, slots.characters[lo])
+        psi = char_scale(psi, +vals, slots.characters[hi])
     else:
-        psi[..., hi] = char_scale(psi[..., hi], 2 * vals, slots.characters[hi])
-    return ConnectionData(
-        gauge=gauge, grid=grid, omega=omega, slots=slots,
-        A_z=A_z, A_zbar=A_zbar, phi=phi, psi=psi,
-    )
+        psi = char_scale(psi, 2 * vals, slots.characters[hi])
+    return A_z, A_zbar, phi, psi
 
 
 def conjugate_star(conn: ConnectionData) -> np.ndarray:
@@ -231,47 +254,120 @@ def conjugate_star(conn: ConnectionData) -> np.ndarray:
     raise ValueError("star is defined only in the toda and higgs gauges")
 
 
-def _curvature_columns(conn: ConnectionData):
-    """Yield (p, F[..., p]) for each slot position p in turn: the curvature
-    of ``curvature`` one column at a time, by the same operations in the
-    same order, in the working memory of the connection plus a few columns.
-    """
-    grid = conn.grid
-    l, n = conn.A_z.shape[-1], conn.slots.n
-    # columns of A_z + Phi and A_zbar + Psi; off the Cartan they are views
-    az = [conn.A_z[..., p] + conn.phi[..., p] for p in range(l)]
-    az += [conn.phi[..., p] for p in range(l, n)]
-    azbar = [conn.A_zbar[..., p] + conn.psi[..., p] for p in range(l)]
-    azbar += [conn.psi[..., p] for p in range(l, n)]
-    i, j, k, c = conn.slots.terms([col.any() for col in az], [col.any() for col in azbar])
-    for p in range(n):
-        F = grid.d_dz(azbar[p])
-        F -= grid.d_dzbar(az[p])
+def _columns(cartan: np.ndarray, field: np.ndarray, where: Sequence[int], n: int) -> list:
+    """The n slot columns of the part cartan + field of a connection: the l
+    Cartan coefficients ``cartan`` on the first l slots plus the columns of
+    ``field`` on the slots ``where``, zero elsewhere.  Columns of one part
+    alone are views of it."""
+    cols = [np.zeros(cartan.shape[:-1], dtype=complex)] * n
+    for d, p in enumerate(where):
+        cols[p] = field[..., d]
+    l = cartan.shape[-1]
+    return [cartan[..., a] + cols[a] for a in range(l)] + cols[l:]
+
+
+def _toda_columns(
+    grid: DomainGrid, slots: TodaSlots, r: np.ndarray, vals: np.ndarray, qv: np.ndarray
+) -> Tuple[list, list]:
+    """The slot columns of A_z + Phi and A_zbar + Psi of the Toda-gauge
+    connection of ``_toda_parts`` on some rows of ``grid``."""
+    A_z, A_zbar, phi, psi = _toda_parts(grid, slots, r, vals, qv, "toda")
+    return _columns(A_z, phi, slots.lowered, slots.n), _columns(A_zbar, psi, slots.raised, slots.n)
+
+
+def _curvature(grid: DomainGrid, slots: TodaSlots, az: list, azbar: list):
+    """Yield (s, e, F[..., s:e]) for each group of slot columns s:e in turn,
+    F = d_dz(azbar) - d_dzbar(az) + [az, azbar] for the slot columns az of
+    A_z + Phi and azbar of A_zbar + Psi on some rows of ``grid``.  F on a
+    row reads the parts on its neighbours, so with parts built from a block
+    of rows of Omega it is exact two rows in from the block's edges, and on
+    every row of the whole grid.
+
+    A group spans nx // rows slot columns, for the rows the parts are given
+    on, so it holds no more points than one slot column of the whole grid:
+    the whole grid goes one column at a time, and the 20 rows of a block of
+    a 128-row grid (16 and their halo) six columns at a time.  The
+    derivative of a part that is zero on the whole group is not formed."""
+    n, shape = slots.n, az[0].shape
+    x_supp, y_supp = [x.any() for x in az], [y.any() for y in azbar]
+    terms = [t.tolist() for t in slots.terms(x_supp, y_supp)]
+    width = max(1, grid.nx // shape[0])
+    for s in range(0, n, width):
+        e = min(s + width, n)
+        if any(y_supp[s:e]):
+            F = grid.d_dz(np.stack(azbar[s:e], axis=-1))
+        else:
+            F = np.zeros(shape + (e - s,), dtype=complex)
+        if any(x_supp[s:e]):
+            F -= grid.d_dzbar(np.stack(az[s:e], axis=-1))
         Z = np.zeros(F.shape, dtype=complex)
-        for t in np.flatnonzero(k == p):  # in table order, as in ``TodaSlots.bracket``
-            Z += az[i[t]] * azbar[j[t]] * c[t]
+        for i, j, k, c in zip(*terms):  # in table order, as in ``TodaSlots.bracket``
+            if s <= k < e:
+                Z[..., k - s] += az[i] * azbar[j] * c
         F += Z
-        yield p, F
+        yield s, e, F
 
 
 def curvature(conn: ConnectionData) -> np.ndarray:
     """Discrete curvature over ``conn.slots``, coefficient of dz ^ dzbar,
     O(dx^2) accurate: d_dz(A_zbar + Psi) - d_dzbar(A_z + Phi) plus their
-    bracket."""
+    bracket, with the whole grid as one block."""
+    n = conn.slots.n
+    az = _columns(conn.A_z, conn.phi, range(n), n)
+    azbar = _columns(conn.A_zbar, conn.psi, range(n), n)
     F = np.empty(conn.phi.shape, dtype=complex)
-    for p, col in _curvature_columns(conn):
-        F[..., p] = col
+    for s, e, group in _curvature(conn.grid, conn.slots, az, azbar):
+        F[..., s:e] = group
     return F
 
 
-def curvature_norm(conn: ConnectionData) -> float:
-    """The curvature norm ``equivalence_defect`` reports, max over nodes of
-    max over slots |F|, without holding F: each column is reduced as it
-    is formed."""
-    node = np.zeros((conn.grid.nx, conn.grid.ny))
-    for _, col in _curvature_columns(conn):
-        np.maximum(node, np.abs(col), out=node)
-    return conn.grid.max_norm(node)
+# grid points per row block of ``curvature_norm``: 16-row blocks at 128^2,
+# and every grid of up to 2048 points is one block
+_BLOCK_POINTS = 2048
+
+
+def _row_blocks(grid: DomainGrid):
+    """Yield (s, e, read, keep) for each row block of ``curvature_norm``:
+    its grid rows s:e, the rows ``read`` (an axis-0 index) of Omega and q
+    its connection is built from, s:e and two rows either side, and where
+    s:e sit among them (``keep``).  On a rectangle the norm leaves out the
+    boundary ring, so the blocks cover only the inner rows, and their halos
+    clip at the edges."""
+    nx, halo = grid.nx, 2  # F differentiates A = d Omega again
+    step = max(1, _BLOCK_POINTS // grid.ny)
+    first, stop = (0, nx) if grid.periodic else (1, nx - 1)
+    if step >= stop - first:
+        yield first, stop, slice(None), slice(first, stop)
+        return
+    for s in range(first, stop, step):
+        e = min(s + step, stop)
+        lo, hi = (s - halo, e + halo) if grid.periodic else (max(s - halo, 0), min(e + halo, nx))
+        yield s, e, np.arange(lo, hi) % nx, slice(s - lo, e - lo)
+
+
+def _node_maxima(omega: HFieldGrid, qv: np.ndarray, data: _TodaData) -> np.ndarray:
+    """Max over slots of |F| at each node, for the Toda-gauge connection of
+    omega with q sampled as ``qv``: one row block at a time, each built from
+    its own rows of Omega and qv plus their halo.  Zero on the boundary rows
+    of a rectangle, which no block covers."""
+    grid, vals = omega.grid, omega.values
+    slots = _shared_slots(data)
+    node = np.zeros((grid.nx, grid.ny))
+    for s, e, read, keep in _row_blocks(grid):
+        # a block's connection is freed before the next block's is built
+        for _, _, F in _curvature(
+            grid, slots, *_toda_columns(grid, slots, data.r, vals[read], qv[read])
+        ):
+            np.maximum(node[s:e], np.abs(F[keep]).max(axis=-1), out=node[s:e])
+    return node
+
+
+def curvature_norm(omega: HFieldGrid, qv: np.ndarray, data: _TodaData) -> float:
+    """The curvature norm ``equivalence_defect`` reports for the Toda-gauge
+    connection of omega, with ``qv`` the samples ``q.sample(omega.grid)``:
+    max over nodes of max over slots |F|, the norm of ``curvature`` bit for
+    bit, without ever holding F or the whole connection."""
+    return omega.grid.max_norm(_node_maxima(omega, qv, data))
 
 
 def gauge_transform(conn: ConnectionData, H: HFieldGrid) -> ConnectionData:
