@@ -7,6 +7,7 @@ ring there.
 """
 from __future__ import annotations
 
+import math
 import random
 import struct
 from typing import Iterable, Optional, Sequence, Tuple
@@ -58,12 +59,16 @@ class DomainGrid:
     # -- derivatives -----------------------------------------------------
     def d_dx(self, F: np.ndarray) -> np.ndarray:
         if self.periodic:
-            return (np.roll(F, -1, axis=0) - np.roll(F, 1, axis=0)) / (2 * self.dx)
+            out = _neighbours(F, 0, np.subtract)
+            out /= 2 * self.dx
+            return out
         return np.gradient(F, self.dx, axis=0, edge_order=2)
 
     def d_dy(self, F: np.ndarray) -> np.ndarray:
         if self.periodic:
-            return (np.roll(F, -1, axis=1) - np.roll(F, 1, axis=1)) / (2 * self.dy)
+            out = _neighbours(F, 1, np.subtract)
+            out /= 2 * self.dy
+            return out
         return np.gradient(F, self.dy, axis=1, edge_order=2)
 
     def d_dz(self, F: np.ndarray) -> np.ndarray:
@@ -82,9 +87,15 @@ class DomainGrid:
         """Five-point Laplacian; on a rectangle the boundary ring is garbage
         and must be masked by the caller."""
         if self.periodic:
-            fxx = (np.roll(F, -1, axis=0) + np.roll(F, 1, axis=0) - 2 * F) / self.dx**2
-            fyy = (np.roll(F, -1, axis=1) + np.roll(F, 1, axis=1) - 2 * F) / self.dy**2
-            return fxx + fyy
+            twice = 2 * F
+            fxx = _neighbours(F, 0, np.add)
+            fxx -= twice
+            fxx /= self.dx**2
+            fyy = _neighbours(F, 1, np.add)
+            fyy -= twice
+            fyy /= self.dy**2
+            fxx += fyy
+            return fxx
         out = np.zeros_like(F)
         out[1:-1, 1:-1] = (
             (F[2:, 1:-1] + F[:-2, 1:-1] - 2 * F[1:-1, 1:-1]) / self.dx**2
@@ -97,6 +108,25 @@ class DomainGrid:
         mask = self.interior_mask()
         vals = np.abs(F[mask])
         return float(vals.max()) if vals.size else 0.0
+
+
+def _neighbours(F: np.ndarray, axis: int, op) -> np.ndarray:
+    """op(F[i + 1], F[i - 1]) at every i along ``axis``, wrapped at both
+    ends, written into one new array: the periodic stencils' two neighbours
+    without the two shifted copies of F that ``np.roll`` makes.  The
+    neighbours of a node along ``axis`` sit ``step`` elements either side
+    of it in the flat array, so one contiguous pass over it covers the
+    interior (a strided pass would allocate ufunc buffers); the two end
+    slabs, which that pass gets wrong, are then rewritten."""
+    F = np.ascontiguousarray(F)
+    out = np.empty(F.shape, dtype=np.result_type(F, 1.0))
+    step = math.prod(F.shape[axis + 1:])
+    f, o = F.reshape(-1), out.reshape(-1)
+    op(f[2 * step:], f[: -2 * step], out=o[step:-step])
+    f, o = np.moveaxis(F, axis, 0), np.moveaxis(out, axis, 0)
+    op(f[1], f[-1], out=o[0])
+    op(f[0], f[-2], out=o[-1])
+    return out
 
 
 class HFieldGrid:

@@ -3,7 +3,6 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from affinetoda.chevalley import build_chevalley, build_principal_sl2, coxeter_element
-from affinetoda.connection import embed_cartan
 from affinetoda.rootdata import LieType, build_root_system
 from affinetoda.todasolver import _TodaData, residual
 
@@ -48,11 +47,38 @@ def scatter(alg, slots, values):
     return out
 
 
+def embed_cartan(coeffs, n):
+    """Cartan coefficients as coefficients over n slots, the first l of
+    which are the Cartan slots."""
+    out = np.zeros(coeffs.shape[:-1] + (n,), dtype=complex)
+    out[..., : coeffs.shape[-1]] = coeffs
+    return out
+
+
+def slot_fields(conn):
+    """(Phi, Psi) of a connection over all its slots: the l+1 columns it
+    keeps, scattered through ``slots.lowered`` and ``slots.raised``."""
+    slots = conn.slots
+    phi = np.zeros(conn.phi.shape[:-1] + (slots.n,), dtype=complex)
+    psi = np.zeros_like(phi)
+    phi[..., slots.lowered] = conn.phi
+    psi[..., slots.raised] = conn.psi
+    return phi, psi
+
+
 def connection_parts(conn):
-    """(A_z + Phi, A_zbar + Psi) of a connection over its slots; A_z and
-    A_zbar are kept as their Cartan coefficients only."""
+    """(A_z + Phi, A_zbar + Psi) of a connection over all its slots; A_z
+    and A_zbar are kept as their Cartan coefficients only, Phi and Psi on
+    their l+1 slots."""
     n = conn.slots.n
-    return embed_cartan(conn.A_z, n) + conn.phi, embed_cartan(conn.A_zbar, n) + conn.psi
+    phi, psi = slot_fields(conn)
+    return embed_cartan(conn.A_z, n) + phi, embed_cartan(conn.A_zbar, n) + psi
+
+
+def dense_bracket(slots, X, Y):
+    """``slots.bracket`` of X and Y given over all the slots, onto all of them."""
+    every = range(slots.n)
+    return slots.bracket(X, every, Y, every, every)
 
 
 _AD_CACHE = {}
@@ -69,6 +95,12 @@ def reference_bracket(alg, X, Y):
     for a, ad in enumerate(_AD_CACHE[alg]):
         Z += Xb[:, a : a + 1] * (ad @ Yb.T).T
     return Z.reshape(shape)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "block_points(n): run the test with connection._BLOCK_POINTS = n"
+    )
 
 
 @pytest.fixture(scope="session")

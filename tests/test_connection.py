@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from affinetoda import cli, connection
 from affinetoda.cli import _summary
 from affinetoda.connection import (
     TodaSlots,
@@ -16,8 +17,8 @@ from affinetoda.connection import (
     conjugate_star,
     curvature,
     curvature_norm,
-    embed_cartan,
     equivalence_defect,
+    gauge_covariance_defect,
     gauge_transform,
 )
 from affinetoda.grids import (
@@ -35,9 +36,12 @@ from conftest import (
     ALL_TYPES,
     chevalley_slots,
     connection_parts,
+    dense_bracket,
     elliptic_residual,
+    embed_cartan,
     reference_bracket,
     scatter,
+    slot_fields,
 )
 
 
@@ -57,7 +61,7 @@ def test_zero_field_zero_q_connection(algebra):
     q = QDifferential.constant(0.0, coxeter_number(rs))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     assert np.abs(conn.A_z).max() == 0 and np.abs(conn.A_zbar).max() == 0
-    phi = scatter(alg, conn.slots, conn.phi)
+    phi = scatter(alg, conn.slots, slot_fields(conn)[0])
     for i in range(rs.rank):
         lo = alg.root_index(tuple(-c for c in rs.simple_root(i)))
         expect = float(rs.x_coefficients[i]) ** 0.5
@@ -72,7 +76,7 @@ def test_a1_higgs_gauge_layout(algebra):
     q = QDifferential.constant(1.0, 2)
     conn = build_toda_connection(omega, q, _TodaData(rs), "higgs")
     assert list(chevalley_slots(alg, conn.slots)) == [0, 1, 2]  # the simple root is the highest root
-    phi = scatter(alg, conn.slots, conn.phi)
+    phi = scatter(alg, conn.slots, slot_fields(conn)[0])
     lo = alg.root_index((-1,))
     hi = alg.root_index((1,))
     assert np.allclose(phi[..., lo], 0.5 ** 0.5)
@@ -150,7 +154,7 @@ def test_gauge_transform_constant_character_scaling(algebra):
     hvec = np.array([0.23, -0.41])
     out = gauge_transform(conn, constant_field(grid, hvec))
     assert out.slots is conn.slots
-    phi, phi0 = scatter(alg, out.slots, out.phi), scatter(alg, conn.slots, conn.phi)
+    phi, phi0 = (scatter(alg, c.slots, slot_fields(c)[0]) for c in (out, conn))
     P = np.array([[rs.cartan_matrix[a][i] for a in range(2)] for i in range(2)])
     for i in range(rs.rank):
         lo = alg.root_index(tuple(-c for c in rs.simple_root(i)))
@@ -229,7 +233,7 @@ def test_column_curvature_is_the_dense_formula(name, topology, moved, algebra):
         H = random_trig_field(rs.rank, seed=5, amplitude=0.2).sample(grid)
         conn = gauge_transform(conn, H)
     az, azbar = connection_parts(conn)
-    dense = grid.d_dz(azbar) - grid.d_dzbar(az) + conn.slots.bracket(az, azbar)
+    dense = grid.d_dz(azbar) - grid.d_dzbar(az) + dense_bracket(conn.slots, az, azbar)
     assert np.array_equal(curvature(conn), dense)
 
 
@@ -259,13 +263,23 @@ def test_summary_norms_are_the_equivalence_norms(name, topology, algebra):
         ("A2", "rectangle", 64, 40, "const", 2),  # inner rows 1:52, 52:63
         ("E8", "torus", 32, 32, "poly", 1),
         ("G2", "rectangle", 40, 32, "poly", 1),
+        # 64- and 48-point blocks would be 2 rows; the floor of 4 x halo
+        # makes them 8: rows 0:8, ..., 32:40, and inner rows 1:9, ..., 25:29
+        pytest.param("A2", "torus", 40, 32, "poly", 5, marks=pytest.mark.block_points(64)),
+        pytest.param("G2", "rectangle", 30, 24, "const", 4, marks=pytest.mark.block_points(48)),
     ],
 )
-def test_blocked_curvature_norm_is_the_whole_grid_norm(name, topology, nx, ny, q, blocks, algebra):
+def test_blocked_curvature_norm_is_the_whole_grid_norm(
+    name, topology, nx, ny, q, blocks, algebra, request, monkeypatch
+):
     """The curvature norm taken in row blocks, each from its own rows of
     Omega and q plus a two-row halo, equals the norm of the whole-grid
     curvature exactly, and so does the max over slots at every node the
-    norm reads (a halo error can hide below the norm)."""
+    norm reads (a halo error can hide below the norm).  No block but the
+    last has fewer than 4 x halo = 8 rows."""
+    marker = request.node.get_closest_marker("block_points")
+    if marker is not None:
+        monkeypatch.setattr(connection, "_BLOCK_POINTS", marker.args[0])
     rs, _, _, _ = algebra(name)
     grid = DomainGrid.make(topology, nx, ny)
     omega = random_trig_field(rs.rank, seed=5, amplitude=0.3).sample(grid)
@@ -275,7 +289,8 @@ def test_blocked_curvature_norm_is_the_whole_grid_norm(name, topology, nx, ny, q
     else:
         qd = QDifferential.constant(0.8 - 0.3j, h)
     data = _TodaData(rs)
-    assert len(list(_row_blocks(grid))) == blocks
+    rows = [e - s for s, e, _, _ in _row_blocks(grid)]
+    assert len(rows) == blocks and min(rows[:-1], default=8) >= 8
     node = np.abs(curvature(build_toda_connection(omega, qd, data, "toda"))).max(axis=-1)
     qv = qd.sample(grid)
     assert curvature_norm(omega, qv, data) == grid.max_norm(node)
@@ -333,7 +348,7 @@ def test_slot_bracket_is_the_dense_bracket(name, algebra):
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     az, azbar = connection_parts(conn)
     dense = alg.bracket(scatter(alg, conn.slots, az), scatter(alg, conn.slots, azbar))
-    assert np.array_equal(scatter(alg, conn.slots, conn.slots.bracket(az, azbar)), dense)
+    assert np.array_equal(scatter(alg, conn.slots, dense_bracket(conn.slots, az, azbar)), dense)
 
 
 def test_slot_bracket_working_memory(algebra):
@@ -347,7 +362,7 @@ def test_slot_bracket_working_memory(algebra):
     az, azbar = connection_parts(conn)
     tracemalloc.start()
     try:
-        out = conn.slots.bracket(az, azbar)
+        out = dense_bracket(conn.slots, az, azbar)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,7 +426,7 @@ def test_forming_a_marker_raises(name, algebra):
         with pytest.raises(RuntimeError, match="leaves the Toda slots"):
             slots.terms(x, y)
         with pytest.raises(RuntimeError, match="leaves the Toda slots"):
-            slots.bracket(x.astype(complex), y.astype(complex))
+            dense_bracket(slots, x.astype(complex), y.astype(complex))
     if name == "A2":  # every root is a slot, so each of the 12 root-sum pairs is a marker
         assert k.tolist().count(-1) == 12
         assert (2, 3) in set(zip(i[k < 0].tolist(), j[k < 0].tolist()))  # alpha_1, alpha_2
@@ -420,6 +435,105 @@ def test_forming_a_marker_raises(name, algebra):
     x[: rs.rank] = y[: rs.rank] = True
     x[slots.lowered] = y[slots.raised] = True
     slots.terms(x, y)
+
+
+def test_bracket_term_outside_its_output_slots_raises(algebra):
+    """[Phi, Phi*] lands on the Cartan; a bracket onto the Cartan slots that
+    forms a term anywhere else raises instead of dropping it: here
+    [h_a, e_alpha] = alpha(h_a) e_alpha, with a Cartan column added to X."""
+    slots = TodaSlots(algebra("A2")[0])
+    l, k = 2, 3
+    X = np.ones((4, k + l), dtype=complex)
+    Y = np.ones((4, k), dtype=complex)
+    cartan = range(l)
+    assert slots.bracket(X[:, :k], slots.lowered, Y, slots.raised, cartan).shape == (4, l)
+    with pytest.raises(RuntimeError, match="lands outside its output slots"):
+        slots.bracket(X, [*cartan, *slots.lowered], Y, slots.raised, cartan)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_commutator_with_a_term_moved_off_the_cartan_raises(name, algebra):
+    """Mutation check: move the output of one [e_-beta, e_beta] term of the
+    slot table from the Cartan to a root slot, and ``commutator_defect``
+    raises RuntimeError rather than comparing a bracket that lost it."""
+    rs = algebra(name)[0]
+    data = _TodaData(rs)
+    slots = data.slots = TodaSlots(rs)
+    i, j, k, c = (col.copy() for col in slots.table)
+    onto_cartan = np.flatnonzero(np.isin(i, slots.lowered) & np.isin(j, slots.raised) & (k >= 0))
+    assert np.all(k[onto_cartan] < rs.rank) and onto_cartan.size >= rs.rank
+    grid = DomainGrid.make("torus", 8, 8)
+    omega = random_trig_field(rs.rank, seed=3, amplitude=0.15).sample(grid)
+    q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
+    assert commutator_defect(omega, q, data) < 1e-12
+    k[onto_cartan[-1]] = slots.raised[0]
+    slots.table = (i, j, k, c)
+    with pytest.raises(RuntimeError, match="lands outside its output slots"):
+        commutator_defect(omega, q, data)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+@pytest.mark.parametrize("gauge", ["toda", "higgs"])
+def test_connection_keeps_phi_and_psi_on_their_slots(name, gauge, algebra):
+    """Phi has l+1 columns, on the slots of E- (``lowered``), and Psi on
+    those of E+ (``raised``).  Scattered into all the slots they are the
+    dense fields of the gauge: E- with sqrt(r_i) on -alpha_i and q on theta,
+    E+ with sqrt(r_i) on alpha_i and qbar on -theta, each slot of root beta
+    scaled by exp(s beta(Omega)), s = -1 for Phi and +1 for Psi in the Toda
+    gauge, 0 and 2 in the Higgs gauge; zero on every other slot."""
+    rs = algebra(name)[0]
+    l, data = rs.rank, _TodaData(rs)
+    grid, omega = make_omega(name, algebra, n=8)
+    q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
+    conn = build_toda_connection(omega, q, data, gauge)
+    slots = conn.slots
+    assert conn.phi.shape == conn.psi.shape == (8, 8, l + 1)
+    beta = omega.values @ slots.characters.T  # beta(Omega) on every slot
+    qv = q.sample(grid)
+    dense = []
+    for where, last, s in ((slots.lowered, qv, -1), (slots.raised, np.conj(qv), 1)):
+        E = np.zeros((8, 8, slots.n), dtype=complex)
+        E[..., where[:-1]] = np.sqrt(data.r)
+        E[..., where[-1]] = last
+        dense.append(E * np.exp((s if gauge == "toda" else s + 1) * beta))
+    for got, want in zip(slot_fields(conn), dense):
+        assert np.allclose(got, want, rtol=1e-14, atol=0)
+        assert np.array_equal(got == 0, want == 0)
+
+
+def test_conn_check_working_memory(capsys):
+    """``conn check`` keeps Phi, Psi, their star and the gauge-transformed
+    connections on their l+1 slots, brackets onto the Cartan only and
+    compares the moved curvature a group of slot columns at a time: E8 at
+    48^2 peaks below 8 (points, slots) complex arrays (about 5.9; 11.5 when
+    they were dense over all the slots)."""
+    args = ["conn", "check", "--type", "E8", "--grid", "48"]
+    assert cli.main(args) == 0  # imports and per-type caches
+    peak = _traced_peak(lambda: cli.main(args))
+    capsys.readouterr()
+    one = 48 * 48 * 26 * 16
+    assert peak <= 8 * one, peak / one
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "E8"])
+@pytest.mark.parametrize("constant", [True, False])
+def test_gauge_covariance_defect_is_the_dense_defect(name, constant, algebra):
+    """The covariance defect formed a group of slot columns at a time is,
+    bit for bit, max |F' - Ad_exp(H) F| of the dense moved curvature F' and
+    the dense character-scaled F."""
+    rs = algebra(name)[0]
+    grid, omega = make_omega(name, algebra)
+    q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
+    conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
+    F = curvature(conn)
+    if constant:
+        H = constant_field(grid, 0.4 * np.linspace(-1.0, 1.0, rs.rank))
+    else:
+        H = random_trig_field(rs.rank, seed=5, amplitude=0.2).sample(grid)
+    moved = curvature(gauge_transform(conn, H))
+    dense = np.abs(moved - char_scale(F, H.values, conn.slots.characters)).max()
+    assert gauge_covariance_defect(conn, F, H) == dense
+    assert dense < 1e-12 or not constant  # varying H: O(dx^2), not zero
 
 
 class TestHiggsResidual:
@@ -516,8 +630,44 @@ class TestChartTransition:
         )  # q_i(w) = q_j(w/2) * (1/2)^h
         conn_j = build_toda_connection(omega_j, qj, _TodaData(rs), "higgs")
         conn_i = build_toda_connection(omega_i, qi, _TodaData(rs), "higgs")
-        moved = chart_transition(conn_j.phi, 0.5, conn_j.slots.heights, form_degree=1)
+        heights = conn_j.slots.heights[conn_j.slots.lowered]
+        moved = chart_transition(conn_j.phi, 0.5, heights, form_degree=1)
         assert np.abs(moved - conn_i.phi).max() < 1e-12
+
+
+class TestPeriodicStencils:
+    @staticmethod
+    def _rolled(grid, F):
+        """The periodic d_dx, d_dy and Laplacian as np.roll formulas."""
+        dx = (np.roll(F, -1, axis=0) - np.roll(F, 1, axis=0)) / (2 * grid.dx)
+        dy = (np.roll(F, -1, axis=1) - np.roll(F, 1, axis=1)) / (2 * grid.dy)
+        fxx = (np.roll(F, -1, axis=0) + np.roll(F, 1, axis=0) - 2 * F) / grid.dx**2
+        fyy = (np.roll(F, -1, axis=1) + np.roll(F, 1, axis=1) - 2 * F) / grid.dy**2
+        return dx, dy, fxx + fyy
+
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 12, 3), (5, 12, 2), (33, 12, 1)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_slices_are_the_roll_formulas(self, shape, dtype, rng):
+        """Bit for bit, on whole grids and on blocks of fewer rows than the
+        grid, real and complex, strided input included."""
+        grid = DomainGrid.make("torus", max(shape[0], 8), 12, extent=(0.7, 1.3))
+        F = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            F += 1j * rng.standard_normal(shape)
+        for G in (F, np.swapaxes(np.swapaxes(F, 0, 1).copy(), 0, 1)):
+            got = (grid.d_dx(G), grid.d_dy(G), grid.laplacian(G))
+            for a, b in zip(got, self._rolled(grid, G)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    def test_one_output_array(self):
+        """Each derivative allocates its output and little else: no shifted
+        copies of F and no full-size ufunc buffers."""
+        grid = DomainGrid.make("torus", 64, 64)
+        F = np.ones((64, 64, 8), dtype=complex)
+        for d in (grid.d_dx, grid.d_dy):
+            d(F)
+            peak = _traced_peak(lambda: d(F))
+            assert peak <= 1.2 * F.nbytes, (d.__name__, peak / F.nbytes)
 
 
 class TestIO:
