@@ -11,22 +11,18 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "chevalley": (
         "ChevalleyAlgebra", "CoxeterElement", "PrincipalSL2", "build_chevalley",
-        "build_principal_sl2", "coxeter_element", "is_cyclic_g1", "lambda_hat",
-        "normalize_cyclic", "rho_hat", "verify_structure",
+        "build_principal_sl2", "coxeter_element", "verify_structure",
     ),
-    "connection": (
-        "ConnectionData", "build_toda_connection", "chart_transition", "curvature",
-        "gauge_transform",
-    ),
+    "connection": ("ConnectionData", "build_toda_connection", "curvature", "gauge_transform"),
     "grids": ("DomainGrid", "HFieldGrid", "QDifferential"),
-    "restriction": ("RestrictedSystem", "classify_affine", "restrict", "restricted_toda_residual"),
+    "restriction": ("RestrictedSystem", "classify_affine", "restrict"),
     "rootdata": (
         "AffineCartanData", "DiagramAutomorphism", "LieType", "RootSystem", "affine_cartan",
         "build_root_system", "coxeter_number", "diagram_automorphism", "exponents",
     ),
     "todasolver": (
         "InitSpec", "Solution", "SolverConfig", "constant_solution", "sigma_symmetry_defect",
-        "solve", "uniqueness_probe",
+        "solve",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -14,10 +14,13 @@ meaning [b_i, b_j] has coefficient c on b_k: four stdlib ``array('q')``
 columns sorted by (i, j, k).  The table, the Jacobi and Killing checks, the
 principal sl2 and its involution sigma (the signed lift of the diagram
 automorphism, checked against every term of the table) are computed in
-Python integer arithmetic, so none of them loads numpy.  ``bracket_terms``,
-``bracket``, ``ad``, ``killing`` and ``characters`` read the same table
-through numpy (the columns as zero-copy int64 views) and import numpy
-inside the function.
+Python integer arithmetic, so none of them loads numpy.  Only the float
+bracket of coefficient arrays, ``bracket`` with its ``bracket_terms``,
+reads the table through numpy (the columns as zero-copy int64 views,
+``_table``), and those three import numpy inside themselves.  The dense
+float views the tests check against (ad, the Killing matrix, the sl2 triple,
+sigma as a matrix, rho_hat, the cyclic normalisation) are built in the
+tests.
 """
 from __future__ import annotations
 
@@ -26,12 +29,9 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from functools import cached_property
 from math import lcm
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .rootdata import RootSystem, affine_cartan, coxeter_number, diagram_automorphism, exponents
-
-if TYPE_CHECKING:
-    import numpy as np
+from .rootdata import RootSystem, coxeter_number, diagram_automorphism, exponents
 
 Root = Tuple[int, ...]
 # a signed permutation matrix, by rows: row a holds sign s in column b, for (b, s) = perm[a]
@@ -43,7 +43,11 @@ def _neg(r: Root) -> Root:
 
 
 class ChevalleyAlgebra:
-    """Structure constants, Killing form, root characters and index bookkeeping for one type."""
+    """The exact structure table of one type and its index bookkeeping: the
+    root, height, negation and characters of each basis slot, the Killing
+    form by rows (``_killing_rows``) and the closure of a set of slots under
+    brackets (``generated_slots``).  ``bracket_sparse`` brackets coefficient
+    maps in plain Python; ``bracket`` brackets numpy coefficient arrays."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -73,31 +77,6 @@ class ChevalleyAlgebra:
     # ---- index helpers -------------------------------------------------
     def root_index(self, root: Root) -> int:
         return self._index_of_root[root]
-
-    @property
-    def lowest_root_index(self) -> int:
-        return self.dim - 1
-
-    def basis_vector(self, idx: int) -> np.ndarray:
-        import numpy as np
-
-        v = np.zeros(self.dim, dtype=complex)
-        v[idx] = 1.0
-        return v
-
-    def cartan_element(self, coeffs: Sequence[complex]) -> np.ndarray:
-        import numpy as np
-
-        v = np.zeros(self.dim, dtype=complex)
-        v[: self.rank] = coeffs
-        return v
-
-    @cached_property
-    def characters(self) -> np.ndarray:
-        """characters[d, a] = beta(h_a) for the root beta of slot d, int64 (dim, l)."""
-        import numpy as np
-
-        return np.array(self._characters, dtype=np.int64).reshape(self.dim, self.rank)
 
     # ---- structure constants -------------------------------------------
     def _build_structure_table(self) -> None:
@@ -213,7 +192,7 @@ class ChevalleyAlgebra:
         self._bk_i, self._bk_j, self._bk_k, self._bk_v = columns
 
     @cached_property
-    def _table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _table(self) -> tuple:
         """The four table columns as int64 numpy arrays: views, not copies."""
         import numpy as np
 
@@ -241,20 +220,6 @@ class ChevalleyAlgebra:
             for b, c2 in by_jk.get(w * n + u, ()):
                 row[b] = row.get(b, 0) + c * c2
         return rows
-
-    @cached_property
-    def killing(self) -> np.ndarray:
-        """Killing form kappa(b_a, b_b) = tr(ad_a ad_b), exact int64.
-
-        Computed on first use: only the exact checks read it.
-        """
-        import numpy as np
-
-        K = np.zeros((self.dim, self.dim), dtype=np.int64)
-        for a, row in self._killing_rows().items():
-            for b, v in row.items():
-                K[a, b] = v
-        return K
 
     def generated_slots(self, slots: Sequence[int]) -> List[bool]:
         """Which basis slots are reached from ``slots`` by iterated brackets:
@@ -294,7 +259,7 @@ class ChevalleyAlgebra:
                     Z[K[t]] = Z.get(K[t], 0) + x * V[t] * Y[J[t]]
         return Z
 
-    def bracket_terms(self, x_supp: np.ndarray, y_supp: np.ndarray) -> Tuple[np.ndarray, ...]:
+    def bracket_terms(self, x_supp, y_supp) -> tuple:
         """The table terms a bracket forms, as (i, j, k, c) in table order.
 
         x_supp and y_supp are boolean masks over the basis slots: the slots
@@ -308,7 +273,7 @@ class ChevalleyAlgebra:
         terms = np.flatnonzero(np.asarray(x_supp)[bk_i] & np.asarray(y_supp)[bk_j])
         return bk_i[terms], bk_j[terms], bk_k[terms], bk_v[terms]
 
-    def bracket(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def bracket(self, X, Y):
         """Bilinear bracket of coefficient vectors (supports leading axes).
 
         Only the ``bracket_terms`` of the supports of X and Y are formed, so
@@ -329,27 +294,13 @@ class ChevalleyAlgebra:
             Z[..., c] += X[..., a] * Y[..., b] * v
         return Z
 
-    def ad(self, X: np.ndarray) -> np.ndarray:
-        """ad_X as a dense (dim, dim) matrix, ad(X) @ Y = [X, Y], of X's dtype
-        (exact integers for an integer X).
-        """
-        import numpy as np
-
-        if X.shape != (self.dim,):
-            raise ValueError("dimension mismatch")
-        bk_i, bk_j, bk_k, bk_v = self._table
-        terms = np.flatnonzero(X[bk_i])
-        out = np.zeros((self.dim, self.dim), dtype=np.result_type(X, bk_v))
-        np.add.at(out, (bk_k[terms], bk_j[terms]), X[bk_i[terms]] * bk_v[terms])
-        return out
-
 
 def build_chevalley(rs: RootSystem) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(rs)
 
 
 # ---------------------------------------------------------------------------
-# principal sl2, Coxeter phases, sigma and rho_hat
+# principal sl2, Coxeter phases and sigma
 # ---------------------------------------------------------------------------
 
 
@@ -360,8 +311,8 @@ class PrincipalSL2:
 
     ``sigma`` is exact, a signed permutation of the Chevalley basis (see
     ``SignedPermutation``): the signed lift of the diagram automorphism
-    (``build_principal_sl2``).  The numpy fields ``x``, ``e``, ``etilde`` and
-    ``sigma_mat`` are built on first access.
+    (``build_principal_sl2``); the triple is given as coefficient maps
+    (``triple_coefficients``).
     """
 
     def __init__(self, alg: ChevalleyAlgebra, exponents: Tuple[int, ...], sigma: SignedPermutation):
@@ -384,36 +335,6 @@ class PrincipalSL2:
             {alg.root_index(a): s for a, s in zip(simple, sq)},
             {alg.root_index(_neg(a)): s for a, s in zip(simple, sq)},
         )
-
-    def _dense(self, coeffs: Mapping[int, complex]) -> np.ndarray:
-        import numpy as np
-
-        v = np.zeros(self.alg.dim, dtype=complex)
-        for d, c in coeffs.items():
-            v[d] = c
-        return v
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return self._dense(self.triple_coefficients()[0])
-
-    @cached_property
-    def e(self) -> np.ndarray:
-        return self._dense(self.triple_coefficients()[1])
-
-    @cached_property
-    def etilde(self) -> np.ndarray:
-        return self._dense(self.triple_coefficients()[2])
-
-    @cached_property
-    def sigma_mat(self) -> np.ndarray:
-        """sigma as a dense float (dim, dim) matrix."""
-        import numpy as np
-
-        S = np.zeros((self.alg.dim, self.alg.dim))
-        for a, (b, s) in enumerate(self.sigma):
-            S[a, b] = s
-        return S
 
 
 def _diagram_lift(alg: ChevalleyAlgebra) -> Tuple[List[int], List[int]]:
@@ -495,18 +416,6 @@ class CoxeterElement:
         self.slot_phases = slot_phases  # basis index -> height mod h
         self.h = h
 
-    @cached_property
-    def phases(self) -> np.ndarray:
-        """``slot_phases`` as an int64 array."""
-        import numpy as np
-
-        return np.array(self.slot_phases, dtype=np.int64)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        return X * np.exp(2j * np.pi * self.phases / self.h)
-
     def eigenspace_indices(self, m: int) -> List[int]:
         return [d for d, p in enumerate(self.slot_phases) if p == m % self.h]
 
@@ -516,83 +425,6 @@ def coxeter_element(alg: ChevalleyAlgebra, sl2: PrincipalSL2) -> CoxeterElement:
     if h != coxeter_number(alg.rs):
         raise RuntimeError(f"{alg.rs.type}: top exponent {h - 1} does not match the Coxeter number")
     return CoxeterElement(slot_phases=tuple(ht % h for ht in alg.slot_heights), h=h)
-
-
-def rho_hat(alg: ChevalleyAlgebra, X: np.ndarray) -> np.ndarray:
-    """Compact anti-involution: h -> -h, e_beta -> -e_{-beta}, antilinear."""
-    import numpy as np
-
-    return -np.conj(np.asarray(X, dtype=complex)[..., list(alg.slot_negation)])
-
-
-def lambda_hat(alg: ChevalleyAlgebra, sl2: PrincipalSL2, X: np.ndarray) -> np.ndarray:
-    """Split-form anti-involution sigma o rho_hat."""
-    return sl2.sigma_mat @ rho_hat(alg, X)
-
-
-# ---------------------------------------------------------------------------
-# cyclic elements
-# ---------------------------------------------------------------------------
-
-
-def _phase_one_slots(alg: ChevalleyAlgebra) -> List[int]:
-    """Basis slots of the phase-1 eigenspace: simple roots then lowest root."""
-    rs = alg.rs
-    slots = [alg.root_index(rs.simple_root(i)) for i in range(alg.rank)]
-    slots.append(alg.root_index(_neg(rs.highest_root)))
-    return slots
-
-
-def is_cyclic_g1(alg: ChevalleyAlgebra, X: np.ndarray) -> bool:
-    """Cyclic test on the phase-1 eigenspace: all l+1 coefficients nonzero."""
-    import numpy as np
-
-    slots = _phase_one_slots(alg)
-    mask = np.zeros(alg.dim, dtype=bool)
-    mask[slots] = True
-    if np.any(X[~mask] != 0):
-        raise ValueError("element does not lie in the phase-1 eigenspace")
-    return bool(np.all(X[slots] != 0))
-
-
-def cyclic_reference(alg: ChevalleyAlgebra) -> np.ndarray:
-    """Reference cyclic element: sqrt(r_i) on the simple slots, 1 on -delta."""
-    import numpy as np
-
-    X = np.zeros(alg.dim, dtype=complex)
-    slots = _phase_one_slots(alg)
-    for i in range(alg.rank):
-        X[slots[i]] = float(alg.rs.x_coefficients[i]) ** 0.5
-    X[slots[-1]] = 1.0
-    return X
-
-
-def normalize_cyclic(alg: ChevalleyAlgebra, X: np.ndarray) -> Tuple[np.ndarray, complex]:
-    """Torus parameters (xi, lam) with Ad_{exp xi} X = lam * reference.
-
-    The l+1 root characters on the phase-1 space satisfy one relation
-    weighted by the marks, which fixes log(lam); the Cartan part then comes
-    out of an l x l linear solve.
-    """
-    import numpy as np
-
-    if not is_cyclic_g1(alg, X):
-        raise ValueError("element is not cyclic")
-    l = alg.rank
-    slots = _phase_one_slots(alg)
-    ref = cyclic_reference(alg)
-    b = np.log(ref[slots] / X[slots])  # principal branch
-    marks = affine_cartan(alg.rs).marks  # node 0 first
-    weights = np.array(marks[1:] + marks[:1], dtype=float)
-    log_lam = -complex(weights @ b) / weights.sum()
-    # beta(xi) = b_beta + log lam on the simple slots; xi = sum_a xi_a h_a
-    C = alg.characters[slots]
-    xi = np.linalg.solve(C[:l], b[:l] + log_lam)
-    lam = np.exp(log_lam)
-    # consistency on the lowest-root slot (up to the exp branch)
-    if abs(np.exp(C[l] @ xi) * X[slots[-1]] - lam * ref[slots[-1]]) >= 1e-9 * max(1.0, abs(lam)):
-        raise RuntimeError("torus normalization is inconsistent")
-    return xi, complex(lam)
 
 
 # ---------------------------------------------------------------------------

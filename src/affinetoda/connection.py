@@ -203,17 +203,32 @@ def build_toda_connection(
     """
     if gauge not in ("toda", "higgs"):
         raise ValueError(f"unknown gauge {gauge!r}")
-    if q.degree != coxeter_number(data.rs):
-        raise ValueError("q differential degree does not match the Coxeter number")
-    grid = omega.grid
-    if not np.all(np.isfinite(omega.values)):
-        raise ValueError("field contains non-finite values")
-    slots = _shared_slots(data)
+    grid, slots = omega.grid, _checked_slots(omega, q, data)
     A_z, A_zbar, phi, psi = _toda_parts(grid, slots, data.r, omega.values, q.sample(grid), gauge)
     return ConnectionData(
         gauge=gauge, grid=grid, omega=omega, slots=slots,
         A_z=A_z, A_zbar=A_zbar, phi=phi, psi=psi,
     )
+
+
+def _checked_slots(omega: HFieldGrid, q: QDifferential, data: _TodaData) -> TodaSlots:
+    """The ``TodaSlots`` of ``data``, once q is checked to have the degree
+    of the Coxeter number and omega to be finite (ValueError otherwise)."""
+    if q.degree != coxeter_number(data.rs):
+        raise ValueError("q differential degree does not match the Coxeter number")
+    if not np.all(np.isfinite(omega.values)):
+        raise ValueError("field contains non-finite values")
+    return _shared_slots(data)
+
+
+def _e_minus(r: np.ndarray, qv: np.ndarray) -> np.ndarray:
+    """E- on the l+1 slots ``TodaSlots.lowered`` at the points of the
+    samples ``qv`` of q: sqrt(r_i) on the lowered simple roots, then q on
+    the highest root."""
+    phi = np.empty(qv.shape + (len(r) + 1,), dtype=complex)
+    phi[..., :-1] = np.sqrt(r)
+    phi[..., -1] = qv
+    return phi
 
 
 def _toda_parts(
@@ -231,13 +246,10 @@ def _toda_parts(
         A_z *= -2
         A_zbar = np.zeros_like(A_z)
 
-    # E- is sqrt(r_i) on the lowered simple roots, then q on the highest
-    # root; E+ on their negatives, with qbar
+    # E+ is E- on the negated slots, with qbar
     lo, hi = slots.lowered, slots.raised
-    phi = np.empty(vals.shape[:-1] + (len(lo),), dtype=complex)
-    phi[..., :-1] = np.sqrt(r)
+    phi = _e_minus(r, qv)
     psi = phi.copy()
-    phi[..., -1] = qv
     psi[..., -1] = np.conj(qv)
     if gauge == "toda":
         phi = char_scale(phi, -vals, slots.characters[lo])
@@ -423,36 +435,17 @@ def gauge_covariance_defect(conn: ConnectionData, F: np.ndarray, H: HFieldGrid) 
 
 def commutator_defect(omega: HFieldGrid, q: QDifferential, data: _TodaData) -> float:
     """Max deviation between the explicit bracket [Phi, Phi*] and its closed
-    form, minus the pointwise term of the Toda residual, in the Higgs gauge.
+    form, minus the pointwise term of the Toda residual, in the Higgs gauge:
+    Phi = E- and Phi* = Ad_{exp(2 Omega)} E+, the ``conjugate_star`` of the
+    Higgs-gauge connection, formed without the rest of that connection.
     The bracket is formed on the l Cartan slots only, and raises if a term
     of it lands anywhere else."""
-    conn = build_toda_connection(omega, q, data, gauge="higgs")
-    slots = conn.slots
-    comm = slots.bracket(conn.phi, slots.lowered, conjugate_star(conn), slots.raised, range(omega.l))
-    q2 = np.abs(q.sample(omega.grid)) ** 2
-    closed = -data.pointwise_residual(data.exponentials(omega.values, q2))
+    slots, qv = _checked_slots(omega, q, data), q.sample(omega.grid)
+    phi = _e_minus(data.r, qv)
+    star = char_scale(np.conj(phi), 2 * omega.values, slots.characters[slots.raised])
+    comm = slots.bracket(phi, slots.lowered, star, slots.raised, range(omega.l))
+    closed = -data.pointwise_residual(data.exponentials(omega.values, np.abs(qv) ** 2))
     return float(np.abs(comm - closed).max())
-
-
-def chart_transition(
-    values: np.ndarray, g: np.ndarray | complex, heights: Sequence[int], form_degree: int = 0
-) -> np.ndarray:
-    """Transport coefficients between charts, over slots whose roots have
-    the given ``heights`` (0 on the Cartan).
-
-    Root-space components scale by g**height, Cartan components are
-    untouched; ``form_degree`` adds the canonical-bundle power of a tensor
-    coefficient (1 for the dz part of a field) so that transported
-    coefficients can be compared directly with ones built on the target
-    chart.  ``g`` is the derivative of the source coordinate with respect
-    to the target coordinate and must not vanish.
-    """
-    garr = np.asarray(g, dtype=complex)
-    if np.any(garr == 0):
-        raise ValueError("chart transition function vanishes")
-    powers = np.asarray(heights) + form_degree
-    scale = garr[..., None] ** powers if garr.ndim else garr**powers
-    return values * scale
 
 
 def _abs_max(columns) -> np.ndarray:

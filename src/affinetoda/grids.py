@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 import struct
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,10 +167,6 @@ class QDifferential:
     def constant(value: complex, degree: int) -> "QDifferential":
         return QDifferential("const", (complex(value),), degree)
 
-    @staticmethod
-    def polynomial(coeffs: Iterable[complex], degree: int) -> "QDifferential":
-        return QDifferential("poly", tuple(complex(c) for c in coeffs), degree)
-
     def sample(self, grid: DomainGrid) -> np.ndarray:
         if self.kind == "const":
             return np.full((grid.nx, grid.ny), self.coeffs[0], dtype=complex)
@@ -269,9 +265,10 @@ def read_field_binary(path: str, grid: Optional[DomainGrid] = None) -> HFieldGri
         if len(header) != 12:
             raise ValueError(f"{path}: truncated header")
         nx, ny, l = struct.unpack("<III", header)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != nx * ny * l:
+        payload = fh.read()
+    if len(payload) != 8 * nx * ny * l:
         raise ValueError(f"{path}: truncated payload")
+    data = np.frombuffer(payload, dtype="<f8")
     values = data.reshape(nx, ny, l).astype(float)
     if grid is None:
         grid = DomainGrid.make("torus", nx, ny)

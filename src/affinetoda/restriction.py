@@ -12,12 +12,16 @@ rank 4, since B2 = C2 and D3 = A3), plus the one twisted family the
 projection can produce, whose matrices are generated from the chain
 pattern with a doubled bond at both ends (quadruple bond for the smallest
 member).
+
+All of it is exact integer and Fraction work: the module never imports
+numpy.  ``RestrictedSystem.coroot_coords`` and ``weights`` pin the folded
+field equation, whose residual the tests check against the solver's.
 """
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .rootdata import (
     DiagramAutomorphism,
@@ -26,11 +30,6 @@ from .rootdata import (
     affine_cartan,
     build_root_system,
 )
-
-if TYPE_CHECKING:  # the folded field equation needs numpy; the folding itself does not
-    import numpy as np
-
-    from .grids import HFieldGrid, QDifferential
 
 Vec = Tuple[Fraction, ...]
 
@@ -242,52 +241,3 @@ def classify_affine(rest: RestrictedSystem) -> str:
         "the projection is broken"
     )
 
-
-# ---------------------------------------------------------------------------
-# the folded field equation
-# ---------------------------------------------------------------------------
-
-
-def symmetry_defect(rest: RestrictedSystem, omega: HFieldGrid) -> float:
-    import numpy as np
-
-    perm = list(rest.nu.perm)
-    return float(np.abs(omega.values - omega.values[..., perm]).max())
-
-
-def restricted_toda_residual(
-    omega: HFieldGrid, q: QDifferential, rest: RestrictedSystem
-) -> np.ndarray:
-    """Residual of the folded equations for a symmetry-fixed field.
-
-    Agrees with the unfolded residual to roundoff; the field must take
-    values in the fixed subspace (defect above 1e-12 is an error).
-    """
-    import numpy as np
-
-    if symmetry_defect(rest, omega) > 1e-12:
-        raise ValueError("field is not fixed by the diagram symmetry")
-    rs = rest.base
-    grid = omega.grid
-    vals = omega.values
-    P = np.array(rs.simple_characters, dtype=float)
-
-    def functional(vec: Vec) -> np.ndarray:
-        # beta(h_a) row vector; the projected coordinates are halves, exact in floats
-        return np.array([float(c) for c in vec]) @ P
-
-    lap = grid.laplacian(vals)
-    R = -0.5 * lap
-    for beta, dual, weight in zip(rest.restricted_roots, rest.coroot_coords, rest.weights):
-        bvals = vals @ functional(beta)
-        R = R + float(weight) * np.exp(2 * bvals)[..., None] * np.array(
-            [float(c) for c in dual]
-        )
-    delta = tuple(Fraction(c) for c in rs.highest_root)
-    dvals = vals @ functional(delta)
-    q2 = np.abs(q.sample(grid)) ** 2
-    delta_co = np.array([float(c) for c in rs.coroot(rs.highest_root)])
-    R = R - (q2 * np.exp(-2 * dvals))[..., None] * delta_co
-    if not grid.periodic:
-        R[~grid.interior_mask()] = 0.0
-    return R

@@ -32,7 +32,6 @@ thread count.
 """
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -123,10 +122,6 @@ class Solution:
         self.iterations = iterations
         self.converged = converged
         self.cg_iterations = [] if cg_iterations is None else cg_iterations  # one per Newton step
-
-    @property
-    def final_residual(self) -> float:
-        return self.residual_history[-1] if self.residual_history else float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -411,41 +406,4 @@ def sigma_symmetry_defect(omega: HFieldGrid, perm: Sequence[int]) -> float:
     vals = omega.values
     defect = vals[..., list(perm)] - vals
     return omega.grid.max_norm(np.abs(defect).max(axis=-1))
-
-
-def uniqueness_probe(
-    cfg: SolverConfig,
-    seeds: Sequence[int],
-    data: _TodaData,
-    amplitude: Optional[float] = None,
-) -> float:
-    """Max pairwise distance between converged runs from perturbed starts.
-
-    Non-converged runs are excluded; fewer than two converged runs raise
-    RuntimeError, since there is then nothing to compare.
-    """
-    if len(seeds) < 2:
-        raise ValueError("need at least two seeds")
-    amp = cfg.init.amplitude if amplitude is None else amplitude
-    sols = [
-        solve(
-            SolverConfig(cfg.grid, cfg.q, cfg.tol, cfg.max_iter, cfg.damping,
-                         InitSpec("perturbed", seed=s, amplitude=amp)),
-            data,
-        )
-        for s in seeds
-    ]
-    failed = [seed for seed, s in zip(seeds, sols) if not s.converged]
-    fields = [s.omega.values for s in sols if s.converged]
-    if len(fields) < 2:
-        raise RuntimeError(
-            f"only {len(fields)} of {len(seeds)} runs converged (not converged: seeds {failed})"
-        )
-    for seed in failed:
-        warnings.warn(f"seed {seed} did not converge; excluded from the probe")
-    worst = 0.0
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            worst = max(worst, float(np.abs(fields[i] - fields[j]).max()))
-    return worst
 

@@ -5,6 +5,7 @@ from scipy.sparse import csr_matrix
 from affinetoda.chevalley import build_chevalley, build_principal_sl2, coxeter_element
 from affinetoda.rootdata import LieType, build_root_system
 from affinetoda.todasolver import _TodaData, residual
+from oracles import ad
 
 ALL_TYPES = (
     [f"A{n}" for n in range(1, 9)]
@@ -87,13 +88,13 @@ _AD_CACHE = {}
 def reference_bracket(alg, X, Y):
     """[X, Y] = sum_a X_a ad(e_a) Y over all of g, from the sparse integer ad matrices."""
     if alg not in _AD_CACHE:
-        _AD_CACHE[alg] = [csr_matrix(alg.ad(e)) for e in np.eye(alg.dim, dtype=np.int64)]
+        _AD_CACHE[alg] = [csr_matrix(ad(alg, e)) for e in np.eye(alg.dim, dtype=np.int64)]
     shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (alg.dim,)
     Xb = np.broadcast_to(X, shape).reshape(-1, alg.dim)
     Yb = np.broadcast_to(Y, shape).reshape(-1, alg.dim)
     Z = np.zeros(Xb.shape, dtype=complex)
-    for a, ad in enumerate(_AD_CACHE[alg]):
-        Z += Xb[:, a : a + 1] * (ad @ Yb.T).T
+    for a, ad_a in enumerate(_AD_CACHE[alg]):
+        Z += Xb[:, a : a + 1] * (ad_a @ Yb.T).T
     return Z.reshape(shape)
 
 

@@ -672,6 +672,20 @@ def test_verify_rejects_truncated_header(tmp_path, capsys):
     assert "truncated header" in err
 
 
+def test_verify_and_export_plot_reject_a_partial_value(tmp_path, capsys):
+    """A file cut 3 bytes short ends in part of an f64: the error names the
+    file, as for any other cut-off payload."""
+    out_path = str(tmp_path / "omega.bin")
+    code, _, _ = run_cli(capsys, "toda", "solve", "--type", "A1", "--grid", "16x16", "--out", out_path)
+    assert code == 0
+    with open(out_path, "r+b") as fh:
+        fh.truncate(fh.seek(0, 2) - 3)
+    for args in (("toda", "verify", out_path), ("export-plot", out_path, "--out", str(tmp_path / "p.csv"))):
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert f"{out_path}: truncated payload" in err
+
+
 def test_init_file_rank_mismatch_exits_2(tmp_path, capsys):
     a1_path = str(tmp_path / "a1.bin")
     code, _, _ = run_cli(capsys, "toda", "solve", "--type", "A1", "--grid", "16x16", "--out", a1_path)

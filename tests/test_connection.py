@@ -12,7 +12,6 @@ from affinetoda.connection import (
     _row_blocks,
     build_toda_connection,
     char_scale,
-    chart_transition,
     commutator_defect,
     conjugate_star,
     curvature,
@@ -43,6 +42,7 @@ from conftest import (
     scatter,
     slot_fields,
 )
+from oracles import chart_transition, characters
 
 
 def make_omega(name, algebra, seed=3, amplitude=0.15, n=16, topology="torus"):
@@ -205,7 +205,7 @@ def test_slot_curvature_matches_dense_reference(name, topology, algebra):
     which is exactly zero off the slots."""
     rs, alg, _, _ = algebra(name)
     grid, omega = make_omega(name, algebra, n=8, topology=topology)
-    q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     assert conn.slots.n == (3 if name == "A1" else 3 * rs.rank + 2)
     assert list(chevalley_slots(alg, conn.slots)[: rs.rank]) == list(range(rs.rank))
@@ -227,7 +227,7 @@ def test_column_curvature_is_the_dense_formula(name, topology, moved, algebra):
     transformation."""
     rs, alg, _, _ = algebra(name)
     grid, omega = make_omega(name, algebra, topology=topology)
-    q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     if moved:
         H = random_trig_field(rs.rank, seed=5, amplitude=0.2).sample(grid)
@@ -244,7 +244,7 @@ def test_summary_norms_are_the_equivalence_norms(name, topology, algebra):
     the same norms that ``equivalence_defect`` takes of the whole of F."""
     rs, alg, _, _ = algebra(name)
     _, omega = make_omega(name, algebra, topology=topology)
-    q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
     data = _TodaData(rs)
     F = curvature(build_toda_connection(omega, q, data, "toda"))
     curv, res, _ = equivalence_defect(omega, q, data, F)
@@ -285,7 +285,7 @@ def test_blocked_curvature_norm_is_the_whole_grid_norm(
     omega = random_trig_field(rs.rank, seed=5, amplitude=0.3).sample(grid)
     h = coxeter_number(rs)
     if q == "poly":
-        qd = QDifferential.polynomial([0.9, 0.4 - 0.2j, 0.3], h)
+        qd = QDifferential.parse("poly:0.9,0.4-0.2j,0.3", h)
     else:
         qd = QDifferential.constant(0.8 - 0.3j, h)
     data = _TodaData(rs)
@@ -379,7 +379,7 @@ def test_slot_data_is_the_chevalley_data(name, algebra):
     glob = chevalley_slots(alg, slots)
     assert slots.n == len(set(glob.tolist())) == (3 if name == "A1" else 3 * rs.rank + 2)
     assert np.all(np.diff(glob) > 0)  # the Chevalley order
-    assert np.array_equal(slots.characters, alg.characters[glob])
+    assert np.array_equal(slots.characters, characters(alg)[glob])
     assert np.array_equal(slots.heights, np.array(alg.slot_heights)[glob])
     assert np.array_equal(glob[slots.negation], np.array(alg.slot_negation)[glob])
     minus = [alg.root_index(tuple(-c for c in rs.simple_root(i))) for i in range(rs.rank)]
@@ -451,6 +451,28 @@ def test_bracket_term_outside_its_output_slots_raises(algebra):
         slots.bracket(X, [*cartan, *slots.lowered], Y, slots.raised, cartan)
 
 
+@pytest.mark.parametrize("name", ["A1", "A2", "G2", "E8"])
+def test_commutator_defect_builds_no_connection(name, algebra, monkeypatch):
+    """``commutator_defect`` forms Phi = E- and its Higgs-gauge star alone:
+    it takes no derivative of Omega, and its value is that of the bracket
+    of the Higgs-gauge connection's Phi and ``conjugate_star``, bit for bit."""
+    rs = algebra(name)[0]
+    data = _TodaData(rs)
+    _, omega = make_omega(name, algebra)
+    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
+    conn = build_toda_connection(omega, q, data, "higgs")
+    slots = conn.slots
+    comm = slots.bracket(conn.phi, slots.lowered, conjugate_star(conn), slots.raised, range(rs.rank))
+    closed = -data.pointwise_residual(data.exponentials(omega.values, np.abs(q.sample(omega.grid)) ** 2))
+    expect = float(np.abs(comm - closed).max())
+
+    def no_derivative(self, F):
+        raise AssertionError("commutator_defect differentiated Omega")
+
+    monkeypatch.setattr(DomainGrid, "wirtinger", no_derivative)
+    assert commutator_defect(omega, q, data) == expect
+
+
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_commutator_with_a_term_moved_off_the_cartan_raises(name, algebra):
     """Mutation check: move the output of one [e_-beta, e_beta] term of the
@@ -484,7 +506,7 @@ def test_connection_keeps_phi_and_psi_on_their_slots(name, gauge, algebra):
     rs = algebra(name)[0]
     l, data = rs.rank, _TodaData(rs)
     grid, omega = make_omega(name, algebra, n=8)
-    q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
     conn = build_toda_connection(omega, q, data, gauge)
     slots = conn.slots
     assert conn.phi.shape == conn.psi.shape == (8, 8, l + 1)
@@ -523,7 +545,7 @@ def test_gauge_covariance_defect_is_the_dense_defect(name, constant, algebra):
     the dense character-scaled F."""
     rs = algebra(name)[0]
     grid, omega = make_omega(name, algebra)
-    q = QDifferential.polynomial([0.9, 0.4 - 0.2j], coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     F = curvature(conn)
     if constant:
@@ -624,10 +646,9 @@ class TestChartTransition:
         fx = np.log(2.0)
         xc = np.array([float(c) for c in rs.x_coefficients])
         omega_i = HFieldGrid(grid_i, omega_j.values + fx * xc)
-        qj = QDifferential.polynomial([0.9, 0.4 - 0.2j], h)
-        qi = QDifferential.polynomial(
-            [0.9 * 0.5 ** h, (0.4 - 0.2j) * 0.5 ** (h + 1)], h
-        )  # q_i(w) = q_j(w/2) * (1/2)^h
+        qj = QDifferential.parse("poly:0.9,0.4-0.2j", h)
+        c0, c1 = 0.9 * 0.5 ** h, (0.4 - 0.2j) * 0.5 ** (h + 1)
+        qi = QDifferential.parse(f"poly:{c0!r},{c1!r}", h)  # q_i(w) = q_j(w/2) * (1/2)^h
         conn_j = build_toda_connection(omega_j, qj, _TodaData(rs), "higgs")
         conn_i = build_toda_connection(omega_i, qi, _TodaData(rs), "higgs")
         heights = conn_j.slots.heights[conn_j.slots.lowered]
@@ -679,6 +700,17 @@ class TestIO:
         write_field_binary(p, f)
         g = read_field_binary(p)
         assert np.array_equal(g.values, vals)
+
+    @pytest.mark.parametrize("cut", [3, 8, 11])
+    def test_cut_payload_is_truncated(self, tmp_path, cut):
+        """A payload short by whole values or by part of one is a truncated
+        payload, named by its file."""
+        p = str(tmp_path / "omega.bin")
+        write_field_binary(p, constant_field(DomainGrid.make("torus", 8, 8), [0.5, 0.25]))
+        with open(p, "r+b") as fh:
+            fh.truncate(fh.seek(0, 2) - cut)
+        with pytest.raises(ValueError, match=f"^{p}: truncated payload$"):
+            read_field_binary(p)
 
     def test_binary_magic_check(self, tmp_path):
         p = tmp_path / "bad.bin"

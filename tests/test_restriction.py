@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from affinetoda.grids import DomainGrid, HFieldGrid, QDifferential, random_trig_field
-from affinetoda.restriction import (
-    gcm_permutation_equivalent,
-    project,
-    restrict,
-    restricted_toda_residual,
-    symmetry_defect,
-)
+from affinetoda.restriction import gcm_permutation_equivalent, project, restrict
 from affinetoda.rootdata import coxeter_number, diagram_automorphism
+from affinetoda.todasolver import sigma_symmetry_defect
 from conftest import elliptic_residual
+from oracles import restricted_toda_residual
 
 TABLE = [
     ("A2", "A2(2)"),
@@ -159,7 +155,7 @@ class TestFoldedResidual:
         vals = np.zeros((8, 8, 3))
         vals[..., 0] = 0.3  # breaks the 1<->3 symmetry
         omega = HFieldGrid(grid, vals)
-        assert symmetry_defect(rest, omega) > 1e-12
+        assert sigma_symmetry_defect(omega, rest.nu.perm) > 1e-12
         q = QDifferential.constant(1.0, coxeter_number(rs))
         with pytest.raises(ValueError):
             restricted_toda_residual(omega, q, rest)

@@ -1,5 +1,6 @@
 """Source-level rules for the package."""
 import ast
+import collections
 import importlib
 import pathlib
 
@@ -158,29 +159,31 @@ def test_no_numpy_random():
     assert found == []
 
 
-# Every public name the package exported while its __init__ imported all
-# modules eagerly, by home module.
+# Every public name of the package, by home module: the names its __init__
+# exported when it imported all modules eagerly, less those whose code was
+# only ever called by the tests.
 PUBLIC_NAMES = {
     "chevalley": (
         "ChevalleyAlgebra", "CoxeterElement", "PrincipalSL2", "build_chevalley",
-        "build_principal_sl2", "coxeter_element", "is_cyclic_g1", "lambda_hat",
-        "normalize_cyclic", "rho_hat", "verify_structure",
+        "build_principal_sl2", "coxeter_element", "verify_structure",
     ),
-    "connection": (
-        "ConnectionData", "build_toda_connection", "chart_transition", "curvature",
-        "gauge_transform",
-    ),
+    "connection": ("ConnectionData", "build_toda_connection", "curvature", "gauge_transform"),
     "grids": ("DomainGrid", "HFieldGrid", "QDifferential"),
-    "restriction": ("RestrictedSystem", "classify_affine", "restrict", "restricted_toda_residual"),
+    "restriction": ("RestrictedSystem", "classify_affine", "restrict"),
     "rootdata": (
         "AffineCartanData", "DiagramAutomorphism", "LieType", "RootSystem", "affine_cartan",
         "build_root_system", "coxeter_number", "diagram_automorphism", "exponents",
     ),
     "todasolver": (
         "InitSpec", "Solution", "SolverConfig", "constant_solution", "sigma_symmetry_defect",
-        "solve", "uniqueness_probe",
+        "solve",
     ),
 }
+
+
+def test_export_table_is_the_public_names():
+    """A name that leaves the package leaves both tables."""
+    assert affinetoda._EXPORTS == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
@@ -227,12 +230,45 @@ def test_load_time_imports_reads_both_import_forms():
     assert {"numpy", "grids", "rootdata"} <= _load_time_imports(SRC / "todasolver.py")
 
 
+def _numpy_imports(path):
+    """The function around each numpy import of ``path``, None at module
+    level, wherever the import sits: inside a function, under
+    ``if TYPE_CHECKING:`` or not."""
+    found = []
+    stack = [(ast.parse(path.read_text()), None)]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append(func)
+        stack += [(child, func) for child in ast.iter_child_nodes(node)]
+    return found
+
+
+# the only functions of the exact layer that may import numpy: the float
+# bracket of coefficient arrays and the numpy view of the table it reads
+NUMPY_FUNCTIONS = {
+    "rootdata": set(),
+    "restriction": set(),
+    "chevalley": {"bracket", "bracket_terms", "_table"},
+}
+
+
 @pytest.mark.parametrize("module", ["rootdata", "restriction", "chevalley"])
 def test_exact_layer_imports_no_numpy_at_load_time(module):
     """Root data, the folding and the Chevalley table, checks and sigma are
-    exact integer and Fraction work; the float and field functions import
-    numpy inside themselves."""
+    exact integer and Fraction work.  ``rootdata`` and ``restriction``
+    import numpy nowhere; ``chevalley`` imports it only inside the float
+    bracket and its table view."""
     assert "numpy" not in _load_time_imports(SRC / f"{module}.py")
+    assert set(_numpy_imports(SRC / f"{module}.py")) <= NUMPY_FUNCTIONS[module]
 
 
 def test_cli_imports_no_numeric_module_at_load_time():
@@ -241,3 +277,66 @@ def test_cli_imports_no_numeric_module_at_load_time():
     found = _load_time_imports(SRC / "cli.py")
     assert "rootdata" in found
     assert found & NUMERIC_MODULES == set()
+
+
+def _tracing_methods():
+    """The methods ``bench/tracing.py`` wraps by name, read from its
+    ``METHODS`` table, as {(module, class, method)}."""
+    tree = ast.parse((pathlib.Path(__file__).parents[1] / "bench" / "tracing.py").read_text())
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "METHODS"
+    )
+    return {
+        (module, cls, name)
+        for module, (cls, names) in ast.literal_eval(table).items()
+        for name in names
+    }
+
+
+def _definitions(tree):
+    """(class or None, node) for every module-level function and every
+    method or property of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield None, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, sub
+
+
+def _references(node):
+    """How often each name is read or written in ``node``, as a name or as
+    an attribute.  Strings are not references, so the export table of
+    ``__init__`` is not one."""
+    found = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+    return found
+
+
+def test_every_definition_has_a_src_caller():
+    """Every function, method and property of the package is referenced in
+    the package outside its own body: code that only the tests call lives
+    in the tests (``tests/oracles.py``).  A reference is a name or an
+    attribute of that name, so two methods of one name count as one.
+    Exempt, each for its reason:
+    - dunder methods: Python calls them;
+    - the methods in ``bench/tracing.py``'s ``METHODS``: the benchmark
+      wraps them by name, and its per-layer metrics read their spans."""
+    traced = _tracing_methods()
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    everywhere = sum((_references(tree) for tree in trees.values()), collections.Counter())
+    unused = []
+    for module, tree in trees.items():
+        for cls, node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or (module, cls, name) in traced:
+                continue
+            if everywhere[name] == _references(node)[name]:
+                unused.append(f"{module}.{cls + '.' if cls else ''}{name}")
+    assert unused == []
