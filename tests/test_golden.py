@@ -2,9 +2,11 @@
 
 Twelve ``toda solve`` runs (field, manifest, stdout and exit code), a
 ``toda verify`` of every field they write, one ``export-plot`` CSV,
-``conn check --grid 32`` for A2, E7 and E8, and ``lie info`` and ``lie
-restrict`` of all 33 types (stdout and exit code) are compared with the
-digests in ``tests/data/golden_digests.json``.  The digests hold for the numpy version
+``conn check`` for A2, E7 and E8 at 32^2 (one row block) and for E8 at
+64^2 and G2 at 100^2 (two and five row blocks; G2's 50^2 half grid has
+two, the second short), and
+``lie info`` and ``lie restrict`` of all 33 types (stdout and exit code)
+are compared with the digests in ``tests/data/golden_digests.json``.  The digests hold for the numpy version
 recorded there: under any other version the test fails and names both.
 
 A change that moves an output on purpose regenerates the file, from the
@@ -53,7 +55,7 @@ SOLVES = {
     ),
 }
 PLOTTED = "A2-64-rect"
-CONN_TYPES = ("A2", "E7", "E8")
+CONN_RUNS = (("A2", "32"), ("E7", "32"), ("E8", "32"), ("E8", "64"), ("G2", "100"))
 
 
 def _sha(data: bytes) -> str:
@@ -82,8 +84,8 @@ def golden_outputs(workdir: str):
     csv = os.path.join(workdir, "plot.csv")
     entry = _run("export-plot", os.path.join(workdir, f"{PLOTTED}.bin"), "--out", csv)
     got[f"export-plot {PLOTTED}"] = {"exit": entry["exit"], "csv": _sha(pathlib.Path(csv).read_bytes())}
-    for t in CONN_TYPES:
-        got[f"conn check {t} 32"] = _run("conn", "check", "--type", t, "--grid", "32")
+    for t, n in CONN_RUNS:
+        got[f"conn check {t} {n}"] = _run("conn", "check", "--type", t, "--grid", n)
     for t in ALL_TYPES:
         for command in ("info", "restrict"):
             got[f"lie {command} {t}"] = _run("lie", command, t)
