@@ -13,7 +13,7 @@ _EXPORTS = {
         "ChevalleyAlgebra", "CoxeterElement", "PrincipalSL2", "build_chevalley",
         "build_principal_sl2", "coxeter_element", "verify_structure",
     ),
-    "connection": ("ConnectionData", "build_toda_connection", "curvature", "gauge_transform"),
+    "connection": (),
     "grids": ("DomainGrid", "HFieldGrid", "QDifferential"),
     "restriction": ("RestrictedSystem", "classify_affine", "restrict"),
     "rootdata": (

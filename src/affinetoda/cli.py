@@ -224,11 +224,12 @@ def _solver_setup(opts: Dict[str, str]):
 def _summary(omega, q, data) -> Dict[str, float]:
     """Residual, curvature norm and sigma defect of a field: the numbers
     ``toda solve`` reports and ``toda verify`` recomputes.  The norms are
-    those of ``connection.equivalence_defect``.  q is sampled once; the
-    field's exponentials are dropped once R is formed, and R once it is
-    reduced.  The curvature norm is taken one block of grid rows at a time,
-    each block's connection built from its rows of Omega and q plus a
-    two-row halo, so neither F nor the whole connection is ever held."""
+    those ``conn check`` reports (``connection.check_norms``).  q is
+    sampled once; the field's exponentials are dropped once R is formed,
+    and R once it is reduced.  The curvature norm comes from the block pass
+    of ``conn check``, reading |F| alone: each block of grid rows builds its
+    connection from its rows of Omega and q plus a two-row halo, so neither
+    F nor the whole connection is ever held."""
     import numpy as np
 
     from . import connection, todasolver
@@ -249,9 +250,9 @@ def _summary(omega, q, data) -> Dict[str, float]:
 
 
 def cmd_toda_solve(args) -> int:
-    # the summary's connection module is loaded (without bytecode, compiled)
-    # before the solve's arrays exist, not after: its compile then set the
-    # peak RSS of small-grid solves
+    # the connection module of the summary's curvature norm is loaded
+    # (without bytecode, compiled) before the solve's arrays exist, not
+    # after: its compile then set the peak RSS of small-grid solves
     from . import connection, grids, todasolver  # noqa: F401
 
     opts = _solver_options(args)
@@ -336,9 +337,11 @@ def cmd_toda_verify(args) -> int:
 
 
 def cmd_conn_check(args) -> int:
+    """Every quantity comes from one block pass of ``connection.check_norms``
+    per grid, q sampled once each: the star, the bracket [Phi, Phi*], the
+    zero-curvature equivalence and the covariance under three constant
+    gauges on the n^2 grid, and the mismatch again on the n // 2 grid."""
     import random
-
-    import numpy as np
 
     from . import connection, grids, todasolver
 
@@ -356,35 +359,26 @@ def cmd_conn_check(args) -> int:
     omega = field.sample(grid)
     q = grids.QDifferential.parse(args.q, rootdata.coxeter_number(rs))
 
-    conn = connection.build_toda_connection(omega, q, data, "toda")
-    F = connection.curvature(conn)
-    star_defect = float(np.abs(conn.psi - connection.conjugate_star(conn)).max())
-    comm_defect = connection.commutator_defect(omega, q, data)
-    fnorm, rnorm, mismatch = connection.equivalence_defect(omega, q, data, F)
-    # same continuum field at half resolution: mismatch must shrink ~4x
-    grid2 = grids.DomainGrid.make("torus", n // 2, n // 2)
-    omega2 = field.sample(grid2)
-    conn2 = connection.build_toda_connection(omega2, q, data, "toda")
-    F_half = connection.curvature(conn2)
-    _, _, mismatch2 = connection.equivalence_defect(omega2, q, data, F_half)
-    ratio = mismatch2 / mismatch
     rng = random.Random(13)
-    cov = 0.0
-    for _ in range(3):
-        H = grids.constant_field(grid, [0.4 * rng.gauss(0.0, 1.0) for _ in range(rs.rank)])
-        cov = max(cov, connection.gauge_covariance_defect(conn, F, H))
+    hs = [[0.4 * rng.gauss(0.0, 1.0) for _ in range(rs.rank)] for _ in range(3)]
+    norms = connection.check_norms(omega, q, data, hs)
+    # same continuum field at half resolution: mismatch must shrink ~4x
+    omega2 = field.sample(grids.DomainGrid.make("torus", n // 2, n // 2))
+    ratio = connection.check_norms(omega2, q, data)["mismatch"] / norms["mismatch"]
 
     checks = {
-        "psi_equals_phi_star": {"residual": star_defect, "pass": star_defect < 1e-12},
-        "commutator_closed_form": {"residual": comm_defect, "pass": comm_defect < 1e-12},
+        "psi_equals_phi_star": {"residual": norms["star"], "pass": norms["star"] < 1e-12},
+        "commutator_closed_form": {
+            "residual": norms["commutator"], "pass": norms["commutator"] < 1e-12,
+        },
         "zero_curvature_equivalence": {
-            "curvature_norm": fnorm,
-            "residual_norm": rnorm,
-            "mismatch": mismatch,
+            "curvature_norm": norms["curvature"],
+            "residual_norm": norms["residual"],
+            "mismatch": norms["mismatch"],
             "refinement_ratio": ratio,
             "pass": bool(2.8 < ratio < 5.5),
         },
-        "gauge_covariance": {"residual": cov, "pass": cov < 1e-10},
+        "gauge_covariance": {"residual": norms["covariance"], "pass": norms["covariance"] < 1e-10},
     }
     ok = all(c["pass"] for c in checks.values())
     _json_out({"type": str(rs.type), "grid": n, "pass": ok, "checks": checks})

@@ -1,4 +1,4 @@
-"""Flat Toda connections, discrete curvature and their cross-checks.
+"""The flat Toda connection, its discrete curvature and their cross-checks.
 
 Sign conventions fixed here (and relied on by the solver and CLI):
 
@@ -24,27 +24,29 @@ kept over all the slots.  The slots and their bracket are built from the
 root system alone, once per ``_TodaData``, which keeps them for every
 connection of its type.
 
-The curvature is formed a group of slot columns at a time over a block of
-grid rows (``_curvature``).  ``curvature`` takes the whole grid as its one
-block and fills the dense F.  ``curvature_norm``, which the solve/verify
-summary uses, goes through the grid in row blocks of about
+The connection is formed in one place, a row block at a time
+(``_block_maxima``).  The grid goes in row blocks of about
 ``_BLOCK_POINTS`` points, and no fewer rows than four times the halo.  Each
-block builds its own Toda-gauge connection from Omega and q on its rows plus a
-two-row halo, wrapped on a torus and clipped at a rectangle's edges, and
-folds |F| on its own rows into the node maxima.  The halo is two rows
-because F differentiates A = d Omega again.  So the summary holds neither
-F nor a whole-grid connection, and its norm is that of ``curvature``, bit
-for bit.
+block builds the Toda-gauge connection from Omega and q on its rows plus a
+two-row halo, wrapped on a torus and clipped at a rectangle's edges, forms
+its curvature a group of slot columns at a time (``_curvature``), and folds
+what it forms on its own rows into node maxima.  The halo is two rows
+because F differentiates A = d Omega again.  The solve/verify summary reads
+|F| alone (``curvature_norm``); ``conn check`` reads, from the same pass,
+every quantity it reports (``check_norms``).  Neither holds F or a
+whole-grid connection.  The whole-grid connection and its checks are kept
+in the tests (``tests/oracles.py``), as the references whose norms these
+equal bit for bit.
 """
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .grids import DomainGrid, HFieldGrid, QDifferential
 from .rootdata import RootSystem, coxeter_number
-from .todasolver import _TodaData, residual
+from .todasolver import _TodaData
 
 
 class TodaSlots:
@@ -159,58 +161,6 @@ def char_scale(values: np.ndarray, H: np.ndarray, characters: np.ndarray) -> np.
     return values * np.exp(chars, out=chars)
 
 
-class ConnectionData:
-    """Grids of connection and field coefficients in a declared gauge: the
-    Cartan-valued A_z, A_zbar over the l simple coroots, Phi over the l+1
-    slots ``slots.lowered`` of E- and Psi over the l+1 slots
-    ``slots.raised`` of E+, column d of each on slot ``lowered[d]``
-    (``raised[d]``): the only slots where either is nonzero."""
-
-    def __init__(
-        self,
-        gauge: str,
-        grid: DomainGrid,
-        omega: HFieldGrid,
-        slots: TodaSlots,
-        A_z: np.ndarray,
-        A_zbar: np.ndarray,
-        phi: np.ndarray,
-        psi: np.ndarray,
-    ):
-        self.gauge = gauge  # "toda" | "higgs" | "custom"
-        self.grid = grid
-        self.omega = omega
-        self.slots = slots
-        self.A_z = A_z  # (nx, ny, l) complex
-        self.A_zbar = A_zbar
-        self.phi = phi  # (nx, ny, l+1) complex, on slots.lowered
-        self.psi = psi  # (nx, ny, l+1) complex, on slots.raised
-
-
-def build_toda_connection(
-    omega: HFieldGrid, q: QDifferential, data: _TodaData, gauge: str = "toda"
-) -> ConnectionData:
-    """Flat connection generated by a Cartan field and a top differential.
-
-    Toda gauge:  A_z = -Omega_z, A_zbar = +Omega_zbar,
-                 Phi = Ad_{exp(-Omega)} E-, Psi = Ad_{exp(+Omega)} E+,
-    Higgs gauge: A_z = -2 Omega_z, A_zbar = 0,
-                 Phi = E-, Psi = Ad_{exp(2 Omega)} E+,
-    where E- carries sqrt(r_i) on the lowered simple slots and q on the
-    raised highest-root slot, and E+ is its mirror with qbar; the r_i are
-    the solver's reality constants ``data.r``.  Phi and Psi are kept on
-    their l+1 slots of the ``TodaSlots`` of ``data.rs`` (``ConnectionData``).
-    """
-    if gauge not in ("toda", "higgs"):
-        raise ValueError(f"unknown gauge {gauge!r}")
-    grid, slots = omega.grid, _checked_slots(omega, q, data)
-    A_z, A_zbar, phi, psi = _toda_parts(grid, slots, data.r, omega.values, q.sample(grid), gauge)
-    return ConnectionData(
-        gauge=gauge, grid=grid, omega=omega, slots=slots,
-        A_z=A_z, A_zbar=A_zbar, phi=phi, psi=psi,
-    )
-
-
 def _checked_slots(omega: HFieldGrid, q: QDifferential, data: _TodaData) -> TodaSlots:
     """The ``TodaSlots`` of ``data``, once q is checked to have the degree
     of the Coxeter number and omega to be finite (ValueError otherwise)."""
@@ -232,65 +182,46 @@ def _e_minus(r: np.ndarray, qv: np.ndarray) -> np.ndarray:
 
 
 def _toda_parts(
-    grid: DomainGrid, slots: TodaSlots, r: np.ndarray, vals: np.ndarray, qv: np.ndarray, gauge: str
+    grid: DomainGrid, slots: TodaSlots, r: np.ndarray, vals: np.ndarray, qv: np.ndarray
 ) -> Tuple[np.ndarray, ...]:
-    """(A_z, A_zbar, Phi, Psi) of ``build_toda_connection`` from the field
-    values ``vals`` and the samples ``qv`` of q on some rows of ``grid``,
-    with Phi on the slots ``slots.lowered`` and Psi on ``slots.raised``.
-    On a block of rows, the first and last rows of A_z and A_zbar are not
-    those of the whole grid: the derivative there lacks a neighbour."""
+    """(A_z, A_zbar, Phi, Psi) of the Toda-gauge connection generated by
+    the field values ``vals`` and the samples ``qv`` of q on some rows of
+    ``grid``:
+
+        A_z = -Omega_z, A_zbar = +Omega_zbar,
+        Phi = Ad_{exp(-Omega)} E-, Psi = Ad_{exp(+Omega)} E+,
+
+    where E- carries sqrt(r_i) on the lowered simple slots and q on the
+    raised highest-root slot, and E+ is its mirror with qbar; the r_i are
+    the solver's reality constants ``data.r``.  Phi is kept on the slots
+    ``slots.lowered`` and Psi on ``slots.raised``.  On a block of rows, the
+    first and last rows of A_z and A_zbar are not those of the whole grid:
+    the derivative there lacks a neighbour."""
     A_z, A_zbar = grid.wirtinger(vals.astype(complex))  # Omega_z, Omega_zbar
-    if gauge == "toda":
-        np.negative(A_z, out=A_z)
-    else:
-        A_z *= -2
-        A_zbar = np.zeros_like(A_z)
-
-    # E+ is E- on the negated slots, with qbar
-    lo, hi = slots.lowered, slots.raised
+    np.negative(A_z, out=A_z)
     phi = _e_minus(r, qv)
-    psi = phi.copy()
+    psi = phi.copy()  # E+ is E- on the negated slots, with qbar
     psi[..., -1] = np.conj(qv)
-    if gauge == "toda":
-        phi = char_scale(phi, -vals, slots.characters[lo])
-        psi = char_scale(psi, +vals, slots.characters[hi])
-    else:
-        psi = char_scale(psi, 2 * vals, slots.characters[hi])
+    phi = char_scale(phi, -vals, slots.characters[slots.lowered])
+    psi = char_scale(psi, +vals, slots.characters[slots.raised])
     return A_z, A_zbar, phi, psi
-
-
-def conjugate_star(conn: ConnectionData) -> np.ndarray:
-    """Phi* = -rho(Phi) for the unitary structure of the declared gauge,
-    with rho the compact anti-involution h -> -h, e_beta -> -e_{-beta}, on
-    the slots ``slots.raised``: column d is the conjugate of Phi on
-    ``lowered[d]``, the slot of minus its root.
-
-    In the Toda gauge the metric involution is the compact one; in the
-    Higgs gauge it is dressed by Ad of exp(2 Omega).
-    """
-    star = np.conj(conn.phi)
-    if conn.gauge == "toda":
-        return star
-    if conn.gauge == "higgs":
-        slots = conn.slots
-        return char_scale(star, 2 * conn.omega.values, slots.characters[slots.raised])
-    raise ValueError("star is defined only in the toda and higgs gauges")
 
 
 def _columns(
     slots: TodaSlots, A_z: np.ndarray, A_zbar: np.ndarray, phi: np.ndarray, psi: np.ndarray
 ) -> Tuple[list, list]:
     """The n slot columns of A_z + Phi and of A_zbar + Psi: the l Cartan
-    coefficients on the first l slots plus Phi on ``slots.lowered`` (Psi on
-    ``slots.raised``), zero elsewhere.  Columns of one part alone are views
-    of it."""
+    coefficients on the first l slots, Phi on ``slots.lowered`` (Psi on
+    ``slots.raised``), which are root slots, and zero elsewhere.  Every
+    column but the zero one is a view of its part."""
 
     def part(cartan, field, where):
-        cols = [np.zeros(cartan.shape[:-1], dtype=complex)] * slots.n
+        l = cartan.shape[-1]
+        cols = [cartan[..., a] for a in range(l)]
+        cols += [np.zeros(cartan.shape[:-1], dtype=complex)] * (slots.n - l)
         for d, p in enumerate(where):
             cols[p] = field[..., d]
-        l = cartan.shape[-1]
-        return [cartan[..., a] + cols[a] for a in range(l)] + cols[l:]
+        return cols
 
     return part(A_z, phi, slots.lowered), part(A_zbar, psi, slots.raised)
 
@@ -328,33 +259,20 @@ def _curvature(grid: DomainGrid, slots: TodaSlots, az: list, azbar: list):
         yield s, e, F
 
 
-def curvature(conn: ConnectionData) -> np.ndarray:
-    """Discrete curvature over ``conn.slots``, coefficient of dz ^ dzbar,
-    O(dx^2) accurate: d_dz(A_zbar + Psi) - d_dzbar(A_z + Phi) plus their
-    bracket, with the whole grid as one block."""
-    slots = conn.slots
-    az, azbar = _columns(slots, conn.A_z, conn.A_zbar, conn.phi, conn.psi)
-    F = np.empty(conn.A_z.shape[:-1] + (slots.n,), dtype=complex)
-    for s, e, group in _curvature(conn.grid, slots, az, azbar):
-        F[..., s:e] = group
-    return F
-
-
-# grid points per row block of ``curvature_norm``: 16-row blocks at 128^2,
-# and every grid of up to 2048 points is one block; no block has fewer than
-# 4 x halo rows (8 at 512^2, not 4), so the halo stays a small share of the
-# rows a block builds
+# grid points per row block: 16-row blocks at 128^2, and every grid of up to
+# 2048 points is one block; no block has fewer than 4 x halo rows (8 at
+# 512^2, not 4), so the halo stays a small share of the rows a block builds
 _BLOCK_POINTS = 2048
 
 
 def _row_blocks(grid: DomainGrid):
-    """Yield (s, e, read, keep) for each row block of ``curvature_norm``:
-    its grid rows s:e, the rows ``read`` (an axis-0 index) of Omega and q
-    its connection is built from, s:e and two rows either side, and where
-    s:e sit among them (``keep``).  A block has ``_BLOCK_POINTS // ny``
-    rows, and at least four times the halo.  On a rectangle the norm leaves
-    out the boundary ring, so the blocks cover only the inner rows, and
-    their halos clip at the edges."""
+    """Yield (s, e, read, keep) for each row block: its grid rows s:e, the
+    rows ``read`` (an axis-0 index) of Omega and q its connection is built
+    from, s:e and two rows either side, and where s:e sit among them
+    (``keep``).  A block has ``_BLOCK_POINTS // ny`` rows, and at least four
+    times the halo.  On a rectangle every norm leaves out the boundary
+    ring, so the blocks cover only the inner rows, and their halos clip at
+    the edges."""
     nx, halo = grid.nx, 2  # F differentiates A = d Omega again
     step = max(4 * halo, _BLOCK_POINTS // grid.ny)
     first, stop = (0, nx) if grid.periodic else (1, nx - 1)
@@ -367,117 +285,107 @@ def _row_blocks(grid: DomainGrid):
         yield s, e, np.arange(lo, hi) % nx, slice(s - lo, e - lo)
 
 
-def _node_maxima(omega: HFieldGrid, qv: np.ndarray, data: _TodaData) -> np.ndarray:
-    """Max over slots of |F| at each node, for the Toda-gauge connection of
-    omega with q sampled as ``qv``: one row block at a time, each built from
-    its own rows of Omega and qv plus their halo.  Zero on the boundary rows
-    of a rectangle, which no block covers."""
-    grid, vals = omega.grid, omega.values
-    slots = _shared_slots(data)
-    node = np.zeros((grid.nx, grid.ny))
+def _fold(node: np.ndarray, values: np.ndarray) -> None:
+    """node = max(node, max of |values| over its last axis), in place."""
+    np.maximum(node, np.abs(values).max(axis=-1), out=node)
+
+
+def _fold_block(
+    at: Dict[str, np.ndarray], grid: DomainGrid, data: _TodaData, slots: TodaSlots,
+    vals: np.ndarray, qv: np.ndarray, keep: slice, hs: Optional[Sequence],
+) -> None:
+    """Fold the quantities of ``_block_maxima`` into the node maxima ``at``
+    of one row block, from the field values ``vals`` and the samples ``qv``
+    of q on its rows plus their halo, among which ``keep`` are its own.
+    Everything formed here is freed on return, before the next block."""
+    l, lo, hi, chars = vals.shape[-1], slots.lowered, slots.raised, slots.characters
+    A_z, A_zbar, phi, psi = _toda_parts(grid, slots, data.r, vals, qv)
+    checks = hs is not None
+    if checks:
+        own, q_own = vals[keep], qv[keep]
+        _fold(at["star"], psi[keep] - np.conj(phi[keep]))  # Phi* = conj(Phi) in the Toda gauge
+        # in the Higgs gauge Phi = E- and Phi* = Ad_{exp(2 Omega)} E+; the
+        # closed form of [Phi, Phi*] is minus the pointwise term
+        e_minus = _e_minus(data.r, q_own)
+        star = char_scale(np.conj(e_minus), 2 * own, chars[hi])
+        pointwise = data.pointwise_residual(data.exponentials(own, np.abs(q_own) ** 2))
+        _fold(at["commutator"], slots.bracket(e_minus, lo, star, hi, range(l)) + pointwise)
+        R = -0.5 * grid.laplacian(vals)[keep] + pointwise
+        _fold(at["residual"], R)
+        F_own = np.empty(own.shape[:-1] + (slots.n,), dtype=complex) if hs else None
+    for s, e, F in _curvature(grid, slots, *_columns(slots, A_z, A_zbar, phi, psi)):
+        F = F[keep]
+        _fold(at["curvature"], F)
+        if checks:
+            if hs:
+                F_own[..., s:e] = F
+            cartan = min(e, l)
+            if s < cartan:
+                F[..., : cartan - s] += R[..., s:cartan]
+            _fold(at["mismatch"], F)
+    for h in hs or ():
+        moved = _columns(slots, A_z, A_zbar, char_scale(phi, h, chars[lo]), char_scale(psi, h, chars[hi]))
+        for s, e, G in _curvature(grid, slots, *moved):
+            G = G[keep]
+            G -= char_scale(F_own[..., s:e], h, chars[s:e])
+            _fold(at["covariance"], G)
+        del moved, G  # one H's moved connection is freed before the next one's is built
+
+
+def _block_maxima(
+    omega: HFieldGrid, qv: np.ndarray, data: _TodaData, slots: TodaSlots,
+    hs: Optional[Sequence] = None,
+) -> Dict[str, np.ndarray]:
+    """Node maxima for the Toda-gauge connection of omega, with q sampled
+    as ``qv``, folded one row block at a time (``_row_blocks``), each block
+    built from its own rows of Omega and qv plus their halo:
+
+    - "curvature": max over slots of |F|.
+
+    Unless ``hs`` is None, also:
+
+    - "star": |Psi - Phi*|;
+    - "commutator": |[Phi, Phi*] - closed form|, on the Cartan slots, where
+      the bracket raises if a term lands anywhere else;
+    - "residual": |R|, for R the elliptic residual ``todasolver.residual``;
+    - "mismatch": |F + R| on the Cartan slots and |F| on the root slots,
+      the discretization gap between the zero-curvature and elliptic forms
+      of the equations, which shrinks at second order;
+    - "covariance": max over the constant Cartan fields H in ``hs``, each
+      an l-vector, of |F' - Ad_{exp(H)} F|, for F' the curvature of the
+      connection moved by exp(H); zero for no H.
+
+    Zero on the boundary rows of a rectangle, which no block covers; on its
+    boundary columns they are not those of the whole grid."""
+    grid = omega.grid
+    keys = ["curvature"]
+    if hs is not None:
+        keys += ["star", "commutator", "residual", "mismatch", "covariance"]
+    node = {key: np.zeros((grid.nx, grid.ny)) for key in keys}
     for s, e, read, keep in _row_blocks(grid):
-        az, azbar = _columns(slots, *_toda_parts(grid, slots, data.r, vals[read], qv[read], "toda"))
-        for _, _, F in _curvature(grid, slots, az, azbar):
-            np.maximum(node[s:e], np.abs(F[keep]).max(axis=-1), out=node[s:e])
-        del az, azbar, F  # a block's connection is freed before the next block's is built
+        at = {key: m[s:e] for key, m in node.items()}
+        _fold_block(at, grid, data, slots, omega.values[read], qv[read], keep, hs)
     return node
 
 
 def curvature_norm(omega: HFieldGrid, qv: np.ndarray, data: _TodaData) -> float:
-    """The curvature norm ``equivalence_defect`` reports for the Toda-gauge
-    connection of omega, with ``qv`` the samples ``q.sample(omega.grid)``:
-    max over nodes of max over slots |F|, the norm of ``curvature`` bit for
-    bit, without ever holding F or the whole connection."""
-    return omega.grid.max_norm(_node_maxima(omega, qv, data))
+    """Max over nodes of max over slots |F| for the Toda-gauge connection
+    of omega, with ``qv`` the samples ``q.sample(omega.grid)``: the
+    curvature norm of ``check_norms``, from the same block pass without
+    its other checks."""
+    return omega.grid.max_norm(_block_maxima(omega, qv, data, _shared_slots(data))["curvature"])
 
 
-def gauge_transform(conn: ConnectionData, H: HFieldGrid) -> ConnectionData:
-    """Gauge action of exp(H) for Cartan-valued H; it keeps the slots.
-
-    Field parts conjugate by the character action; the Cartan connection
-    parts shift by the discrete derivatives of H.  H equal to the
-    generating field maps the Toda gauge to the Higgs gauge exactly.
-    """
-    grid, slots = conn.grid, conn.slots
-    hv = H.values
-    Hz, Hzbar = grid.wirtinger(hv.astype(complex))
-    A_z = conn.A_z - Hz
-    A_zbar = conn.A_zbar - Hzbar
-    phi = char_scale(conn.phi, hv, slots.characters[slots.lowered])
-    psi = char_scale(conn.psi, hv, slots.characters[slots.raised])
-    if not np.any(hv):
-        gauge = conn.gauge
-    elif conn.gauge == "toda" and np.array_equal(hv, conn.omega.values):
-        gauge = "higgs"
-    else:
-        gauge = "custom"
-    return ConnectionData(
-        gauge=gauge, grid=grid, omega=conn.omega, slots=slots,
-        A_z=A_z, A_zbar=A_zbar, phi=phi, psi=psi,
-    )
-
-
-def gauge_covariance_defect(conn: ConnectionData, F: np.ndarray, H: HFieldGrid) -> float:
-    """Max over nodes and slots of |F' - Ad_{exp(H)} F|, for F the
-    curvature of conn and F' that of ``gauge_transform(conn, H)``: zero up
-    to rounding for constant H, O(dx^2) for varying H.  F' is formed a
-    group of slot columns at a time, each compared with the same columns of
-    F scaled by their characters, so neither F' nor the scaled F is held
-    whole."""
-    moved, slots = gauge_transform(conn, H), conn.slots
-    az, azbar = _columns(slots, moved.A_z, moved.A_zbar, moved.phi, moved.psi)
-    worst = 0.0
-    for s, e, group in _curvature(conn.grid, slots, az, azbar):
-        group -= char_scale(F[..., s:e], H.values, slots.characters[s:e])
-        worst = max(worst, float(np.abs(group).max()))
-    return worst
-
-
-def commutator_defect(omega: HFieldGrid, q: QDifferential, data: _TodaData) -> float:
-    """Max deviation between the explicit bracket [Phi, Phi*] and its closed
-    form, minus the pointwise term of the Toda residual, in the Higgs gauge:
-    Phi = E- and Phi* = Ad_{exp(2 Omega)} E+, the ``conjugate_star`` of the
-    Higgs-gauge connection, formed without the rest of that connection.
-    The bracket is formed on the l Cartan slots only, and raises if a term
-    of it lands anywhere else."""
-    slots, qv = _checked_slots(omega, q, data), q.sample(omega.grid)
-    phi = _e_minus(data.r, qv)
-    star = char_scale(np.conj(phi), 2 * omega.values, slots.characters[slots.raised])
-    comm = slots.bracket(phi, slots.lowered, star, slots.raised, range(omega.l))
-    closed = -data.pointwise_residual(data.exponentials(omega.values, np.abs(qv) ** 2))
-    return float(np.abs(comm - closed).max())
-
-
-def _abs_max(columns) -> np.ndarray:
-    """Max of |c| over the arrays ``columns`` (at least one), node by node."""
-    columns = iter(columns)
-    node = np.abs(next(columns))
-    for c in columns:
-        np.maximum(node, np.abs(c), out=node)
-    return node
-
-
-def equivalence_defect(
-    omega: HFieldGrid, q: QDifferential, data: _TodaData, F: np.ndarray
-) -> Tuple[float, float, float]:
-    """(curvature norm, residual norm, mismatch norm) for the curvature F of
-    the Toda-gauge connection of omega, over its slots (Cartan slots first).
-
-    The mismatch F + R measures the discretization gap between the
-    zero-curvature and elliptic forms of the same equations; it shrinks at
-    second order under grid refinement.  R lives on the l Cartan slots, so
-    the mismatch is |F + R| there and |F| on the root slots, folded slot by
-    slot into node maxima.
-    """
-    grid = omega.grid
-    exps = data.exponentials(omega.values, np.abs(q.sample(grid)) ** 2)
-    R = residual(data, grid, omega.values, exps)
-    l = R.shape[-1]
-    on_roots = _abs_max(F[..., d] for d in range(l, F.shape[-1]))
-    curv = np.maximum(on_roots, _abs_max(F[..., a] for a in range(l)))
-    mismatch = np.maximum(on_roots, _abs_max(F[..., a] + R[..., a] for a in range(l)))
-    return (
-        grid.max_norm(curv),
-        grid.max_norm(np.abs(R).max(axis=-1)),
-        grid.max_norm(mismatch),
-    )
+def check_norms(
+    omega: HFieldGrid, q: QDifferential, data: _TodaData, hs: Sequence = ()
+) -> Dict[str, float]:
+    """The norms ``conn check`` reports for the Toda-gauge connection of
+    omega, by the quantities of ``_block_maxima``: each the grid's
+    ``max_norm`` of its node maxima, so a rectangle's boundary ring is left
+    out.  q is sampled once; ``hs`` holds the constant gauges H of the
+    covariance check, each as its l coroot coefficients.  q must have the
+    degree of the Coxeter number and omega must be finite (ValueError
+    otherwise)."""
+    slots = _checked_slots(omega, q, data)
+    node = _block_maxima(omega, q.sample(omega.grid), data, slots, hs)
+    return {key: omega.grid.max_norm(m) for key, m in node.items()}

@@ -5,8 +5,12 @@ as dense vectors and matrices (basis vectors, root characters, ad, the
 Killing form, the principal sl2 triple, sigma, the Coxeter phase map and
 the anti-involutions rho_hat and lambda_hat), cyclic elements of the
 phase-1 eigenspace and their torus normalisation, the chart transition of
-the Higgs field, the folded Toda residual and the uniqueness probe.  The
-package itself needs none of them.  The dense algebra views read the
+the Higgs field, the folded Toda residual and the uniqueness probe, and
+the whole-grid flat Toda connection in the toda and higgs gauges with its
+curvature, gauge action and checks (the dense references of the row-block
+pass ``connection.check_norms``; each norm is the grid's ``max_norm``, so
+a rectangle's boundary ring is left out, as there).  The package itself
+needs none of them.  The dense algebra views read the
 table through ``ChevalleyAlgebra._table``, ``_killing_rows`` and
 ``_characters``, never its raw columns.
 """
@@ -14,8 +18,9 @@ import warnings
 
 import numpy as np
 
+from affinetoda.connection import _checked_slots, _columns, _curvature, _e_minus, char_scale
 from affinetoda.rootdata import affine_cartan
-from affinetoda.todasolver import InitSpec, SolverConfig, sigma_symmetry_defect, solve
+from affinetoda.todasolver import InitSpec, SolverConfig, residual, sigma_symmetry_defect, solve
 
 
 def basis_vector(alg, idx):
@@ -207,3 +212,153 @@ def uniqueness_probe(cfg, seeds, data):
         for j in range(i + 1, len(fields)):
             worst = max(worst, float(np.abs(fields[i] - fields[j]).max()))
     return worst
+
+
+class ConnectionData:
+    """Grids of connection and field coefficients in a declared gauge: the
+    Cartan-valued A_z, A_zbar over the l simple coroots, Phi over the l+1
+    slots ``slots.lowered`` of E- and Psi over the l+1 slots
+    ``slots.raised`` of E+, column d of each on slot ``lowered[d]``
+    (``raised[d]``): the only slots where either is nonzero."""
+
+    def __init__(self, gauge, grid, omega, slots, A_z, A_zbar, phi, psi):
+        self.gauge = gauge  # "toda" | "higgs" | "custom"
+        self.grid = grid
+        self.omega = omega
+        self.slots = slots
+        self.A_z = A_z  # (nx, ny, l) complex
+        self.A_zbar = A_zbar
+        self.phi = phi  # (nx, ny, l+1) complex, on slots.lowered
+        self.psi = psi  # (nx, ny, l+1) complex, on slots.raised
+
+
+def build_toda_connection(omega, q, data, gauge="toda"):
+    """Flat connection generated by a Cartan field and a top differential.
+
+    Toda gauge:  A_z = -Omega_z, A_zbar = +Omega_zbar,
+                 Phi = Ad_{exp(-Omega)} E-, Psi = Ad_{exp(+Omega)} E+,
+    Higgs gauge: A_z = -2 Omega_z, A_zbar = 0,
+                 Phi = E-, Psi = Ad_{exp(2 Omega)} E+,
+    where E- carries sqrt(r_i) on the lowered simple slots and q on the
+    raised highest-root slot, and E+ is its mirror with qbar.
+    """
+    if gauge not in ("toda", "higgs"):
+        raise ValueError(f"unknown gauge {gauge!r}")
+    grid, slots, vals = omega.grid, _checked_slots(omega, q, data), omega.values
+    qv = q.sample(grid)
+    A_z, A_zbar = grid.wirtinger(vals.astype(complex))  # Omega_z, Omega_zbar
+    phi = _e_minus(data.r, qv)
+    psi = phi.copy()  # E+ is E- on the negated slots, with qbar
+    psi[..., -1] = np.conj(qv)
+    if gauge == "toda":
+        np.negative(A_z, out=A_z)
+        phi = char_scale(phi, -vals, slots.characters[slots.lowered])
+        psi = char_scale(psi, +vals, slots.characters[slots.raised])
+    else:
+        A_z *= -2
+        A_zbar = np.zeros_like(A_z)
+        psi = char_scale(psi, 2 * vals, slots.characters[slots.raised])
+    return ConnectionData(gauge, grid, omega, slots, A_z, A_zbar, phi, psi)
+
+
+def conjugate_star(conn):
+    """Phi* = -rho(Phi) for the unitary structure of the declared gauge,
+    with rho the compact anti-involution h -> -h, e_beta -> -e_{-beta}, on
+    the slots ``slots.raised``: column d is the conjugate of Phi on
+    ``lowered[d]``, the slot of minus its root.  In the Toda gauge the
+    metric involution is the compact one; in the Higgs gauge it is dressed
+    by Ad of exp(2 Omega)."""
+    star = np.conj(conn.phi)
+    if conn.gauge == "toda":
+        return star
+    if conn.gauge == "higgs":
+        slots = conn.slots
+        return char_scale(star, 2 * conn.omega.values, slots.characters[slots.raised])
+    raise ValueError("star is defined only in the toda and higgs gauges")
+
+
+def curvature(conn):
+    """Discrete curvature over ``conn.slots``, coefficient of dz ^ dzbar:
+    d_dz(A_zbar + Psi) - d_dzbar(A_z + Phi) plus their bracket, with the
+    whole grid as one block."""
+    slots = conn.slots
+    az, azbar = _columns(slots, conn.A_z, conn.A_zbar, conn.phi, conn.psi)
+    F = np.empty(conn.A_z.shape[:-1] + (slots.n,), dtype=complex)
+    for s, e, group in _curvature(conn.grid, slots, az, azbar):
+        F[..., s:e] = group
+    return F
+
+
+def gauge_transform(conn, H):
+    """Gauge action of exp(H) for Cartan-valued H; it keeps the slots.
+    Field parts conjugate by the character action; the Cartan connection
+    parts shift by the discrete derivatives of H.  H equal to the
+    generating field maps the Toda gauge to the Higgs gauge exactly."""
+    grid, slots = conn.grid, conn.slots
+    hv = H.values
+    Hz, Hzbar = grid.wirtinger(hv.astype(complex))
+    phi = char_scale(conn.phi, hv, slots.characters[slots.lowered])
+    psi = char_scale(conn.psi, hv, slots.characters[slots.raised])
+    if not np.any(hv):
+        gauge = conn.gauge
+    elif conn.gauge == "toda" and np.array_equal(hv, conn.omega.values):
+        gauge = "higgs"
+    else:
+        gauge = "custom"
+    return ConnectionData(gauge, grid, conn.omega, slots, conn.A_z - Hz, conn.A_zbar - Hzbar, phi, psi)
+
+
+def gauge_covariance_defect(conn, F, H):
+    """Norm over nodes of max over slots |F' - Ad_{exp(H)} F|, for F the
+    curvature of conn and F' that of ``gauge_transform(conn, H)``, a group
+    of slot columns at a time: zero up to rounding for constant H, O(dx^2)
+    for varying H."""
+    moved, slots = gauge_transform(conn, H), conn.slots
+    az, azbar = _columns(slots, moved.A_z, moved.A_zbar, moved.phi, moved.psi)
+    node = np.zeros(F.shape[:-1])
+    for s, e, group in _curvature(conn.grid, slots, az, azbar):
+        group -= char_scale(F[..., s:e], H.values, slots.characters[s:e])
+        np.maximum(node, np.abs(group).max(axis=-1), out=node)
+    return conn.grid.max_norm(node)
+
+
+def commutator_defect(omega, q, data):
+    """Norm of the deviation between the explicit bracket [Phi, Phi*] and
+    its closed form, minus the pointwise term of the Toda residual, in the
+    Higgs gauge: Phi = E- and Phi* = Ad_{exp(2 Omega)} E+, the
+    ``conjugate_star`` of the Higgs-gauge connection, formed without the
+    rest of that connection, on the l Cartan slots only."""
+    slots, qv = _checked_slots(omega, q, data), q.sample(omega.grid)
+    phi = _e_minus(data.r, qv)
+    star = char_scale(np.conj(phi), 2 * omega.values, slots.characters[slots.raised])
+    comm = slots.bracket(phi, slots.lowered, star, slots.raised, range(omega.l))
+    closed = -data.pointwise_residual(data.exponentials(omega.values, np.abs(qv) ** 2))
+    return omega.grid.max_norm(np.abs(comm - closed).max(axis=-1))
+
+
+def _abs_max(columns):
+    """Max of |c| over the arrays ``columns`` (at least one), node by node."""
+    columns = iter(columns)
+    node = np.abs(next(columns))
+    for c in columns:
+        np.maximum(node, np.abs(c), out=node)
+    return node
+
+
+def equivalence_defect(omega, q, data, F):
+    """(curvature norm, residual norm, mismatch norm) for the curvature F of
+    the Toda-gauge connection of omega, over its slots (Cartan slots
+    first).  R lives on the l Cartan slots, so the mismatch is |F + R|
+    there and |F| on the root slots."""
+    grid = omega.grid
+    exps = data.exponentials(omega.values, np.abs(q.sample(grid)) ** 2)
+    R = residual(data, grid, omega.values, exps)
+    l = R.shape[-1]
+    on_roots = _abs_max(F[..., d] for d in range(l, F.shape[-1]))
+    curv = np.maximum(on_roots, _abs_max(F[..., a] for a in range(l)))
+    mismatch = np.maximum(on_roots, _abs_max(F[..., a] + R[..., a] for a in range(l)))
+    return (
+        grid.max_norm(curv),
+        grid.max_norm(np.abs(R).max(axis=-1)),
+        grid.max_norm(mismatch),
+    )

@@ -8,17 +8,12 @@ from affinetoda import cli, connection
 from affinetoda.cli import _summary
 from affinetoda.connection import (
     TodaSlots,
-    _node_maxima,
+    _block_maxima,
     _row_blocks,
-    build_toda_connection,
+    _shared_slots,
     char_scale,
-    commutator_defect,
-    conjugate_star,
-    curvature,
+    check_norms,
     curvature_norm,
-    equivalence_defect,
-    gauge_covariance_defect,
-    gauge_transform,
 )
 from affinetoda.grids import (
     DomainGrid,
@@ -42,7 +37,17 @@ from conftest import (
     scatter,
     slot_fields,
 )
-from oracles import chart_transition, characters
+from oracles import (
+    build_toda_connection,
+    characters,
+    chart_transition,
+    commutator_defect,
+    conjugate_star,
+    curvature,
+    equivalence_defect,
+    gauge_covariance_defect,
+    gauge_transform,
+)
 
 
 def make_omega(name, algebra, seed=3, amplitude=0.15, n=16, topology="torus"):
@@ -272,11 +277,13 @@ def test_summary_norms_are_the_equivalence_norms(name, topology, algebra):
 def test_blocked_curvature_norm_is_the_whole_grid_norm(
     name, topology, nx, ny, q, blocks, algebra, request, monkeypatch
 ):
-    """The curvature norm taken in row blocks, each from its own rows of
-    Omega and q plus a two-row halo, equals the norm of the whole-grid
-    curvature exactly, and so does the max over slots at every node the
-    norm reads (a halo error can hide below the norm).  No block but the
-    last has fewer than 4 x halo = 8 rows."""
+    """Every quantity of the row-block pass, each block built from its own
+    rows of Omega and q plus a two-row halo, equals its whole-grid oracle
+    exactly: the curvature norm, and the max over slots at every node the
+    norm reads (a halo error can hide below the norm); and the star
+    defect, the commutator defect, the residual and mismatch norms and the
+    covariance defect under constant H that ``check_norms`` reports.  No
+    block but the last has fewer than 4 x halo = 8 rows."""
     marker = request.node.get_closest_marker("block_points")
     if marker is not None:
         monkeypatch.setattr(connection, "_BLOCK_POINTS", marker.args[0])
@@ -291,11 +298,25 @@ def test_blocked_curvature_norm_is_the_whole_grid_norm(
     data = _TodaData(rs)
     rows = [e - s for s, e, _, _ in _row_blocks(grid)]
     assert len(rows) == blocks and min(rows[:-1], default=8) >= 8
-    node = np.abs(curvature(build_toda_connection(omega, qd, data, "toda"))).max(axis=-1)
+    conn = build_toda_connection(omega, qd, data, "toda")
+    F = curvature(conn)
+    node = np.abs(F).max(axis=-1)
     qv = qd.sample(grid)
     assert curvature_norm(omega, qv, data) == grid.max_norm(node)
     inner = grid.interior_mask()
-    assert np.array_equal(_node_maxima(omega, qv, data)[inner], node[inner])
+    got = _block_maxima(omega, qv, data, _shared_slots(data))["curvature"]
+    assert np.array_equal(got[inner], node[inner])
+
+    hs = [0.4 * np.linspace(-1.0, 1.0, rs.rank), np.full(rs.rank, -0.3)]
+    curv, res, mismatch = equivalence_defect(omega, qd, data, F)
+    assert check_norms(omega, qd, data, hs) == {
+        "curvature": curv,
+        "star": grid.max_norm(np.abs(conn.psi - conjugate_star(conn)).max(axis=-1)),
+        "commutator": commutator_defect(omega, qd, data),
+        "residual": res,
+        "mismatch": mismatch,
+        "covariance": max(gauge_covariance_defect(conn, F, constant_field(grid, v)) for v in hs),
+    }
 
 
 def _traced_peak(fn):
@@ -476,8 +497,9 @@ def test_commutator_defect_builds_no_connection(name, algebra, monkeypatch):
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_commutator_with_a_term_moved_off_the_cartan_raises(name, algebra):
     """Mutation check: move the output of one [e_-beta, e_beta] term of the
-    slot table from the Cartan to a root slot, and ``commutator_defect``
-    raises RuntimeError rather than comparing a bracket that lost it."""
+    slot table from the Cartan to a root slot, and the block pass of
+    ``check_norms`` raises RuntimeError rather than comparing a bracket
+    that lost it."""
     rs = algebra(name)[0]
     data = _TodaData(rs)
     slots = data.slots = TodaSlots(rs)
@@ -487,11 +509,11 @@ def test_commutator_with_a_term_moved_off_the_cartan_raises(name, algebra):
     grid = DomainGrid.make("torus", 8, 8)
     omega = random_trig_field(rs.rank, seed=3, amplitude=0.15).sample(grid)
     q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
-    assert commutator_defect(omega, q, data) < 1e-12
+    assert check_norms(omega, q, data)["commutator"] < 1e-12
     k[onto_cartan[-1]] = slots.raised[0]
     slots.table = (i, j, k, c)
     with pytest.raises(RuntimeError, match="lands outside its output slots"):
-        commutator_defect(omega, q, data)
+        check_norms(omega, q, data)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -526,15 +548,41 @@ def test_connection_keeps_phi_and_psi_on_their_slots(name, gauge, algebra):
 def test_conn_check_working_memory(capsys):
     """``conn check`` keeps Phi, Psi, their star and the gauge-transformed
     connections on their l+1 slots, brackets onto the Cartan only and
-    compares the moved curvature a group of slot columns at a time: E8 at
-    48^2 peaks below 8 (points, slots) complex arrays (about 5.9; 11.5 when
-    they were dense over all the slots)."""
+    forms every quantity in row blocks: E8 at 48^2 (two blocks) peaks
+    below 8 (points, slots) complex arrays (about 4.6; 5.9 with a
+    whole-grid connection, 11.5 when that was dense over all the slots)."""
     args = ["conn", "check", "--type", "E8", "--grid", "48"]
     assert cli.main(args) == 0  # imports and per-type caches
     peak = _traced_peak(lambda: cli.main(args))
     capsys.readouterr()
     one = 48 * 48 * 26 * 16
     assert peak <= 8 * one, peak / one
+
+
+def test_conn_check_working_memory_on_many_blocks(capsys):
+    """At E8 128^2 (eight row blocks) ``conn check`` holds no whole-grid
+    connection, curvature or moved curvature: a second call in one process
+    peaks below 12 MiB traced (37 MiB with the whole-grid connection)."""
+    args = ["conn", "check", "--type", "E8", "--grid", "128"]
+    assert cli.main(args) == 0  # imports and per-type caches
+    peak = _traced_peak(lambda: cli.main(args))
+    capsys.readouterr()
+    assert peak < 12 * 2**20, peak / 2**20
+
+
+def test_conn_check_samples_q_once_per_grid(monkeypatch, capsys):
+    """``conn check`` samples q once on its grid and once on the half grid."""
+    calls = []
+    sample = QDifferential.sample
+
+    def counted(self, grid):
+        calls.append((grid.nx, grid.ny))
+        return sample(self, grid)
+
+    monkeypatch.setattr(QDifferential, "sample", counted)
+    assert cli.main(["conn", "check", "--type", "E8", "--grid", "32"]) == 0
+    capsys.readouterr()
+    assert calls == [(32, 32), (16, 16)]
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "E8"])
@@ -720,10 +768,15 @@ class TestIO:
 
 
 def test_bad_gauge_and_degree(algebra):
+    """The whole-grid oracle rejects an unknown gauge; the block pass of
+    ``check_norms`` rejects a q of the wrong degree and a non-finite field."""
     rs, alg, sl2, _ = algebra("A2")
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown gauge"):
         build_toda_connection(omega, QDifferential.constant(1.0, 3), _TodaData(rs), "weird")
-    with pytest.raises(ValueError):
-        build_toda_connection(omega, QDifferential.constant(1.0, 7), _TodaData(rs), "toda")
+    with pytest.raises(ValueError, match="degree does not match the Coxeter number"):
+        check_norms(omega, QDifferential.constant(1.0, 7), _TodaData(rs))
+    omega.values[3, 5, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        check_norms(omega, QDifferential.constant(1.0, 3), _TodaData(rs))
