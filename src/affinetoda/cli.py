@@ -223,34 +223,26 @@ def _solver_setup(opts: Dict[str, str]):
 
 def _summary(omega, q, data) -> Dict[str, float]:
     """Residual, curvature norm and sigma defect of a field: the numbers
-    ``toda solve`` reports and ``toda verify`` recomputes.  The norms are
-    those ``conn check`` reports (``connection.check_norms``).  q is
-    sampled once; the field's exponentials are dropped once R is formed,
-    and R once it is reduced.  The curvature norm comes from the block pass
-    of ``conn check``, reading |F| alone: each block of grid rows builds its
-    connection from its rows of Omega and q plus a two-row halo, so neither
-    F nor the whole connection is ever held."""
-    import numpy as np
-
+    ``toda solve`` reports and ``toda verify`` recomputes.  The residual R
+    and the curvature norm |F| are the norms ``conn check`` reports, from
+    one block pass of the same kind (``connection.summary_norms``): each
+    block of grid rows builds its connection from its rows of Omega and q
+    plus a two-row halo, so neither R, F nor the whole connection is ever
+    held.  ``toda verify`` samples q once, in that pass; ``toda solve``
+    samples it in the solve as well."""
     from . import connection, todasolver
 
-    grid = omega.grid
-    qv = q.sample(grid)
-    R = todasolver.residual(
-        data, grid, omega.values, data.exponentials(omega.values, np.abs(qv) ** 2)
-    )
-    res = grid.max_norm(np.abs(R).max(axis=-1))
-    del R
+    norms = connection.summary_norms(omega, q, data)
     perm = rootdata.diagram_automorphism(data.rs).perm
     return {
-        "residual": res,
-        "curvature_norm": connection.curvature_norm(omega, qv, data),
+        "residual": norms["residual"],
+        "curvature_norm": norms["curvature"],
         "sigma_defect": todasolver.sigma_symmetry_defect(omega, perm),
     }
 
 
 def cmd_toda_solve(args) -> int:
-    # the connection module of the summary's curvature norm is loaded
+    # the connection module of the summary's norms is loaded
     # (without bytecode, compiled) before the solve's arrays exist, not
     # after: its compile then set the peak RSS of small-grid solves
     from . import connection, grids, todasolver  # noqa: F401

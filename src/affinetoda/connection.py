@@ -31,12 +31,14 @@ block builds the Toda-gauge connection from Omega and q on its rows plus a
 two-row halo, wrapped on a torus and clipped at a rectangle's edges, forms
 its curvature a group of slot columns at a time (``_curvature``), and folds
 what it forms on its own rows into node maxima.  The halo is two rows
-because F differentiates A = d Omega again.  The solve/verify summary reads
-|F| alone (``curvature_norm``); ``conn check`` reads, from the same pass,
-every quantity it reports (``check_norms``).  Neither holds F or a
-whole-grid connection.  The whole-grid connection and its checks are kept
-in the tests (``tests/oracles.py``), as the references whose norms these
-equal bit for bit.
+because F differentiates A = d Omega again.  Every block also forms the
+elliptic residual R on its own rows.  The solve/verify summary reads |F|
+and |R| alone (``summary_norms``), the two sides of the equivalence;
+``conn check`` reads, from the same pass, every quantity it reports
+(``check_norms``).  Neither holds F, R or a whole-grid connection.  The
+whole-grid connection and its checks are kept in the tests
+(``tests/oracles.py``), as the references whose norms these equal bit
+for bit.
 """
 from __future__ import annotations
 
@@ -146,14 +148,6 @@ class TodaSlots:
         return at
 
 
-def _shared_slots(data: _TodaData) -> TodaSlots:
-    """The ``TodaSlots`` of ``data.rs``, built on the first call and kept as
-    ``data.slots``: one build per type, however many connections."""
-    if data.slots is None:
-        data.slots = TodaSlots(data.rs)
-    return data.slots
-
-
 def char_scale(values: np.ndarray, H: np.ndarray, characters: np.ndarray) -> np.ndarray:
     """Ad of exp(H) for Cartan-valued H on coefficients over slots whose
     roots have the rows of ``characters``: root slots scale by exp(beta(H))."""
@@ -162,13 +156,17 @@ def char_scale(values: np.ndarray, H: np.ndarray, characters: np.ndarray) -> np.
 
 
 def _checked_slots(omega: HFieldGrid, q: QDifferential, data: _TodaData) -> TodaSlots:
-    """The ``TodaSlots`` of ``data``, once q is checked to have the degree
-    of the Coxeter number and omega to be finite (ValueError otherwise)."""
+    """The ``TodaSlots`` of ``data.rs``, once q is checked to have the degree
+    of the Coxeter number and omega to be finite (ValueError otherwise).
+    They are built on the first call and kept as ``data.slots``: one build
+    per type, however many connections."""
     if q.degree != coxeter_number(data.rs):
         raise ValueError("q differential degree does not match the Coxeter number")
     if not np.all(np.isfinite(omega.values)):
         raise ValueError("field contains non-finite values")
-    return _shared_slots(data)
+    if data.slots is None:
+        data.slots = TodaSlots(data.rs)
+    return data.slots
 
 
 def _e_minus(r: np.ndarray, qv: np.ndarray) -> np.ndarray:
@@ -300,19 +298,21 @@ def _fold_block(
     Everything formed here is freed on return, before the next block."""
     l, lo, hi, chars = vals.shape[-1], slots.lowered, slots.raised, slots.characters
     A_z, A_zbar, phi, psi = _toda_parts(grid, slots, data.r, vals, qv)
+    own, q_own = vals[keep], qv[keep]
+    pointwise = data.pointwise_residual(data.exponentials(own, np.abs(q_own) ** 2))
+    R = -0.5 * grid.laplacian(vals)[keep] + pointwise
+    _fold(at["residual"], R)
     checks = hs is not None
     if checks:
-        own, q_own = vals[keep], qv[keep]
         _fold(at["star"], psi[keep] - np.conj(phi[keep]))  # Phi* = conj(Phi) in the Toda gauge
         # in the Higgs gauge Phi = E- and Phi* = Ad_{exp(2 Omega)} E+; the
         # closed form of [Phi, Phi*] is minus the pointwise term
         e_minus = _e_minus(data.r, q_own)
         star = char_scale(np.conj(e_minus), 2 * own, chars[hi])
-        pointwise = data.pointwise_residual(data.exponentials(own, np.abs(q_own) ** 2))
         _fold(at["commutator"], slots.bracket(e_minus, lo, star, hi, range(l)) + pointwise)
-        R = -0.5 * grid.laplacian(vals)[keep] + pointwise
-        _fold(at["residual"], R)
         F_own = np.empty(own.shape[:-1] + (slots.n,), dtype=complex) if hs else None
+    else:
+        del pointwise, R  # the summary reads |F| alone from here on
     for s, e, F in _curvature(grid, slots, *_columns(slots, A_z, A_zbar, phi, psi)):
         F = F[keep]
         _fold(at["curvature"], F)
@@ -333,21 +333,20 @@ def _fold_block(
 
 
 def _block_maxima(
-    omega: HFieldGrid, qv: np.ndarray, data: _TodaData, slots: TodaSlots,
-    hs: Optional[Sequence] = None,
+    omega: HFieldGrid, q: QDifferential, data: _TodaData, hs: Optional[Sequence] = None
 ) -> Dict[str, np.ndarray]:
-    """Node maxima for the Toda-gauge connection of omega, with q sampled
-    as ``qv``, folded one row block at a time (``_row_blocks``), each block
-    built from its own rows of Omega and qv plus their halo:
+    """Node maxima for the Toda-gauge connection of omega, folded one row
+    block at a time (``_row_blocks``), each block built from its own rows
+    of Omega and of q, sampled once, plus their halo:
 
-    - "curvature": max over slots of |F|.
+    - "curvature": max over slots of |F|;
+    - "residual": |R|, for R the elliptic residual ``todasolver.residual``.
 
     Unless ``hs`` is None, also:
 
     - "star": |Psi - Phi*|;
     - "commutator": |[Phi, Phi*] - closed form|, on the Cartan slots, where
       the bracket raises if a term lands anywhere else;
-    - "residual": |R|, for R the elliptic residual ``todasolver.residual``;
     - "mismatch": |F + R| on the Cartan slots and |F| on the root slots,
       the discretization gap between the zero-curvature and elliptic forms
       of the equations, which shrinks at second order;
@@ -356,11 +355,14 @@ def _block_maxima(
       connection moved by exp(H); zero for no H.
 
     Zero on the boundary rows of a rectangle, which no block covers; on its
-    boundary columns they are not those of the whole grid."""
-    grid = omega.grid
-    keys = ["curvature"]
+    boundary columns they are not those of the whole grid.  q must have
+    the degree of the Coxeter number and omega must be finite (ValueError
+    otherwise)."""
+    grid, slots = omega.grid, _checked_slots(omega, q, data)
+    qv = q.sample(grid)  # before the node maxima: a sample's temporaries are its peak
+    keys = ["curvature", "residual"]
     if hs is not None:
-        keys += ["star", "commutator", "residual", "mismatch", "covariance"]
+        keys += ["star", "commutator", "mismatch", "covariance"]
     node = {key: np.zeros((grid.nx, grid.ny)) for key in keys}
     for s, e, read, keep in _row_blocks(grid):
         at = {key: m[s:e] for key, m in node.items()}
@@ -368,12 +370,11 @@ def _block_maxima(
     return node
 
 
-def curvature_norm(omega: HFieldGrid, qv: np.ndarray, data: _TodaData) -> float:
-    """Max over nodes of max over slots |F| for the Toda-gauge connection
-    of omega, with ``qv`` the samples ``q.sample(omega.grid)``: the
-    curvature norm of ``check_norms``, from the same block pass without
-    its other checks."""
-    return omega.grid.max_norm(_block_maxima(omega, qv, data, _shared_slots(data))["curvature"])
+def summary_norms(omega: HFieldGrid, q: QDifferential, data: _TodaData) -> Dict[str, float]:
+    """The "curvature" and "residual" norms of ``check_norms``, from the
+    same block pass without its other checks: the numbers the solve/verify
+    summary reports for both sides of the equivalence."""
+    return {key: omega.grid.max_norm(m) for key, m in _block_maxima(omega, q, data).items()}
 
 
 def check_norms(
@@ -382,10 +383,6 @@ def check_norms(
     """The norms ``conn check`` reports for the Toda-gauge connection of
     omega, by the quantities of ``_block_maxima``: each the grid's
     ``max_norm`` of its node maxima, so a rectangle's boundary ring is left
-    out.  q is sampled once; ``hs`` holds the constant gauges H of the
-    covariance check, each as its l coroot coefficients.  q must have the
-    degree of the Coxeter number and omega must be finite (ValueError
-    otherwise)."""
-    slots = _checked_slots(omega, q, data)
-    node = _block_maxima(omega, q.sample(omega.grid), data, slots, hs)
-    return {key: omega.grid.max_norm(m) for key, m in node.items()}
+    out.  ``hs`` holds the constant gauges H of the covariance check, each
+    as its l coroot coefficients."""
+    return {key: omega.grid.max_norm(m) for key, m in _block_maxima(omega, q, data, hs).items()}

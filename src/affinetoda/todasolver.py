@@ -7,12 +7,14 @@ The discrete residual is
                + |q|^2 e^{-2 delta(Omega)} h_{-delta}
 
 with the five-point Laplacian (Omega_{z zbar} = Lap/4).  ``residual`` and
-``_TodaData.pointwise_residual`` are the only implementation of it:
-``toda verify``, ``export-plot`` and the connection layer's cross-checks
-call them, so a verify recomputes exactly what the solve reported.  Every
-entry point takes the one per-type ``_TodaData`` its caller built.  The
-residual and its Jacobian read the exponentials of their point, formed
-once by the caller, and a solve evaluates each iterate once.
+``_TodaData.pointwise_residual`` implement it: the solve and
+``export-plot`` call ``residual``, and the connection layer's row-block
+pass, which gives the residual of the solve/verify summary and of ``conn
+check``, forms the same sum from ``pointwise_residual`` block by block,
+equal bit for bit.  Every entry point takes the one per-type
+``_TodaData`` its caller built.  The residual and its Jacobian read the
+exponentials of their point, formed once by the caller, and a solve
+evaluates each iterate once.
 
 Multiplying the coordinate Jacobian by the Gram matrix of the coroots
 under the invariant-form pairing makes the Newton system symmetric

@@ -10,10 +10,9 @@ from affinetoda.connection import (
     TodaSlots,
     _block_maxima,
     _row_blocks,
-    _shared_slots,
     char_scale,
     check_norms,
-    curvature_norm,
+    summary_norms,
 )
 from affinetoda.grids import (
     DomainGrid,
@@ -279,11 +278,12 @@ def test_blocked_curvature_norm_is_the_whole_grid_norm(
 ):
     """Every quantity of the row-block pass, each block built from its own
     rows of Omega and q plus a two-row halo, equals its whole-grid oracle
-    exactly: the curvature norm, and the max over slots at every node the
-    norm reads (a halo error can hide below the norm); and the star
-    defect, the commutator defect, the residual and mismatch norms and the
-    covariance defect under constant H that ``check_norms`` reports.  No
-    block but the last has fewer than 4 x halo = 8 rows."""
+    exactly: the curvature and residual norms of the summary, and the max
+    over slots of |F| and of |R| at every node they read (a halo error can
+    hide below the norm); and the star defect, the commutator defect, the
+    residual and mismatch norms and the covariance defect under constant H
+    that ``check_norms`` reports.  No block but the last has fewer than
+    4 x halo = 8 rows."""
     marker = request.node.get_closest_marker("block_points")
     if marker is not None:
         monkeypatch.setattr(connection, "_BLOCK_POINTS", marker.args[0])
@@ -300,15 +300,15 @@ def test_blocked_curvature_norm_is_the_whole_grid_norm(
     assert len(rows) == blocks and min(rows[:-1], default=8) >= 8
     conn = build_toda_connection(omega, qd, data, "toda")
     F = curvature(conn)
-    node = np.abs(F).max(axis=-1)
-    qv = qd.sample(grid)
-    assert curvature_norm(omega, qv, data) == grid.max_norm(node)
+    curv, res, mismatch = equivalence_defect(omega, qd, data, F)
+    assert summary_norms(omega, qd, data) == {"curvature": curv, "residual": res}
     inner = grid.interior_mask()
-    got = _block_maxima(omega, qv, data, _shared_slots(data))["curvature"]
-    assert np.array_equal(got[inner], node[inner])
+    got = _block_maxima(omega, qd, data)
+    assert np.array_equal(got["curvature"][inner], np.abs(F).max(axis=-1)[inner])
+    R = elliptic_residual(omega, qd, rs)
+    assert np.array_equal(got["residual"][inner], np.abs(R).max(axis=-1)[inner])
 
     hs = [0.4 * np.linspace(-1.0, 1.0, rs.rank), np.full(rs.rank, -0.3)]
-    curv, res, mismatch = equivalence_defect(omega, qd, data, F)
     assert check_norms(omega, qd, data, hs) == {
         "curvature": curv,
         "star": grid.max_norm(np.abs(conn.psi - conjugate_star(conn)).max(axis=-1)),
@@ -357,6 +357,20 @@ def test_summary_peaks_below_the_solve(n, topology, algebra):
     solve_peak = _traced_peak(lambda: solve(cfg, data))
     summary_peak = _traced_peak(lambda: _summary(sol.omega, cfg.q, data))
     assert summary_peak <= solve_peak, (summary_peak, solve_peak)
+
+
+def test_summary_forms_no_whole_grid_residual(algebra):
+    """The summary forms R in the row blocks of its curvature pass, not
+    over the whole grid with its exponentials and Laplacian temporaries:
+    at A2 256^2 with a polynomial q a second call peaks below 5 fields
+    (about 4.2; 5.5 with a whole-grid R)."""
+    rs, alg, _, _ = algebra("A2")
+    _, omega = make_omega("A2", algebra, n=256)
+    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
+    data = _TodaData(rs)
+    _summary(omega, q, data)  # per-type caches
+    peak = _traced_peak(lambda: _summary(omega, q, data))
+    assert peak < 5 * omega.values.nbytes, peak / omega.values.nbytes
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "G2", "E8"])
@@ -769,14 +783,17 @@ class TestIO:
 
 def test_bad_gauge_and_degree(algebra):
     """The whole-grid oracle rejects an unknown gauge; the block pass of
-    ``check_norms`` rejects a q of the wrong degree and a non-finite field."""
+    ``check_norms`` and of ``summary_norms`` rejects a q of the wrong
+    degree and a non-finite field."""
     rs, alg, sl2, _ = algebra("A2")
     grid = DomainGrid.make("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
     with pytest.raises(ValueError, match="unknown gauge"):
         build_toda_connection(omega, QDifferential.constant(1.0, 3), _TodaData(rs), "weird")
-    with pytest.raises(ValueError, match="degree does not match the Coxeter number"):
-        check_norms(omega, QDifferential.constant(1.0, 7), _TodaData(rs))
+    for norms in (check_norms, summary_norms):
+        with pytest.raises(ValueError, match="degree does not match the Coxeter number"):
+            norms(omega, QDifferential.constant(1.0, 7), _TodaData(rs))
     omega.values[3, 5, 1] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        check_norms(omega, QDifferential.constant(1.0, 3), _TodaData(rs))
+    for norms in (check_norms, summary_norms):
+        with pytest.raises(ValueError, match="non-finite"):
+            norms(omega, QDifferential.constant(1.0, 3), _TodaData(rs))

@@ -90,6 +90,21 @@ def test_only_solve_and_the_oracle_form_the_exponentials():
     assert callers == {"solve", "constant_solution"}
 
 
+def test_summary_is_one_block_pass():
+    """``cli._summary`` takes its residual and curvature norms from the one
+    block pass of ``connection.summary_norms``: it forms no exponentials,
+    no whole-grid residual and no samples of q of its own."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (summary,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_summary"]
+    called = {
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(summary)
+        if isinstance(node, ast.Call)
+    }
+    assert called & {"exponentials", "residual", "sample"} == set()
+    assert "summary_norms" in called
+
+
 def test_only_chevalley_reads_the_structure_table():
     """The table's format is known to ``chevalley`` alone: every other module,
     tests included, goes through ``bracket``, ``ad`` and ``killing``."""

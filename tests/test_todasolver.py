@@ -333,14 +333,14 @@ class TestSolve:
         assert cfg.grid.max_norm(np.abs(R).max(axis=-1)) < cfg.tol
 
     def test_rectangle_oracle_boundary_curvature(self, algebra):
-        from affinetoda.connection import curvature_norm
+        from affinetoda.connection import summary_norms
 
         cfg, data, alg, sl2 = make_config(
             "A1", algebra, n=24, topology="rectangle", init=InitSpec("oracle")
         )
         sol = solve(cfg, data)
         assert sol.converged
-        assert curvature_norm(sol.omega, cfg.q.sample(cfg.grid), data) <= 10 * cfg.tol
+        assert summary_norms(sol.omega, cfg.q, data)["curvature"] <= 10 * cfg.tol
 
     def test_phase_of_q_is_irrelevant(self, algebra):
         base, data, alg, sl2 = make_config("A2", algebra, init=InitSpec("perturbed", seed=9, amplitude=0.05))
@@ -362,12 +362,12 @@ class TestSolve:
         assert np.array_equal(a.omega.values, b.omega.values)
 
     def test_cross_check_curvature(self, algebra):
-        from affinetoda.connection import curvature_norm
+        from affinetoda.connection import summary_norms
 
         cfg, data, alg, sl2 = make_config("A2", algebra, init=InitSpec("perturbed", seed=3, amplitude=0.1))
         sol = solve(cfg, data)
         assert sol.converged
-        assert curvature_norm(sol.omega, cfg.q.sample(cfg.grid), data) <= 10 * cfg.tol
+        assert summary_norms(sol.omega, cfg.q, data)["curvature"] <= 10 * cfg.tol
 
 
 class TestNewtonCG:
