@@ -15,12 +15,11 @@ columns sorted by (i, j, k).  The table, the Jacobi and Killing checks, the
 principal sl2 and its involution sigma (the signed lift of the diagram
 automorphism, checked against every term of the table) are computed in
 Python integer arithmetic, so none of them loads numpy.  Only the float
-bracket of coefficient arrays, ``bracket`` with its ``bracket_terms``,
-reads the table through numpy (the columns as zero-copy int64 views,
-``_table``), and those three import numpy inside themselves.  The dense
-float views the tests check against (ad, the Killing matrix, the sl2 triple,
-sigma as a matrix, rho_hat, the cyclic normalisation) are built in the
-tests.
+bracket of coefficient arrays, ``bracket``, reads the table through numpy
+(the columns as zero-copy int64 views, ``_table``), and those two import
+numpy inside themselves.  The dense float views the tests check against
+(ad, the Killing matrix, the sl2 triple, sigma as a matrix, rho_hat, the
+cyclic normalisation) are built in the tests.
 """
 from __future__ import annotations
 
@@ -68,10 +67,7 @@ class ChevalleyAlgebra:
             tuple(range(l)) + tuple(range(l + R, l + 2 * R)) + tuple(range(l, l + R))
         )
         # beta(h_a) for the root beta of each slot; zero rows on the Cartan
-        P = rs.simple_characters
-        self._characters = tuple(
-            tuple(sum(c * p for c, p in zip(r, col)) for col in zip(*P)) for r in self._roots
-        )
+        self._characters = tuple(tuple(rs.pairing(r, a) for a in range(l)) for r in self._roots)
         self._build_structure_table()
 
     # ---- index helpers -------------------------------------------------
@@ -259,28 +255,15 @@ class ChevalleyAlgebra:
                     Z[K[t]] = Z.get(K[t], 0) + x * V[t] * Y[J[t]]
         return Z
 
-    def bracket_terms(self, x_supp, y_supp) -> tuple:
-        """The table terms a bracket forms, as (i, j, k, c) in table order.
-
-        x_supp and y_supp are boolean masks over the basis slots: the slots
-        on which X and Y are nonzero.  A term is formed when its left slot is
-        in x_supp and its right slot in y_supp; [X, Y] has
-        sum_t X_i[t] Y_j[t] c[t] on slot k[t].
-        """
-        import numpy as np
-
-        bk_i, bk_j, bk_k, bk_v = self._table
-        terms = np.flatnonzero(np.asarray(x_supp)[bk_i] & np.asarray(y_supp)[bk_j])
-        return bk_i[terms], bk_j[terms], bk_k[terms], bk_v[terms]
-
     def bracket(self, X, Y):
         """Bilinear bracket of coefficient vectors (supports leading axes).
 
-        Only the ``bracket_terms`` of the supports of X and Y are formed, so
-        time scales with the supports rather than with the whole table.
-        Each formed term is added into its output slot in table order, one
-        at a time: working memory is the output plus one term's worth of
-        points.
+        Only the table terms a bracket forms are read: those whose left slot
+        is in the support of X (its slots nonzero somewhere) and right slot
+        in that of Y, so time scales with the supports rather than with the
+        whole table.  Each formed term is added into its output slot in
+        table order, one at a time: working memory is the output plus one
+        term's worth of points.
         """
         import numpy as np
 
@@ -289,9 +272,10 @@ class ChevalleyAlgebra:
             raise ValueError("dimension mismatch")
         out_shape = np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (n,)
         Z = np.zeros(out_shape, dtype=complex)
-        terms = self.bracket_terms(X.reshape(-1, n).any(axis=0), Y.reshape(-1, n).any(axis=0))
-        for a, b, c, v in zip(*terms):
-            Z[..., c] += X[..., a] * Y[..., b] * v
+        i, j, k, c = self._table
+        formed = np.flatnonzero(X.reshape(-1, n).any(axis=0)[i] & Y.reshape(-1, n).any(axis=0)[j])
+        for a, b, d, v in zip(i[formed], j[formed], k[formed], c[formed]):
+            Z[..., d] += X[..., a] * Y[..., b] * v
         return Z
 
 

@@ -20,9 +20,11 @@ support there: the Cartan-valued A_z and A_zbar as their l Cartan
 coefficients, Phi on the l+1 slots of E- (``TodaSlots.lowered``) and Psi on
 those of E+ (``TodaSlots.raised``).  The star, the Cartan gauge action and
 the bracket [Phi, Phi*] act on those columns alone; only the curvature F is
-kept over all the slots.  The slots and their bracket are built from the
-root system alone, once per ``_TodaData``, which keeps them for every
-connection of its type.
+kept over all the slots.  The slots and their bracket table are built from
+the root system alone, once per ``_TodaData``, which keeps them for every
+connection of its type.  One routine forms every bracket on the slots
+(``_bracket``): [A_z + Phi, A_zbar + Psi] in the curvature, and [Phi, Phi*]
+in the commutator check.
 
 The connection is formed in one place, a row block at a time
 (``_block_maxima``).  The grid goes in row blocks of about
@@ -76,7 +78,8 @@ class TodaSlots:
     on the Cartan.  Every pair of root slots whose sum is a root, a slot or
     not (in A2, alpha_1 + alpha_2 = theta), is a term with k = -1, and
     ``terms`` raises RuntimeError when it forms one: the closure is checked,
-    not assumed.
+    not assumed.  The bracket itself is ``_bracket``, on the terms that
+    ``terms`` selects.
     """
 
     def __init__(self, rs: RootSystem):
@@ -113,39 +116,6 @@ class TodaSlots:
         if np.any(k[formed] < 0):
             raise RuntimeError("the bracket leaves the Toda slots")
         return i[formed], j[formed], k[formed], c[formed]
-
-    def bracket(
-        self, X: np.ndarray, x_slots: Sequence[int], Y: np.ndarray, y_slots: Sequence[int],
-        out_slots: Sequence[int],
-    ) -> np.ndarray:
-        """Bilinear bracket [X, Y] on the slots ``out_slots``, for X given
-        by its columns on the slots ``x_slots`` and Y on ``y_slots``
-        (supports leading axes): [Phi, Phi*] is
-        ``bracket(phi, lowered, star, raised, range(l))``.  Only the
-        ``terms`` of the columns of X and Y that are nonzero somewhere are
-        formed, each added into its output column in table order, one at a
-        time: working memory is the output plus one term's worth of points.
-        A formed term whose output slot is not in ``out_slots`` raises
-        RuntimeError, as a formed root-sum marker does."""
-        if X.shape[-1] != len(x_slots) or Y.shape[-1] != len(y_slots):
-            raise ValueError("dimension mismatch")
-        x_supp, y_supp = np.zeros(self.n, dtype=bool), np.zeros(self.n, dtype=bool)
-        x_supp[list(x_slots)] = X.reshape(-1, X.shape[-1]).any(axis=0)
-        y_supp[list(y_slots)] = Y.reshape(-1, Y.shape[-1]).any(axis=0)
-        i, j, k, c = self.terms(x_supp, y_supp)
-        x_at, y_at, z_at = (self._columns_at(s) for s in (x_slots, y_slots, out_slots))
-        if np.any(z_at[k] < 0):
-            raise RuntimeError("a bracket term lands outside its output slots")
-        Z = np.zeros(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]) + (len(out_slots),), dtype=complex)
-        for a, b, d, v in zip(x_at[i], y_at[j], z_at[k], c):
-            Z[..., d] += X[..., a] * Y[..., b] * v
-        return Z
-
-    def _columns_at(self, slots: Sequence[int]) -> np.ndarray:
-        """For each of the n slots, its column among ``slots``, or -1."""
-        at = np.full(self.n, -1)
-        at[list(slots)] = np.arange(len(slots))
-        return at
 
 
 def char_scale(values: np.ndarray, H: np.ndarray, characters: np.ndarray) -> np.ndarray:
@@ -224,6 +194,20 @@ def _columns(
     return part(A_z, phi, slots.lowered), part(A_zbar, psi, slots.raised)
 
 
+def _bracket(xs: list, ys: list, terms, s: int, e: int) -> np.ndarray:
+    """The slot columns s:e of [X, Y], for X and Y given by their n slot
+    columns ``xs`` and ``ys``, all of one shape, and the terms (i, j, k, c)
+    of ``TodaSlots.terms`` the bracket forms.  Each term whose output slot k
+    lies in s:e is added into column k - s, in table order, one at a time:
+    working memory is the output plus one term's worth of points.  The one
+    slot bracket, of the curvature and of the commutator check alike."""
+    Z = np.zeros(xs[0].shape + (e - s,), dtype=complex)
+    for i, j, k, c in zip(*terms):
+        if s <= k < e:
+            Z[..., k - s] += xs[i] * ys[j] * c
+    return Z
+
+
 def _curvature(grid: DomainGrid, slots: TodaSlots, az: list, azbar: list):
     """Yield (s, e, F[..., s:e]) for each group of slot columns s:e in turn,
     F = d_dz(azbar) - d_dzbar(az) + [az, azbar] for the slot columns az of
@@ -236,7 +220,9 @@ def _curvature(grid: DomainGrid, slots: TodaSlots, az: list, azbar: list):
     on, so it holds no more points than one slot column of the whole grid:
     the whole grid goes one column at a time, and the 20 rows of a block of
     a 128-row grid (16 and their halo) six columns at a time.  The
-    derivative of a part that is zero on the whole group is not formed."""
+    derivative of a part that is zero on the whole group is not formed.
+    The terms of [az, azbar] are selected once, from the supports of the
+    columns, and each group adds its own by ``_bracket``."""
     n, shape = slots.n, az[0].shape
     x_supp, y_supp = [x.any() for x in az], [y.any() for y in azbar]
     terms = [t.tolist() for t in slots.terms(x_supp, y_supp)]
@@ -249,11 +235,7 @@ def _curvature(grid: DomainGrid, slots: TodaSlots, az: list, azbar: list):
             F = np.zeros(shape + (e - s,), dtype=complex)
         if any(x_supp[s:e]):
             F -= grid.d_dzbar(np.stack(az[s:e], axis=-1))
-        Z = np.zeros(F.shape, dtype=complex)
-        for i, j, k, c in zip(*terms):  # in table order, as in ``TodaSlots.bracket``
-            if s <= k < e:
-                Z[..., k - s] += az[i] * azbar[j] * c
-        F += Z
+        F += _bracket(az, azbar, terms, s, e)
         yield s, e, F
 
 
@@ -305,11 +287,19 @@ def _fold_block(
     checks = hs is not None
     if checks:
         _fold(at["star"], psi[keep] - np.conj(phi[keep]))  # Phi* = conj(Phi) in the Toda gauge
-        # in the Higgs gauge Phi = E- and Phi* = Ad_{exp(2 Omega)} E+; the
-        # closed form of [Phi, Phi*] is minus the pointwise term
+        # in the Higgs gauge Phi = E- and Phi* = Ad_{exp(2 Omega)} E+, with no
+        # Cartan part; the closed form of [Phi, Phi*] is minus the pointwise
+        # term, and the bracket lands on the Cartan slots alone
         e_minus = _e_minus(data.r, q_own)
         star = char_scale(np.conj(e_minus), 2 * own, chars[hi])
-        _fold(at["commutator"], slots.bracket(e_minus, lo, star, hi, range(l)) + pointwise)
+        zero = np.broadcast_to(0j, q_own.shape)  # a view: no zero column is allocated
+        xs, ys = [zero] * slots.n, [zero] * slots.n
+        for d, (a, b) in enumerate(zip(lo, hi)):
+            xs[a], ys[b] = e_minus[..., d], star[..., d]
+        terms = slots.terms([x.any() for x in xs], [y.any() for y in ys])
+        if np.any(terms[2] >= l):
+            raise RuntimeError("a bracket term lands outside its output slots")
+        _fold(at["commutator"], _bracket(xs, ys, terms, 0, l) + pointwise)
         F_own = np.empty(own.shape[:-1] + (slots.n,), dtype=complex) if hs else None
     else:
         del pointwise, R  # the summary reads |F| alone from here on

@@ -18,7 +18,7 @@ _MAGIC = b"TODA"
 
 
 class DomainGrid:
-    def __init__(self, topology: str, nx: int, ny: int, dx: float, dy: float):
+    def __init__(self, topology: str, nx: int, ny: int, dx: float, dy: float, extent: tuple):
         if topology not in ("torus", "rectangle"):
             raise ValueError(f"unknown topology {topology!r}")
         if nx < 8 or ny < 8:
@@ -30,6 +30,9 @@ class DomainGrid:
         self.ny = ny
         self.dx = dx
         self.dy = dy
+        # the side lengths as given, a torus's periods: nx * dx need not be
+        # bit-equal to them (49 * (1 / 49) != 1)
+        self.extent = extent
 
     @staticmethod
     def make(topology: str, nx: int, ny: int, extent: Tuple[float, float] = (1.0, 1.0)) -> "DomainGrid":
@@ -37,8 +40,8 @@ class DomainGrid:
             raise ValueError("grid must be at least 8x8")
         Lx, Ly = extent
         if topology == "torus":
-            return DomainGrid(topology, nx, ny, Lx / nx, Ly / ny)
-        return DomainGrid(topology, nx, ny, Lx / (nx - 1), Ly / (ny - 1))
+            return DomainGrid(topology, nx, ny, Lx / nx, Ly / ny, (Lx, Ly))
+        return DomainGrid(topology, nx, ny, Lx / (nx - 1), Ly / (ny - 1), (Lx, Ly))
 
     @property
     def periodic(self) -> bool:
@@ -170,11 +173,13 @@ class QDifferential:
     def sample(self, grid: DomainGrid) -> np.ndarray:
         if self.kind == "const":
             return np.full((grid.nx, grid.ny), self.coeffs[0], dtype=complex)
-        X, Y = grid.xy()
-        z = X + 1j * Y
-        out = np.zeros_like(z, dtype=complex)
-        for c in reversed(self.coeffs):  # Horner
-            out = out * z + c
+        # z from the 1-D coordinates by broadcasting, and Horner in place:
+        # the sample holds z and its output, no meshes and no step temporaries
+        z = (np.arange(grid.nx) * grid.dx)[:, None] + 1j * (np.arange(grid.ny) * grid.dy)
+        out = np.zeros_like(z)
+        for c in reversed(self.coeffs):
+            out *= z
+            out += c
         return out
 
     @staticmethod
@@ -266,8 +271,11 @@ def read_field_binary(path: str, grid: Optional[DomainGrid] = None) -> HFieldGri
             raise ValueError(f"{path}: truncated header")
         nx, ny, l = struct.unpack("<III", header)
         payload = fh.read()
-    if len(payload) != 8 * nx * ny * l:
+    size = 8 * nx * ny * l
+    if len(payload) < size:
         raise ValueError(f"{path}: truncated payload")
+    if len(payload) > size:
+        raise ValueError(f"{path}: {len(payload) - size} bytes past the end of the payload")
     data = np.frombuffer(payload, dtype="<f8")
     values = data.reshape(nx, ny, l).astype(float)
     if grid is None:

@@ -228,7 +228,8 @@ def _initial_field(cfg: SolverConfig, data: _TodaData, q2: np.ndarray) -> HField
     if kind == "perturbed":
         om0, _ = constant_solution(data, float(np.mean(q2)))
         base = constant_field(grid, om0)
-        bump = random_trig_field(l, seed=cfg.init.seed, amplitude=cfg.init.amplitude)
+        # the bump's periods are the domain's, so it is smooth across a torus's seam
+        bump = random_trig_field(l, cfg.init.seed, cfg.init.amplitude, extent=grid.extent)
         return HFieldGrid(grid, base.values + bump.sample(grid).values)
     if kind == "file":
         field0 = read_field_binary(cfg.init.path, grid)

@@ -3,6 +3,7 @@ import pytest
 from scipy.sparse import csr_matrix
 
 from affinetoda.chevalley import build_chevalley, build_principal_sl2, coxeter_element
+from affinetoda.connection import _bracket
 from affinetoda.rootdata import LieType, build_root_system
 from affinetoda.todasolver import _TodaData, residual
 from oracles import ad
@@ -77,9 +78,11 @@ def connection_parts(conn):
 
 
 def dense_bracket(slots, X, Y):
-    """``slots.bracket`` of X and Y given over all the slots, onto all of them."""
-    every = range(slots.n)
-    return slots.bracket(X, every, Y, every, every)
+    """[X, Y] for X and Y given over all the slots, onto all of them, by the
+    connection's one slot bracket ``_bracket``."""
+    xs, ys = ([Z[..., d] for d in range(slots.n)] for Z in (X, Y))
+    terms = slots.terms(*(Z.reshape(-1, slots.n).any(axis=0) for Z in (X, Y)))
+    return _bracket(xs, ys, terms, 0, slots.n)
 
 
 _AD_CACHE = {}

@@ -18,7 +18,14 @@ import warnings
 
 import numpy as np
 
-from affinetoda.connection import _checked_slots, _columns, _curvature, _e_minus, char_scale
+from affinetoda.connection import (
+    _bracket,
+    _checked_slots,
+    _columns,
+    _curvature,
+    _e_minus,
+    char_scale,
+)
 from affinetoda.rootdata import affine_cartan
 from affinetoda.todasolver import InitSpec, SolverConfig, residual, sigma_symmetry_defect, solve
 
@@ -322,6 +329,19 @@ def gauge_covariance_defect(conn, F, H):
     return conn.grid.max_norm(node)
 
 
+def cartan_bracket(slots, phi, star):
+    """[Phi, Phi*] on the l Cartan slots, for Phi given on ``slots.lowered``
+    and its star on ``slots.raised``, by the connection's one slot bracket
+    ``_bracket``; a formed term anywhere else raises RuntimeError."""
+    l = slots.characters.shape[1]
+    zero = np.zeros(phi.shape[:-1] + (l,), dtype=complex)
+    xs, ys = _columns(slots, zero, zero, phi, star)
+    terms = slots.terms([x.any() for x in xs], [y.any() for y in ys])
+    if np.any(terms[2] >= l):
+        raise RuntimeError("a bracket term lands outside its output slots")
+    return _bracket(xs, ys, terms, 0, l)
+
+
 def commutator_defect(omega, q, data):
     """Norm of the deviation between the explicit bracket [Phi, Phi*] and
     its closed form, minus the pointwise term of the Toda residual, in the
@@ -331,7 +351,7 @@ def commutator_defect(omega, q, data):
     slots, qv = _checked_slots(omega, q, data), q.sample(omega.grid)
     phi = _e_minus(data.r, qv)
     star = char_scale(np.conj(phi), 2 * omega.values, slots.characters[slots.raised])
-    comm = slots.bracket(phi, slots.lowered, star, slots.raised, range(omega.l))
+    comm = cartan_bracket(slots, phi, star)
     closed = -data.pointwise_residual(data.exponentials(omega.values, np.abs(qv) ** 2))
     return omega.grid.max_norm(np.abs(comm - closed).max(axis=-1))
 

@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from affinetoda import cli, connection
 from affinetoda.cli import _summary
@@ -38,6 +41,7 @@ from conftest import (
 )
 from oracles import (
     build_toda_connection,
+    cartan_bracket,
     characters,
     chart_transition,
     commutator_defect,
@@ -432,8 +436,7 @@ def test_slot_table_is_the_restricted_chevalley_table(name, algebra):
     l, slots = rs.rank, TodaSlots(rs)
     local = np.full(alg.dim, -1)
     local[chevalley_slots(alg, slots)] = np.arange(slots.n)
-    full = np.ones(alg.dim, dtype=bool)
-    gi, gj, gk, gc = alg.bracket_terms(full, full)
+    gi, gj, gk, gc = alg._table
     between = (local[gi] >= 0) & (local[gj] >= 0)
     root_sum = between & (gi >= l) & (gj >= l) & (gk >= l)
     keep = between & ~root_sum
@@ -472,20 +475,6 @@ def test_forming_a_marker_raises(name, algebra):
     slots.terms(x, y)
 
 
-def test_bracket_term_outside_its_output_slots_raises(algebra):
-    """[Phi, Phi*] lands on the Cartan; a bracket onto the Cartan slots that
-    forms a term anywhere else raises instead of dropping it: here
-    [h_a, e_alpha] = alpha(h_a) e_alpha, with a Cartan column added to X."""
-    slots = TodaSlots(algebra("A2")[0])
-    l, k = 2, 3
-    X = np.ones((4, k + l), dtype=complex)
-    Y = np.ones((4, k), dtype=complex)
-    cartan = range(l)
-    assert slots.bracket(X[:, :k], slots.lowered, Y, slots.raised, cartan).shape == (4, l)
-    with pytest.raises(RuntimeError, match="lands outside its output slots"):
-        slots.bracket(X, [*cartan, *slots.lowered], Y, slots.raised, cartan)
-
-
 @pytest.mark.parametrize("name", ["A1", "A2", "G2", "E8"])
 def test_commutator_defect_builds_no_connection(name, algebra, monkeypatch):
     """``commutator_defect`` forms Phi = E- and its Higgs-gauge star alone:
@@ -496,8 +485,7 @@ def test_commutator_defect_builds_no_connection(name, algebra, monkeypatch):
     _, omega = make_omega(name, algebra)
     q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
     conn = build_toda_connection(omega, q, data, "higgs")
-    slots = conn.slots
-    comm = slots.bracket(conn.phi, slots.lowered, conjugate_star(conn), slots.raised, range(rs.rank))
+    comm = cartan_bracket(conn.slots, conn.phi, conjugate_star(conn))
     closed = -data.pointwise_residual(data.exponentials(omega.values, np.abs(q.sample(omega.grid)) ** 2))
     expect = float(np.abs(comm - closed).max())
 
@@ -753,6 +741,31 @@ class TestPeriodicStencils:
             assert peak <= 1.2 * F.nbytes, (d.__name__, peak / F.nbytes)
 
 
+def test_poly_sample_working_memory():
+    """A polynomial q is sampled by Horner in place on z, built from the 1-D
+    coordinates: no X and Y meshes and no temporary per step, so the sample
+    peaks below 2.5 times its output (z and the output itself)."""
+    q = QDifferential.parse("poly:0.9,0.4-0.2j,0.3", 3)
+    grid = DomainGrid.make("torus", 128, 128)
+    out = q.sample(grid)
+    peak = _traced_peak(lambda: q.sample(grid))
+    assert peak < 2.5 * out.nbytes, peak / out.nbytes
+
+
+@pytest.mark.parametrize("topology, extent", [("torus", (1.0, 1.0)), ("rectangle", (1.0, 1.5))])
+def test_poly_sample_is_the_mesh_horner(topology, extent):
+    """The in-place sample equals, bit for bit, Horner's rule step by step
+    on z = X + iY of the coordinate meshes."""
+    grid = DomainGrid.make(topology, 96, 80, extent)
+    q = QDifferential.parse("poly:0.9,0.4-0.2j,0.3,-0.1+0.05j", 3)
+    X, Y = grid.xy()
+    z = X + 1j * Y
+    want = np.zeros_like(z)
+    for c in reversed(q.coeffs):
+        want = want * z + c
+    assert np.array_equal(q.sample(grid), want)
+
+
 class TestIO:
     def test_binary_round_trip(self, tmp_path, rng):
         grid = DomainGrid.make("torus", 8, 10)
@@ -772,6 +785,45 @@ class TestIO:
         with open(p, "r+b") as fh:
             fh.truncate(fh.seek(0, 2) - cut)
         with pytest.raises(ValueError, match=f"^{p}: truncated payload$"):
+            read_field_binary(p)
+
+    def test_over_long_payload_is_named(self, tmp_path, capsys):
+        """A payload longer than its header gives is its own error, not a
+        truncated one, and a usage error (exit 2) of a solve started from it."""
+        p = str(tmp_path / "omega.bin")
+        write_field_binary(p, constant_field(DomainGrid.make("torus", 8, 8), [0.5, 0.25]))
+        with open(p, "ab") as fh:
+            fh.write(bytes(8))
+        with pytest.raises(ValueError, match=f"^{p}: 8 bytes past the end of the payload$"):
+            read_field_binary(p)
+        argv = ["toda", "solve", "--type", "A2", "--grid", "8x8", "--init", f"file:{p}"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out.bin")]) == 2
+        assert "8 bytes past the end of the payload" in capsys.readouterr().err
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        nx=st.integers(8, 12), ny=st.integers(8, 12), l=st.integers(1, 8),
+        data=st.data(), cut=st.integers(1, 64), extra=st.binary(min_size=1, max_size=64),
+    )
+    def test_binary_round_trip_property(self, tmp_path_factory, nx, ny, l, data, cut, extra):
+        """Every finite field, -0.0 and subnormals included, reads back byte
+        for byte; the payload cut short by ``cut`` bytes is truncated, and
+        ``extra`` bytes past its end are named as such."""
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        vals = data.draw(arrays(np.float64, (nx, ny, l), elements=finite))
+        vals.flat[:2] = -0.0, 5e-324
+        p = str(tmp_path_factory.mktemp("io") / "omega.bin")
+        write_field_binary(p, HFieldGrid(DomainGrid.make("torus", nx, ny), vals))
+        assert read_field_binary(p).values.tobytes() == vals.tobytes()
+        with open(p, "rb") as fh:
+            whole = fh.read()
+        with open(p, "wb") as fh:
+            fh.write(whole[:-cut])
+        with pytest.raises(ValueError, match=f"^{p}: truncated payload$"):
+            read_field_binary(p)
+        with open(p, "wb") as fh:
+            fh.write(whole + extra)
+        with pytest.raises(ValueError, match=f"^{p}: {len(extra)} bytes past the end of the payload$"):
             read_field_binary(p)
 
     def test_binary_magic_check(self, tmp_path):

@@ -105,6 +105,33 @@ def test_summary_is_one_block_pass():
     assert "summary_norms" in called
 
 
+def _column_products(node):
+    """The operands of ``node`` read as a chain of products."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _column_products(node.left) + _column_products(node.right)
+    return [node]
+
+
+def test_connection_has_one_slot_bracket():
+    """Exactly one function of ``connection`` adds bracket terms into an
+    output column, ``out[..., k] += x[i] * y[j] * c`` with the two columns
+    read by subscript: the curvature and the commutator check share it."""
+    found = set()
+    stack = [(node, None) for node in ast.parse((SRC / "connection.py").read_text()).body]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+            and isinstance(node.target, ast.Subscript)
+            and sum(isinstance(f, ast.Subscript) for f in _column_products(node.value)) >= 2
+        ):
+            found.add(func)
+        stack += [(child, func) for child in ast.iter_child_nodes(node)]
+    assert found == {"_bracket"}
+
+
 def test_only_chevalley_reads_the_structure_table():
     """The table's format is known to ``chevalley`` alone: every other module,
     tests included, goes through ``bracket``, ``ad`` and ``killing``."""
@@ -272,7 +299,7 @@ def _numpy_imports(path):
 NUMPY_FUNCTIONS = {
     "rootdata": set(),
     "restriction": set(),
-    "chevalley": {"bracket", "bracket_terms", "_table"},
+    "chevalley": {"bracket", "_table"},
 }
 
 

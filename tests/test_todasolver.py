@@ -12,6 +12,7 @@ from affinetoda.todasolver import (
     _TodaData,
     _dst1,
     _generalized_eigh,
+    _initial_field,
     _mean_field_preconditioner,
     _newton_step,
     constant_solution,
@@ -29,6 +30,18 @@ def make_config(name, algebra, n=32, q=1.0, topology="torus", **kw):
     qd = QDifferential.constant(q, coxeter_number(rs))
     cfg = SolverConfig(grid=grid, q=qd, **kw)
     return cfg, _TodaData(rs), alg, sl2
+
+
+def test_perturbed_init_is_smooth_across_the_seam(algebra):
+    """The bump of ``perturbed:SEED:AMP`` has the torus's own periods, so on
+    a torus of extent 1.5 x 0.75 it steps no further across the seam than
+    between any two neighbouring interior nodes, along either axis."""
+    cfg, data, _, _ = make_config("A2", algebra, init=InitSpec("perturbed", seed=1, amplitude=0.5))
+    cfg.grid = DomainGrid.make("torus", 64, 64, (1.5, 0.75))
+    vals = _initial_field(cfg, data, np.ones((64, 64))).values
+    for axis in (0, 1):
+        seam = np.abs(np.take(vals, 0, axis) - np.take(vals, -1, axis)).max()
+        assert seam <= np.abs(np.diff(vals, axis=axis)).max(), axis
 
 
 class TestConstantSolution:
