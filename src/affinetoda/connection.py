@@ -120,9 +120,12 @@ class TodaSlots:
 
 def char_scale(values: np.ndarray, H: np.ndarray, characters: np.ndarray) -> np.ndarray:
     """Ad of exp(H) for Cartan-valued H on coefficients over slots whose
-    roots have the rows of ``characters``: root slots scale by exp(beta(H))."""
+    roots have the rows of ``characters``: root slots scale by exp(beta(H)),
+    formed in place in the array of the characters when it has the shape
+    of ``values``."""
     chars = np.einsum("...a,da->...d", np.asarray(H, dtype=complex), characters)
-    return values * np.exp(chars, out=chars)
+    scale = np.exp(chars, out=chars)
+    return np.multiply(values, scale, out=scale if scale.shape == values.shape else None)
 
 
 def _checked_slots(omega: HFieldGrid, q: QDifferential, data: _TodaData) -> TodaSlots:
@@ -181,12 +184,13 @@ def _columns(
     """The n slot columns of A_z + Phi and of A_zbar + Psi: the l Cartan
     coefficients on the first l slots, Phi on ``slots.lowered`` (Psi on
     ``slots.raised``), which are root slots, and zero elsewhere.  Every
-    column but the zero one is a view of its part."""
+    column is a view: of its part, or of one zero broadcast over the
+    points."""
 
     def part(cartan, field, where):
         l = cartan.shape[-1]
         cols = [cartan[..., a] for a in range(l)]
-        cols += [np.zeros(cartan.shape[:-1], dtype=complex)] * (slots.n - l)
+        cols += [np.broadcast_to(0j, cartan.shape[:-1])] * (slots.n - l)
         for d, p in enumerate(where):
             cols[p] = field[..., d]
         return cols
@@ -216,17 +220,18 @@ def _curvature(grid: DomainGrid, slots: TodaSlots, az: list, azbar: list):
     of rows of Omega it is exact two rows in from the block's edges, and on
     every row of the whole grid.
 
-    A group spans nx // rows slot columns, for the rows the parts are given
-    on, so it holds no more points than one slot column of the whole grid:
+    A group spans at most l slot columns, and at most nx // rows for the
+    rows the parts are given on, so it holds no more points than the
+    Cartan part of those rows, nor than one slot column of the whole grid:
     the whole grid goes one column at a time, and the 20 rows of a block of
-    a 128-row grid (16 and their halo) six columns at a time.  The
+    a 128-row A2 grid (16 and their halo) two columns at a time.  The
     derivative of a part that is zero on the whole group is not formed.
     The terms of [az, azbar] are selected once, from the supports of the
     columns, and each group adds its own by ``_bracket``."""
     n, shape = slots.n, az[0].shape
     x_supp, y_supp = [x.any() for x in az], [y.any() for y in azbar]
     terms = [t.tolist() for t in slots.terms(x_supp, y_supp)]
-    width = max(1, grid.nx // shape[0])
+    width = max(1, min(grid.nx // shape[0], slots.characters.shape[1]))  # l columns at most
     for s in range(0, n, width):
         e = min(s + width, n)
         if any(y_supp[s:e]):
@@ -237,6 +242,7 @@ def _curvature(grid: DomainGrid, slots: TodaSlots, az: list, azbar: list):
             F -= grid.d_dzbar(np.stack(az[s:e], axis=-1))
         F += _bracket(az, azbar, terms, s, e)
         yield s, e, F
+        del F  # before the next group's is formed
 
 
 # grid points per row block: 16-row blocks at 128^2, and every grid of up to
@@ -247,12 +253,13 @@ _BLOCK_POINTS = 2048
 
 def _row_blocks(grid: DomainGrid):
     """Yield (s, e, read, keep) for each row block: its grid rows s:e, the
-    rows ``read`` (an axis-0 index) of Omega and q its connection is built
-    from, s:e and two rows either side, and where s:e sit among them
-    (``keep``).  A block has ``_BLOCK_POINTS // ny`` rows, and at least four
-    times the halo.  On a rectangle every norm leaves out the boundary
-    ring, so the blocks cover only the inner rows, and their halos clip at
-    the edges."""
+    rows ``read`` of Omega and q its connection is built from, s:e and two
+    rows either side, and where s:e sit among them (``keep``).  ``read`` is
+    a slice, so that the block reads views, except where a torus's halo
+    wraps: there it lists the rows.  A block has ``_BLOCK_POINTS // ny``
+    rows, and at least four times the halo.  On a rectangle every norm
+    leaves out the boundary ring, so the blocks cover only the inner rows,
+    and their halos clip at the edges."""
     nx, halo = grid.nx, 2  # F differentiates A = d Omega again
     step = max(4 * halo, _BLOCK_POINTS // grid.ny)
     first, stop = (0, nx) if grid.periodic else (1, nx - 1)
@@ -262,7 +269,8 @@ def _row_blocks(grid: DomainGrid):
     for s in range(first, stop, step):
         e = min(s + step, stop)
         lo, hi = (s - halo, e + halo) if grid.periodic else (max(s - halo, 0), min(e + halo, nx))
-        yield s, e, np.arange(lo, hi) % nx, slice(s - lo, e - lo)
+        read = slice(lo, hi) if 0 <= lo and hi <= nx else np.arange(lo, hi) % nx
+        yield s, e, read, slice(s - lo, e - lo)
 
 
 def _fold(node: np.ndarray, values: np.ndarray) -> None:
@@ -313,13 +321,15 @@ def _fold_block(
             if s < cartan:
                 F[..., : cartan - s] += R[..., s:cartan]
             _fold(at["mismatch"], F)
+        del F
     for h in hs or ():
         moved = _columns(slots, A_z, A_zbar, char_scale(phi, h, chars[lo]), char_scale(psi, h, chars[hi]))
         for s, e, G in _curvature(grid, slots, *moved):
             G = G[keep]
             G -= char_scale(F_own[..., s:e], h, chars[s:e])
             _fold(at["covariance"], G)
-        del moved, G  # one H's moved connection is freed before the next one's is built
+            del G
+        del moved  # one H's moved connection is freed before the next one's is built
 
 
 def _block_maxima(

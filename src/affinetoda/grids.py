@@ -8,6 +8,7 @@ ring there.
 from __future__ import annotations
 
 import math
+import os
 import random
 import struct
 from typing import Optional, Sequence, Tuple
@@ -75,20 +76,30 @@ class DomainGrid:
         return np.gradient(F, self.dy, axis=1, edge_order=2)
 
     def d_dz(self, F: np.ndarray) -> np.ndarray:
-        return 0.5 * (self.d_dx(F) - 1j * self.d_dy(F))
+        return self._wirtinger_part(F, np.subtract)
 
     def d_dzbar(self, F: np.ndarray) -> np.ndarray:
-        return 0.5 * (self.d_dx(F) + 1j * self.d_dy(F))
+        return self._wirtinger_part(F, np.add)
+
+    def _wirtinger_part(self, F: np.ndarray, op) -> np.ndarray:
+        """0.5 * op(d_dx F, 1j * d_dy F), formed in place in d_dy F."""
+        out = _times_i(self.d_dy(F))
+        op(self.d_dx(F), out, out=out)
+        return np.multiply(0.5, out, out=out)
 
     def wirtinger(self, F: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(d_dz F, d_dzbar F) from one d_dx and one d_dy of F, with the
         values of ``d_dz`` and ``d_dzbar``."""
-        fx, fy = self.d_dx(F), self.d_dy(F)
-        return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+        fx, ify = self.d_dx(F), _times_i(self.d_dy(F))
+        dz = np.subtract(fx, ify)
+        dzbar = np.add(fx, ify, out=ify)
+        return np.multiply(0.5, dz, out=dz), np.multiply(0.5, dzbar, out=dzbar)
 
     def laplacian(self, F: np.ndarray) -> np.ndarray:
-        """Five-point Laplacian; on a rectangle the boundary ring is garbage
-        and must be masked by the caller."""
+        """Five-point Laplacian, formed in place in its output with two
+        F-sized temporaries; on a rectangle the boundary ring is zero, not
+        the Laplacian there, and the caller masks it."""
+        F = np.asarray(F, dtype=np.result_type(F, 1.0))  # integers as floats
         if self.periodic:
             twice = 2 * F
             fxx = _neighbours(F, 0, np.add)
@@ -100,17 +111,25 @@ class DomainGrid:
             fxx += fyy
             return fxx
         out = np.zeros_like(F)
-        out[1:-1, 1:-1] = (
-            (F[2:, 1:-1] + F[:-2, 1:-1] - 2 * F[1:-1, 1:-1]) / self.dx**2
-            + (F[1:-1, 2:] + F[1:-1, :-2] - 2 * F[1:-1, 1:-1]) / self.dy**2
-        )
+        fxx = np.add(F[2:, 1:-1], F[:-2, 1:-1], out=out[1:-1, 1:-1])
+        twice = 2 * F[1:-1, 1:-1]
+        fxx -= twice
+        fxx /= self.dx**2
+        fyy = F[1:-1, 2:] + F[1:-1, :-2]
+        fyy -= twice
+        fyy /= self.dy**2
+        fxx += fyy
         return out
 
     def max_norm(self, F: np.ndarray) -> float:
         """Infinity norm over nodes, boundary ring excluded on rectangles."""
-        mask = self.interior_mask()
-        vals = np.abs(F[mask])
+        vals = np.abs(F if self.periodic else F[1:-1, 1:-1])
         return float(vals.max()) if vals.size else 0.0
+
+
+def _times_i(F: np.ndarray) -> np.ndarray:
+    """1j * F, in place when F is complex."""
+    return np.multiply(1j, F, out=F if F.dtype.kind == "c" else None)
 
 
 def _neighbours(F: np.ndarray, axis: int, op) -> np.ndarray:
@@ -253,15 +272,19 @@ def random_trig_field(
 
 def write_field_binary(path: str, hfield: HFieldGrid) -> None:
     """Raw format: magic 'TODA', u32 nx, u32 ny, u32 l, little-endian f64
-    values in row-major (ix, iy, component) order."""
+    values in row-major (ix, iy, component) order, written from the
+    array's own buffer when it is already laid out so."""
     v = hfield.values
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", v.shape[0], v.shape[1], v.shape[2]))
-        fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(v, dtype="<f8")).cast("B"))
 
 
 def read_field_binary(path: str, grid: Optional[DomainGrid] = None) -> HFieldGrid:
+    """The field of a raw file (``write_field_binary``), read straight into
+    one (nx, ny, l) array once the file's size is checked against its
+    header."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -270,14 +293,15 @@ def read_field_binary(path: str, grid: Optional[DomainGrid] = None) -> HFieldGri
         if len(header) != 12:
             raise ValueError(f"{path}: truncated header")
         nx, ny, l = struct.unpack("<III", header)
-        payload = fh.read()
-    size = 8 * nx * ny * l
-    if len(payload) < size:
-        raise ValueError(f"{path}: truncated payload")
-    if len(payload) > size:
-        raise ValueError(f"{path}: {len(payload) - size} bytes past the end of the payload")
-    data = np.frombuffer(payload, dtype="<f8")
-    values = data.reshape(nx, ny, l).astype(float)
+        size, payload = 8 * nx * ny * l, os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload < size:
+            raise ValueError(f"{path}: truncated payload")
+        if payload > size:
+            raise ValueError(f"{path}: {payload - size} bytes past the end of the payload")
+        data = np.empty((nx, ny, l), dtype="<f8")
+        if fh.readinto(memoryview(data).cast("B")) != size:
+            raise ValueError(f"{path}: truncated payload")
+    values = data.astype(float, copy=False)  # a copy only on a big-endian host
     if grid is None:
         grid = DomainGrid.make("torus", nx, ny)
     if (grid.nx, grid.ny) != (nx, ny):

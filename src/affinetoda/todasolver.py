@@ -150,24 +150,44 @@ class _TodaData:
         self.slots = None
 
     def exponentials(self, vals: np.ndarray, q2: np.ndarray):
+        """(r_i e^{2 alpha_i(vals)}, q2 e^{-2 delta(vals)}), each formed in
+        place in its own output."""
         av = vals @ self.P.T
         dv = av @ self.delta_marks
-        return self.r * np.exp(2 * av), q2 * np.exp(-2 * dv)
+        av *= 2
+        np.exp(av, out=av)
+        av *= self.r
+        dv *= -2
+        np.exp(dv, out=dv)
+        dv *= q2
+        return av, dv
 
     def pointwise_residual(self, exps: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """The pointwise term at the point whose exponentials are ``exps``."""
+        """The pointwise term at the point whose exponentials are ``exps``,
+        formed in place in its output."""
         expo, exp0 = exps
-        return expo - exp0[..., None] * self.delta_co
+        out = exp0[..., None] * self.delta_co
+        return np.subtract(expo, out, out=out)
+
+
+def _zero_ring(F: np.ndarray) -> None:
+    """Zero the boundary ring of a rectangle's grid array, in place."""
+    F[0] = F[-1] = 0.0
+    F[:, 0] = F[:, -1] = 0.0
 
 
 def residual(
     data: _TodaData, grid: DomainGrid, vals: np.ndarray, exps: Tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """R(Omega) on the grid, zero on the boundary ring of a rectangle, with
-    ``exps = data.exponentials(vals, q2)``."""
-    R = -0.5 * grid.laplacian(vals) + data.pointwise_residual(exps)
+    ``exps = data.exponentials(vals, q2)``.  The Laplacian's output becomes
+    R in place: working memory is R, the Laplacian's two temporaries and
+    then the pointwise term."""
+    R = grid.laplacian(vals)
+    R *= -0.5
+    R += data.pointwise_residual(exps)
     if not grid.periodic:
-        R[~grid.interior_mask()] = 0.0
+        _zero_ring(R)
     return R
 
 
@@ -175,13 +195,23 @@ def jacobian_apply(
     data: _TodaData, grid: DomainGrid, exps: Tuple[np.ndarray, np.ndarray], s: np.ndarray
 ) -> np.ndarray:
     """Directional derivative of the residual along s, at the point whose
-    pointwise exponentials are ``exps = data.exponentials(vals, q2)``."""
+    pointwise exponentials are ``exps = data.exponentials(vals, q2)``:
+    -(1/2) Lap s + 2 expo alpha(s) + 2 exp0 delta(s) delta_co, its terms
+    added in that order into the Laplacian's output.  Doubling is exact,
+    so (2 alpha(s)) expo is (2 expo) alpha(s) bit for bit."""
     expo, exp0 = exps
+    out = grid.laplacian(s)
+    out *= -0.5
     a_s = s @ data.P.T
     d_s = a_s @ data.delta_marks
-    out = -0.5 * grid.laplacian(s) + 2 * expo * a_s + 2 * (exp0 * d_s)[..., None] * data.delta_co
+    a_s *= 2
+    a_s *= expo
+    out += a_s
+    d_s *= exp0
+    d_s *= 2
+    out += np.multiply(d_s[..., None], data.delta_co, out=a_s)
     if not grid.periodic:
-        out[~grid.interior_mask()] = 0.0
+        _zero_ring(out)
     return out
 
 
@@ -243,12 +273,21 @@ def _initial_field(cfg: SolverConfig, data: _TodaData, q2: np.ndarray) -> HField
 
 def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
     """Unnormalized DST-I along ``axis``: minus the imaginary part of the
-    FFT of the odd extension [0, a, 0, -a reversed].  It is its own inverse
-    up to the factor 2 (n + 1)."""
+    FFT of the odd extension [0, a, 0, -a reversed], sliced into one array.
+    It is its own inverse up to the factor 2 (n + 1)."""
     n = a.shape[axis]
-    zero = np.zeros_like(np.take(a, [0], axis=axis))
-    ext = np.concatenate([zero, a, zero, -np.flip(a, axis=axis)], axis=axis)
-    return -np.take(np.fft.rfft(ext, axis=axis).imag, np.arange(1, n + 1), axis=axis)
+
+    def along(part: slice) -> tuple:
+        return (slice(None),) * axis + (part,)
+
+    shape = list(a.shape)
+    shape[axis] = 2 * n + 2
+    ext = np.zeros(shape, dtype=a.dtype)
+    ext[along(slice(1, n + 1))] = a
+    np.negative(np.flip(a, axis=axis), out=ext[along(slice(n + 2, None))])
+    spec = np.fft.rfft(ext, axis=axis)
+    del ext
+    return -spec.imag[along(slice(1, n + 1))]
 
 
 def _generalized_eigh(B: np.ndarray, G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -272,8 +311,11 @@ def _mean_field_preconditioner(
     where lam_k is the mode's eigenvalue of the five-point -Lap.  Boundary
     slots of a rectangle pass through unchanged.
     """
-    interior = grid.interior_mask()
-    expo, exp0 = exps[0][interior], exps[1][interior]
+    if grid.periodic:  # every node: the means read the arrays themselves
+        expo, exp0 = exps[0].reshape(-1, data.rs.rank), exps[1].reshape(-1)
+    else:
+        interior = grid.interior_mask()
+        expo, exp0 = exps[0][interior], exps[1][interior]
     dP = data.delta_marks @ data.P  # delta(h_a)
     B = data.G @ (
         2 * expo.mean(axis=0)[:, None] * data.P
@@ -291,13 +333,23 @@ def _mean_field_preconditioner(
     inv_symbol = 1.0 / (0.5 * lam[..., None] + mu)
 
     def apply(r: np.ndarray) -> np.ndarray:
+        # each transform is taken one axis at a time, as rfft2 and irfft2
+        # take it, so that the input of each is freed once it is done
         if grid.periodic:
-            spec = np.fft.rfft2(r @ V, axes=(0, 1)) * inv_symbol
-            return np.fft.irfft2(spec, s=(grid.nx, grid.ny), axes=(0, 1)) @ V.T
+            spec = np.fft.rfft(r @ V, axis=1)
+            spec = np.fft.fft(spec, axis=0)
+            spec *= inv_symbol
+            spec = np.fft.ifft(spec, axis=0)
+            spec = np.fft.irfft(spec, n=grid.ny, axis=1)
+            return spec @ V.T
+        spec = _dst1(r[1:-1, 1:-1] @ V, 0)
+        spec = _dst1(spec, 1)
+        spec *= inv_symbol
+        spec = _dst1(spec, 0)
+        spec = _dst1(spec, 1)
+        spec /= 4 * (grid.nx - 1) * (grid.ny - 1)
         z = r.copy()
-        spec = _dst1(_dst1(r[1:-1, 1:-1] @ V, 0), 1) * inv_symbol
-        scale = 4 * (grid.nx - 1) * (grid.ny - 1)
-        z[1:-1, 1:-1] = (_dst1(_dst1(spec, 0), 1) / scale) @ V.T
+        z[1:-1, 1:-1] = spec @ V.T
         return z
 
     return apply
@@ -310,18 +362,19 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _newton_step(
-    data: _TodaData, grid: DomainGrid, exps: Tuple[np.ndarray, np.ndarray], R: np.ndarray
+    data: _TodaData, grid: DomainGrid, exps: Tuple[np.ndarray, np.ndarray], r: np.ndarray
 ) -> Tuple[np.ndarray, int]:
     """Solve the symmetrized Newton system G J s = -G R by preconditioned
     CG from s = 0, stopping when |r| < 1e-12 |G R|, with the spectral
     mean-field preconditioner, at the iterate whose exponentials are
-    ``exps`` and whose residual is R.  R and every matvec vanish on the
-    boundary ring of a rectangle, and the preconditioner passes the ring
-    through, so the step is zero there.  Returns the step and the number
-    of CG iterations."""
+    ``exps``; ``r = -(R @ G)`` for its residual R, and CG overwrites it.
+    R and every matvec vanish on the boundary ring of a rectangle, and the
+    preconditioner passes the ring through, so the step is zero there.
+    Every update is formed in place: CG holds s, r and p, and z and G J p
+    only while it needs them.  Returns the step and the number of CG
+    iterations."""
     G = data.G
     precond = _mean_field_preconditioner(data, grid, exps)
-    r = -(R @ G)
     x = np.zeros_like(r)
     atol = 1e-12 * np.sqrt(_dot(r, r))
     maxiter = 40 * max(grid.nx, grid.ny)
@@ -330,11 +383,18 @@ def _newton_step(
             return x, it
         z = precond(r)
         rho = _dot(r, z)
-        p = z if it == 0 else z + (rho / rho_prev) * p
+        if it == 0:
+            p = z
+        else:  # p = z + (rho / rho_prev) p
+            p *= rho / rho_prev
+            p += z
+        del z
         Hp = jacobian_apply(data, grid, exps, p) @ G  # G is symmetric
         alpha = rho / _dot(p, Hp)
-        x += alpha * p
-        r -= alpha * Hp
+        Hp *= alpha
+        r -= Hp
+        x += np.multiply(p, alpha, out=Hp)
+        del Hp
         rho_prev = rho
     raise RuntimeError(f"inner CG did not converge (info={maxiter})")
 
@@ -376,20 +436,26 @@ def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
             stall += 1
             if stall >= 6:
                 break  # diverged / stagnated
-        s, cg_its = _newton_step(data, grid, exps, R)
+        r = R @ data.G
+        del R  # the step reads -(R @ G) alone
+        s, cg_its = _newton_step(data, grid, exps, np.negative(r, out=r))
+        del r, exps  # a trial forms its own
         cg_iterations.append(cg_its)
         t = cfg.damping
         while t > 1e-12:
-            trial = vals + t * s
+            trial = s * t  # vals + t s
+            trial += vals
             trial_exps = data.exponentials(trial, q2)
             Rt = residual(data, grid, trial, trial_exps)
             trial_norm2 = float((Rt * Rt).sum())
             if trial_norm2 <= (1 - 1e-4 * t) * norm2:
                 break
+            del trial, trial_exps, Rt  # before the next trial is formed
             t *= 0.5
         else:
             break  # no acceptable step: give up, report non-converged
         vals, exps, R, norm2 = trial, trial_exps, Rt, trial_norm2
+        del s, trial, trial_exps, Rt  # the next step frees R and exps as it goes
 
     return Solution(
         omega=HFieldGrid(grid, vals),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -83,6 +85,17 @@ def dense_bracket(slots, X, Y):
     xs, ys = ([Z[..., d] for d in range(slots.n)] for Z in (X, Y))
     terms = slots.terms(*(Z.reshape(-1, slots.n).any(axis=0) for Z in (X, Y)))
     return _bracket(xs, ys, terms, 0, slots.n)
+
+
+def _traced_peak(fn):
+    """The peak of the memory numpy and Python allocate while ``fn()`` runs,
+    in bytes, as tracemalloc traces it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 _AD_CACHE = {}

@@ -22,6 +22,21 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_fft_output_arrays():
+    """No FFT call passes ``out=``: numpy's FFTs take it from numpy 2.0 on,
+    while the package allows numpy 1.24, and in numpy 2.4.6
+    ``irfft2(..., axes=(0, 1), out=buf)`` neither fills nor returns ``buf``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and "fft" in ast.unparse(node.func)
+        and any(keyword.arg == "out" for keyword in node.keywords)
+    ]
+    assert found == []
+
+
 def test_no_dataclasses_imports():
     """No module imports ``dataclasses``, at module level or inside a
     function: it loads ``inspect``, ``ast``, ``dis`` and ``tokenize``, about

@@ -21,6 +21,7 @@ from affinetoda.todasolver import (
     sigma_symmetry_defect,
     solve,
 )
+from conftest import _traced_peak
 from oracles import uniqueness_probe
 
 
@@ -170,7 +171,7 @@ class TestScipyReferences:
         ).sample(grid).values
         exps = data.exponentials(vals, q2)
         R = residual(data, grid, vals, exps)
-        step, iters = _newton_step(data, grid, exps, R)
+        step, iters = _newton_step(data, grid, exps, -(R @ data.G))
 
         shape, interior = vals.shape, grid.interior_mask()
 
@@ -381,6 +382,26 @@ class TestSolve:
         sol = solve(cfg, data)
         assert sol.converged
         assert summary_norms(sol.omega, cfg.q, data)["curvature"] <= 10 * cfg.tol
+
+
+@pytest.mark.parametrize("n, topology, bound", [(128, "torus", 11), (64, "rectangle", 16)])
+def test_solve_working_memory(n, topology, bound, algebra):
+    """The Newton loop forms its temporaries in place in arrays it holds
+    anyway and frees R once CG's r = -(R @ G) exists: a second A2 solve
+    peaks at no more than 11 fields on a 128^2 torus and 16 on a 64^2
+    rectangle (15.3 and 20.5 with a new array for every update), a field
+    being the n^2 l float64 values of Omega."""
+    rs, _, _, _ = algebra("A2")
+    cfg = SolverConfig(
+        grid=DomainGrid.make(topology, n, n),
+        q=QDifferential.constant(0.8 - 0.3j, coxeter_number(rs)),
+        init=InitSpec("perturbed", seed=1, amplitude=0.2),
+    )
+    data = _TodaData(rs)
+    solve(cfg, data)  # per-type caches
+    peak = _traced_peak(lambda: solve(cfg, data))
+    field = n * n * rs.rank * 8
+    assert peak <= bound * field, peak / field
 
 
 class TestNewtonCG:
