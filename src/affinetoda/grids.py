@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import stat
 import struct
 from typing import Optional, Sequence, Tuple
 
@@ -53,13 +54,6 @@ class DomainGrid:
         y = np.arange(self.ny) * self.dy
         return np.meshgrid(x, y, indexing="ij")
 
-    def interior_mask(self) -> np.ndarray:
-        m = np.ones((self.nx, self.ny), dtype=bool)
-        if not self.periodic:
-            m[0, :] = m[-1, :] = False
-            m[:, 0] = m[:, -1] = False
-        return m
-
     # -- derivatives -----------------------------------------------------
     def d_dx(self, F: np.ndarray) -> np.ndarray:
         if self.periodic:
@@ -98,8 +92,10 @@ class DomainGrid:
     def laplacian(self, F: np.ndarray) -> np.ndarray:
         """Five-point Laplacian, formed in place in its output with two
         F-sized temporaries; on a rectangle the boundary ring is zero, not
-        the Laplacian there, and the caller masks it."""
-        F = np.asarray(F, dtype=np.result_type(F, 1.0))  # integers as floats
+        the Laplacian there, and the caller masks it.  Integer input gives
+        a float Laplacian on both topologies (scipy's ``LinearOperator``
+        probes a matvec with an int8 vector)."""
+        F = np.asarray(F, dtype=np.result_type(F, 1.0))
         if self.periodic:
             twice = 2 * F
             fxx = _neighbours(F, 0, np.add)
@@ -278,13 +274,13 @@ def write_field_binary(path: str, hfield: HFieldGrid) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", v.shape[0], v.shape[1], v.shape[2]))
-        fh.write(memoryview(np.ascontiguousarray(v, dtype="<f8")).cast("B"))
+        fh.write(np.ascontiguousarray(v, dtype="<f8"))
 
 
 def read_field_binary(path: str, grid: Optional[DomainGrid] = None) -> HFieldGrid:
     """The field of a raw file (``write_field_binary``), read straight into
-    one (nx, ny, l) array once the file's size is checked against its
-    header."""
+    one (nx, ny, l) array; a regular file's size is checked against its
+    header first, a pipe's payload as it is read."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -293,14 +289,15 @@ def read_field_binary(path: str, grid: Optional[DomainGrid] = None) -> HFieldGri
         if len(header) != 12:
             raise ValueError(f"{path}: truncated header")
         nx, ny, l = struct.unpack("<III", header)
-        size, payload = 8 * nx * ny * l, os.fstat(fh.fileno()).st_size - fh.tell()
-        if payload < size:
+        size, st = 8 * nx * ny * l, os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() < size:
             raise ValueError(f"{path}: truncated payload")
-        if payload > size:
-            raise ValueError(f"{path}: {payload - size} bytes past the end of the payload")
         data = np.empty((nx, ny, l), dtype="<f8")
-        if fh.readinto(memoryview(data).cast("B")) != size:
+        if fh.readinto(data) != size:
             raise ValueError(f"{path}: truncated payload")
+        extra = len(fh.read())
+        if extra:
+            raise ValueError(f"{path}: {extra} bytes past the end of the payload")
     values = data.astype(float, copy=False)  # a copy only on a big-endian host
     if grid is None:
         grid = DomainGrid.make("torus", nx, ny)

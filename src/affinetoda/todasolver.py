@@ -311,11 +311,9 @@ def _mean_field_preconditioner(
     where lam_k is the mode's eigenvalue of the five-point -Lap.  Boundary
     slots of a rectangle pass through unchanged.
     """
-    if grid.periodic:  # every node: the means read the arrays themselves
-        expo, exp0 = exps[0].reshape(-1, data.rs.rank), exps[1].reshape(-1)
-    else:
-        interior = grid.interior_mask()
-        expo, exp0 = exps[0][interior], exps[1][interior]
+    # the means run over every node of a torus, the interior of a rectangle
+    inner = exps if grid.periodic else (exps[0][1:-1, 1:-1], exps[1][1:-1, 1:-1])
+    expo, exp0 = inner[0].reshape(-1, data.rs.rank), inner[1].reshape(-1)
     dP = data.delta_marks @ data.P  # delta(h_a)
     B = data.G @ (
         2 * expo.mean(axis=0)[:, None] * data.P

@@ -143,6 +143,15 @@ def normalize_cyclic(alg, X):
     return xi, complex(lam)
 
 
+def interior_mask(grid):
+    """True on every node of a torus and on the interior of a rectangle."""
+    m = np.ones((grid.nx, grid.ny), dtype=bool)
+    if not grid.periodic:
+        m[0, :] = m[-1, :] = False
+        m[:, 0] = m[:, -1] = False
+    return m
+
+
 def chart_transition(values, g, heights, form_degree=0):
     """Transport coefficients between charts, over slots whose roots have
     the given ``heights`` (0 on the Cartan).
@@ -186,7 +195,7 @@ def restricted_toda_residual(omega, q, rest):
     delta_co = np.array([float(c) for c in rs.coroot(rs.highest_root)])
     R = R - (q2 * np.exp(-2 * dvals))[..., None] * delta_co
     if not grid.periodic:
-        R[~grid.interior_mask()] = 0.0
+        R[~interior_mask(grid)] = 0.0
     return R
 
 

@@ -1,4 +1,6 @@
 """Connection layer: gauges, curvature, residuals, chart transitions, I/O."""
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -51,6 +53,7 @@ from oracles import (
     equivalence_defect,
     gauge_covariance_defect,
     gauge_transform,
+    interior_mask,
 )
 
 
@@ -307,7 +310,7 @@ def test_blocked_curvature_norm_is_the_whole_grid_norm(
     F = curvature(conn)
     curv, res, mismatch = equivalence_defect(omega, qd, data, F)
     assert summary_norms(omega, qd, data) == {"curvature": curv, "residual": res}
-    inner = grid.interior_mask()
+    inner = interior_mask(grid)
     got = _block_maxima(omega, qd, data)
     assert np.array_equal(got["curvature"][inner], np.abs(F).max(axis=-1)[inner])
     R = elliptic_residual(omega, qd, rs)
@@ -840,6 +843,39 @@ def test_field_io_working_memory(tmp_path):
     assert write_peak < 0.1 * field, write_peak / field
     read_peak = _traced_peak(lambda: read_field_binary(p, grid))
     assert read_peak < 1.25 * field, read_peak / field
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("tail", ["whole", "cut", "extra"])
+def test_field_file_reads_from_a_pipe(tmp_path, rng, tail):
+    """A pipe has no size to check against the header: its payload reads
+    back in full, and a short or over-long one gives the file's errors."""
+    grid = DomainGrid.make("torus", 64, 40)
+    vals = rng.standard_normal((64, 40, 3))  # larger than a pipe's buffer
+    p = str(tmp_path / "omega.bin")
+    write_field_binary(p, HFieldGrid(grid, vals))
+    with open(p, "rb") as fh:
+        whole = fh.read()
+    payload = {"whole": whole, "cut": whole[:-5], "extra": whole + bytes(7)}[tail]
+    fifo = str(tmp_path / "omega.fifo")
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            for i in range(0, len(payload), 4096):
+                fh.write(payload[i : i + 4096])
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        if tail == "whole":
+            assert read_field_binary(fifo, grid).values.tobytes() == vals.tobytes()
+        else:
+            error = "truncated payload" if tail == "cut" else "7 bytes past the end of the payload"
+            with pytest.raises(ValueError, match=f"^{fifo}: {error}$"):
+                read_field_binary(fifo, grid)
+    finally:
+        writer.join()
 
 
 def test_bad_gauge_and_degree(algebra):
