@@ -3,15 +3,10 @@
 The projection r(alpha) = (alpha + nu(alpha)) / 2 maps the simple roots
 onto the dual space of the symmetry-fixed Cartan subspace.  Together with
 the lowered highest root the projected system carries a generalized
-Cartan matrix of affine type, which is classified by matching against a
-catalog of affine matrices up to simultaneous node permutation.
-
-Catalog contents: every extended (untwisted) diagram of the supported
-rank range under the standard naming (B only from rank 3 and D only from
-rank 4, since B2 = C2 and D3 = A3), plus the one twisted family the
-projection can produce, whose matrices are generated from the chain
-pattern with a doubled bond at both ends (quadruple bond for the smallest
-member).
+Cartan matrix of affine type.  Its Kac name follows from the base type
+and whether the symmetry moves nodes, by the rule in ``classify_affine``;
+the tests check the rule on every supported type against a matcher of
+affine matrices up to node permutation.
 
 All of it is exact integer and Fraction work: the module never imports
 numpy.  ``RestrictedSystem.coroot_coords`` and ``weights`` pin the folded
@@ -19,17 +14,10 @@ field equation, whose residual the tests check against the solver's.
 """
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .rootdata import (
-    DiagramAutomorphism,
-    LieType,
-    RootSystem,
-    affine_cartan,
-    build_root_system,
-)
+from .rootdata import DiagramAutomorphism, RootSystem, affine_cartan
 
 Vec = Tuple[Fraction, ...]
 
@@ -41,7 +29,7 @@ class RestrictedSystem:
         nu: DiagramAutomorphism,
         restricted_roots: Tuple[Vec, ...],
         orbits: Tuple[Tuple[int, ...], ...],
-        coroot_coords: Tuple[Vec, ...],
+        coroot_coords: Tuple[Tuple[int, ...], ...],
         weights: Tuple[Fraction, ...],
         gcm: Tuple[Tuple[int, ...], ...],
         label: str,
@@ -50,7 +38,7 @@ class RestrictedSystem:
         self.nu = nu
         self.restricted_roots = restricted_roots  # deduplicated projections of the simple roots
         self.orbits = orbits  # simple-root indices over each projection
-        self.coroot_coords = coroot_coords  # dual vectors over the simple coroots
+        self.coroot_coords = coroot_coords  # coroots of the projections over the simple coroots
         self.weights = weights  # constants pinning the folded equation
         self.gcm = gcm  # affine matrix, lowered-root node first
         self.label = label
@@ -65,12 +53,6 @@ def project(rs: RootSystem, nu: DiagramAutomorphism, alpha: Sequence[Fraction]) 
         out[i] += c / 2
         out[nu.apply_index(i)] += c / 2
     return tuple(out)
-
-
-def _dual_coords(rs: RootSystem, beta: Vec) -> Vec:
-    """Coordinates of the dual vector of beta over the simple coroots."""
-    hn = rs.dot(beta, beta) / 2
-    return tuple(Fraction(beta[a]) * rs.norms[a] / hn for a in range(rs.rank))
 
 
 def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
@@ -116,10 +98,10 @@ def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
     # on symmetry-fixed fields: sum over an orbit of r_i h_i must be a
     # rational multiple of the dual vector of the projection
     r = rs.x_coefficients
-    coroots: List[Vec] = []
+    coroots: List[Tuple[int, ...]] = []
     weights: List[Fraction] = []
     for beta, orbit in zip(projections, orbits):
-        dual = _dual_coords(rs, beta)
+        dual = rs.coroot(beta)
         lhs = [Fraction(0)] * l
         for i in orbit:
             lhs[i] += r[i]
@@ -145,99 +127,28 @@ def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
     return rest
 
 
-# ---------------------------------------------------------------------------
-# affine catalog and matching
-# ---------------------------------------------------------------------------
-
-
-def _twisted_chain_gcm(n: int) -> Tuple[Tuple[int, ...], ...]:
-    """The twisted family reached by folding the even A types (n+1 nodes)."""
-    if n == 1:
-        return ((2, -1), (-4, 2))
-    M = [[2 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
-    for i in range(n):
-        M[i][i + 1] = -1
-        M[i + 1][i] = -1
-    M[1][0] = -2
-    M[n][n - 1] = -2
-    return tuple(tuple(row) for row in M)
-
-
-@functools.lru_cache(maxsize=None)
-def affine_catalog(size: int) -> Tuple[Tuple[str, Tuple[Tuple[int, ...], ...]], ...]:
-    """The catalog entries with ``size`` nodes, in catalog order."""
-    names = (
-        [f"A{n}" for n in range(1, 9)]
-        + [f"B{n}" for n in range(3, 9)]
-        + [f"C{n}" for n in range(2, 9)]
-        + [f"D{n}" for n in range(4, 9)]
-        + ["E6", "E7", "E8", "F4", "G2"]
-    )
-    entries = []
-    for name in names:
-        if int(name[1:]) == size - 1:  # an extended diagram has rank + 1 nodes
-            aff = affine_cartan(build_root_system(LieType.parse(name)))
-            entries.append((aff.kac_label, aff.gcm))
-    entries += [(f"A{2*n}(2)", _twisted_chain_gcm(n)) for n in range(1, 5) if n == size - 1]
-    return tuple(entries)
-
-
-def gcm_permutation_equivalent(
-    M1: Sequence[Sequence[int]], M2: Sequence[Sequence[int]]
-) -> bool:
-    """Simultaneous row/column permutation matching with signature pruning."""
-    n = len(M1)
-    if len(M2) != n:
-        return False
-
-    def signature(M, i):
-        return (tuple(sorted(M[i])), tuple(sorted(M[j][i] for j in range(n))))
-
-    sig1 = [signature(M1, i) for i in range(n)]
-    sig2 = [signature(M2, i) for i in range(n)]
-    if sorted(sig1) != sorted(sig2):
-        return False
-    candidates = [[j for j in range(n) if sig2[j] == sig1[i]] for i in range(n)]
-
-    assign: List[int] = []
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        for j in candidates[i]:
-            if j in assign:
-                continue
-            if all(
-                M1[i][k] == M2[j][assign[k]] and M1[k][i] == M2[assign[k]][j]
-                for k in range(i)
-            ):
-                assign.append(j)
-                if backtrack(i + 1):
-                    return True
-                assign.pop()
-        return False
-
-    return backtrack(0)
-
-
 def classify_affine(rest: RestrictedSystem) -> str:
     """Kac name of the projected affine matrix.
 
-    A trivial symmetry always yields the extended diagram of the base type
-    and keeps the base's name (rank-2 overlaps such as B2 = C2 are
-    resolved in favor of the base); otherwise the matrix is matched
-    against the catalog up to node permutation.
+    A symmetry that moves no node yields the extended diagram of the base
+    type and keeps the base's name (rank-2 overlaps such as B2 = C2 are
+    resolved in favor of the base).  One that moves nodes folds A_2k to
+    A_2k(2), A_2k-1 to C_k(1), D3 = A3 to C2(1), D_l (l >= 4) to B_l-1(1)
+    and E6 to F4(1) (Kac, ch. 8).
     """
     base = rest.base.type
-    if rest.nu.is_identity:
-        if rest.gcm != affine_cartan(rest.base).gcm:
+    l = base.rank
+    # the orbits decide; a permutation tagged trivial that moves nodes
+    # fails the matrix check rather than take a folded name
+    if rest.nu.is_identity or all(len(orbit) == 1 for orbit in rest.orbits):
+        aff = affine_cartan(rest.base)
+        if rest.gcm != aff.gcm:
             raise RuntimeError(f"{base}: trivial folding changed the affine matrix")
-        return f"{base.family}{base.rank}(1)"
-    for label, gcm in affine_catalog(len(rest.gcm)):
-        if gcm_permutation_equivalent(rest.gcm, gcm):
-            return label
-    raise ValueError(
-        f"projected matrix of {base} matches no affine catalog entry; "
-        "the projection is broken"
-    )
-
+        return aff.kac_label
+    if base.family == "A":
+        return f"A{l}(2)" if l % 2 == 0 else f"C{(l + 1) // 2}(1)"
+    if base.family == "D":
+        return "C2(1)" if l == 3 else f"B{l - 1}(1)"
+    if base.family == "E" and l == 6:
+        return "F4(1)"
+    raise ValueError(f"{base}: no folded affine type for a symmetry that moves nodes")

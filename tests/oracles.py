@@ -5,16 +5,20 @@ as dense vectors and matrices (basis vectors, root characters, ad, the
 Killing form, the principal sl2 triple, sigma, the Coxeter phase map and
 the anti-involutions rho_hat and lambda_hat), cyclic elements of the
 phase-1 eigenspace and their torus normalisation, the chart transition of
-the Higgs field, the folded Toda residual and the uniqueness probe, and
+the Higgs field, the folded Toda residual and the uniqueness probe,
 the whole-grid flat Toda connection in the toda and higgs gauges with its
 curvature, gauge action and checks (the dense references of the row-block
 pass ``connection.check_norms``; each norm is the grid's ``max_norm``, so
-a rectangle's boundary ring is left out, as there).  The package itself
+a rectangle's boundary ring is left out, as there), and the catalog of
+affine matrices with its node-permutation matcher, the reference for the
+folded labels of ``restriction.classify_affine``.  The package itself
 needs none of them.  The dense algebra views read the
 table through ``ChevalleyAlgebra._table``, ``_killing_rows`` and
 ``_characters``, never its raw columns.
 """
+import functools
 import warnings
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from affinetoda.connection import (
     _e_minus,
     char_scale,
 )
-from affinetoda.rootdata import affine_cartan
+from affinetoda.rootdata import LieType, affine_cartan, build_root_system
 from affinetoda.todasolver import InitSpec, SolverConfig, residual, sigma_symmetry_defect, solve
 
 
@@ -391,3 +395,73 @@ def equivalence_defect(omega, q, data, F):
         grid.max_norm(np.abs(R).max(axis=-1)),
         grid.max_norm(mismatch),
     )
+
+
+def _twisted_chain_gcm(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The twisted family reached by folding the even A types (n+1 nodes)."""
+    if n == 1:
+        return ((2, -1), (-4, 2))
+    M = [[2 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
+    for i in range(n):
+        M[i][i + 1] = -1
+        M[i + 1][i] = -1
+    M[1][0] = -2
+    M[n][n - 1] = -2
+    return tuple(tuple(row) for row in M)
+
+
+@functools.lru_cache(maxsize=None)
+def affine_catalog(size: int) -> Tuple[Tuple[str, Tuple[Tuple[int, ...], ...]], ...]:
+    """The catalog entries with ``size`` nodes, in catalog order."""
+    names = (
+        [f"A{n}" for n in range(1, 9)]
+        + [f"B{n}" for n in range(3, 9)]
+        + [f"C{n}" for n in range(2, 9)]
+        + [f"D{n}" for n in range(4, 9)]
+        + ["E6", "E7", "E8", "F4", "G2"]
+    )
+    entries = []
+    for name in names:
+        if int(name[1:]) == size - 1:  # an extended diagram has rank + 1 nodes
+            aff = affine_cartan(build_root_system(LieType.parse(name)))
+            entries.append((aff.kac_label, aff.gcm))
+    entries += [(f"A{2*n}(2)", _twisted_chain_gcm(n)) for n in range(1, 5) if n == size - 1]
+    return tuple(entries)
+
+
+def gcm_permutation_equivalent(
+    M1: Sequence[Sequence[int]], M2: Sequence[Sequence[int]]
+) -> bool:
+    """Simultaneous row/column permutation matching with signature pruning."""
+    n = len(M1)
+    if len(M2) != n:
+        return False
+
+    def signature(M, i):
+        return (tuple(sorted(M[i])), tuple(sorted(M[j][i] for j in range(n))))
+
+    sig1 = [signature(M1, i) for i in range(n)]
+    sig2 = [signature(M2, i) for i in range(n)]
+    if sorted(sig1) != sorted(sig2):
+        return False
+    candidates = [[j for j in range(n) if sig2[j] == sig1[i]] for i in range(n)]
+
+    assign: List[int] = []
+
+    def backtrack(i: int) -> bool:
+        if i == n:
+            return True
+        for j in candidates[i]:
+            if j in assign:
+                continue
+            if all(
+                M1[i][k] == M2[j][assign[k]] and M1[k][i] == M2[assign[k]][j]
+                for k in range(i)
+            ):
+                assign.append(j)
+                if backtrack(i + 1):
+                    return True
+                assign.pop()
+        return False
+
+    return backtrack(0)

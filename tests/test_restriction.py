@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from affinetoda.grids import DomainGrid, HFieldGrid, QDifferential, random_trig_field
-from affinetoda.restriction import gcm_permutation_equivalent, project, restrict
-from affinetoda.rootdata import coxeter_number, diagram_automorphism
+from affinetoda.restriction import project, restrict
+from affinetoda.rootdata import DiagramAutomorphism, coxeter_number, diagram_automorphism
 from affinetoda.todasolver import sigma_symmetry_defect
-from conftest import elliptic_residual
-from oracles import restricted_toda_residual
+from conftest import ALL_TYPES, elliptic_residual
+from oracles import affine_catalog, gcm_permutation_equivalent, restricted_toda_residual
 
 TABLE = [
     ("A2", "A2(2)"),
@@ -90,6 +90,50 @@ def test_a2_explicit_gcm(algebra):
     assert rest.gcm == ((2, -1), (-4, 2)) or rest.gcm == ((2, -4), (-1, 2))
 
 
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_label_is_the_only_catalog_match(name, algebra):
+    """The rule names the one affine matrix of the projection's size that
+    matches the projected matrix up to node permutation.  The catalog has
+    no B2, so B2's own extended diagram matches as C2(1)."""
+    rs, _, _, _ = algebra(name)
+    rest = restrict(rs, diagram_automorphism(rs))
+    matches = [
+        label for label, gcm in affine_catalog(len(rest.gcm))
+        if gcm_permutation_equivalent(rest.gcm, gcm)
+    ]
+    if name == "B2":
+        assert (rest.label, matches) == ("B2(1)", ["C2(1)"])
+    else:
+        assert matches == [rest.label]
+
+
+@pytest.mark.parametrize(
+    "name,perm,order,expected",
+    [
+        ("D4", (2, 1, 0, 3), 2, "B3(1)"),
+        ("D4", (3, 1, 2, 0), 2, "B3(1)"),
+        ("D4", (0, 1, 3, 2), 2, "B3(1)"),
+        ("D6", (0, 1, 2, 3, 5, 4), 2, "B5(1)"),
+        ("D8", (0, 1, 2, 3, 4, 5, 7, 6), 2, "B7(1)"),
+        ("D4", (2, 1, 3, 0), 3, RuntimeError),  # orbit sums not proportional
+        ("D4", (3, 1, 0, 2), 3, RuntimeError),
+        ("A3", (2, 1, 0), 1, RuntimeError),  # tagged trivial, moves nodes
+        ("A3", (0, 1, 2), 2, "A3(1)"),  # moves no node, tagged order 2
+    ],
+)
+def test_symmetries_outside_the_default(name, perm, order, expected, algebra):
+    """Symmetries ``diagram_automorphism`` does not return: the other leg
+    transpositions of D4, the leg swap of D_even, the 3-cycles of D4, and
+    order tags that disagree with the permutation."""
+    rs, _, _, _ = algebra(name)
+    nu = DiagramAutomorphism(perm=perm, order=order)
+    if isinstance(expected, str):
+        assert restrict(rs, nu).label == expected
+    else:
+        with pytest.raises(expected):
+            restrict(rs, nu)
+
+
 def test_permutation_matcher():
     a = ((2, -1, 0), (-2, 2, -2), (0, -1, 2))
     b = ((2, 0, -1), (0, 2, -1), (-2, -2, 2))  # node order (2, 0, 1)
@@ -101,8 +145,6 @@ def test_permutation_matcher():
 
 def test_bad_permutation_rejected(algebra):
     rs, _, _, _ = algebra("A3")
-    from affinetoda.rootdata import DiagramAutomorphism
-
     bad = DiagramAutomorphism(perm=(1, 0, 2), order=2)
     with pytest.raises(ValueError):
         restrict(rs, bad)

@@ -336,6 +336,21 @@ def test_cli_imports_no_numeric_module_at_load_time():
     assert found & NUMERIC_MODULES == set()
 
 
+def test_folding_builds_no_root_system():
+    """The folding layer works on its input's root system alone: it names
+    the folded type by rule and builds no other root system, so it needs
+    neither a type parser nor a cache."""
+    tree = ast.parse((SRC / "restriction.py").read_text())
+    names = set(_references(tree))
+    names |= {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert names & {"build_root_system", "LieType", "lru_cache", "functools"} == set()
+
+
 def _tracing_methods():
     """The methods ``bench/tracing.py`` wraps by name, read from its
     ``METHODS`` table, as {(module, class, method)}."""
