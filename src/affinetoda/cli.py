@@ -209,10 +209,8 @@ def _solver_setup(opts: Dict[str, str]):
     data = todasolver._TodaData(_root_system(opts["type"]))
     nx, ny = _parse_pair(opts["grid"], "grid", int)
     cfg = todasolver.SolverConfig(
-        grid=grids.DomainGrid.make(
-            opts["topology"], nx, ny, _parse_pair(opts["extent"], "extent", float)
-        ),
-        q=grids.QDifferential.parse(opts["q"], rootdata.coxeter_number(data.rs)),
+        grid=grids.DomainGrid(opts["topology"], nx, ny, _parse_pair(opts["extent"], "extent", float)),
+        q=grids.QDifferential.parse(opts["q"]),
         tol=float(opts["tol"]),
         max_iter=int(opts["max_iter"]),
         damping=float(opts["damping"]),
@@ -345,17 +343,17 @@ def cmd_conn_check(args) -> int:
     if n < 24:
         raise ValueError(f"conn check needs --grid at least 24: its refinement check against "
                          f"n // 2 = {n // 2} is pre-asymptotic on coarser grids")
-    grid = grids.DomainGrid.make("torus", n, n)
+    grid = grids.DomainGrid("torus", n, n)
     nu = rootdata.diagram_automorphism(rs)
     field = grids.random_trig_field(rs.rank, seed=7, amplitude=0.15).symmetrized(nu.perm)
     omega = field.sample(grid)
-    q = grids.QDifferential.parse(args.q, rootdata.coxeter_number(rs))
+    q = grids.QDifferential.parse(args.q)
 
     rng = random.Random(13)
     hs = [[0.4 * rng.gauss(0.0, 1.0) for _ in range(rs.rank)] for _ in range(3)]
     norms = connection.check_norms(omega, q, data, hs)
     # same continuum field at half resolution: mismatch must shrink ~4x
-    omega2 = field.sample(grids.DomainGrid.make("torus", n // 2, n // 2))
+    omega2 = field.sample(grids.DomainGrid("torus", n // 2, n // 2))
     ratio = connection.check_norms(omega2, q, data)["mismatch"] / norms["mismatch"]
 
     checks = {

@@ -49,7 +49,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .grids import DomainGrid, HFieldGrid, QDifferential
-from .rootdata import RootSystem, coxeter_number
+from .rootdata import RootSystem
 from .todasolver import _TodaData
 
 
@@ -128,13 +128,10 @@ def char_scale(values: np.ndarray, H: np.ndarray, characters: np.ndarray) -> np.
     return np.multiply(values, scale, out=scale if scale.shape == values.shape else None)
 
 
-def _checked_slots(omega: HFieldGrid, q: QDifferential, data: _TodaData) -> TodaSlots:
-    """The ``TodaSlots`` of ``data.rs``, once q is checked to have the degree
-    of the Coxeter number and omega to be finite (ValueError otherwise).
-    They are built on the first call and kept as ``data.slots``: one build
-    per type, however many connections."""
-    if q.degree != coxeter_number(data.rs):
-        raise ValueError("q differential degree does not match the Coxeter number")
+def _checked_slots(omega: HFieldGrid, data: _TodaData) -> TodaSlots:
+    """The ``TodaSlots`` of ``data.rs``, once omega is checked to be finite
+    (ValueError otherwise).  They are built on the first call and kept as
+    ``data.slots``: one build per type, however many connections."""
     if not np.all(np.isfinite(omega.values)):
         raise ValueError("field contains non-finite values")
     if data.slots is None:
@@ -355,10 +352,9 @@ def _block_maxima(
       connection moved by exp(H); zero for no H.
 
     Zero on the boundary rows of a rectangle, which no block covers; on its
-    boundary columns they are not those of the whole grid.  q must have
-    the degree of the Coxeter number and omega must be finite (ValueError
-    otherwise)."""
-    grid, slots = omega.grid, _checked_slots(omega, q, data)
+    boundary columns they are not those of the whole grid.  omega must be
+    finite (ValueError otherwise)."""
+    grid, slots = omega.grid, _checked_slots(omega, data)
     qv = q.sample(grid)  # before the node maxima: a sample's temporaries are its peak
     keys = ["curvature", "residual"]
     if hs is not None:

@@ -12,7 +12,7 @@ import os
 import random
 import stat
 import struct
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -20,30 +20,22 @@ _MAGIC = b"TODA"
 
 
 class DomainGrid:
-    def __init__(self, topology: str, nx: int, ny: int, dx: float, dy: float, extent: tuple):
+    def __init__(self, topology: str, nx: int, ny: int, extent: Tuple[float, float] = (1.0, 1.0)):
         if topology not in ("torus", "rectangle"):
             raise ValueError(f"unknown topology {topology!r}")
-        if nx < 8 or ny < 8:
+        if nx < 8 or ny < 8:  # before the spacings divide by the size
             raise ValueError("grid must be at least 8x8")
-        if not (0 < dx < np.inf and 0 < dy < np.inf):  # NaN fails too
+        Lx, Ly = extent
+        cells = (nx, ny) if topology == "torus" else (nx - 1, ny - 1)  # a rectangle's nodes span it
+        self.dx, self.dy = Lx / cells[0], Ly / cells[1]
+        if not (0 < self.dx < np.inf and 0 < self.dy < np.inf):  # NaN fails too
             raise ValueError("grid spacings must be positive and finite")
         self.topology = topology  # "torus" | "rectangle"
         self.nx = nx
         self.ny = ny
-        self.dx = dx
-        self.dy = dy
         # the side lengths as given, a torus's periods: nx * dx need not be
         # bit-equal to them (49 * (1 / 49) != 1)
-        self.extent = extent
-
-    @staticmethod
-    def make(topology: str, nx: int, ny: int, extent: Tuple[float, float] = (1.0, 1.0)) -> "DomainGrid":
-        if nx < 8 or ny < 8:  # before the spacings divide by the size
-            raise ValueError("grid must be at least 8x8")
-        Lx, Ly = extent
-        if topology == "torus":
-            return DomainGrid(topology, nx, ny, Lx / nx, Ly / ny, (Lx, Ly))
-        return DomainGrid(topology, nx, ny, Lx / (nx - 1), Ly / (ny - 1), (Lx, Ly))
+        self.extent = (Lx, Ly)
 
     @property
     def periodic(self) -> bool:
@@ -170,23 +162,15 @@ def constant_field(grid: DomainGrid, vec: Sequence[float]) -> HFieldGrid:
 
 
 class QDifferential:
-    """Holomorphic coefficient of the top-degree differential.
+    """Holomorphic coefficient of q, the section of K^h (h the Coxeter
+    number): the polynomial in z with coefficients ``coeffs``, lowest
+    degree first.  One coefficient is a constant."""
 
-    Either a constant or a polynomial in z; ``degree`` tags the tensor
-    power (Coxeter number) the coefficient belongs to.
-    """
-
-    def __init__(self, kind: str, coeffs: Tuple[complex, ...], degree: int):
-        self.kind = kind  # "const" | "poly"
+    def __init__(self, coeffs: Tuple[complex, ...]):
         self.coeffs = coeffs
-        self.degree = degree
-
-    @staticmethod
-    def constant(value: complex, degree: int) -> "QDifferential":
-        return QDifferential("const", (complex(value),), degree)
 
     def sample(self, grid: DomainGrid) -> np.ndarray:
-        if self.kind == "const":
+        if len(self.coeffs) == 1:
             return np.full((grid.nx, grid.ny), self.coeffs[0], dtype=complex)
         # z from the 1-D coordinates by broadcasting, and Horner in place:
         # the sample holds z and its output, no meshes and no step temporaries
@@ -198,15 +182,18 @@ class QDifferential:
         return out
 
     @staticmethod
-    def parse(text: str, degree: int) -> "QDifferential":
+    def parse(text: str) -> "QDifferential":
         """CLI syntax: const:VALUE or poly:c0,c1,... with finite coefficients."""
         kind, _, rest = text.partition(":")
-        if kind not in ("const", "poly") or not rest:
+        try:
+            coeffs = tuple(complex(c) for c in (rest.split(",") if kind == "poly" else [rest]))
+        except ValueError:  # an empty or malformed coefficient
+            coeffs = ()
+        if kind not in ("const", "poly") or not coeffs:
             raise ValueError(f"cannot parse q specification {text!r}")
-        coeffs = [complex(rest)] if kind == "const" else [complex(c) for c in rest.split(",")]
         if not np.all(np.isfinite(coeffs)):
             raise ValueError(f"q specification {text!r} has a non-finite coefficient")
-        return QDifferential(kind, tuple(coeffs), degree)
+        return QDifferential(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,19 +230,16 @@ class TrigField:
 
 
 def random_trig_field(
-    l: int,
-    seed: int,
-    amplitude: float = 1.0,
-    kmax: int = 2,
-    extent: Tuple[float, float] = (1.0, 1.0),
+    l: int, seed: int, amplitude: float = 1.0, extent: Tuple[float, float] = (1.0, 1.0)
 ) -> TrigField:
-    """Mode amplitudes amplitude * (g_re + 1j g_im) / (2n), n = 2 kmax + 1,
-    from unit normals of ``random.Random(seed).gauss``: first the l n^2 real
-    parts, then the imaginary parts, each in C order over (a, kx, ky)."""
+    """Mode amplitudes amplitude * (g_re + 1j g_im) / (2n) of the n = 5
+    modes |k| <= 2 along each axis, from unit normals of
+    ``random.Random(seed).gauss``: first the l n^2 real parts, then the
+    imaginary parts, each in C order over (a, kx, ky)."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     rng = random.Random(seed)
-    n = 2 * kmax + 1
+    n = 5
     g = np.array([rng.gauss(0.0, 1.0) for _ in range(2 * l * n * n)]).reshape(2, l, n, n)
     coeffs = amplitude * (g[0] + 1j * g[1]) / (2 * n)
     return TrigField(coeffs, extent[0], extent[1])
@@ -277,10 +261,10 @@ def write_field_binary(path: str, hfield: HFieldGrid) -> None:
         fh.write(np.ascontiguousarray(v, dtype="<f8"))
 
 
-def read_field_binary(path: str, grid: Optional[DomainGrid] = None) -> HFieldGrid:
-    """The field of a raw file (``write_field_binary``), read straight into
-    one (nx, ny, l) array; a regular file's size is checked against its
-    header first, a pipe's payload as it is read."""
+def read_field_binary(path: str, grid: DomainGrid) -> HFieldGrid:
+    """The field on ``grid`` of a raw file (``write_field_binary``), read
+    straight into one (nx, ny, l) array; a regular file's size is checked
+    against its header first, a pipe's payload as it is read."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -299,8 +283,6 @@ def read_field_binary(path: str, grid: Optional[DomainGrid] = None) -> HFieldGri
         if extra:
             raise ValueError(f"{path}: {extra} bytes past the end of the payload")
     values = data.astype(float, copy=False)  # a copy only on a big-endian host
-    if grid is None:
-        grid = DomainGrid.make("torus", nx, ny)
     if (grid.nx, grid.ny) != (nx, ny):
         raise ValueError("grid does not match stored field")
     return HFieldGrid(grid, values)

@@ -51,7 +51,7 @@ def project(rs: RootSystem, nu: DiagramAutomorphism, alpha: Sequence[Fraction]) 
     for i in range(l):
         c = Fraction(alpha[i])
         out[i] += c / 2
-        out[nu.apply_index(i)] += c / 2
+        out[nu.perm[i]] += c / 2
     return tuple(out)
 
 
@@ -61,7 +61,7 @@ def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
     A = rs.cartan_matrix
     for i in range(l):
         for j in range(l):
-            if A[nu.apply_index(i)][nu.apply_index(j)] != A[i][j]:
+            if A[nu.perm[i]][nu.perm[j]] != A[i][j]:
                 raise ValueError("permutation is not a diagram symmetry")
 
     projections: List[Vec] = []
@@ -138,9 +138,7 @@ def classify_affine(rest: RestrictedSystem) -> str:
     """
     base = rest.base.type
     l = base.rank
-    # the orbits decide; a permutation tagged trivial that moves nodes
-    # fails the matrix check rather than take a folded name
-    if rest.nu.is_identity or all(len(orbit) == 1 for orbit in rest.orbits):
+    if all(len(orbit) == 1 for orbit in rest.orbits):
         aff = affine_cartan(rest.base)
         if rest.gcm != aff.gcm:
             raise RuntimeError(f"{base}: trivial folding changed the affine matrix")

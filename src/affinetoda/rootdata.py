@@ -354,16 +354,10 @@ def affine_cartan(rs: RootSystem) -> AffineCartanData:
 class DiagramAutomorphism:
     """Order <= 2 symmetry of the Dynkin graph acting on simple-root indices."""
 
-    def __init__(self, perm: Tuple[int, ...], order: int):
+    def __init__(self, perm: Tuple[int, ...]):
+        if sorted(perm) != list(range(len(perm))) or any(perm[p] != i for i, p in enumerate(perm)):
+            raise ValueError(f"{perm} is not an involutive permutation of its nodes")
         self.perm = perm  # 0-based image of each node
-        self.order = order
-
-    @property
-    def is_identity(self) -> bool:
-        return self.order == 1
-
-    def apply_index(self, i: int) -> int:
-        return self.perm[i]
 
     def apply_root(self, root: Root) -> Root:
         out = [0] * len(root)
@@ -387,8 +381,7 @@ def diagram_automorphism(rs: RootSystem) -> DiagramAutomorphism:
         perm[l - 2], perm[l - 1] = perm[l - 1], perm[l - 2]
     elif fam == "E" and l == 6:
         perm = [4, 3, 2, 1, 0, 5]
-    order = 1 if perm == list(range(l)) else 2
-    nu = DiagramAutomorphism(perm=tuple(perm), order=order)
+    nu = DiagramAutomorphism(tuple(perm))
     A = rs.cartan_matrix
     for i in range(l):
         for j in range(l):

@@ -78,9 +78,15 @@ class InitSpec:
         if parts[0] in ("zero", "oracle") and len(parts) == 1:
             return InitSpec(parts[0])
         if parts[0] == "perturbed" and len(parts) == 3:
-            if int(parts[1]) < 0:
+            try:
+                seed, amplitude = int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ValueError(f"cannot parse init specification {text!r}") from None
+            if seed < 0:
                 raise ValueError(f"init specification {text!r} has a negative seed")
-            return InitSpec("perturbed", seed=int(parts[1]), amplitude=float(parts[2]))
+            if not np.isfinite(amplitude):
+                raise ValueError(f"init specification {text!r} has a non-finite amplitude")
+            return InitSpec("perturbed", seed=seed, amplitude=amplitude)
         if parts[0] == "file" and len(parts) >= 2:
             return InitSpec("file", path=":".join(parts[1:]))
         raise ValueError(f"cannot parse init specification {text!r}")
@@ -115,15 +121,18 @@ class Solution:
         self,
         omega: HFieldGrid,
         residual_history: List[float],
-        iterations: int,
         converged: bool,
         cg_iterations: Optional[List[int]] = None,
     ):
         self.omega = omega
-        self.residual_history = residual_history
-        self.iterations = iterations
+        self.residual_history = residual_history  # one per iterate, the initial field's first
         self.converged = converged
         self.cg_iterations = [] if cg_iterations is None else cg_iterations  # one per Newton step
+
+    @property
+    def iterations(self) -> int:
+        """The Newton steps taken."""
+        return len(self.residual_history) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +467,6 @@ def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
     return Solution(
         omega=HFieldGrid(grid, vals),
         residual_history=history,
-        iterations=it,
         converged=converged,
         cg_iterations=cg_iterations,
     )

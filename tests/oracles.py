@@ -264,7 +264,7 @@ def build_toda_connection(omega, q, data, gauge="toda"):
     """
     if gauge not in ("toda", "higgs"):
         raise ValueError(f"unknown gauge {gauge!r}")
-    grid, slots, vals = omega.grid, _checked_slots(omega, q, data), omega.values
+    grid, slots, vals = omega.grid, _checked_slots(omega, data), omega.values
     qv = q.sample(grid)
     A_z, A_zbar = grid.wirtinger(vals.astype(complex))  # Omega_z, Omega_zbar
     phi = _e_minus(data.r, qv)
@@ -361,7 +361,7 @@ def commutator_defect(omega, q, data):
     Higgs gauge: Phi = E- and Phi* = Ad_{exp(2 Omega)} E+, the
     ``conjugate_star`` of the Higgs-gauge connection, formed without the
     rest of that connection, on the l Cartan slots only."""
-    slots, qv = _checked_slots(omega, q, data), q.sample(omega.grid)
+    slots, qv = _checked_slots(omega, data), q.sample(omega.grid)
     phi = _e_minus(data.r, qv)
     star = char_scale(np.conj(phi), 2 * omega.values, slots.characters[slots.raised])
     comm = cartan_bracket(slots, phi, star)

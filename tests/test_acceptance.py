@@ -17,7 +17,6 @@ from affinetoda.grids import (
 )
 from affinetoda.restriction import restrict
 from affinetoda.rootdata import (
-    coxeter_number,
     diagram_automorphism,
     exponents,
 )
@@ -83,14 +82,11 @@ def test_criterion_2_commutator_identity():
     for name in ["A1", "A2", "B2", "G2"]:
         rs, alg, sl2, _ = get_algebra(name)
         data = _TodaData(rs)
-        grid = DomainGrid.make("torus", 10, 10)
-        h = coxeter_number(rs)
+        grid = DomainGrid("torus", 10, 10)
         for _ in range(100):
             vals = 0.25 * rng.standard_normal((10, 10, rs.rank))
             omega = HFieldGrid(grid, vals)
-            q = QDifferential.constant(
-                rng.standard_normal() + 1j * rng.standard_normal(), h
-            )
+            q = QDifferential((rng.standard_normal() + 1j * rng.standard_normal(),))
             worst = max(worst, check_norms(omega, q, data)["commutator"])
     report(2, "commutator-identity", worst < 1e-12, f"(max defect {worst:.2e})")
 
@@ -100,10 +96,10 @@ def test_criterion_3_higgs_toda_equivalence():
     data = _TodaData(rs)
     nu = diagram_automorphism(rs)
     field = random_trig_field(2, seed=23, amplitude=0.2).symmetrized(nu.perm)
-    q = QDifferential.constant(1.0, 3)
+    q = QDifferential((1.0,))
     mismatches = {}
     for n in (32, 64, 128):
-        grid = DomainGrid.make("torus", n, n)
+        grid = DomainGrid("torus", n, n)
         omega = field.sample(grid)
         norms = check_norms(omega, q, data)
         fnorm, rnorm, mism = norms["curvature"], norms["residual"], norms["mismatch"]
@@ -146,11 +142,11 @@ def test_criterion_5_solver_convergence():
     ok = True
     for name in ["A1", "A2"]:
         rs, alg, sl2, _ = get_algebra(name)
-        grid = DomainGrid.make("torus", 64, 64)
+        grid = DomainGrid("torus", 64, 64)
         data = _TodaData(rs)
         cfg = SolverConfig(
             grid=grid,
-            q=QDifferential.constant(1.0, coxeter_number(rs)),
+            q=QDifferential((1.0,)),
             init=InitSpec("perturbed", seed=17, amplitude=0.1),
         )
         t0 = time.monotonic()
@@ -168,11 +164,11 @@ def test_criterion_6_uniqueness_probe():
     ok = True
     for name in ["A1", "A2"]:
         rs, alg, sl2, _ = get_algebra(name)
-        grid = DomainGrid.make("torus", 32, 32)
+        grid = DomainGrid("torus", 32, 32)
         data = _TodaData(rs)
         cfg = SolverConfig(
             grid=grid,
-            q=QDifferential.constant(1.0, coxeter_number(rs)),
+            q=QDifferential((1.0,)),
             init=InitSpec("perturbed", amplitude=0.1),
         )
         worst = uniqueness_probe(cfg, [101, 202, 303, 404], data)
@@ -186,11 +182,11 @@ def test_criterion_7_sigma_symmetry():
     ok = True
     for name in ["A2", "A3"]:
         rs = get_algebra(name)[0]
-        grid = DomainGrid.make("torus", 32, 32)
+        grid = DomainGrid("torus", 32, 32)
         data = _TodaData(rs)
         cfg = SolverConfig(
             grid=grid,
-            q=QDifferential.constant(1.0, coxeter_number(rs)),
+            q=QDifferential((1.0,)),
             init=InitSpec("perturbed", seed=31, amplitude=0.1),
         )
         sol = solve(cfg, data)
@@ -230,7 +226,7 @@ def test_criterion_9_jacobian_check():
     worst = 0.0
     for name in ["A1", "A2"]:
         rs, alg, sl2, _ = get_algebra(name)
-        grid = DomainGrid.make("torus", 16, 16)
+        grid = DomainGrid("torus", 16, 16)
         data = _TodaData(rs)
         q2 = np.ones((16, 16))
         om0, _ = constant_solution(data, 1.0)
@@ -255,9 +251,9 @@ def test_criterion_10_gauge_covariance():
     rng = np.random.default_rng(5)
     rs, alg, sl2, _ = get_algebra("A2")
     nu = diagram_automorphism(rs)
-    grid = DomainGrid.make("torus", 32, 32)
+    grid = DomainGrid("torus", 32, 32)
     omega = random_trig_field(2, seed=3, amplitude=0.15).symmetrized(nu.perm).sample(grid)
-    q = QDifferential.constant(1.0, 3)
+    q = QDifferential((1.0,))
     hs = [rng.standard_normal(rs.rank) * 0.5 for _ in range(10)]
     worst = check_norms(omega, q, _TodaData(rs), hs)["covariance"]
     report(10, "gauge-covariance", worst < 1e-10, f"(max defect {worst:.2e})")

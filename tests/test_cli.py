@@ -515,6 +515,29 @@ def test_extent_must_be_positive_and_finite(extent, tmp_path, capsys):
     assert "grid spacings must be positive and finite" in err
 
 
+@pytest.mark.parametrize(
+    "flag, spec, message",
+    [
+        ("--q", "poly:1,,2", "cannot parse q specification 'poly:1,,2'"),
+        ("--q", "const:abc", "cannot parse q specification 'const:abc'"),
+        ("--init", "perturbed:x:0.1", "cannot parse init specification 'perturbed:x:0.1'"),
+        ("--init", "perturbed:1:nan", "init specification 'perturbed:1:nan' has a non-finite amplitude"),
+        ("--init", "perturbed:1:inf", "init specification 'perturbed:1:inf' has a non-finite amplitude"),
+    ],
+    ids=["poly-empty", "const-word", "init-seed-word", "init-nan", "init-inf"],
+)
+def test_malformed_spec_is_named(flag, spec, message, tmp_path, capsys):
+    """A malformed q or init specification is a usage error that quotes it,
+    raised before anything is computed: no warning, no solve."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16",
+                                 flag, spec, "--out", str(tmp_path / "omega.bin"))
+    assert code == 2
+    assert f"error: {message}" in err
+    assert out == "" and not (tmp_path / "omega.bin").exists()
+
+
 @pytest.mark.parametrize("flag", ["--grid", "--extent"])
 @pytest.mark.parametrize("text", ["1x2x3", "x", "abc", "2xy"])
 def test_malformed_pair_exits_2(flag, text, tmp_path, capsys):

@@ -59,7 +59,7 @@ from oracles import (
 
 def make_omega(name, algebra, seed=3, amplitude=0.15, n=16, topology="torus"):
     rs, alg, sl2, cox = algebra(name)
-    grid = DomainGrid.make(topology, n, n)
+    grid = DomainGrid(topology, n, n)
     field = random_trig_field(rs.rank, seed=seed, amplitude=amplitude)
     nu = diagram_automorphism(rs)
     field = field.symmetrized(nu.perm)
@@ -68,9 +68,9 @@ def make_omega(name, algebra, seed=3, amplitude=0.15, n=16, topology="torus"):
 
 def test_zero_field_zero_q_connection(algebra):
     rs, alg, _, _ = algebra("A2")
-    grid = DomainGrid.make("torus", 8, 8)
+    grid = DomainGrid("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
-    q = QDifferential.constant(0.0, coxeter_number(rs))
+    q = QDifferential((0.0,))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     assert np.abs(conn.A_z).max() == 0 and np.abs(conn.A_zbar).max() == 0
     phi = scatter(alg, conn.slots, slot_fields(conn)[0])
@@ -83,9 +83,9 @@ def test_zero_field_zero_q_connection(algebra):
 
 def test_a1_higgs_gauge_layout(algebra):
     rs, alg, sl2, _ = algebra("A1")
-    grid = DomainGrid.make("torus", 8, 8)
+    grid = DomainGrid("torus", 8, 8)
     omega = constant_field(grid, [0.0])
-    q = QDifferential.constant(1.0, 2)
+    q = QDifferential((1.0,))
     conn = build_toda_connection(omega, q, _TodaData(rs), "higgs")
     assert list(chevalley_slots(alg, conn.slots)) == [0, 1, 2]  # the simple root is the highest root
     phi = scatter(alg, conn.slots, slot_fields(conn)[0])
@@ -101,7 +101,7 @@ def test_a1_higgs_gauge_layout(algebra):
 def test_psi_is_phi_star(name, gauge, algebra):
     rs, alg, sl2, _ = algebra(name)
     grid, omega = make_omega(name, algebra)
-    q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
+    q = QDifferential((0.8 - 0.3j,))
     conn = build_toda_connection(omega, q, _TodaData(rs), gauge)
     star = conjugate_star(conn)
     assert np.abs(conn.psi - star).max() < 1e-12
@@ -109,9 +109,9 @@ def test_psi_is_phi_star(name, gauge, algebra):
 
 def test_curvature_zero_field_a2(algebra):
     rs, alg, _, _ = algebra("A2")
-    grid = DomainGrid.make("torus", 8, 8)
+    grid = DomainGrid("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
-    q = QDifferential.constant(0.0, 3)
+    q = QDifferential((0.0,))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     F = curvature(conn)
     # [E-, E+] = - sum_i r_i h_i = -x
@@ -124,10 +124,10 @@ def test_curvature_of_constant_oracle_vanishes(algebra):
     from affinetoda.todasolver import constant_solution
 
     rs, alg, sl2, _ = algebra("A2")
-    grid = DomainGrid.make("torus", 16, 16)
+    grid = DomainGrid("torus", 16, 16)
     om0, _ = constant_solution(_TodaData(rs), 1.0)
     omega = constant_field(grid, om0)
-    q = QDifferential.constant(1.0, coxeter_number(rs))
+    q = QDifferential((1.0,))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     F = curvature(conn)
     assert np.abs(F).max() < 1e-10
@@ -136,7 +136,7 @@ def test_curvature_of_constant_oracle_vanishes(algebra):
 def test_gauge_transform_identity(algebra):
     rs, alg, sl2, _ = algebra("A2")
     grid, omega = make_omega("A2", algebra)
-    q = QDifferential.constant(1.0, 3)
+    q = QDifferential((1.0,))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     H = constant_field(grid, [0.0, 0.0])
     out = gauge_transform(conn, H)
@@ -148,7 +148,7 @@ def test_gauge_transform_identity(algebra):
 def test_gauge_transform_omega_reaches_higgs(algebra):
     rs, alg, sl2, _ = algebra("A2")
     grid, omega = make_omega("A2", algebra)
-    q = QDifferential.constant(1.0, 3)
+    q = QDifferential((1.0,))
     toda = build_toda_connection(omega, q, _TodaData(rs), "toda")
     higgs = build_toda_connection(omega, q, _TodaData(rs), "higgs")
     moved = gauge_transform(toda, omega)
@@ -161,7 +161,7 @@ def test_gauge_transform_omega_reaches_higgs(algebra):
 def test_gauge_transform_constant_character_scaling(algebra):
     rs, alg, sl2, _ = algebra("B2")
     grid, omega = make_omega("B2", algebra)
-    q = QDifferential.constant(1.0, coxeter_number(rs))
+    q = QDifferential((1.0,))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     hvec = np.array([0.23, -0.41])
     out = gauge_transform(conn, constant_field(grid, hvec))
@@ -178,7 +178,7 @@ def test_gauge_transform_constant_character_scaling(algebra):
 def test_gauge_covariance_constant_h(name, algebra, rng):
     rs, alg, sl2, _ = algebra(name)
     grid, omega = make_omega(name, algebra)
-    q = QDifferential.constant(1.0, coxeter_number(rs))
+    q = QDifferential((1.0,))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     F = curvature(conn)
     for _ in range(3):
@@ -193,12 +193,12 @@ def test_gauge_covariance_varying_h_second_order(algebra):
     """For position-dependent H the discrete covariance identity holds to
     O(dx^2); check the defect shrinks by ~4x under refinement."""
     rs, alg, sl2, _ = algebra("A1")
-    q = QDifferential.constant(1.0, 2)
+    q = QDifferential((1.0,))
     omf = random_trig_field(1, seed=11, amplitude=0.2)
     hf = random_trig_field(1, seed=12, amplitude=0.3)
     defects = []
     for n in (16, 32):
-        grid = DomainGrid.make("torus", n, n)
+        grid = DomainGrid("torus", n, n)
         omega = omf.sample(grid)
         H = hf.sample(grid)
         conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
@@ -217,7 +217,7 @@ def test_slot_curvature_matches_dense_reference(name, topology, algebra):
     which is exactly zero off the slots."""
     rs, alg, _, _ = algebra(name)
     grid, omega = make_omega(name, algebra, n=8, topology=topology)
-    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j")
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     assert conn.slots.n == (3 if name == "A1" else 3 * rs.rank + 2)
     assert list(chevalley_slots(alg, conn.slots)[: rs.rank]) == list(range(rs.rank))
@@ -239,7 +239,7 @@ def test_column_curvature_is_the_dense_formula(name, topology, moved, algebra):
     transformation."""
     rs, alg, _, _ = algebra(name)
     grid, omega = make_omega(name, algebra, topology=topology)
-    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j")
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     if moved:
         H = random_trig_field(rs.rank, seed=5, amplitude=0.2).sample(grid)
@@ -256,7 +256,7 @@ def test_summary_norms_are_the_equivalence_norms(name, topology, algebra):
     the same norms that ``equivalence_defect`` takes of the whole of F."""
     rs, alg, _, _ = algebra(name)
     _, omega = make_omega(name, algebra, topology=topology)
-    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j")
     data = _TodaData(rs)
     F = curvature(build_toda_connection(omega, q, data, "toda"))
     curv, res, _ = equivalence_defect(omega, q, data, F)
@@ -296,13 +296,12 @@ def test_blocked_curvature_norm_is_the_whole_grid_norm(
     if marker is not None:
         monkeypatch.setattr(connection, "_BLOCK_POINTS", marker.args[0])
     rs, _, _, _ = algebra(name)
-    grid = DomainGrid.make(topology, nx, ny)
+    grid = DomainGrid(topology, nx, ny)
     omega = random_trig_field(rs.rank, seed=5, amplitude=0.3).sample(grid)
-    h = coxeter_number(rs)
     if q == "poly":
-        qd = QDifferential.parse("poly:0.9,0.4-0.2j,0.3", h)
+        qd = QDifferential.parse("poly:0.9,0.4-0.2j,0.3")
     else:
-        qd = QDifferential.constant(0.8 - 0.3j, h)
+        qd = QDifferential((0.8 - 0.3j,))
     data = _TodaData(rs)
     rows = [e - s for s, e, _, _ in _row_blocks(grid)]
     assert len(rows) == blocks and min(rows[:-1], default=8) >= 8
@@ -333,7 +332,7 @@ def test_summary_working_memory(topology, algebra):
     A2 64^2 it peaks below two (points, slots) complex arrays of the grid."""
     rs, alg, _, _ = algebra("A2")
     _, omega = make_omega("A2", algebra, n=64, topology=topology)
-    q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
+    q = QDifferential((0.8 - 0.3j,))
     data = _TodaData(rs)
     _summary(omega, q, data)  # per-type caches
     peak = _traced_peak(lambda: _summary(omega, q, data))
@@ -346,8 +345,8 @@ def test_summary_peaks_below_the_solve(n, topology, algebra):
     """The summary of a solve peaks no higher than the solve itself."""
     rs, _, _, _ = algebra("A2")
     cfg = SolverConfig(
-        grid=DomainGrid.make(topology, n, n),
-        q=QDifferential.constant(0.8 - 0.3j, coxeter_number(rs)),
+        grid=DomainGrid(topology, n, n),
+        q=QDifferential((0.8 - 0.3j,)),
         init=InitSpec("perturbed", seed=1, amplitude=0.2),
     )
     data = _TodaData(rs)
@@ -365,7 +364,7 @@ def test_summary_forms_no_whole_grid_residual(algebra):
     (about 4.2; 5.5 with a whole-grid R)."""
     rs, alg, _, _ = algebra("A2")
     _, omega = make_omega("A2", algebra, n=256)
-    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j")
     data = _TodaData(rs)
     _summary(omega, q, data)  # per-type caches
     peak = _traced_peak(lambda: _summary(omega, q, data))
@@ -378,7 +377,7 @@ def test_slot_bracket_is_the_dense_bracket(name, algebra):
     over all of g, so the two agree bit for bit."""
     rs, alg, _, _ = algebra(name)
     grid, omega = make_omega(name, algebra, n=8)
-    q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
+    q = QDifferential((0.8 - 0.3j,))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     az, azbar = connection_parts(conn)
     dense = alg.bracket(scatter(alg, conn.slots, az), scatter(alg, conn.slots, azbar))
@@ -391,7 +390,7 @@ def test_slot_bracket_working_memory(algebra):
     array of them."""
     rs, alg, _, _ = algebra("A2")
     _, omega = make_omega("A2", algebra, n=64)
-    q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
+    q = QDifferential((0.8 - 0.3j,))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     az, azbar = connection_parts(conn)
     tracemalloc.start()
@@ -478,7 +477,7 @@ def test_commutator_defect_builds_no_connection(name, algebra, monkeypatch):
     rs = algebra(name)[0]
     data = _TodaData(rs)
     _, omega = make_omega(name, algebra)
-    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j")
     conn = build_toda_connection(omega, q, data, "higgs")
     comm = cartan_bracket(conn.slots, conn.phi, conjugate_star(conn))
     closed = -data.pointwise_residual(data.exponentials(omega.values, np.abs(q.sample(omega.grid)) ** 2))
@@ -503,9 +502,9 @@ def test_commutator_with_a_term_moved_off_the_cartan_raises(name, algebra):
     i, j, k, c = (col.copy() for col in slots.table)
     onto_cartan = np.flatnonzero(np.isin(i, slots.lowered) & np.isin(j, slots.raised) & (k >= 0))
     assert np.all(k[onto_cartan] < rs.rank) and onto_cartan.size >= rs.rank
-    grid = DomainGrid.make("torus", 8, 8)
+    grid = DomainGrid("torus", 8, 8)
     omega = random_trig_field(rs.rank, seed=3, amplitude=0.15).sample(grid)
-    q = QDifferential.constant(0.8 - 0.3j, coxeter_number(rs))
+    q = QDifferential((0.8 - 0.3j,))
     assert check_norms(omega, q, data)["commutator"] < 1e-12
     k[onto_cartan[-1]] = slots.raised[0]
     slots.table = (i, j, k, c)
@@ -525,7 +524,7 @@ def test_connection_keeps_phi_and_psi_on_their_slots(name, gauge, algebra):
     rs = algebra(name)[0]
     l, data = rs.rank, _TodaData(rs)
     grid, omega = make_omega(name, algebra, n=8)
-    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j")
     conn = build_toda_connection(omega, q, data, gauge)
     slots = conn.slots
     assert conn.phi.shape == conn.psi.shape == (8, 8, l + 1)
@@ -590,7 +589,7 @@ def test_gauge_covariance_defect_is_the_dense_defect(name, constant, algebra):
     the dense character-scaled F."""
     rs = algebra(name)[0]
     grid, omega = make_omega(name, algebra)
-    q = QDifferential.parse("poly:0.9,0.4-0.2j", coxeter_number(rs))
+    q = QDifferential.parse("poly:0.9,0.4-0.2j")
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")
     F = curvature(conn)
     if constant:
@@ -606,48 +605,46 @@ def test_gauge_covariance_defect_is_the_dense_defect(name, constant, algebra):
 class TestHiggsResidual:
     def test_a1_sinh_gordon_reduction(self, algebra):
         rs, _, _, _ = algebra("A1")
-        grid = DomainGrid.make("torus", 16, 16)
+        grid = DomainGrid("torus", 16, 16)
         u_field = random_trig_field(1, seed=5, amplitude=0.3).sample(grid)
         u = u_field.values[..., 0]
         omega = HFieldGrid(grid, (u / 2)[..., None])
         qval = 0.6 + 0.1j
-        q = QDifferential.constant(qval, 2)
+        q = QDifferential((qval,))
         R = elliptic_residual(omega, q, rs)
         expect = -0.25 * grid.laplacian(u) + 0.5 * np.exp(2 * u) - abs(qval) ** 2 * np.exp(-2 * u)
         assert np.abs(R[..., 0] - expect).max() < 1e-12
 
     def test_a1_balanced_point(self, algebra):
         rs, _, _, _ = algebra("A1")
-        grid = DomainGrid.make("torus", 8, 8)
+        grid = DomainGrid("torus", 8, 8)
         omega = constant_field(grid, [0.0])
-        q = QDifferential.constant(0.5 ** 0.5, 2)
+        q = QDifferential((0.5 ** 0.5,))
         R = elliptic_residual(omega, q, rs)
         assert np.abs(R).max() < 1e-15
 
     @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
     def test_bracket_matches_closed_form(self, name, algebra, rng):
         rs, alg, sl2, _ = algebra(name)
-        grid = DomainGrid.make("torus", 8, 8)
+        grid = DomainGrid("torus", 8, 8)
         for trial in range(5):
             vals = 0.2 * rng.standard_normal((8, 8, rs.rank))
             omega = HFieldGrid(grid, vals)
-            q = QDifferential.constant(
-                rng.standard_normal() + 1j * rng.standard_normal(), coxeter_number(rs)
-            )
+            q = QDifferential((rng.standard_normal() + 1j * rng.standard_normal(),))
             assert commutator_defect(omega, q, _TodaData(rs)) < 1e-12
 
 
 class TestEquivalence:
     def test_curvature_equals_minus_residual_to_discretization(self, algebra):
         rs, alg, sl2, _ = algebra("A2")
-        q = QDifferential.constant(1.0, 3)
+        q = QDifferential((1.0,))
         field = random_trig_field(2, seed=7, amplitude=0.2)
         nu = diagram_automorphism(rs)
         field = field.symmetrized(nu.perm)
         mism = []
         data = _TodaData(rs)
         for n in (16, 32, 64):
-            grid = DomainGrid.make("torus", n, n)
+            grid = DomainGrid("torus", n, n)
             omega = field.sample(grid)
             F = curvature(build_toda_connection(omega, q, data, "toda"))
             fn, rn, mn = equivalence_defect(omega, q, data, F)
@@ -683,17 +680,17 @@ class TestChartTransition:
         rs, alg, sl2, _ = algebra("A2")
         h = coxeter_number(rs)
         n = 12
-        grid_j = DomainGrid.make("rectangle", n, n, extent=(1.0, 1.0))
-        grid_i = DomainGrid.make("rectangle", n, n, extent=(2.0, 2.0))
+        grid_j = DomainGrid("rectangle", n, n, extent=(1.0, 1.0))
+        grid_i = DomainGrid("rectangle", n, n, extent=(2.0, 2.0))
         field = random_trig_field(2, seed=9, amplitude=0.1)
         omega_j = field.sample(grid_j)
         # same physical nodes; the target-chart field adds log|g_ij| x
         fx = np.log(2.0)
         xc = np.array([float(c) for c in rs.x_coefficients])
         omega_i = HFieldGrid(grid_i, omega_j.values + fx * xc)
-        qj = QDifferential.parse("poly:0.9,0.4-0.2j", h)
+        qj = QDifferential.parse("poly:0.9,0.4-0.2j")
         c0, c1 = 0.9 * 0.5 ** h, (0.4 - 0.2j) * 0.5 ** (h + 1)
-        qi = QDifferential.parse(f"poly:{c0!r},{c1!r}", h)  # q_i(w) = q_j(w/2) * (1/2)^h
+        qi = QDifferential.parse(f"poly:{c0!r},{c1!r}")  # q_i(w) = q_j(w/2) * (1/2)^h
         conn_j = build_toda_connection(omega_j, qj, _TodaData(rs), "higgs")
         conn_i = build_toda_connection(omega_i, qi, _TodaData(rs), "higgs")
         heights = conn_j.slots.heights[conn_j.slots.lowered]
@@ -716,7 +713,7 @@ class TestPeriodicStencils:
     def test_slices_are_the_roll_formulas(self, shape, dtype, rng):
         """Bit for bit, on whole grids and on blocks of fewer rows than the
         grid, real and complex, strided input included."""
-        grid = DomainGrid.make("torus", max(shape[0], 8), 12, extent=(0.7, 1.3))
+        grid = DomainGrid("torus", max(shape[0], 8), 12, extent=(0.7, 1.3))
         F = rng.standard_normal(shape).astype(dtype)
         if dtype is complex:
             F += 1j * rng.standard_normal(shape)
@@ -728,7 +725,7 @@ class TestPeriodicStencils:
     def test_one_output_array(self):
         """Each derivative allocates its output and little else: no shifted
         copies of F and no full-size ufunc buffers."""
-        grid = DomainGrid.make("torus", 64, 64)
+        grid = DomainGrid("torus", 64, 64)
         F = np.ones((64, 64, 8), dtype=complex)
         for d in (grid.d_dx, grid.d_dy):
             d(F)
@@ -740,8 +737,8 @@ def test_poly_sample_working_memory():
     """A polynomial q is sampled by Horner in place on z, built from the 1-D
     coordinates: no X and Y meshes and no temporary per step, so the sample
     peaks below 2.5 times its output (z and the output itself)."""
-    q = QDifferential.parse("poly:0.9,0.4-0.2j,0.3", 3)
-    grid = DomainGrid.make("torus", 128, 128)
+    q = QDifferential.parse("poly:0.9,0.4-0.2j,0.3")
+    grid = DomainGrid("torus", 128, 128)
     out = q.sample(grid)
     peak = _traced_peak(lambda: q.sample(grid))
     assert peak < 2.5 * out.nbytes, peak / out.nbytes
@@ -751,8 +748,8 @@ def test_poly_sample_working_memory():
 def test_poly_sample_is_the_mesh_horner(topology, extent):
     """The in-place sample equals, bit for bit, Horner's rule step by step
     on z = X + iY of the coordinate meshes."""
-    grid = DomainGrid.make(topology, 96, 80, extent)
-    q = QDifferential.parse("poly:0.9,0.4-0.2j,0.3,-0.1+0.05j", 3)
+    grid = DomainGrid(topology, 96, 80, extent)
+    q = QDifferential.parse("poly:0.9,0.4-0.2j,0.3,-0.1+0.05j")
     X, Y = grid.xy()
     z = X + 1j * Y
     want = np.zeros_like(z)
@@ -761,36 +758,55 @@ def test_poly_sample_is_the_mesh_horner(topology, extent):
     assert np.array_equal(q.sample(grid), want)
 
 
+def test_one_coefficient_is_a_constant():
+    """``poly:c`` and ``const:c`` are one q: the same coefficients and the
+    same sample, bit for bit."""
+    grid = DomainGrid("rectangle", 24, 16, (1.0, 1.5))
+    poly, const = QDifferential.parse("poly:0.8-0.3j"), QDifferential.parse("const:0.8-0.3j")
+    assert poly.coeffs == const.coeffs == (0.8 - 0.3j,)
+    assert poly.sample(grid).tobytes() == const.sample(grid).tobytes()
+
+
+@pytest.mark.parametrize("topology, cells", [("torus", (48, 40)), ("rectangle", (47, 39))])
+def test_grid_spacings_are_derived(topology, cells):
+    """A torus of n nodes along a side of length L has spacing L/n, a
+    rectangle (boundary nodes included) L/(n-1); the extent is kept as
+    given, whatever nx * dx rounds to."""
+    grid = DomainGrid(topology, 48, 40, (0.7, 1.3))
+    assert (grid.dx, grid.dy) == (0.7 / cells[0], 1.3 / cells[1])
+    assert grid.extent == (0.7, 1.3)
+
+
 class TestIO:
     def test_binary_round_trip(self, tmp_path, rng):
-        grid = DomainGrid.make("torus", 8, 10)
+        grid = DomainGrid("torus", 8, 10)
         vals = rng.standard_normal((8, 10, 3))
         f = HFieldGrid(grid, vals)
         p = str(tmp_path / "omega.bin")
         write_field_binary(p, f)
-        g = read_field_binary(p)
+        g = read_field_binary(p, grid)
         assert np.array_equal(g.values, vals)
 
     @pytest.mark.parametrize("cut", [3, 8, 11])
     def test_cut_payload_is_truncated(self, tmp_path, cut):
         """A payload short by whole values or by part of one is a truncated
         payload, named by its file."""
-        p = str(tmp_path / "omega.bin")
-        write_field_binary(p, constant_field(DomainGrid.make("torus", 8, 8), [0.5, 0.25]))
+        p, grid = str(tmp_path / "omega.bin"), DomainGrid("torus", 8, 8)
+        write_field_binary(p, constant_field(grid, [0.5, 0.25]))
         with open(p, "r+b") as fh:
             fh.truncate(fh.seek(0, 2) - cut)
         with pytest.raises(ValueError, match=f"^{p}: truncated payload$"):
-            read_field_binary(p)
+            read_field_binary(p, grid)
 
     def test_over_long_payload_is_named(self, tmp_path, capsys):
         """A payload longer than its header gives is its own error, not a
         truncated one, and a usage error (exit 2) of a solve started from it."""
-        p = str(tmp_path / "omega.bin")
-        write_field_binary(p, constant_field(DomainGrid.make("torus", 8, 8), [0.5, 0.25]))
+        p, grid = str(tmp_path / "omega.bin"), DomainGrid("torus", 8, 8)
+        write_field_binary(p, constant_field(grid, [0.5, 0.25]))
         with open(p, "ab") as fh:
             fh.write(bytes(8))
         with pytest.raises(ValueError, match=f"^{p}: 8 bytes past the end of the payload$"):
-            read_field_binary(p)
+            read_field_binary(p, grid)
         argv = ["toda", "solve", "--type", "A2", "--grid", "8x8", "--init", f"file:{p}"]
         assert cli.main(argv + ["--out", str(tmp_path / "out.bin")]) == 2
         assert "8 bytes past the end of the payload" in capsys.readouterr().err
@@ -808,24 +824,25 @@ class TestIO:
         vals = data.draw(arrays(np.float64, (nx, ny, l), elements=finite))
         vals.flat[:2] = -0.0, 5e-324
         p = str(tmp_path_factory.mktemp("io") / "omega.bin")
-        write_field_binary(p, HFieldGrid(DomainGrid.make("torus", nx, ny), vals))
-        assert read_field_binary(p).values.tobytes() == vals.tobytes()
+        grid = DomainGrid("torus", nx, ny)
+        write_field_binary(p, HFieldGrid(grid, vals))
+        assert read_field_binary(p, grid).values.tobytes() == vals.tobytes()
         with open(p, "rb") as fh:
             whole = fh.read()
         with open(p, "wb") as fh:
             fh.write(whole[:-cut])
         with pytest.raises(ValueError, match=f"^{p}: truncated payload$"):
-            read_field_binary(p)
+            read_field_binary(p, grid)
         with open(p, "wb") as fh:
             fh.write(whole + extra)
         with pytest.raises(ValueError, match=f"^{p}: {len(extra)} bytes past the end of the payload$"):
-            read_field_binary(p)
+            read_field_binary(p, grid)
 
     def test_binary_magic_check(self, tmp_path):
         p = tmp_path / "bad.bin"
         p.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError):
-            read_field_binary(str(p))
+            read_field_binary(str(p), DomainGrid("torus", 8, 8))
 
 
 def test_field_io_working_memory(tmp_path):
@@ -833,7 +850,7 @@ def test_field_io_working_memory(tmp_path):
     into one array: at A2 256^2 writing peaks below a tenth of the field and
     reading below 1.25 fields (1.00 and 2.13 when each made a copy of the
     payload)."""
-    grid = DomainGrid.make("torus", 256, 256)
+    grid = DomainGrid("torus", 256, 256)
     f = constant_field(grid, [0.5, -0.25])
     p = str(tmp_path / "omega.bin")
     write_field_binary(p, f)
@@ -850,7 +867,7 @@ def test_field_io_working_memory(tmp_path):
 def test_field_file_reads_from_a_pipe(tmp_path, rng, tail):
     """A pipe has no size to check against the header: its payload reads
     back in full, and a short or over-long one gives the file's errors."""
-    grid = DomainGrid.make("torus", 64, 40)
+    grid = DomainGrid("torus", 64, 40)
     vals = rng.standard_normal((64, 40, 3))  # larger than a pipe's buffer
     p = str(tmp_path / "omega.bin")
     write_field_binary(p, HFieldGrid(grid, vals))
@@ -880,17 +897,13 @@ def test_field_file_reads_from_a_pipe(tmp_path, rng, tail):
 
 def test_bad_gauge_and_degree(algebra):
     """The whole-grid oracle rejects an unknown gauge; the block pass of
-    ``check_norms`` and of ``summary_norms`` rejects a q of the wrong
-    degree and a non-finite field."""
+    ``check_norms`` and of ``summary_norms`` rejects a non-finite field."""
     rs, alg, sl2, _ = algebra("A2")
-    grid = DomainGrid.make("torus", 8, 8)
+    grid = DomainGrid("torus", 8, 8)
     omega = constant_field(grid, [0.0, 0.0])
     with pytest.raises(ValueError, match="unknown gauge"):
-        build_toda_connection(omega, QDifferential.constant(1.0, 3), _TodaData(rs), "weird")
-    for norms in (check_norms, summary_norms):
-        with pytest.raises(ValueError, match="degree does not match the Coxeter number"):
-            norms(omega, QDifferential.constant(1.0, 7), _TodaData(rs))
+        build_toda_connection(omega, QDifferential((1.0,)), _TodaData(rs), "weird")
     omega.values[3, 5, 1] = np.nan
     for norms in (check_norms, summary_norms):
         with pytest.raises(ValueError, match="non-finite"):
-            norms(omega, QDifferential.constant(1.0, 3), _TodaData(rs))
+            norms(omega, QDifferential((1.0,)), _TodaData(rs))

@@ -7,7 +7,7 @@ import pytest
 
 from affinetoda.grids import DomainGrid, HFieldGrid, QDifferential, random_trig_field
 from affinetoda.restriction import project, restrict
-from affinetoda.rootdata import DiagramAutomorphism, coxeter_number, diagram_automorphism
+from affinetoda.rootdata import DiagramAutomorphism, diagram_automorphism
 from affinetoda.todasolver import sigma_symmetry_defect
 from conftest import ALL_TYPES, elliptic_residual
 from oracles import affine_catalog, gcm_permutation_equivalent, restricted_toda_residual
@@ -108,30 +108,23 @@ def test_label_is_the_only_catalog_match(name, algebra):
 
 
 @pytest.mark.parametrize(
-    "name,perm,order,expected",
+    "name,perm,expected",
     [
-        ("D4", (2, 1, 0, 3), 2, "B3(1)"),
-        ("D4", (3, 1, 2, 0), 2, "B3(1)"),
-        ("D4", (0, 1, 3, 2), 2, "B3(1)"),
-        ("D6", (0, 1, 2, 3, 5, 4), 2, "B5(1)"),
-        ("D8", (0, 1, 2, 3, 4, 5, 7, 6), 2, "B7(1)"),
-        ("D4", (2, 1, 3, 0), 3, RuntimeError),  # orbit sums not proportional
-        ("D4", (3, 1, 0, 2), 3, RuntimeError),
-        ("A3", (2, 1, 0), 1, RuntimeError),  # tagged trivial, moves nodes
-        ("A3", (0, 1, 2), 2, "A3(1)"),  # moves no node, tagged order 2
+        ("D4", (2, 1, 0, 3), "B3(1)"),
+        ("D4", (3, 1, 2, 0), "B3(1)"),
+        ("D4", (0, 1, 3, 2), "B3(1)"),
+        ("D6", (0, 1, 2, 3, 5, 4), "B5(1)"),
+        ("D8", (0, 1, 2, 3, 4, 5, 7, 6), "B7(1)"),
+        ("A3", (0, 1, 2), "A3(1)"),  # moves no node
     ],
 )
-def test_symmetries_outside_the_default(name, perm, order, expected, algebra):
+def test_symmetries_outside_the_default(name, perm, expected, algebra):
     """Symmetries ``diagram_automorphism`` does not return: the other leg
-    transpositions of D4, the leg swap of D_even, the 3-cycles of D4, and
-    order tags that disagree with the permutation."""
+    transpositions of D4, the leg swap of D_even, and the identity of a
+    type whose default symmetry moves nodes.  (D4's 3-cycles are no
+    ``DiagramAutomorphism``: the constructor rejects them.)"""
     rs, _, _, _ = algebra(name)
-    nu = DiagramAutomorphism(perm=perm, order=order)
-    if isinstance(expected, str):
-        assert restrict(rs, nu).label == expected
-    else:
-        with pytest.raises(expected):
-            restrict(rs, nu)
+    assert restrict(rs, DiagramAutomorphism(perm)).label == expected
 
 
 def test_permutation_matcher():
@@ -145,14 +138,14 @@ def test_permutation_matcher():
 
 def test_bad_permutation_rejected(algebra):
     rs, _, _, _ = algebra("A3")
-    bad = DiagramAutomorphism(perm=(1, 0, 2), order=2)
+    bad = DiagramAutomorphism((1, 0, 2))
     with pytest.raises(ValueError):
         restrict(rs, bad)
 
 
 class TestFoldedResidual:
     def make_symmetric_field(self, rs, nu, n=12, seed=6, amplitude=0.2):
-        grid = DomainGrid.make("torus", n, n)
+        grid = DomainGrid("torus", n, n)
         field = random_trig_field(rs.rank, seed=seed, amplitude=amplitude)
         return field.symmetrized(nu.perm).sample(grid)
 
@@ -162,7 +155,7 @@ class TestFoldedResidual:
         nu = diagram_automorphism(rs)
         rest = restrict(rs, nu)
         omega = self.make_symmetric_field(rs, nu)
-        q = QDifferential.constant(0.7 + 0.4j, coxeter_number(rs))
+        q = QDifferential((0.7 + 0.4j,))
         folded = restricted_toda_residual(omega, q, rest)
         full = elliptic_residual(omega, q, rs)
         assert np.abs(folded - full).max() < 1e-12
@@ -172,7 +165,7 @@ class TestFoldedResidual:
         nu = diagram_automorphism(rs)
         rest = restrict(rs, nu)
         omega = self.make_symmetric_field(rs, nu)
-        q = QDifferential.constant(1.0, coxeter_number(rs))
+        q = QDifferential((1.0,))
         folded = restricted_toda_residual(omega, q, rest)
         full = elliptic_residual(omega, q, rs)
         assert np.abs(folded - full).max() < 1e-13
@@ -184,20 +177,20 @@ class TestFoldedResidual:
         rs, alg, sl2, _ = algebra("A2")
         rest = restrict(rs, diagram_automorphism(rs))
         om0, _ = constant_solution(_TodaData(rs), 1.0)
-        grid = DomainGrid.make("torus", 8, 8)
+        grid = DomainGrid("torus", 8, 8)
         omega = constant_field(grid, om0)
-        q = QDifferential.constant(1.0, coxeter_number(rs))
+        q = QDifferential((1.0,))
         assert np.abs(restricted_toda_residual(omega, q, rest)).max() < 1e-13
 
     def test_asymmetric_field_rejected(self, algebra):
         rs, _, _, _ = algebra("A3")
         nu = diagram_automorphism(rs)
         rest = restrict(rs, nu)
-        grid = DomainGrid.make("torus", 8, 8)
+        grid = DomainGrid("torus", 8, 8)
         vals = np.zeros((8, 8, 3))
         vals[..., 0] = 0.3  # breaks the 1<->3 symmetry
         omega = HFieldGrid(grid, vals)
         assert sigma_symmetry_defect(omega, rest.nu.perm) > 1e-12
-        q = QDifferential.constant(1.0, coxeter_number(rs))
+        q = QDifferential((1.0,))
         with pytest.raises(ValueError):
             restricted_toda_residual(omega, q, rest)

@@ -4,11 +4,14 @@ The oracle here generates roots by closing the simple roots under all
 simple reflections (pure integer arithmetic on coefficient tuples), which
 is independent of the root-string closure used by the implementation.
 """
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from affinetoda.rootdata import (
+    DiagramAutomorphism,
     LieType,
     RootSystem,
     affine_cartan,
@@ -240,7 +243,7 @@ def brute_force_order2_symmetries(cartan):
 def test_diagram_automorphism_nontrivial(name):
     rs = build_root_system(LieType.parse(name))
     nu = diagram_automorphism(rs)
-    assert nu.order == 2
+    assert nu.perm != tuple(range(rs.rank))
     assert tuple(nu.perm) in brute_force_order2_symmetries(rs.cartan_matrix)
     assert nu.apply_root(rs.highest_root) == rs.highest_root
 
@@ -256,13 +259,38 @@ def test_e6_automorphism_fixes_branch():
     nu = diagram_automorphism(rs)
     # branch node (index 2) and the short arm (index 5) stay put
     assert nu.perm[2] == 2 and nu.perm[5] == 5
-    assert nu.order == 2
+    assert nu.perm != tuple(range(6))
 
 
 @pytest.mark.parametrize("name", ["A1", "B2", "B3", "C4", "D4", "D6", "E7", "E8", "F4", "G2"])
 def test_diagram_automorphism_trivial(name):
     rs = build_root_system(LieType.parse(name))
-    assert diagram_automorphism(rs).is_identity
+    assert diagram_automorphism(rs).perm == tuple(range(rs.rank))
+
+
+_NOT_INVOLUTIONS = """
+from affinetoda.rootdata import DiagramAutomorphism
+
+for perm in [(2, 1, 3, 0), (3, 1, 0, 2), (0, 0, 2), (1, 2, 3, 0), (0, 1, 3)]:
+    try:
+        DiagramAutomorphism(perm)
+    except ValueError as exc:
+        assert str(exc) == f"{perm} is not an involutive permutation of its nodes", exc
+    else:
+        raise SystemExit(f"{perm} was accepted")
+for perm in [(), (0,), (2, 1, 0), (1, 0, 3, 2)]:
+    DiagramAutomorphism(perm)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_symmetry_must_be_an_involutive_permutation(flags):
+    """The two 3-cycles of D4's legs, a repeated node, a 4-cycle and a node
+    out of range raise ValueError at construction, also under python -O;
+    the identity (of any size) and products of disjoint swaps are accepted."""
+    proc = subprocess.run([sys.executable, *flags, "-c", _NOT_INVOLUTIONS],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)

@@ -378,13 +378,13 @@ def _definitions(tree):
                     yield node.name, sub
 
 
-def _references(node):
-    """How often each name is read or written in ``node``, as a name or as
-    an attribute.  Strings are not references, so the export table of
-    ``__init__`` is not one."""
+def _references(node, attributes_only=False):
+    """How often each name is read or written in ``node`` as an attribute
+    (``x.name``) and, unless ``attributes_only``, as a bare name.  Strings
+    are not references, so the export table of ``__init__`` is not one."""
     found = collections.Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not attributes_only:
             found[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             found[sub.attr] += 1
@@ -394,21 +394,27 @@ def _references(node):
 def test_every_definition_has_a_src_caller():
     """Every function, method and property of the package is referenced in
     the package outside its own body: code that only the tests call lives
-    in the tests (``tests/oracles.py``).  A reference is a name or an
-    attribute of that name, so two methods of one name count as one.
-    Exempt, each for its reason:
+    in the tests (``tests/oracles.py``).  A function is referenced by its
+    name or an attribute of that name; a method or property only by an
+    attribute (``x.name``), so a local function of the same name does not
+    hide it.  Two methods of one name count as one.  Exempt, each for its
+    reason:
     - dunder methods: Python calls them;
     - the methods in ``bench/tracing.py``'s ``METHODS``: the benchmark
       wraps them by name, and its per-layer metrics read their spans."""
     traced = _tracing_methods()
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    everywhere = sum((_references(tree) for tree in trees.values()), collections.Counter())
+    everywhere = {
+        method: sum((_references(tree, method) for tree in trees.values()), collections.Counter())
+        for method in (False, True)
+    }
     unused = []
     for module, tree in trees.items():
         for cls, node in _definitions(tree):
             name = node.name
             if name.startswith("__") and name.endswith("__") or (module, cls, name) in traced:
                 continue
-            if everywhere[name] == _references(node)[name]:
+            method = cls is not None
+            if everywhere[method][name] == _references(node, method)[name]:
                 unused.append(f"{module}.{cls + '.' if cls else ''}{name}")
     assert unused == []
