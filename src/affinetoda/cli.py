@@ -240,9 +240,8 @@ def _summary(omega, q, data) -> Dict[str, float]:
 
 
 def cmd_toda_solve(args) -> int:
-    # the connection module of the summary's norms is loaded
-    # (without bytecode, compiled) before the solve's arrays exist, not
-    # after: its compile then set the peak RSS of small-grid solves
+    # connection first: it loads before the solve's arrays, and (by its own imports) every
+    # package module before numpy; without bytecode, a compile after either lifts the peak RSS
     from . import connection, grids, todasolver  # noqa: F401
 
     opts = _solver_options(args)
@@ -376,29 +375,24 @@ def cmd_conn_check(args) -> int:
 
 
 def cmd_export_plot(args) -> int:
+    from . import todasolver  # with ``grids``, before numpy: see ``cmd_toda_solve``
+
     import numpy as np
 
-    from . import todasolver
-
     _, data, cfg, omega = _reload_run(args.field)
-    grid = cfg.grid
+    grid, l = cfg.grid, data.rs.rank
     av = omega.values @ data.P.T
     exps = data.exponentials(omega.values, np.abs(cfg.q.sample(grid)) ** 2)
-    R = todasolver.residual(data, grid, omega.values, exps)
-    rnorm = np.abs(R).max(axis=-1)
+    rnorm = np.abs(todasolver.residual(data, grid, omega.values, exps)).max(axis=-1)
     out = args.out or (args.field + ".csv")
-    l = data.rs.rank
+    # one grid row of nodes per write; ix and iy as floats print as their ints do
+    line = ",".join(["%.17g"] * (l + 5)) + "\n"
     with open(out, "w") as fh:
-        fh.write(
-            "ix,iy,x,y," + ",".join(f"alpha{i+1}" for i in range(l)) + ",residual_norm\n"
-        )
-        X, Y = grid.xy()
+        fh.write("ix,iy,x,y," + "".join(f"alpha{i + 1}," for i in range(l)) + "residual_norm\n")
+        (X, Y), iy = grid.xy(), np.arange(grid.ny)
         for ix in range(grid.nx):
-            for iy in range(grid.ny):
-                row = [str(ix), str(iy), f"{X[ix, iy]:.17g}", f"{Y[ix, iy]:.17g}"]
-                row += [f"{av[ix, iy, i]:.17g}" for i in range(l)]
-                row.append(f"{rnorm[ix, iy]:.17g}")
-                fh.write(",".join(row) + "\n")
+            rows = np.column_stack([np.full_like(iy, ix), iy, X[ix], Y[ix], av[ix], rnorm[ix]])
+            fh.write(line * grid.ny % tuple(rows.ravel().tolist()))
     _json_out({"written": out, "nodes": grid.nx * grid.ny})
     return 0
 

@@ -46,11 +46,12 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
+# the package before numpy, against PEP 8: without bytecode, compiling after numpy lifts peak RSS
+from .todasolver import _TodaData
 from .grids import DomainGrid, HFieldGrid, QDifferential
 from .rootdata import RootSystem
-from .todasolver import _TodaData
+
+import numpy as np
 
 
 class TodaSlots:
@@ -120,10 +121,13 @@ class TodaSlots:
 
 def char_scale(values: np.ndarray, H: np.ndarray, characters: np.ndarray) -> np.ndarray:
     """Ad of exp(H) for Cartan-valued H on coefficients over slots whose
-    roots have the rows of ``characters``: root slots scale by exp(beta(H)),
-    formed in place in the array of the characters when it has the shape
-    of ``values``."""
-    chars = np.einsum("...a,da->...d", np.asarray(H, dtype=complex), characters)
+    roots have the rows of ``characters``: root slots scale by exp(beta(H)).
+    The characters beta(H) are summed straight into a complex array, with
+    no complex copy of a real H, and the product is formed in place there
+    when it has the shape of ``values``."""
+    H = np.asarray(H)
+    chars = np.empty(H.shape[:-1] + (len(characters),), dtype=np.result_type(H, 1j))
+    np.einsum("...a,da->...d", H, characters, out=chars)
     scale = np.exp(chars, out=chars)
     return np.multiply(values, scale, out=scale if scale.shape == values.shape else None)
 
@@ -170,7 +174,7 @@ def _toda_parts(
     phi = _e_minus(r, qv)
     psi = phi.copy()  # E+ is E- on the negated slots, with qbar
     psi[..., -1] = np.conj(qv)
-    phi = char_scale(phi, -vals, slots.characters[slots.lowered])
+    phi = char_scale(phi, vals, -slots.characters[slots.lowered])  # integer rows negated, not Omega
     psi = char_scale(psi, +vals, slots.characters[slots.raised])
     return A_z, A_zbar, phi, psi
 

@@ -164,9 +164,14 @@ def constant_field(grid: DomainGrid, vec: Sequence[float]) -> HFieldGrid:
 class QDifferential:
     """Holomorphic coefficient of q, the section of K^h (h the Coxeter
     number): the polynomial in z with coefficients ``coeffs``, lowest
-    degree first.  One coefficient is a constant."""
+    degree first.  One coefficient is a constant; there is at least one,
+    and every one is finite (ValueError otherwise)."""
 
     def __init__(self, coeffs: Tuple[complex, ...]):
+        if not coeffs:
+            raise ValueError("q needs at least one coefficient")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("q has a non-finite coefficient")
         self.coeffs = coeffs
 
     def sample(self, grid: DomainGrid) -> np.ndarray:
@@ -191,9 +196,10 @@ class QDifferential:
             coeffs = ()
         if kind not in ("const", "poly") or not coeffs:
             raise ValueError(f"cannot parse q specification {text!r}")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError(f"q specification {text!r} has a non-finite coefficient")
-        return QDifferential(coeffs)
+        try:
+            return QDifferential(coeffs)
+        except ValueError:  # the only one left: a non-finite coefficient
+            raise ValueError(f"q specification {text!r} has a non-finite coefficient") from None
 
 
 # ---------------------------------------------------------------------------

@@ -57,13 +57,9 @@ def project(rs: RootSystem, nu: DiagramAutomorphism, alpha: Sequence[Fraction]) 
 
 def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
     """Project the simple roots, merge symmetry orbits, classify the result."""
+    if not nu.preserves(rs.cartan_matrix):
+        raise ValueError("permutation is not a diagram symmetry")
     l = rs.rank
-    A = rs.cartan_matrix
-    for i in range(l):
-        for j in range(l):
-            if A[nu.perm[i]][nu.perm[j]] != A[i][j]:
-                raise ValueError("permutation is not a diagram symmetry")
-
     projections: List[Vec] = []
     orbits: List[List[int]] = []
     seen: Dict[Vec, int] = {}

@@ -359,6 +359,10 @@ class DiagramAutomorphism:
             raise ValueError(f"{perm} is not an involutive permutation of its nodes")
         self.perm = perm  # 0-based image of each node
 
+    def preserves(self, A: Sequence[Sequence[int]]) -> bool:
+        """Whether the permutation maps the Cartan matrix A onto itself."""
+        return all(A[p][q] == A[i][j] for i, p in enumerate(self.perm) for j, q in enumerate(self.perm))
+
     def apply_root(self, root: Root) -> Root:
         out = [0] * len(root)
         for i, c in enumerate(root):
@@ -372,8 +376,7 @@ def diagram_automorphism(rs: RootSystem) -> DiagramAutomorphism:
     Nontrivial (order 2) exactly for A_n (n >= 2), D_odd and E6; identity
     for every other supported type.
     """
-    l = rs.rank
-    fam = rs.type.family
+    l, fam = rs.rank, rs.type.family
     perm = list(range(l))
     if fam == "A" and l >= 2:
         perm = [l - 1 - i for i in range(l)]
@@ -382,11 +385,8 @@ def diagram_automorphism(rs: RootSystem) -> DiagramAutomorphism:
     elif fam == "E" and l == 6:
         perm = [4, 3, 2, 1, 0, 5]
     nu = DiagramAutomorphism(tuple(perm))
-    A = rs.cartan_matrix
-    for i in range(l):
-        for j in range(l):
-            if A[nu.perm[i]][nu.perm[j]] != A[i][j]:
-                raise RuntimeError(f"{rs.type}: graph symmetry check failed")
+    if not nu.preserves(rs.cartan_matrix):
+        raise RuntimeError(f"{rs.type}: graph symmetry check failed")
     if nu.apply_root(rs.highest_root) != rs.highest_root:
         raise RuntimeError(f"{rs.type}: graph symmetry moves the highest root")
     return nu

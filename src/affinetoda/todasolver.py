@@ -36,8 +36,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
+# the package before numpy, against PEP 8: without bytecode, compiling after numpy lifts peak RSS
 from .grids import (
     DomainGrid,
     HFieldGrid,
@@ -48,13 +47,20 @@ from .grids import (
 )
 from .rootdata import RootSystem
 
+import numpy as np
+
 
 class InitSpec:
-    """How a solve starts; equal and hashed by (kind, seed, amplitude, path)."""
+    """How a solve starts; equal and hashed by (kind, seed, amplitude, path).
+    A negative seed or a non-finite amplitude is a ValueError."""
 
     def __init__(
         self, kind: str = "oracle", seed: int = 0, amplitude: float = 0.1, path: Optional[str] = None
     ):
+        if seed < 0:
+            raise ValueError("init has a negative seed")
+        if not np.isfinite(amplitude):
+            raise ValueError("init has a non-finite amplitude")
         self.kind = kind  # zero | oracle | perturbed | file
         self.seed = seed
         self.amplitude = amplitude
@@ -82,11 +88,10 @@ class InitSpec:
                 seed, amplitude = int(parts[1]), float(parts[2])
             except ValueError:
                 raise ValueError(f"cannot parse init specification {text!r}") from None
-            if seed < 0:
-                raise ValueError(f"init specification {text!r} has a negative seed")
-            if not np.isfinite(amplitude):
-                raise ValueError(f"init specification {text!r} has a non-finite amplitude")
-            return InitSpec("perturbed", seed=seed, amplitude=amplitude)
+            try:
+                return InitSpec("perturbed", seed=seed, amplitude=amplitude)
+            except ValueError as exc:  # the constructor's reason, said of the specification
+                raise ValueError(str(exc).replace("init", f"init specification {text!r}", 1)) from None
         if parts[0] == "file" and len(parts) >= 2:
             return InitSpec("file", path=":".join(parts[1:]))
         raise ValueError(f"cannot parse init specification {text!r}")

@@ -7,9 +7,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
+from affinetoda import cli
 from affinetoda.cli import main
+from affinetoda.todasolver import residual
 from conftest import ALL_TYPES
 
 
@@ -237,6 +240,52 @@ def _modules_after(*argv):
     out = json.loads(proc.stdout)
     assert out["code"] == 0
     return out
+
+
+# Run in a fresh interpreter: for each affinetoda module compiled from
+# source, whether numpy was loaded when it was compiled, then the command's
+# exit code.
+_COMPILE_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "from importlib._bootstrap_external import SourceLoader\n"
+    "compiled, to_code = {}, SourceLoader.source_to_code\n"
+    "def source_to_code(self, *args, **kwargs):\n"
+    "    if self.name.split('.')[0] == 'affinetoda':\n"
+    "        compiled[self.name] = 'numpy' in sys.modules\n"
+    "    return to_code(self, *args, **kwargs)\n"
+    "SourceLoader.source_to_code = source_to_code\n"
+    "from affinetoda.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "print(json.dumps({'compiled': compiled, 'code': code}))\n"
+)
+
+
+def test_field_commands_compile_the_package_before_numpy(tmp_path):
+    """Without bytecode every package module a command loads is compiled
+    from source, and a compile after numpy has loaded lifts the command's
+    peak RSS above numpy's by the compiler's transient (about 1 MiB):
+    each field command, in a fresh interpreter with no bytecode to read or
+    write, compiles every package module it loads before numpy."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPYCACHEPREFIX": str(tmp_path / "no-bytecode")}
+    torus, rect = str(tmp_path / "torus.bin"), str(tmp_path / "rect.bin")
+    solve = ("toda", "solve", "--type", "A2", "--grid", "16x16", "--init", "perturbed:1:0.1")
+    commands = [
+        (*solve, "--out", torus),
+        (*solve, "--topology", "rectangle", "--out", rect),
+        ("toda", "verify", torus),
+        ("conn", "check", "--type", "A2", "--grid", "24"),
+        ("export-plot", rect, "--out", str(tmp_path / "plot.csv")),
+    ]
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-c", _COMPILE_PROBE, *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["code"] == 0, argv
+        assert {"affinetoda.grids", "affinetoda.todasolver"} <= set(out["compiled"]), argv
+        assert [m for m, after in out["compiled"].items() if after] == [], argv
 
 
 @pytest.mark.parametrize("command", ["info", "restrict", "check"])
@@ -673,6 +722,33 @@ def test_export_plot(tmp_path, capsys):
     lines = open(csv_path).read().splitlines()
     assert lines[0] == "ix,iy,x,y,alpha1,alpha2,residual_norm"
     assert len(lines) == 1 + 16 * 16
+
+
+@pytest.mark.parametrize("topology", ["torus", "rectangle"])
+def test_export_plot_writes_the_per_node_text(topology, tmp_path, capsys):
+    """export-plot formats a grid row of nodes at a time, and writes the
+    bytes of a per-node loop that prints ix and iy as ints and every float
+    with ``.17g``."""
+    field, csv = str(tmp_path / "omega.bin"), str(tmp_path / "plot.csv")
+    run_cli(capsys, "toda", "solve", "--type", "A3", "--grid", "24x20", "--topology", topology,
+            "--extent", "1.3x0.7", "--q", "poly:1,0.5+0.2j,0.3", "--init", "perturbed:1:0.2",
+            "--out", field)
+    assert run_cli(capsys, "export-plot", field, "--out", csv)[0] == 0
+    _, data, cfg, omega = cli._reload_run(field)
+    grid, l = cfg.grid, data.rs.rank
+    av = omega.values @ data.P.T
+    exps = data.exponentials(omega.values, np.abs(cfg.q.sample(grid)) ** 2)
+    rnorm = np.abs(residual(data, grid, omega.values, exps)).max(axis=-1)
+    X, Y = grid.xy()
+    lines = ["ix,iy,x,y," + ",".join(f"alpha{i+1}" for i in range(l)) + ",residual_norm"]
+    for ix in range(grid.nx):
+        for iy in range(grid.ny):
+            row = [str(ix), str(iy), f"{X[ix, iy]:.17g}", f"{Y[ix, iy]:.17g}"]
+            row += [f"{av[ix, iy, i]:.17g}" for i in range(l)]
+            row.append(f"{rnorm[ix, iy]:.17g}")
+            lines.append(",".join(row))
+    with open(csv, "rb") as fh:
+        assert fh.read() == ("\n".join(lines) + "\n").encode()
 
 
 def test_manifest_contents(tmp_path, capsys):

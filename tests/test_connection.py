@@ -357,6 +357,25 @@ def test_summary_peaks_below_the_solve(n, topology, algebra):
     assert summary_peak <= solve_peak, (summary_peak, solve_peak)
 
 
+@pytest.mark.parametrize("q", ["const:1.0", "const:0.8-0.3j"])
+def test_one_block_summary_working_memory(q, algebra):
+    """At E8 32^2 the whole grid is one row block.  Its summary peaks at
+    13.2 fields of Omega traced, above the solve's 10.2, but without the
+    whole-field copies of ``char_scale``: a complex copy of a real H and the
+    caller's -Omega took it to 14.3."""
+    rs, _, _, _ = algebra("E8")
+    cfg = SolverConfig(
+        grid=DomainGrid("torus", 32, 32),
+        q=QDifferential.parse(q),
+        init=InitSpec("perturbed", seed=1, amplitude=0.1),
+    )
+    data = _TodaData(rs)
+    sol = solve(cfg, data)
+    _summary(sol.omega, cfg.q, data)  # per-type caches
+    peak = _traced_peak(lambda: _summary(sol.omega, cfg.q, data))
+    assert peak < 13.5 * sol.omega.values.nbytes, peak / sol.omega.values.nbytes
+
+
 def test_summary_forms_no_whole_grid_residual(algebra):
     """The summary forms R in the row blocks of its curvature pass, not
     over the whole grid with its exponentials and Laplacian temporaries:

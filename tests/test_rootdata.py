@@ -262,6 +262,20 @@ def test_e6_automorphism_fixes_branch():
     assert nu.perm != tuple(range(6))
 
 
+@pytest.mark.parametrize("name", ["A3", "A4", "B3", "D4", "D5", "E6", "G2"])
+def test_preserves_is_the_cartan_symmetry_check(name):
+    """The one check of ``diagram_automorphism`` and ``restrict``: an
+    involutive permutation preserves the Cartan matrix exactly when the
+    brute-force search finds it."""
+    import itertools
+
+    A = build_root_system(LieType.parse(name)).cartan_matrix
+    involutions = [p for p in itertools.permutations(range(len(A))) if all(p[p[i]] == i for i in p)]
+    found = [p for p in involutions if DiagramAutomorphism(p).preserves(A)]
+    assert found == brute_force_order2_symmetries(A)
+    assert len(found) < len(involutions)
+
+
 @pytest.mark.parametrize("name", ["A1", "B2", "B3", "C4", "D4", "D6", "E7", "E8", "F4", "G2"])
 def test_diagram_automorphism_trivial(name):
     rs = build_root_system(LieType.parse(name))

@@ -256,11 +256,11 @@ def test_lazy_package_keeps_every_public_name(module):
 
 
 def _load_time_imports(path):
-    """Modules imported when ``path`` is loaded, by name: the top-level
-    package of an absolute import, the package module of a relative one.
-    Imports inside functions and ``if TYPE_CHECKING:`` blocks do not run at
-    load time and are skipped."""
-    found = set()
+    """Modules imported when ``path`` is loaded, each with the line of its
+    first import, by name: the top-level package of an absolute import, the
+    package module of a relative one.  Imports inside functions and ``if
+    TYPE_CHECKING:`` blocks do not run at load time and are skipped."""
+    found = {}
     stack = [ast.parse(path.read_text())]
     while stack:
         node = stack.pop()
@@ -270,11 +270,15 @@ def _load_time_imports(path):
             stack += node.orelse
             continue
         if isinstance(node, ast.Import):
-            found |= {alias.name.split(".")[0] for alias in node.names}
+            names = {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            found.add(node.module.split(".")[0])
+            names = {node.module.split(".")[0]}
         elif isinstance(node, ast.ImportFrom):
-            found |= {node.module} if node.module else {alias.name for alias in node.names}
+            names = {node.module} if node.module else {alias.name for alias in node.names}
+        else:
+            names = set()
+        for name in names:
+            found[name] = min(found.get(name, node.lineno), node.lineno)
         stack += ast.iter_child_nodes(node)
     return found
 
@@ -283,8 +287,22 @@ NUMERIC_MODULES = {"numpy", "chevalley", "connection", "grids", "restriction", "
 
 
 def test_load_time_imports_reads_both_import_forms():
-    assert {"numpy", "grids", "rootdata"} <= _load_time_imports(SRC / "connection.py")
-    assert {"numpy", "grids", "rootdata"} <= _load_time_imports(SRC / "todasolver.py")
+    assert {"numpy", "grids", "rootdata"} <= _load_time_imports(SRC / "connection.py").keys()
+    assert {"numpy", "grids", "rootdata"} <= _load_time_imports(SRC / "todasolver.py").keys()
+
+
+def test_package_imports_come_before_numpy():
+    """Without bytecode a module is compiled from source when it is first
+    imported, and a compile once numpy is loaded lifts the peak RSS above
+    numpy's by the compiler's transient (about 1 MiB).  So every module
+    imports the package modules it loads at load time before numpy."""
+    package = {path.stem for path in SRC.glob("*.py")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = _load_time_imports(path)
+        numpy = lines.get("numpy", float("inf"))
+        found += [f"{path.name}:{line}" for name, line in lines.items() if name in package and line > numpy]
+    assert found == []
 
 
 def _numpy_imports(path):
@@ -333,7 +351,7 @@ def test_cli_imports_no_numeric_module_at_load_time():
     restrict never load numpy."""
     found = _load_time_imports(SRC / "cli.py")
     assert "rootdata" in found
-    assert found & NUMERIC_MODULES == set()
+    assert found.keys() & NUMERIC_MODULES == set()
 
 
 def test_folding_builds_no_root_system():

@@ -489,3 +489,23 @@ def test_config_validation(algebra):
     with pytest.raises(ValueError, match="'perturbed:-1:0.1' has a negative seed"):
         InitSpec.parse("perturbed:-1:0.1")
     assert InitSpec.parse("file:/tmp/x.bin").path == "/tmp/x.bin"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: QDifferential(()), "at least one coefficient"),
+        (lambda: QDifferential((1.0, float("nan"))), "non-finite coefficient"),
+        (lambda: QDifferential((complex(0.5, float("inf")),)), "non-finite coefficient"),
+        (lambda: InitSpec("perturbed", seed=1, amplitude=float("nan")), "non-finite amplitude"),
+        (lambda: InitSpec("perturbed", seed=1, amplitude=float("-inf")), "non-finite amplitude"),
+        (lambda: InitSpec("perturbed", seed=-1, amplitude=0.1), "negative seed"),
+    ],
+    ids=["q-empty", "q-nan", "q-infinite-imag", "init-nan", "init-minus-inf", "init-seed"],
+)
+def test_constructors_check_their_invariants(make, message):
+    """A q with no coefficient or a non-finite one, and an init with a
+    non-finite amplitude or a negative seed, are refused where they are
+    made, not only by the parsers of their CLI specifications."""
+    with pytest.raises(ValueError, match=message):
+        make()
