@@ -62,8 +62,8 @@ class TodaSlots:
     highest root theta in positive-root order, then their negatives in the
     same order (A1, whose simple root is theta, has 3 slots): the order of
     the Chevalley basis restricted to these slots.  For the root beta of
-    slot d, ``characters[d, a]`` is beta(h_a), ``heights[d]`` its height and
-    ``negation[d]`` the slot of -beta (0, 0 and d on the Cartan).
+    slot d, ``characters[d, a]`` is beta(h_a) and ``negation[d]`` the slot
+    of -beta (0 and d on the Cartan).
     ``lowered`` holds the slots of E-, the -alpha_i then theta, and
     ``raised`` those of E+, their negatives.
 
@@ -91,7 +91,6 @@ class TodaSlots:
         pos = {r: d for d, r in enumerate(self.roots, l)}
         chars = [[0] * l] * l + [[rs.pairing(r, a) for a in range(l)] for r in self.roots]
         self.characters = np.array(chars, dtype=np.int64)
-        self.heights = np.array([0] * l + [sum(r) for r in self.roots], dtype=np.int64)
         self.negation = np.array([*range(l), *(pos[tuple(-c for c in r)] for r in self.roots)])
         self.raised = np.array([pos[rs.simple_root(i)] for i in range(l)] + [pos[self.roots[-1]]])
         self.lowered = self.negation[self.raised]

@@ -26,7 +26,6 @@ class RestrictedSystem:
     def __init__(
         self,
         base: RootSystem,
-        nu: DiagramAutomorphism,
         restricted_roots: Tuple[Vec, ...],
         orbits: Tuple[Tuple[int, ...], ...],
         coroot_coords: Tuple[Tuple[int, ...], ...],
@@ -35,7 +34,6 @@ class RestrictedSystem:
         label: str,
     ):
         self.base = base
-        self.nu = nu
         self.restricted_roots = restricted_roots  # deduplicated projections of the simple roots
         self.orbits = orbits  # simple-root indices over each projection
         self.coroot_coords = coroot_coords  # coroots of the projections over the simple coroots
@@ -111,7 +109,6 @@ def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
 
     rest = RestrictedSystem(
         base=rs,
-        nu=nu,
         restricted_roots=tuple(projections),
         orbits=tuple(tuple(o) for o in orbits),
         coroot_coords=tuple(coroots),

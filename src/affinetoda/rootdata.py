@@ -49,7 +49,7 @@ _DIM = {
 
 
 class LieType:
-    """A simple type, e.g. LieType('A', 2); equal and hashed by (family, rank)."""
+    """A simple type, e.g. LieType('A', 2)."""
 
     def __init__(self, family: str, rank: int):
         if family not in _RANK_BOUNDS:
@@ -59,14 +59,6 @@ class LieType:
             raise ValueError(f"rank {rank} out of range [{lo}, {hi}] for family {family}")
         self.family = family
         self.rank = rank
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LieType):
-            return NotImplemented
-        return (self.family, self.rank) == (other.family, other.rank)
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.rank))
 
     @staticmethod
     def parse(name: str) -> "LieType":

@@ -51,31 +51,24 @@ import numpy as np
 
 
 class InitSpec:
-    """How a solve starts; equal and hashed by (kind, seed, amplitude, path).
-    A negative seed or a non-finite amplitude is a ValueError."""
+    """How a solve starts.  An unknown kind, a ``file`` kind without a path,
+    a negative seed or a non-finite amplitude is a ValueError."""
 
     def __init__(
         self, kind: str = "oracle", seed: int = 0, amplitude: float = 0.1, path: Optional[str] = None
     ):
+        if kind not in ("zero", "oracle", "perturbed", "file"):
+            raise ValueError(f"init has an unknown kind {kind!r}")
+        if kind == "file" and path is None:
+            raise ValueError("init of kind 'file' has no path")
         if seed < 0:
             raise ValueError("init has a negative seed")
         if not np.isfinite(amplitude):
             raise ValueError("init has a non-finite amplitude")
-        self.kind = kind  # zero | oracle | perturbed | file
+        self.kind = kind
         self.seed = seed
         self.amplitude = amplitude
         self.path = path
-
-    def _key(self) -> Tuple:
-        return self.kind, self.seed, self.amplitude, self.path
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, InitSpec):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @staticmethod
     def parse(text: str) -> "InitSpec":
@@ -275,14 +268,12 @@ def _initial_field(cfg: SolverConfig, data: _TodaData, q2: np.ndarray) -> HField
         # the bump's periods are the domain's, so it is smooth across a torus's seam
         bump = random_trig_field(l, cfg.init.seed, cfg.init.amplitude, extent=grid.extent)
         return HFieldGrid(grid, base.values + bump.sample(grid).values)
-    if kind == "file":
-        field0 = read_field_binary(cfg.init.path, grid)
-        if field0.l != l:
-            raise ValueError(
-                f"{cfg.init.path}: init field has {field0.l} components, but the rank is {l}"
-            )
-        return field0
-    raise ValueError(f"unknown init kind {kind!r}")
+    field0 = read_field_binary(cfg.init.path, grid)  # kind "file"
+    if field0.l != l:
+        raise ValueError(
+            f"{cfg.init.path}: init field has {field0.l} components, but the rank is {l}"
+        )
+    return field0
 
 
 def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
@@ -415,11 +406,12 @@ def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
     """Damped Newton iteration with Armijo backtracking on |R|^2.
 
     Deterministic for a fixed config (seeded perturbations, fixed-order
-    reductions), whatever the BLAS thread count.  Divergence (no residual
-    progress over a patience window) yields a non-converged Solution.  The
-    accepted line-search trial is the next iterate, with its exponentials,
-    residual and |R|^2; as |R|^2 falls at each step, only the initial
-    field's non-finite residual can raise.
+    reductions), whatever the BLAS thread count.  A solve that reaches
+    ``max_iter`` steps, or whose line search finds no step that lowers
+    |R|^2, yields a non-converged Solution.  The accepted line-search trial
+    is the next iterate, with its exponentials, residual and |R|^2; as
+    |R|^2 falls at each step, only the initial field's non-finite residual
+    can raise.
     """
     grid = cfg.grid
     q2 = np.abs(cfg.q.sample(grid)) ** 2
@@ -433,21 +425,12 @@ def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
 
     history: List[float] = []
     cg_iterations: List[int] = []
-    best = np.inf
-    stall = 0
     for it in range(cfg.max_iter + 1):
         res_inf = grid.max_norm(np.abs(R).max(axis=-1))
         history.append(res_inf)
         converged = res_inf <= cfg.tol
         if converged or it == cfg.max_iter:
             break
-        if res_inf < best * (1 - 1e-12):
-            best = res_inf
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 6:
-                break  # diverged / stagnated
         r = R @ data.G
         del R  # the step reads -(R @ G) alone
         s, cg_its = _newton_step(data, grid, exps, np.negative(r, out=r))

@@ -30,7 +30,7 @@ from affinetoda.connection import (
     _e_minus,
     char_scale,
 )
-from affinetoda.rootdata import LieType, affine_cartan, build_root_system
+from affinetoda.rootdata import LieType, affine_cartan, build_root_system, diagram_automorphism
 from affinetoda.todasolver import InitSpec, SolverConfig, residual, sigma_symmetry_defect, solve
 
 
@@ -181,7 +181,7 @@ def restricted_toda_residual(omega, q, rest):
     values in the fixed subspace (``sigma_symmetry_defect`` above 1e-12 is
     an error).
     """
-    if sigma_symmetry_defect(omega, rest.nu.perm) > 1e-12:
+    if sigma_symmetry_defect(omega, diagram_automorphism(rest.base).perm) > 1e-12:
         raise ValueError("field is not fixed by the diagram symmetry")
     rs, grid, vals = rest.base, omega.grid, omega.values
     P = np.array(rs.simple_characters, dtype=float)

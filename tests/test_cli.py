@@ -541,6 +541,30 @@ def test_non_finite_solve_exits_1(tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("topology", ["torus", "rectangle"])
+def test_unreachable_tol_exits_1_and_writes_the_field(topology, tmp_path, capsys):
+    """A tol below roundoff stops the solve where the line search finds no
+    step that lowers |R|^2, well before max_iter: the solve exits 1 with
+    ``converged: false`` and still writes the field and its manifest, and
+    verify of that field reproduces every number and exits 1 as well."""
+    out_path = str(tmp_path / "omega.bin")
+    code, out, _ = run_cli(capsys, "toda", "solve", "--type", "A2", "--grid", "16",
+                           "--topology", topology, "--tol", "1e-300", "--max-iter", "60",
+                           "--init", "perturbed:1:0.2", "--out", out_path)
+    assert code == 1
+    summary = json.loads(out)
+    assert summary["converged"] is False
+    assert summary["iterations"] < 60
+    assert os.path.exists(out_path)
+    assert os.path.exists(out_path + ".manifest.json")
+
+    code2, out2, _ = run_cli(capsys, "toda", "verify", out_path)
+    assert code2 == 1
+    verify = json.loads(out2)
+    assert verify["pass"] is False
+    assert verify["drift"] == {"residual": 0.0, "curvature_norm": 0.0, "sigma_defect": 0.0}
+
+
 def test_single_extent_means_square(tmp_path, capsys):
     """--extent L means LxL, as --grid N means NxN."""
     fields = []

@@ -54,6 +54,8 @@ from oracles import (
     gauge_covariance_defect,
     gauge_transform,
     interior_mask,
+    rho_hat,
+    sigma_matrix,
 )
 
 
@@ -228,6 +230,33 @@ def test_slot_curvature_matches_dense_reference(name, topology, algebra):
     assert not np.any(ref[..., off])
     got = scatter(alg, conn.slots, curvature(conn))
     assert np.abs(got - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def _split_form_defect(alg, sl2, conn):
+    """Max over the nodes and over A_x = (A_z + Phi) + (A_zbar + Psi) and
+    A_y = i ((A_z + Phi) - (A_zbar + Psi)) of |lambda_hat(M) - M|, with
+    lambda_hat = sigma o rho_hat the split-form anti-involution."""
+    az, azbar = (scatter(alg, conn.slots, part) for part in connection_parts(conn))
+    S = sigma_matrix(sl2)
+    return max(np.abs(rho_hat(alg, M) @ S.T - M).max() for M in (az + azbar, 1j * (az - azbar)))
+
+
+@pytest.mark.parametrize("q", ["const:0.8-0.3j", "poly:1,0.5+0.2j,0.3"])
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_sigma_fixed_field_connection_is_in_the_split_real_form(name, q, algebra):
+    """The Toda-gauge connection of a sigma-fixed Omega lies in the split
+    real form: lambda_hat fixes A_x and A_y at every node to roundoff.  So
+    ``sigma_defect``, the distance of Omega from sigma-fixed, measures how
+    far the connection is from that real form.  Flipping the sign of Psi's
+    q column moves it off by more than 1, whatever the type."""
+    rs, alg, sl2, _ = algebra(name)
+    grid = DomainGrid("torus", 12, 12)
+    field = random_trig_field(rs.rank, seed=5, amplitude=0.3)
+    omega = field.symmetrized(diagram_automorphism(rs).perm).sample(grid)
+    conn = build_toda_connection(omega, QDifferential.parse(q), _TodaData(rs), "toda")
+    assert _split_form_defect(alg, sl2, conn) <= 1e-14
+    conn.psi[..., -1] *= -1
+    assert _split_form_defect(alg, sl2, conn) > 1
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "G2", "E8"])
@@ -424,15 +453,14 @@ def test_slot_bracket_working_memory(algebra):
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_slot_data_is_the_chevalley_data(name, algebra):
-    """Characters, heights, negation and the E-/E+ positions of the Toda
-    slots against those of the Chevalley basis, read through root_index."""
+    """Characters, negation and the E-/E+ positions of the Toda slots
+    against those of the Chevalley basis, read through root_index."""
     rs, alg, _, _ = algebra(name)
     slots = TodaSlots(rs)
     glob = chevalley_slots(alg, slots)
     assert slots.n == len(set(glob.tolist())) == (3 if name == "A1" else 3 * rs.rank + 2)
     assert np.all(np.diff(glob) > 0)  # the Chevalley order
     assert np.array_equal(slots.characters, characters(alg)[glob])
-    assert np.array_equal(slots.heights, np.array(alg.slot_heights)[glob])
     assert np.array_equal(glob[slots.negation], np.array(alg.slot_negation)[glob])
     minus = [alg.root_index(tuple(-c for c in rs.simple_root(i))) for i in range(rs.rank)]
     assert glob[slots.lowered].tolist() == minus + [alg.root_index(rs.highest_root)]
@@ -712,7 +740,8 @@ class TestChartTransition:
         qi = QDifferential.parse(f"poly:{c0!r},{c1!r}")  # q_i(w) = q_j(w/2) * (1/2)^h
         conn_j = build_toda_connection(omega_j, qj, _TodaData(rs), "higgs")
         conn_i = build_toda_connection(omega_i, qi, _TodaData(rs), "higgs")
-        heights = conn_j.slots.heights[conn_j.slots.lowered]
+        slots = conn_j.slots
+        heights = np.array(alg.slot_heights)[chevalley_slots(alg, slots)][slots.lowered]
         moved = chart_transition(conn_j.phi, 0.5, heights, form_degree=1)
         assert np.abs(moved - conn_i.phi).max() < 1e-12
 

@@ -190,7 +190,7 @@ class TestFoldedResidual:
         vals = np.zeros((8, 8, 3))
         vals[..., 0] = 0.3  # breaks the 1<->3 symmetry
         omega = HFieldGrid(grid, vals)
-        assert sigma_symmetry_defect(omega, rest.nu.perm) > 1e-12
+        assert sigma_symmetry_defect(omega, nu.perm) > 1e-12
         q = QDifferential((1.0,))
         with pytest.raises(ValueError):
             restricted_toda_residual(omega, q, rest)

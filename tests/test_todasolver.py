@@ -485,7 +485,8 @@ def test_config_validation(algebra):
         SolverConfig(grid=grid, q=q, damping=1.5)
     with pytest.raises(ValueError):
         InitSpec.parse("perturbed:oops")
-    assert InitSpec.parse("perturbed:3:0.2") == InitSpec("perturbed", seed=3, amplitude=0.2)
+    spec = InitSpec.parse("perturbed:3:0.2")
+    assert (spec.kind, spec.seed, spec.amplitude, spec.path) == ("perturbed", 3, 0.2, None)
     with pytest.raises(ValueError, match="'perturbed:-1:0.1' has a negative seed"):
         InitSpec.parse("perturbed:-1:0.1")
     assert InitSpec.parse("file:/tmp/x.bin").path == "/tmp/x.bin"
@@ -500,12 +501,16 @@ def test_config_validation(algebra):
         (lambda: InitSpec("perturbed", seed=1, amplitude=float("nan")), "non-finite amplitude"),
         (lambda: InitSpec("perturbed", seed=1, amplitude=float("-inf")), "non-finite amplitude"),
         (lambda: InitSpec("perturbed", seed=-1, amplitude=0.1), "negative seed"),
+        (lambda: InitSpec("bogus"), "unknown kind 'bogus'"),
+        (lambda: InitSpec("file"), "no path"),
     ],
-    ids=["q-empty", "q-nan", "q-infinite-imag", "init-nan", "init-minus-inf", "init-seed"],
+    ids=["q-empty", "q-nan", "q-infinite-imag", "init-nan", "init-minus-inf", "init-seed",
+         "init-kind", "init-file-without-path"],
 )
 def test_constructors_check_their_invariants(make, message):
-    """A q with no coefficient or a non-finite one, and an init with a
-    non-finite amplitude or a negative seed, are refused where they are
-    made, not only by the parsers of their CLI specifications."""
+    """A q with no coefficient or a non-finite one, and an init of an
+    unknown kind, of kind ``file`` without a path, with a non-finite
+    amplitude or a negative seed, are refused where they are made, not only
+    by the parsers of their CLI specifications."""
     with pytest.raises(ValueError, match=message):
         make()
