@@ -426,17 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
         dest="cmd", required=True
     )
     solve_p = toda.add_parser("solve", help="solve the field equations")
-    solve_p.add_argument("--type")
-    solve_p.add_argument("--grid")
-    solve_p.add_argument("--q")
-    solve_p.add_argument("--tol")
-    solve_p.add_argument("--max-iter", dest="max_iter")
-    solve_p.add_argument("--damping")
-    solve_p.add_argument("--init")
-    solve_p.add_argument("--topology")
-    solve_p.add_argument("--extent")
+    for key in SOLVER_KEYS:
+        solve_p.add_argument("--" + key.replace("_", "-"))
     solve_p.add_argument("--config", help="key=value file; flags win")
-    solve_p.add_argument("--out", default="omega.bin")
+    solve_p.add_argument("--out")
     solve_p.set_defaults(fn=cmd_toda_solve)
     verify_p = toda.add_parser("verify", help="recompute residuals from a run")
     verify_p.add_argument("field")

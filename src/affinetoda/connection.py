@@ -300,10 +300,8 @@ def _fold_block(
         # term, and the bracket lands on the Cartan slots alone
         e_minus = _e_minus(data.r, q_own)
         star = char_scale(np.conj(e_minus), 2 * own, chars[hi])
-        zero = np.broadcast_to(0j, q_own.shape)  # a view: no zero column is allocated
-        xs, ys = [zero] * slots.n, [zero] * slots.n
-        for d, (a, b) in enumerate(zip(lo, hi)):
-            xs[a], ys[b] = e_minus[..., d], star[..., d]
+        zero = np.broadcast_to(0j, q_own.shape + (l,))  # a view: no zero column is allocated
+        xs, ys = _columns(slots, zero, zero, e_minus, star)
         terms = slots.terms([x.any() for x in xs], [y.any() for y in ys])
         if np.any(terms[2] >= l):
             raise RuntimeError("a bracket term lands outside its output slots")

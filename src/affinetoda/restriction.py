@@ -15,9 +15,9 @@ field equation, whose residual the tests check against the solver's.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .rootdata import DiagramAutomorphism, RootSystem, affine_cartan
+from .rootdata import DiagramAutomorphism, RootSystem, gcm_of
 
 Vec = Tuple[Fraction, ...]
 
@@ -25,7 +25,6 @@ Vec = Tuple[Fraction, ...]
 class RestrictedSystem:
     def __init__(
         self,
-        base: RootSystem,
         restricted_roots: Tuple[Vec, ...],
         orbits: Tuple[Tuple[int, ...], ...],
         coroot_coords: Tuple[Tuple[int, ...], ...],
@@ -33,8 +32,7 @@ class RestrictedSystem:
         gcm: Tuple[Tuple[int, ...], ...],
         label: str,
     ):
-        self.base = base
-        self.restricted_roots = restricted_roots  # deduplicated projections of the simple roots
+        self.restricted_roots = restricted_roots  # projections of the simple roots, one per orbit
         self.orbits = orbits  # simple-root indices over each projection
         self.coroot_coords = coroot_coords  # coroots of the projections over the simple coroots
         self.weights = weights  # constants pinning the folded equation
@@ -54,39 +52,18 @@ def project(rs: RootSystem, nu: DiagramAutomorphism, alpha: Sequence[Fraction]) 
 
 
 def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
-    """Project the simple roots, merge symmetry orbits, classify the result."""
+    """Project the simple roots, one per symmetry orbit, and classify the
+    result.  The orbits are (i,) or (i, nu(i)) for i <= nu(i), in order of
+    i: the projections of alpha_i and alpha_nu(i) agree."""
     if not nu.preserves(rs.cartan_matrix):
         raise ValueError("permutation is not a diagram symmetry")
     l = rs.rank
-    projections: List[Vec] = []
-    orbits: List[List[int]] = []
-    seen: Dict[Vec, int] = {}
-    for i in range(l):
-        beta = project(rs, nu, rs.simple_root(i))
-        if beta in seen:
-            orbits[seen[beta]].append(i)
-        else:
-            seen[beta] = len(projections)
-            projections.append(beta)
-            orbits.append([i])
-
+    orbits = [(i,) if p == i else (i, p) for i, p in enumerate(nu.perm) if i <= p]
+    projections = [project(rs, nu, rs.simple_root(orbit[0])) for orbit in orbits]
     delta = tuple(Fraction(c) for c in rs.highest_root)
     if project(rs, nu, delta) != delta:
         raise RuntimeError(f"{rs.type}: the symmetry does not fix the highest root")
-    nodes: List[Vec] = [tuple(-c for c in delta)] + projections
-
-    k = len(nodes)
-    gcm_rows = []
-    for i in range(k):
-        row = []
-        hn = rs.dot(nodes[i], nodes[i]) / 2
-        for j in range(k):
-            val = rs.dot(nodes[i], nodes[j]) / hn
-            if val.denominator != 1:
-                raise RuntimeError(f"{rs.type}: projected pairing {val} is not integral")
-            row.append(int(val))
-        gcm_rows.append(tuple(row))
-    gcm = tuple(gcm_rows)
+    gcm = gcm_of(rs, [tuple(-c for c in delta)] + projections)
 
     # constants making the folded pointwise terms match the unfolded ones
     # on symmetry-fixed fields: sum over an orbit of r_i h_i must be a
@@ -107,21 +84,19 @@ def restrict(rs: RootSystem, nu: DiagramAutomorphism) -> RestrictedSystem:
         coroots.append(dual)
         weights.append(ratios.pop())
 
-    rest = RestrictedSystem(
-        base=rs,
+    return RestrictedSystem(
         restricted_roots=tuple(projections),
-        orbits=tuple(tuple(o) for o in orbits),
+        orbits=tuple(orbits),
         coroot_coords=tuple(coroots),
         weights=tuple(weights),
         gcm=gcm,
-        label="",
+        label=classify_affine(rs.type, orbits),
     )
-    rest.label = classify_affine(rest)
-    return rest
 
 
-def classify_affine(rest: RestrictedSystem) -> str:
-    """Kac name of the projected affine matrix.
+def classify_affine(base, orbits: Sequence[Tuple[int, ...]]) -> str:
+    """Kac name of the affine matrix projected from the type ``base`` (its
+    root system's ``type``) with the node orbits ``orbits``.
 
     A symmetry that moves no node yields the extended diagram of the base
     type and keeps the base's name (rank-2 overlaps such as B2 = C2 are
@@ -129,13 +104,9 @@ def classify_affine(rest: RestrictedSystem) -> str:
     A_2k(2), A_2k-1 to C_k(1), D3 = A3 to C2(1), D_l (l >= 4) to B_l-1(1)
     and E6 to F4(1) (Kac, ch. 8).
     """
-    base = rest.base.type
     l = base.rank
-    if all(len(orbit) == 1 for orbit in rest.orbits):
-        aff = affine_cartan(rest.base)
-        if rest.gcm != aff.gcm:
-            raise RuntimeError(f"{base}: trivial folding changed the affine matrix")
-        return aff.kac_label
+    if all(len(orbit) == 1 for orbit in orbits):
+        return f"{base}(1)"
     if base.family == "A":
         return f"A{l}(2)" if l % 2 == 0 else f"C{(l + 1) // 2}(1)"
     if base.family == "D":

@@ -292,45 +292,40 @@ def coxeter_number(rs: RootSystem) -> int:
 
 class AffineCartanData:
     def __init__(
-        self,
-        gcm: Tuple[Tuple[int, ...], ...],
-        marks: Tuple[int, ...],
-        comarks: Tuple[int, ...],
-        kac_label: str,
+        self, gcm: Tuple[Tuple[int, ...], ...], marks: Tuple[int, ...], comarks: Tuple[int, ...]
     ):
         self.gcm = gcm  # (l+1) x (l+1), node 0 first
         self.marks = marks
         self.comarks = comarks
-        self.kac_label = kac_label
+
+
+def gcm_of(rs: RootSystem, nodes: Sequence[Sequence[Fraction]]) -> Tuple[Tuple[int, ...], ...]:
+    """The generalized Cartan matrix of ``nodes``, h* vectors in simple-root
+    coordinates: entry (i, j) is 2 (n_i, n_j) / (n_i, n_i).  A non-integer
+    entry is a RuntimeError."""
+    rows = []
+    for u in nodes:
+        hn = rs.half_norm(u)
+        row = [rs.dot(u, v) / hn for v in nodes]
+        if any(c.denominator != 1 for c in row):
+            raise RuntimeError(f"{rs.type}: the pairings of node {u} are not integral")
+        rows.append(tuple(int(c) for c in row))
+    return tuple(rows)
 
 
 def affine_cartan(rs: RootSystem) -> AffineCartanData:
     """Extend the Cartan matrix by the lowered highest root (node 0).
 
-    With theta the highest root, the marks are the labels of the null root
-    alpha_0 + theta, (1, *theta), and the comarks those of its coroot,
+    With theta the highest root, the matrix is ``gcm_of`` the nodes
+    (-theta, alpha_1, ..., alpha_l); the marks are the labels of the null
+    root alpha_0 + theta, (1, *theta), and the comarks those of its coroot,
     (1, *theta^vee) (Kac, Table Aff 1).  Both are checked as positive null
     vectors of the matrix.  The null identities hold for any root in the
     last slot; positivity rejects one that lacks full support.
     """
     l = rs.rank
     delta = rs.highest_root
-    dd = rs.half_norm(delta)
-
-    def entry(i: int, j: int) -> int:
-        # alpha_j(h_i) with index 0 denoting (-delta, h_{-delta})
-        if i == 0:
-            if j == 0:
-                return 2
-            num = -rs.dot(rs.simple_root(j - 1), delta) / dd
-            if num.denominator != 1:
-                raise RuntimeError(f"{rs.type}: affine Cartan entry ({i}, {j}) is not integral")
-            return int(num)
-        if j == 0:
-            return -rs.pairing(delta, i - 1)
-        return rs.cartan_matrix[i - 1][j - 1]
-
-    gcm = tuple(tuple(entry(i, j) for j in range(l + 1)) for i in range(l + 1))
+    gcm = gcm_of(rs, [tuple(-c for c in delta)] + [rs.simple_root(i) for i in range(l)])
     marks = (1, *delta)
     comarks = (1, *rs.coroot(delta))
     if (
@@ -339,8 +334,7 @@ def affine_cartan(rs: RootSystem) -> AffineCartanData:
         or any(sum(comarks[i] * gcm[i][j] for i in range(l + 1)) for j in range(l + 1))
     ):
         raise RuntimeError(f"{rs.type}: marks or comarks are not positive null vectors")
-    label = f"{rs.type.family}{rs.type.rank}(1)"
-    return AffineCartanData(gcm=gcm, marks=marks, comarks=comarks, kac_label=label)
+    return AffineCartanData(gcm=gcm, marks=marks, comarks=comarks)
 
 
 class DiagramAutomorphism:

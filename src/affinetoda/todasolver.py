@@ -51,16 +51,16 @@ import numpy as np
 
 
 class InitSpec:
-    """How a solve starts.  An unknown kind, a ``file`` kind without a path,
-    a negative seed or a non-finite amplitude is a ValueError."""
+    """How a solve starts.  An unknown kind, a ``file`` kind with no path or
+    an empty one, a negative seed or a non-finite amplitude is a ValueError."""
 
     def __init__(
         self, kind: str = "oracle", seed: int = 0, amplitude: float = 0.1, path: Optional[str] = None
     ):
         if kind not in ("zero", "oracle", "perturbed", "file"):
             raise ValueError(f"init has an unknown kind {kind!r}")
-        if kind == "file" and path is None:
-            raise ValueError("init of kind 'file' has no path")
+        if kind == "file" and not path:
+            raise ValueError("init has kind 'file' but no path")
         if seed < 0:
             raise ValueError("init has a negative seed")
         if not np.isfinite(amplitude):
@@ -78,16 +78,17 @@ class InitSpec:
             return InitSpec(parts[0])
         if parts[0] == "perturbed" and len(parts) == 3:
             try:
-                seed, amplitude = int(parts[1]), float(parts[2])
+                kwargs = {"seed": int(parts[1]), "amplitude": float(parts[2])}
             except ValueError:
                 raise ValueError(f"cannot parse init specification {text!r}") from None
-            try:
-                return InitSpec("perturbed", seed=seed, amplitude=amplitude)
-            except ValueError as exc:  # the constructor's reason, said of the specification
-                raise ValueError(str(exc).replace("init", f"init specification {text!r}", 1)) from None
-        if parts[0] == "file" and len(parts) >= 2:
-            return InitSpec("file", path=":".join(parts[1:]))
-        raise ValueError(f"cannot parse init specification {text!r}")
+        elif parts[0] == "file" and len(parts) >= 2:
+            kwargs = {"path": ":".join(parts[1:])}
+        else:
+            raise ValueError(f"cannot parse init specification {text!r}")
+        try:
+            return InitSpec(parts[0], **kwargs)
+        except ValueError as exc:  # the constructor's reason, said of the specification
+            raise ValueError(str(exc).replace("init", f"init specification {text!r}", 1)) from None
 
 
 class SolverConfig:
@@ -227,15 +228,16 @@ def jacobian_apply(
 # ---------------------------------------------------------------------------
 
 
-def constant_solution(data: _TodaData, q_sq: float) -> Tuple[np.ndarray, float]:
-    """The spatially constant solution for constant |q|^2 > 0.
+def constant_solution(data: _TodaData, q_sq: float) -> np.ndarray:
+    """The spatially constant solution for constant |q|^2 > 0, as its
+    coroot coordinates.
 
     Writing s = |q|^2 exp(-2 delta(Omega)), the h_i components decouple to
     r_i exp(2 alpha_i(Omega)) = c_i s with c_i the coefficients of the
     highest coroot (the comarks of nodes 1..l), and the scalar s solves a
     monotone equation in log s whose closed form is evaluated directly; its
     exponent h = 1 + sum of the highest root's coefficients is the Coxeter
-    number.  Returns (coroot coordinates, pointwise residual norm).
+    number.
     """
     if q_sq <= 0:
         raise ValueError("constant solution needs |q|^2 > 0")
@@ -243,9 +245,7 @@ def constant_solution(data: _TodaData, q_sq: float) -> Tuple[np.ndarray, float]:
     h = 1 + float(marks.sum())
     log_s = (np.log(q_sq) - float(marks @ np.log(comarks / data.r))) / h
     targets = 0.5 * np.log(comarks * np.exp(log_s) / data.r)  # alpha_i(Omega)
-    om = np.linalg.solve(data.P, targets)
-    res = data.pointwise_residual(data.exponentials(om[None, None, :], np.array([[q_sq]])))
-    return om, float(np.abs(res).max())
+    return np.linalg.solve(data.P, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +253,26 @@ def constant_solution(data: _TodaData, q_sq: float) -> Tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _initial_field(cfg: SolverConfig, data: _TodaData, q2: np.ndarray) -> HFieldGrid:
+def _initial_field(cfg: SolverConfig, data: _TodaData, q2: np.ndarray) -> np.ndarray:
+    """The values the solve starts from, in a new array."""
     l = data.rs.rank
     grid = cfg.grid
     kind = cfg.init.kind
     if kind == "zero":
-        return constant_field(grid, [0.0] * l)
+        return constant_field(grid, [0.0] * l).values
+    if kind == "file":
+        field0 = read_field_binary(cfg.init.path, grid)
+        if field0.l != l:
+            raise ValueError(
+                f"{cfg.init.path}: init field has {field0.l} components, but the rank is {l}"
+            )
+        return field0.values
+    om0 = constant_solution(data, float(np.mean(q2)))
     if kind == "oracle":
-        om0, _ = constant_solution(data, float(np.mean(q2)))
-        return constant_field(grid, om0)
-    if kind == "perturbed":
-        om0, _ = constant_solution(data, float(np.mean(q2)))
-        base = constant_field(grid, om0)
-        # the bump's periods are the domain's, so it is smooth across a torus's seam
-        bump = random_trig_field(l, cfg.init.seed, cfg.init.amplitude, extent=grid.extent)
-        return HFieldGrid(grid, base.values + bump.sample(grid).values)
-    field0 = read_field_binary(cfg.init.path, grid)  # kind "file"
-    if field0.l != l:
-        raise ValueError(
-            f"{cfg.init.path}: init field has {field0.l} components, but the rank is {l}"
-        )
-    return field0
+        return constant_field(grid, om0).values
+    # "perturbed": the bump's periods are the domain's, so it is smooth across a torus's seam
+    bump = random_trig_field(l, cfg.init.seed, cfg.init.amplitude, extent=grid.extent)
+    return HFieldGrid(grid, om0 + bump.sample(grid).values).values
 
 
 def _dst1(a: np.ndarray, axis: int) -> np.ndarray:
@@ -415,7 +414,7 @@ def solve(cfg: SolverConfig, data: _TodaData) -> Solution:
     """
     grid = cfg.grid
     q2 = np.abs(cfg.q.sample(grid)) ** 2
-    vals = _initial_field(cfg, data, q2).values.copy()
+    vals = _initial_field(cfg, data, q2)
     with np.errstate(over="ignore", invalid="ignore"):  # caught just below
         exps = data.exponentials(vals, q2)
         R = residual(data, grid, vals, exps)

@@ -5,18 +5,20 @@ as dense vectors and matrices (basis vectors, root characters, ad, the
 Killing form, the principal sl2 triple, sigma, the Coxeter phase map and
 the anti-involutions rho_hat and lambda_hat), cyclic elements of the
 phase-1 eigenspace and their torus normalisation, the chart transition of
-the Higgs field, the folded Toda residual and the uniqueness probe,
+the Higgs field, the residual of a constant field, the folded Toda residual and the uniqueness probe,
 the whole-grid flat Toda connection in the toda and higgs gauges with its
 curvature, gauge action and checks (the dense references of the row-block
 pass ``connection.check_norms``; each norm is the grid's ``max_norm``, so
 a rectangle's boundary ring is left out, as there), and the catalog of
 affine matrices with its node-permutation matcher, the reference for the
-folded labels of ``restriction.classify_affine``.  The package itself
+folded labels of ``restriction.classify_affine``, and the brute-force
+search of order-2 diagram symmetries.  The package itself
 needs none of them.  The dense algebra views read the
 table through ``ChevalleyAlgebra._table``, ``_killing_rows`` and
 ``_characters``, never its raw columns.
 """
 import functools
+import itertools
 import warnings
 from typing import List, Sequence, Tuple
 
@@ -174,16 +176,17 @@ def chart_transition(values, g, heights, form_degree=0):
     return values * (garr[..., None] ** powers if garr.ndim else garr**powers)
 
 
-def restricted_toda_residual(omega, q, rest):
-    """Residual of the folded equations for a symmetry-fixed field.
+def restricted_toda_residual(omega, q, rs, rest):
+    """Residual of the folded equations for a symmetry-fixed field, with
+    ``rest`` the folding of the root system ``rs``.
 
     Agrees with the unfolded residual to roundoff; the field must take
     values in the fixed subspace (``sigma_symmetry_defect`` above 1e-12 is
     an error).
     """
-    if sigma_symmetry_defect(omega, diagram_automorphism(rest.base).perm) > 1e-12:
+    if sigma_symmetry_defect(omega, diagram_automorphism(rs).perm) > 1e-12:
         raise ValueError("field is not fixed by the diagram symmetry")
-    rs, grid, vals = rest.base, omega.grid, omega.values
+    grid, vals = omega.grid, omega.values
     P = np.array(rs.simple_characters, dtype=float)
 
     def functional(vec):
@@ -201,6 +204,13 @@ def restricted_toda_residual(omega, q, rest):
     if not grid.periodic:
         R[~interior_mask(grid)] = 0.0
     return R
+
+
+def constant_residual(data, om, q_sq):
+    """Max pointwise residual of the constant field ``om`` at constant
+    |q|^2 = ``q_sq``: the Toda term of the solver, at one point."""
+    exps = data.exponentials(np.asarray(om)[None, None, :], np.array([[q_sq]]))
+    return float(np.abs(data.pointwise_residual(exps)).max())
 
 
 def uniqueness_probe(cfg, seeds, data):
@@ -423,8 +433,7 @@ def affine_catalog(size: int) -> Tuple[Tuple[str, Tuple[Tuple[int, ...], ...]], 
     entries = []
     for name in names:
         if int(name[1:]) == size - 1:  # an extended diagram has rank + 1 nodes
-            aff = affine_cartan(build_root_system(LieType.parse(name)))
-            entries.append((aff.kac_label, aff.gcm))
+            entries.append((f"{name}(1)", affine_cartan(build_root_system(LieType.parse(name))).gcm))
     entries += [(f"A{2*n}(2)", _twisted_chain_gcm(n)) for n in range(1, 5) if n == size - 1]
     return tuple(entries)
 
@@ -465,3 +474,19 @@ def gcm_permutation_equivalent(
         return False
 
     return backtrack(0)
+
+
+def brute_force_order2_symmetries(cartan):
+    """All order-<=2 Cartan-preserving permutations (oracle, small ranks)."""
+    l = len(cartan)
+    out = []
+    for perm in itertools.permutations(range(l)):
+        if any(perm[perm[i]] != i for i in range(l)):
+            continue
+        if all(
+            cartan[perm[i]][perm[j]] == cartan[i][j]
+            for i in range(l)
+            for j in range(l)
+        ):
+            out.append(perm)
+    return out

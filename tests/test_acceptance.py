@@ -31,7 +31,7 @@ from affinetoda.todasolver import (
     solve,
 )
 from conftest import ALL_TYPES, get_algebra
-from oracles import coxeter_apply, sl2_triple, uniqueness_probe
+from oracles import constant_residual, coxeter_apply, sl2_triple, uniqueness_probe
 
 
 def report(num, name, ok, detail=""):
@@ -119,8 +119,8 @@ def test_criterion_3_higgs_toda_equivalence():
 def test_criterion_4_constant_oracles():
     rs1, _, _, _ = get_algebra("A1")
     data1 = _TodaData(rs1)
-    om_half, res_half = constant_solution(data1, 0.5)
-    om_one, res_one = constant_solution(data1, 1.0)
+    om_half, om_one = constant_solution(data1, 0.5), constant_solution(data1, 1.0)
+    res_half, res_one = constant_residual(data1, om_half, 0.5), constant_residual(data1, om_one, 1.0)
     u = 2 * om_one[0]  # alpha(Omega) for A1
     ok = (
         abs(u - 0.25 * math.log(2)) < 1e-10
@@ -131,7 +131,8 @@ def test_criterion_4_constant_oracles():
     details = [f"A1 u={u:.9f}"]
     for name in ["A2", "G2"]:
         rs, _, _, _ = get_algebra(name)
-        _, res = constant_solution(_TodaData(rs), 1.0)
+        data = _TodaData(rs)
+        res = constant_residual(data, constant_solution(data, 1.0), 1.0)
         ok = ok and res < 1e-13
         details.append(f"{name} residual {res:.1e}")
     report(4, "constant-solution-oracle", ok, "(" + ", ".join(details) + ")")
@@ -152,7 +153,7 @@ def test_criterion_5_solver_convergence():
         t0 = time.monotonic()
         sol = solve(cfg, data)
         dt = time.monotonic() - t0
-        om0, _ = constant_solution(data, 1.0)
+        om0 = constant_solution(data, 1.0)
         dist = float(np.abs(sol.omega.values - om0).max())
         ok = ok and sol.converged and dist < 1e-8 and dt < 30.0
         details.append(f"{name}: |Omega-Omega0|={dist:.1e} in {dt:.1f}s")
@@ -229,7 +230,7 @@ def test_criterion_9_jacobian_check():
         grid = DomainGrid("torus", 16, 16)
         data = _TodaData(rs)
         q2 = np.ones((16, 16))
-        om0, _ = constant_solution(data, 1.0)
+        om0 = constant_solution(data, 1.0)
         vals = constant_field(grid, om0).values + 0.1 * rng.standard_normal(
             (16, 16, rs.rank)
         )

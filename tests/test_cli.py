@@ -596,8 +596,9 @@ def test_extent_must_be_positive_and_finite(extent, tmp_path, capsys):
         ("--init", "perturbed:x:0.1", "cannot parse init specification 'perturbed:x:0.1'"),
         ("--init", "perturbed:1:nan", "init specification 'perturbed:1:nan' has a non-finite amplitude"),
         ("--init", "perturbed:1:inf", "init specification 'perturbed:1:inf' has a non-finite amplitude"),
+        ("--init", "file:", "init specification 'file:' has kind 'file' but no path"),
     ],
-    ids=["poly-empty", "const-word", "init-seed-word", "init-nan", "init-inf"],
+    ids=["poly-empty", "const-word", "init-seed-word", "init-nan", "init-inf", "init-file-empty"],
 )
 def test_malformed_spec_is_named(flag, spec, message, tmp_path, capsys):
     """A malformed q or init specification is a usage error that quotes it,
@@ -609,6 +610,39 @@ def test_malformed_spec_is_named(flag, spec, message, tmp_path, capsys):
     assert code == 2
     assert f"error: {message}" in err
     assert out == "" and not (tmp_path / "omega.bin").exists()
+
+
+SOLVE_OPTIONS_HELP = """\
+options:
+  -h, --help           show this help message and exit
+  --type TYPE
+  --grid GRID
+  --q Q
+  --tol TOL
+  --max-iter MAX_ITER
+  --damping DAMPING
+  --init INIT
+  --topology TOPOLOGY
+  --extent EXTENT
+  --config CONFIG      key=value file; flags win
+  --out OUT
+"""
+
+
+def test_toda_solve_flags(monkeypatch, capsys):
+    """``toda solve`` has one flag per solver key, in ``SOLVER_KEYS`` order
+    (``max_iter`` as ``--max-iter``), then ``--config`` and ``--out``; an
+    option not given parses as None, ``--out`` included."""
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run_cli(capsys, "toda", "solve", "--help")
+    assert code == 0
+    assert out[out.index("options:"):] == SOLVE_OPTIONS_HELP
+    args = cli.build_parser().parse_args(["toda", "solve", "--type", "B3", "--max-iter", "7"])
+    assert {key: getattr(args, key) for key in cli.SOLVER_KEYS + ("config", "out")} == {
+        "type": "B3", "grid": None, "q": None, "tol": None, "max_iter": "7", "damping": None,
+        "init": None, "topology": None, "extent": None, "config": None, "out": None,
+    }
+    assert args.fn is cli.cmd_toda_solve
 
 
 @pytest.mark.parametrize("flag", ["--grid", "--extent"])

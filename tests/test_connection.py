@@ -127,7 +127,7 @@ def test_curvature_of_constant_oracle_vanishes(algebra):
 
     rs, alg, sl2, _ = algebra("A2")
     grid = DomainGrid("torus", 16, 16)
-    om0, _ = constant_solution(_TodaData(rs), 1.0)
+    om0 = constant_solution(_TodaData(rs), 1.0)
     omega = constant_field(grid, om0)
     q = QDifferential((1.0,))
     conn = build_toda_connection(omega, q, _TodaData(rs), "toda")

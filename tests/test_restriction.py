@@ -5,12 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from affinetoda import cli, restriction, rootdata
 from affinetoda.grids import DomainGrid, HFieldGrid, QDifferential, random_trig_field
 from affinetoda.restriction import project, restrict
-from affinetoda.rootdata import DiagramAutomorphism, diagram_automorphism
+from affinetoda.rootdata import DiagramAutomorphism, affine_cartan, diagram_automorphism
 from affinetoda.todasolver import sigma_symmetry_defect
 from conftest import ALL_TYPES, elliptic_residual
-from oracles import affine_catalog, gcm_permutation_equivalent, restricted_toda_residual
+from oracles import (
+    affine_catalog,
+    brute_force_order2_symmetries,
+    gcm_permutation_equivalent,
+    restricted_toda_residual,
+)
 
 TABLE = [
     ("A2", "A2(2)"),
@@ -44,6 +50,62 @@ def test_trivial_symmetry_extends(name, algebra):
     assert rest.restricted_roots == tuple(
         tuple(Fraction(c) for c in rs.simple_root(i)) for i in range(rs.rank)
     )
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_identity_fold_is_the_extended_diagram(name, algebra):
+    """Folding by the identity moves no node: the projected matrix is the
+    extended Cartan matrix of ``affine_cartan`` and the label the base's."""
+    rs, _, _, _ = algebra(name)
+    rest = restrict(rs, DiagramAutomorphism(tuple(range(rs.rank))))
+    assert rest.gcm == affine_cartan(rs).gcm
+    assert rest.orbits == tuple((i,) for i in range(rs.rank))
+    assert rest.label == f"{name}(1)"
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "A5", "B3", "C4", "D4", "D5", "F4", "G2"])
+def test_orbits_are_the_symmetry_orbits(name, algebra):
+    """For every order-2 diagram symmetry of the brute-force search, the
+    orbits are the permutation's, ordered by their least node, and they are
+    the classes of simple roots with equal projections."""
+    rs, _, _, _ = algebra(name)
+    for perm in brute_force_order2_symmetries(rs.cartan_matrix):
+        nu = DiagramAutomorphism(perm)
+        rest = restrict(rs, nu)
+        cycles = sorted({tuple(sorted({i, p})) for i, p in enumerate(perm)})
+        assert rest.orbits == tuple(cycles)
+        classes = {}
+        for i in range(rs.rank):
+            classes.setdefault(project(rs, nu, rs.simple_root(i)), []).append(i)
+        assert rest.orbits == tuple(tuple(c) for c in classes.values())
+
+
+@pytest.mark.parametrize("name", [n for n, _ in TABLE])
+def test_restricted_roots_are_orbit_averages(name, algebra):
+    """Each restricted root is the average of the simple roots over its
+    orbit: alpha_i itself on a fixed node, (alpha_i + alpha_nu(i)) / 2 on a
+    moved pair."""
+    rs, _, _, _ = algebra(name)
+    rest = restrict(rs, diagram_automorphism(rs))
+    for orbit, beta in zip(rest.orbits, rest.restricted_roots):
+        expected = [Fraction(0)] * rs.rank
+        for i in orbit:
+            expected[i] += Fraction(1, len(orbit))
+        assert beta == tuple(expected)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "E6", "E8"])
+def test_lie_restrict_builds_no_affine_cartan(name, monkeypatch, capsys):
+    """``lie restrict`` names the fold by rule: it never builds the
+    unfolded affine matrix to compare against."""
+
+    def refuse(rs):
+        raise AssertionError("affine_cartan called")
+
+    monkeypatch.setattr(rootdata, "affine_cartan", refuse)
+    monkeypatch.setattr(restriction, "affine_cartan", refuse, raising=False)  # an imported copy
+    assert cli.main(["lie", "restrict", name]) == 0
+    assert '"label"' in capsys.readouterr().out
 
 
 def test_a3_collapses_to_two_nodes(algebra):
@@ -156,7 +218,7 @@ class TestFoldedResidual:
         rest = restrict(rs, nu)
         omega = self.make_symmetric_field(rs, nu)
         q = QDifferential((0.7 + 0.4j,))
-        folded = restricted_toda_residual(omega, q, rest)
+        folded = restricted_toda_residual(omega, q, rs, rest)
         full = elliptic_residual(omega, q, rs)
         assert np.abs(folded - full).max() < 1e-12
 
@@ -166,7 +228,7 @@ class TestFoldedResidual:
         rest = restrict(rs, nu)
         omega = self.make_symmetric_field(rs, nu)
         q = QDifferential((1.0,))
-        folded = restricted_toda_residual(omega, q, rest)
+        folded = restricted_toda_residual(omega, q, rs, rest)
         full = elliptic_residual(omega, q, rs)
         assert np.abs(folded - full).max() < 1e-13
 
@@ -176,11 +238,11 @@ class TestFoldedResidual:
 
         rs, alg, sl2, _ = algebra("A2")
         rest = restrict(rs, diagram_automorphism(rs))
-        om0, _ = constant_solution(_TodaData(rs), 1.0)
+        om0 = constant_solution(_TodaData(rs), 1.0)
         grid = DomainGrid("torus", 8, 8)
         omega = constant_field(grid, om0)
         q = QDifferential((1.0,))
-        assert np.abs(restricted_toda_residual(omega, q, rest)).max() < 1e-13
+        assert np.abs(restricted_toda_residual(omega, q, rs, rest)).max() < 1e-13
 
     def test_asymmetric_field_rejected(self, algebra):
         rs, _, _, _ = algebra("A3")
@@ -193,4 +255,4 @@ class TestFoldedResidual:
         assert sigma_symmetry_defect(omega, nu.perm) > 1e-12
         q = QDifferential((1.0,))
         with pytest.raises(ValueError):
-            restricted_toda_residual(omega, q, rest)
+            restricted_toda_residual(omega, q, rs, rest)

@@ -20,6 +20,7 @@ from affinetoda.rootdata import (
     diagram_automorphism,
     exponents,
 )
+from oracles import brute_force_order2_symmetries
 
 ALL_TYPES = (
     [f"A{n}" for n in range(1, 9)]
@@ -218,25 +219,6 @@ def test_affine_cartan_invariants(name):
     assert aff.comarks[1:] == rs.coroot(rs.highest_root)
     # marks sum to the Coxeter number
     assert sum(aff.marks) == coxeter_number(rs)
-    assert aff.kac_label == f"{name}(1)"
-
-
-def brute_force_order2_symmetries(cartan):
-    """All order-<=2 Cartan-preserving permutations (oracle, small ranks)."""
-    import itertools
-
-    l = len(cartan)
-    out = []
-    for perm in itertools.permutations(range(l)):
-        if any(perm[perm[i]] != i for i in range(l)):
-            continue
-        if all(
-            cartan[perm[i]][perm[j]] == cartan[i][j]
-            for i in range(l)
-            for j in range(l)
-        ):
-            out.append(perm)
-    return out
 
 
 @pytest.mark.parametrize("name", ["A3", "A4", "D5", "E6"])

@@ -86,11 +86,11 @@ def test_solver_imports_only_root_system_from_rootdata():
     assert imported == ["RootSystem"]
 
 
-def test_only_solve_and_the_oracle_form_the_exponentials():
+def test_only_solve_forms_the_exponentials():
     """The Toda term is evaluated once per field: in the solver only
-    ``solve`` (once per iterate) and ``constant_solution`` call
-    ``exponentials``; the residual, the Jacobian, the Newton step and the
-    preconditioner read the exponentials their caller formed."""
+    ``solve`` (once per iterate) calls ``exponentials``; the residual, the
+    Jacobian, the Newton step and the preconditioner read the exponentials
+    their caller formed, and ``constant_solution`` forms none."""
     callers = set()
     stack = [(node, None) for node in ast.parse((SRC / "todasolver.py").read_text()).body]
     while stack:
@@ -101,7 +101,20 @@ def test_only_solve_and_the_oracle_form_the_exponentials():
             if node.func.attr == "exponentials":
                 callers.add(func)
         stack += [(child, func) for child in ast.iter_child_nodes(node)]
-    assert callers == {"solve", "constant_solution"}
+    assert callers == {"solve"}
+
+
+def test_gram_rule_lives_in_rootdata():
+    """Every generalized Cartan matrix comes from ``rootdata.gcm_of``: no
+    other module pairs roots through ``dot`` or ``half_norm`` itself."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "rootdata.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in ("dot", "half_norm")
+    ]
+    assert found == []
 
 
 def test_summary_is_one_block_pass():
