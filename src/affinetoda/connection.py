@@ -28,19 +28,22 @@ in the commutator check.
 
 The connection is formed in one place, a row block at a time
 (``_block_maxima``).  The grid goes in row blocks of about
-``_BLOCK_POINTS`` points, and no fewer rows than four times the halo.  Each
-block builds the Toda-gauge connection from Omega and q on its rows plus a
-two-row halo, wrapped on a torus and clipped at a rectangle's edges, forms
-its curvature a group of slot columns at a time (``_curvature``), and folds
-what it forms on its own rows into node maxima.  The halo is two rows
-because F differentiates A = d Omega again.  Every block also forms the
-elliptic residual R on its own rows.  The solve/verify summary reads |F|
-and |R| alone (``summary_norms``), the two sides of the equivalence;
-``conn check`` reads, from the same pass, every quantity it reports
-(``check_norms``).  Neither holds F, R or a whole-grid connection.  The
-whole-grid connection and its checks are kept in the tests
-(``tests/oracles.py``), as the references whose norms these equal bit
-for bit.
+``_BLOCK_VALUES`` slot values, a point carrying one per slot, and no fewer
+rows than four times the halo.  What a block holds is a few arrays over its
+points and slots, so the budget counts both: an E8 block (26 slots) holds
+about what an A2 block (8 slots) holds, where a budget of grid points gave
+E8 blocks three times the memory.  Each block builds the Toda-gauge
+connection from Omega and q on its rows plus a two-row halo, wrapped on a
+torus and clipped at a rectangle's edges, forms its curvature a group of
+slot columns at a time (``_curvature``), and folds what it forms on its
+own rows into node maxima.  The halo is two rows because F differentiates
+A = d Omega again.  Every block also forms the elliptic residual R on its
+own rows.  The solve/verify summary reads |F| and |R| alone
+(``summary_norms``), the two sides of the equivalence; ``conn check``
+reads, from the same pass, every quantity it reports (``check_norms``).
+Neither holds F, R or a whole-grid connection.  The whole-grid connection
+and its checks are kept in the tests (``tests/oracles.py``), as the
+references whose norms these equal bit for bit.
 """
 from __future__ import annotations
 
@@ -201,15 +204,24 @@ def _columns(
 def _bracket(xs: list, ys: list, terms, s: int, e: int) -> np.ndarray:
     """The slot columns s:e of [X, Y], for X and Y given by their n slot
     columns ``xs`` and ``ys``, all of one shape, and the terms (i, j, k, c)
-    of ``TodaSlots.terms`` the bracket forms.  Each term whose output slot k
-    lies in s:e is added into column k - s, in table order, one at a time:
-    working memory is the output plus one term's worth of points.  The one
-    slot bracket, of the curvature and of the commutator check alike."""
+    of ``TodaSlots.terms`` the bracket forms whose output slot k lies in
+    s:e.  Each is added into column k - s, in the order given, one at a
+    time: working memory is the output plus one term's worth of points.
+    The one slot bracket, of the curvature and of the commutator check
+    alike."""
     Z = np.zeros(xs[0].shape + (e - s,), dtype=complex)
-    for i, j, k, c in zip(*terms):
-        if s <= k < e:
-            Z[..., k - s] += xs[i] * ys[j] * c
+    for i, j, k, c in terms:
+        Z[..., k - s] += xs[i] * ys[j] * c
     return Z
+
+
+def _stacked(columns: list) -> np.ndarray:
+    """The complex columns as one array with a last axis over them: what
+    ``np.stack(columns, axis=-1)`` gives, without its per-call checks."""
+    out = np.empty(columns[0].shape + (len(columns),), dtype=complex)
+    for d, column in enumerate(columns):
+        out[..., d] = column
+    return out
 
 
 def _curvature(grid: DomainGrid, slots: TodaSlots, az: list, azbar: list):
@@ -227,41 +239,46 @@ def _curvature(grid: DomainGrid, slots: TodaSlots, az: list, azbar: list):
     a 128-row A2 grid (16 and their halo) two columns at a time.  The
     derivative of a part that is zero on the whole group is not formed.
     The terms of [az, azbar] are selected once, from the supports of the
-    columns, and each group adds its own by ``_bracket``."""
+    columns, and dealt to the groups by output slot in table order; each
+    group adds its own by ``_bracket``."""
     n, shape = slots.n, az[0].shape
     x_supp, y_supp = [x.any() for x in az], [y.any() for y in azbar]
-    terms = [t.tolist() for t in slots.terms(x_supp, y_supp)]
     width = max(1, min(grid.nx // shape[0], slots.characters.shape[1]))  # l columns at most
-    for s in range(0, n, width):
+    groups = [[] for _ in range(0, n, width)]
+    for term in zip(*(t.tolist() for t in slots.terms(x_supp, y_supp))):
+        groups[term[2] // width].append(term)
+    for s, terms in zip(range(0, n, width), groups):
         e = min(s + width, n)
         if any(y_supp[s:e]):
-            F = grid.d_dz(np.stack(azbar[s:e], axis=-1))
+            F = grid.d_dz(_stacked(azbar[s:e]))
         else:
             F = np.zeros(shape + (e - s,), dtype=complex)
         if any(x_supp[s:e]):
-            F -= grid.d_dzbar(np.stack(az[s:e], axis=-1))
+            F -= grid.d_dzbar(_stacked(az[s:e]))
         F += _bracket(az, azbar, terms, s, e)
         yield s, e, F
         del F  # before the next group's is formed
 
 
-# grid points per row block: 16-row blocks at 128^2, and every grid of up to
-# 2048 points is one block; no block has fewer than 4 x halo rows (8 at
-# 512^2, not 4), so the halo stays a small share of the rows a block builds
-_BLOCK_POINTS = 2048
+# slot values per row block, a point carrying one per slot: 16-row blocks at
+# A2 128^2 (8 slots), and every grid of up to 2048 A2 points is one block;
+# E8's 26 slots give 19-row blocks at 32^2.  No block has fewer than
+# 4 x halo rows (8 at A2 512^2, not 4), so the halo stays a small share of
+# the rows a block builds
+_BLOCK_VALUES = 2048 * 8
 
 
-def _row_blocks(grid: DomainGrid):
+def _row_blocks(grid: DomainGrid, slots: TodaSlots):
     """Yield (s, e, read, keep) for each row block: its grid rows s:e, the
     rows ``read`` of Omega and q its connection is built from, s:e and two
     rows either side, and where s:e sit among them (``keep``).  ``read`` is
     a slice, so that the block reads views, except where a torus's halo
-    wraps: there it lists the rows.  A block has ``_BLOCK_POINTS // ny``
-    rows, and at least four times the halo.  On a rectangle every norm
-    leaves out the boundary ring, so the blocks cover only the inner rows,
-    and their halos clip at the edges."""
+    wraps: there it lists the rows.  A block has
+    ``_BLOCK_VALUES // (ny * slots.n)`` rows, and at least four times the
+    halo.  On a rectangle every norm leaves out the boundary ring, so the
+    blocks cover only the inner rows, and their halos clip at the edges."""
     nx, halo = grid.nx, 2  # F differentiates A = d Omega again
-    step = max(4 * halo, _BLOCK_POINTS // grid.ny)
+    step = max(4 * halo, _BLOCK_VALUES // (grid.ny * slots.n))
     first, stop = (0, nx) if grid.periodic else (1, nx - 1)
     if step >= stop - first:
         yield first, stop, slice(None), slice(first, stop)
@@ -285,16 +302,15 @@ def _fold_block(
     """Fold the quantities of ``_block_maxima`` into the node maxima ``at``
     of one row block, from the field values ``vals`` and the samples ``qv``
     of q on its rows plus their halo, among which ``keep`` are its own.
-    Everything formed here is freed on return, before the next block."""
+    Each array is freed once nothing further reads it, and everything
+    formed here on return, before the next block."""
     l, lo, hi, chars = vals.shape[-1], slots.lowered, slots.raised, slots.characters
-    A_z, A_zbar, phi, psi = _toda_parts(grid, slots, data.r, vals, qv)
     own, q_own = vals[keep], qv[keep]
     pointwise = data.pointwise_residual(data.exponentials(own, np.abs(q_own) ** 2))
     R = -0.5 * grid.laplacian(vals)[keep] + pointwise
     _fold(at["residual"], R)
     checks = hs is not None
     if checks:
-        _fold(at["star"], psi[keep] - np.conj(phi[keep]))  # Phi* = conj(Phi) in the Toda gauge
         # in the Higgs gauge Phi = E- and Phi* = Ad_{exp(2 Omega)} E+, with no
         # Cartan part; the closed form of [Phi, Phi*] is minus the pointwise
         # term, and the bracket lands on the Cartan slots alone
@@ -305,10 +321,15 @@ def _fold_block(
         terms = slots.terms([x.any() for x in xs], [y.any() for y in ys])
         if np.any(terms[2] >= l):
             raise RuntimeError("a bracket term lands outside its output slots")
-        _fold(at["commutator"], _bracket(xs, ys, terms, 0, l) + pointwise)
-        F_own = np.empty(own.shape[:-1] + (slots.n,), dtype=complex) if hs else None
+        _fold(at["commutator"], _bracket(xs, ys, zip(*terms), 0, l) + pointwise)
+        del e_minus, star, xs, ys, terms
     else:
-        del pointwise, R  # the summary reads |F| alone from here on
+        del R  # the summary reads |F| alone from here on
+    del pointwise  # with the Laplacian's temporaries, freed before the connection is built
+    A_z, A_zbar, phi, psi = _toda_parts(grid, slots, data.r, vals, qv)
+    if checks:
+        _fold(at["star"], psi[keep] - np.conj(phi[keep]))  # Phi* = conj(Phi) in the Toda gauge
+        F_own = np.empty(own.shape[:-1] + (slots.n,), dtype=complex) if hs else None
     for s, e, F in _curvature(grid, slots, *_columns(slots, A_z, A_zbar, phi, psi)):
         F = F[keep]
         _fold(at["curvature"], F)
@@ -320,11 +341,15 @@ def _fold_block(
                 F[..., : cartan - s] += R[..., s:cartan]
             _fold(at["mismatch"], F)
         del F
-    for h in hs or ():
+    if not hs:
+        return
+    del R  # the covariance reads the parts and F_own alone
+    for h in hs:
         moved = _columns(slots, A_z, A_zbar, char_scale(phi, h, chars[lo]), char_scale(psi, h, chars[hi]))
+        scale = char_scale(np.ones(slots.n), h, chars)  # of each slot, for the constant H: once, not per group
         for s, e, G in _curvature(grid, slots, *moved):
             G = G[keep]
-            G -= char_scale(F_own[..., s:e], h, chars[s:e])
+            G -= F_own[..., s:e] * scale[s:e]
             _fold(at["covariance"], G)
             del G
         del moved  # one H's moved connection is freed before the next one's is built
@@ -361,7 +386,7 @@ def _block_maxima(
     if hs is not None:
         keys += ["star", "commutator", "mismatch", "covariance"]
     node = {key: np.zeros((grid.nx, grid.ny)) for key in keys}
-    for s, e, read, keep in _row_blocks(grid):
+    for s, e, read, keep in _row_blocks(grid, slots):
         at = {key: m[s:e] for key, m in node.items()}
         _fold_block(at, grid, data, slots, omega.values[read], qv[read], keep, hs)
     return node

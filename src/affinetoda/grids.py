@@ -127,15 +127,16 @@ def _neighbours(F: np.ndarray, axis: int, op) -> np.ndarray:
     neighbours of a node along ``axis`` sit ``step`` elements either side
     of it in the flat array, so one contiguous pass over it covers the
     interior (a strided pass would allocate ufunc buffers); the two end
-    slabs, which that pass gets wrong, are then rewritten."""
+    slabs, which that pass gets wrong, are then rewritten through index
+    tuples."""
     F = np.ascontiguousarray(F)
     out = np.empty(F.shape, dtype=np.result_type(F, 1.0))
     step = math.prod(F.shape[axis + 1:])
     f, o = F.reshape(-1), out.reshape(-1)
     op(f[2 * step:], f[: -2 * step], out=o[step:-step])
-    f, o = np.moveaxis(F, axis, 0), np.moveaxis(out, axis, 0)
-    op(f[1], f[-1], out=o[0])
-    op(f[0], f[-2], out=o[-1])
+    at = (slice(None),) * axis  # index tuples of the end slabs: at + (i,) is slab i
+    op(F[at + (1,)], F[at + (-1,)], out=out[at + (0,)])
+    op(F[at + (0,)], F[at + (-2,)], out=out[at + (-1,)])
     return out
 
 

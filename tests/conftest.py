@@ -84,7 +84,7 @@ def dense_bracket(slots, X, Y):
     connection's one slot bracket ``_bracket``."""
     xs, ys = ([Z[..., d] for d in range(slots.n)] for Z in (X, Y))
     terms = slots.terms(*(Z.reshape(-1, slots.n).any(axis=0) for Z in (X, Y)))
-    return _bracket(xs, ys, terms, 0, slots.n)
+    return _bracket(xs, ys, zip(*terms), 0, slots.n)
 
 
 def _traced_peak(fn):
@@ -116,7 +116,7 @@ def reference_bracket(alg, X, Y):
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "block_points(n): run the test with connection._BLOCK_POINTS = n"
+        "markers", "block_values(n): run the test with connection._BLOCK_VALUES = n"
     )
 
 

@@ -24,8 +24,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from affinetoda.chevalley import build_chevalley
 from affinetoda.connection import (
-    _bracket,
     _checked_slots,
     _columns,
     _curvature,
@@ -352,17 +352,34 @@ def gauge_covariance_defect(conn, F, H):
     return conn.grid.max_norm(node)
 
 
-def cartan_bracket(slots, phi, star):
-    """[Phi, Phi*] on the l Cartan slots, for Phi given on ``slots.lowered``
-    and its star on ``slots.raised``, by the connection's one slot bracket
-    ``_bracket``; a formed term anywhere else raises RuntimeError."""
-    l = slots.characters.shape[1]
-    zero = np.zeros(phi.shape[:-1] + (l,), dtype=complex)
-    xs, ys = _columns(slots, zero, zero, phi, star)
-    terms = slots.terms([x.any() for x in xs], [y.any() for y in ys])
-    if np.any(terms[2] >= l):
-        raise RuntimeError("a bracket term lands outside its output slots")
-    return _bracket(xs, ys, terms, 0, l)
+@functools.lru_cache(maxsize=None)
+def _algebra(name):
+    """The Chevalley algebra of the type ``name``, built once per type."""
+    return build_chevalley(build_root_system(LieType.parse(name)))
+
+
+def _toda_field_slots(alg, rs):
+    """The Chevalley slots of E- (-alpha_i, then theta) and of E+ (their
+    negatives), read from the root system."""
+    down = [tuple(-c for c in rs.simple_root(i)) for i in range(rs.rank)] + [rs.highest_root]
+    return ([alg.root_index(r) for r in down], [alg.root_index(tuple(-c for c in r)) for r in down])
+
+
+def cartan_bracket(rs, phi, star):
+    """[Phi, Phi*] on the l Cartan slots, for Phi given on the slots of E-
+    (the -alpha_i, then theta) and its star on those of E+: both scattered
+    over all of g and bracketed by the full Chevalley table
+    (``ChevalleyAlgebra.bracket``), not by the connection's slot table.  A
+    nonzero coefficient off the Cartan raises RuntimeError."""
+    alg = _algebra(str(rs.type))
+    lowered, raised = _toda_field_slots(alg, rs)
+    X = np.zeros(phi.shape[:-1] + (alg.dim,), dtype=complex)
+    Y = np.zeros_like(X)
+    X[..., lowered], Y[..., raised] = phi, star
+    Z = alg.bracket(X, Y)
+    if np.any(Z[..., rs.rank :]):
+        raise RuntimeError("[Phi, Phi*] leaves the Cartan")
+    return Z[..., : rs.rank]
 
 
 def commutator_defect(omega, q, data):
@@ -370,11 +387,13 @@ def commutator_defect(omega, q, data):
     its closed form, minus the pointwise term of the Toda residual, in the
     Higgs gauge: Phi = E- and Phi* = Ad_{exp(2 Omega)} E+, the
     ``conjugate_star`` of the Higgs-gauge connection, formed without the
-    rest of that connection, on the l Cartan slots only."""
-    slots, qv = _checked_slots(omega, data), q.sample(omega.grid)
+    rest of that connection, from the Chevalley algebra alone
+    (``cartan_bracket``)."""
+    rs, qv = data.rs, q.sample(omega.grid)
+    alg = _algebra(str(rs.type))
     phi = _e_minus(data.r, qv)
-    star = char_scale(np.conj(phi), 2 * omega.values, slots.characters[slots.raised])
-    comm = cartan_bracket(slots, phi, star)
+    star = char_scale(np.conj(phi), 2 * omega.values, characters(alg)[_toda_field_slots(alg, rs)[1]])
+    comm = cartan_bracket(rs, phi, star)
     closed = -data.pointwise_residual(data.exponentials(omega.values, np.abs(qv) ** 2))
     return omega.grid.max_norm(np.abs(comm - closed).max(axis=-1))
 

@@ -853,6 +853,21 @@ def test_init_file_rank_mismatch_exits_2(tmp_path, capsys):
     assert "1 components" in err and "rank is 2" in err
 
 
+@pytest.mark.parametrize("where", ["init", "out"])
+def test_directory_path_exits_2(where, tmp_path, capsys):
+    """A directory given as the field to start from or to write is a usage
+    error that quotes the OS's message, not an IsADirectoryError traceback."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    init = f"file:{folder}" if where == "init" else "zero"
+    out_path = str(folder if where == "out" else tmp_path / "omega.bin")
+    code, out, err = run_cli(capsys, "toda", "solve", "--type", "A1", "--grid", "16",
+                             "--init", init, "--out", out_path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: [Errno 21] Is a directory: {str(folder)!r}\nusage: ")
+    assert os.listdir(tmp_path) == ["folder"] and os.listdir(folder) == []
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "affinetoda", "lie", "info", "A1"],

@@ -300,14 +300,15 @@ def test_summary_norms_are_the_equivalence_norms(name, topology, algebra):
         ("A2", "torus", 128, 128, "const", 8),  # 16-row blocks
         ("A2", "torus", 96, 96, "poly", 5),  # 21-row blocks, the last of 12; q jumps at the seam
         ("G2", "rectangle", 75, 48, "poly", 2),  # inner rows 1:43, 43:74
-        ("E8", "torus", 40, 64, "const", 2),  # rows 0:32, 32:40
+        ("E8", "torus", 40, 64, "const", 5),  # 26 slots: rows 0:9, ..., 27:36, 36:40
         ("A2", "rectangle", 64, 40, "const", 2),  # inner rows 1:52, 52:63
-        ("E8", "torus", 32, 32, "poly", 1),
+        ("E8", "torus", 32, 32, "poly", 2),  # rows 0:19, 19:32
         ("G2", "rectangle", 40, 32, "poly", 1),
-        # 64- and 48-point blocks would be 2 rows; the floor of 4 x halo
-        # makes them 8: rows 0:8, ..., 32:40, and inner rows 1:9, ..., 25:29
-        pytest.param("A2", "torus", 40, 32, "poly", 5, marks=pytest.mark.block_points(64)),
-        pytest.param("G2", "rectangle", 30, 24, "const", 4, marks=pytest.mark.block_points(48)),
+        # budgets of 512 and 384 slot values would give 2-row blocks; the
+        # floor of 4 x halo makes them 8: rows 0:8, ..., 32:40, and inner
+        # rows 1:9, ..., 25:29
+        pytest.param("A2", "torus", 40, 32, "poly", 5, marks=pytest.mark.block_values(512)),
+        pytest.param("G2", "rectangle", 30, 24, "const", 4, marks=pytest.mark.block_values(384)),
     ],
 )
 def test_blocked_curvature_norm_is_the_whole_grid_norm(
@@ -321,9 +322,9 @@ def test_blocked_curvature_norm_is_the_whole_grid_norm(
     residual and mismatch norms and the covariance defect under constant H
     that ``check_norms`` reports.  No block but the last has fewer than
     4 x halo = 8 rows."""
-    marker = request.node.get_closest_marker("block_points")
+    marker = request.node.get_closest_marker("block_values")
     if marker is not None:
-        monkeypatch.setattr(connection, "_BLOCK_POINTS", marker.args[0])
+        monkeypatch.setattr(connection, "_BLOCK_VALUES", marker.args[0])
     rs, _, _, _ = algebra(name)
     grid = DomainGrid(topology, nx, ny)
     omega = random_trig_field(rs.rank, seed=5, amplitude=0.3).sample(grid)
@@ -332,7 +333,7 @@ def test_blocked_curvature_norm_is_the_whole_grid_norm(
     else:
         qd = QDifferential((0.8 - 0.3j,))
     data = _TodaData(rs)
-    rows = [e - s for s, e, _, _ in _row_blocks(grid)]
+    rows = [e - s for s, e, _, _ in _row_blocks(grid, TodaSlots(rs))]
     assert len(rows) == blocks and min(rows[:-1], default=8) >= 8
     conn = build_toda_connection(omega, qd, data, "toda")
     F = curvature(conn)
@@ -353,6 +354,19 @@ def test_blocked_curvature_norm_is_the_whole_grid_norm(
         "mismatch": mismatch,
         "covariance": max(gauge_covariance_defect(conn, F, constant_field(grid, v)) for v in hs),
     }
+
+
+@pytest.mark.parametrize("name", ["A2", "G2"])
+@pytest.mark.parametrize("n, step", [(32, 64), (64, 32), (96, 21), (128, 16), (512, 8)])
+def test_rank_two_row_blocks_are_2048_points(name, n, step, algebra):
+    """A rank-2 type has 8 slots, so the budget of 2048 x 8 slot values
+    gives its blocks max(8, 2048 // ny) rows, the blocks of a budget of
+    2048 grid points: the whole grid at 32, the floor of 8 rows at 512."""
+    slots = TodaSlots(algebra(name)[0])
+    assert slots.n == 8
+    for grid, first, stop in ((DomainGrid("torus", n, n), 0, n), (DomainGrid("rectangle", n, n), 1, n - 1)):
+        got = [(s, e) for s, e, _, _ in _row_blocks(grid, slots)]
+        assert got == [(s, min(s + step, stop)) for s in range(first, stop, step)]
 
 
 @pytest.mark.parametrize("topology", ["torus", "rectangle"])
@@ -388,10 +402,11 @@ def test_summary_peaks_below_the_solve(n, topology, algebra):
 
 @pytest.mark.parametrize("q", ["const:1.0", "const:0.8-0.3j"])
 def test_one_block_summary_working_memory(q, algebra):
-    """At E8 32^2 the whole grid is one row block.  Its summary peaks at
-    13.2 fields of Omega traced, above the solve's 10.2, but without the
-    whole-field copies of ``char_scale``: a complex copy of a real H and the
-    caller's -Omega took it to 14.3."""
+    """E8 32^2, once one row block: with the blocks budgeted in slot values
+    the grid goes in two blocks of 19 and 13 rows, and each block builds
+    its connection once its residual's Laplacian is freed: the summary
+    peaks at 9.95 fields of Omega traced, below the solve's 10.0 (13.2 as
+    one block, 14.3 with the whole-field copies of ``char_scale``)."""
     rs, _, _, _ = algebra("E8")
     cfg = SolverConfig(
         grid=DomainGrid("torus", 32, 32),
@@ -402,7 +417,7 @@ def test_one_block_summary_working_memory(q, algebra):
     sol = solve(cfg, data)
     _summary(sol.omega, cfg.q, data)  # per-type caches
     peak = _traced_peak(lambda: _summary(sol.omega, cfg.q, data))
-    assert peak < 13.5 * sol.omega.values.nbytes, peak / sol.omega.values.nbytes
+    assert peak < 11 * sol.omega.values.nbytes, peak / sol.omega.values.nbytes
 
 
 def test_summary_forms_no_whole_grid_residual(algebra):
@@ -526,7 +541,7 @@ def test_commutator_defect_builds_no_connection(name, algebra, monkeypatch):
     _, omega = make_omega(name, algebra)
     q = QDifferential.parse("poly:0.9,0.4-0.2j")
     conn = build_toda_connection(omega, q, data, "higgs")
-    comm = cartan_bracket(conn.slots, conn.phi, conjugate_star(conn))
+    comm = cartan_bracket(rs, conn.phi, conjugate_star(conn))
     closed = -data.pointwise_residual(data.exponentials(omega.values, np.abs(q.sample(omega.grid)) ** 2))
     expect = float(np.abs(comm - closed).max())
 
@@ -557,6 +572,28 @@ def test_commutator_with_a_term_moved_off_the_cartan_raises(name, algebra):
     slots.table = (i, j, k, c)
     with pytest.raises(RuntimeError, match="lands outside its output slots"):
         check_norms(omega, q, data)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B3", "G2", "E8"])
+def test_commutator_reference_reads_no_slot_table(name, algebra):
+    """Mutation check: flip the sign of one coroot term of the slot table,
+    a term of [e_-beta, e_beta] on the Cartan, and the block pass's
+    commutator defect leaves its reference, which brackets over the full
+    Chevalley table and so stays where it was."""
+    rs = algebra(name)[0]
+    data = _TodaData(rs)
+    slots = data.slots = TodaSlots(rs)
+    i, j, k, c = (col.copy() for col in slots.table)
+    onto_cartan = np.flatnonzero(np.isin(i, slots.lowered) & np.isin(j, slots.raised) & (k >= 0))
+    grid = DomainGrid("torus", 8, 8)
+    omega = random_trig_field(rs.rank, seed=3, amplitude=0.15).sample(grid)
+    q = QDifferential((0.8 - 0.3j,))
+    reference = commutator_defect(omega, q, data)
+    assert check_norms(omega, q, data)["commutator"] == reference < 1e-12
+    c[onto_cartan[0]] *= -1
+    slots.table = (i, j, k, c)
+    assert commutator_defect(omega, q, data) == reference
+    assert check_norms(omega, q, data)["commutator"] > 0.1
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -590,27 +627,30 @@ def test_connection_keeps_phi_and_psi_on_their_slots(name, gauge, algebra):
 
 def test_conn_check_working_memory(capsys):
     """``conn check`` keeps Phi, Psi, their star and the gauge-transformed
-    connections on their l+1 slots, brackets onto the Cartan only and
-    forms every quantity in row blocks: E8 at 48^2 (two blocks) peaks
-    below 8 (points, slots) complex arrays (about 4.6; 5.9 with a
-    whole-grid connection, 11.5 when that was dense over all the slots)."""
+    connections on their l+1 slots, brackets onto the Cartan only, forms
+    every quantity in row blocks of about 2048 x 8 slot values and frees
+    each array once it is read: E8 at 48^2 (four blocks) peaks below 1.75
+    (points, slots) complex arrays (about 1.6; 4.4 in two blocks of
+    2048 points, 5.9 with a whole-grid connection, 11.5 when that was
+    dense over all the slots)."""
     args = ["conn", "check", "--type", "E8", "--grid", "48"]
     assert cli.main(args) == 0  # imports and per-type caches
     peak = _traced_peak(lambda: cli.main(args))
     capsys.readouterr()
     one = 48 * 48 * 26 * 16
-    assert peak <= 8 * one, peak / one
+    assert peak <= 1.75 * one, peak / one
 
 
 def test_conn_check_working_memory_on_many_blocks(capsys):
-    """At E8 128^2 (eight row blocks) ``conn check`` holds no whole-grid
+    """At E8 128^2 (16 row blocks) ``conn check`` holds no whole-grid
     connection, curvature or moved curvature: a second call in one process
-    peaks below 12 MiB traced (37 MiB with the whole-grid connection)."""
+    peaks below 5 MiB traced (about 4.6; 6.9 in eight blocks of 2048
+    points, 37 with the whole-grid connection)."""
     args = ["conn", "check", "--type", "E8", "--grid", "128"]
     assert cli.main(args) == 0  # imports and per-type caches
     peak = _traced_peak(lambda: cli.main(args))
     capsys.readouterr()
-    assert peak < 12 * 2**20, peak / 2**20
+    assert peak < 5 * 2**20, peak / 2**20
 
 
 def test_conn_check_samples_q_once_per_grid(monkeypatch, capsys):
